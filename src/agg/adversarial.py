@@ -111,6 +111,17 @@ def generator_loss(p_fake, variant="non_saturating"):
     raise ParameterError(f"unknown generator loss variant {variant!r}")
 
 
+def _check_positive(config, *names):
+    bad = [n for n in names if getattr(config, n) <= 0]
+    if bad:
+        raise ParameterError(f"{', '.join(bad)} must be positive")
+
+
+def _check_prefix_len(config, length):
+    if config.prefix_len > length:
+        raise ParameterError("prefix_len exceeds sequence length")
+
+
 @dataclass
 class TrainConfig:
     iterations: int = 5000
@@ -135,9 +146,8 @@ class TrainConfig:
     holdout_fraction: float = 0.1
 
     def __post_init__(self):
-        if min(self.iterations, self.batch_size, self.d_steps_per_g_step,
-               self.prefix_len) <= 0:
-            raise ParameterError("train config values must be positive")
+        _check_positive(self, "iterations", "batch_size", "d_steps_per_g_step",
+                        "prefix_len", "log_every")
         if self.generator_loss_variant not in ("non_saturating", "saturating"):
             raise ParameterError("bad generator_loss_variant")
 
@@ -241,8 +251,7 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
     L = config.sequence_length or dataset.length
     if L != dataset.length:
         raise DimensionError("sequence_length must match the dataset")
-    if config.prefix_len > L:
-        raise ParameterError("prefix_len exceeds sequence length")
+    _check_prefix_len(config, L)
     X = dataset.one_hot()
     n_hold = int(len(X) * config.holdout_fraction)
     rng = np.random.default_rng(config.seed)
@@ -385,10 +394,28 @@ class GrammarOnlyConfig:
     momentum: float = 0.9
     log_every: int = 100
 
+    def __post_init__(self):
+        _check_positive(self, "iterations", "batch_size", "k_cap", "max_paths",
+                        "prefix_len", "log_every")
+
 
 def _pruned_loglik(model, batch, n0, k_cap, max_paths):
     """Differentiable log-likelihood of token batches under the grammar,
-    summed over the k_cap-per-step pruned enumeration of rule paths."""
+    summed over a pruned enumeration of rule paths.
+
+    With k = min(k_cap, R), the pruning rule is:
+    - step 0: keep the k rules of largest p0, ties to the lower rule index;
+    - each later step: every kept path (the parent) proposes the k successor
+      rules r' of largest probs_all[parent rule, r'], ties to the lower rule
+      index. A candidate's weight is (w_parent * probs_all[r, r']) *
+      t_all[r', token], multiplied in that order. Of the candidates, listed
+      parent by parent and within a parent in successor rank order, keep the
+      max_paths heaviest, ties to the earlier candidate.
+    The result is the batch mean of log(sum of kept path weights).
+
+    A parent's successors depend only on its rule, so the (R, R) table is
+    ranked once per call and candidate weights are computed only at the kept
+    (parent, successor) pairs."""
     R = model.config.num_rules
     eye = Tensor(np.eye(R))
     n_all = model.f_n(eye)
@@ -404,14 +431,15 @@ def _pruned_loglik(model, batch, n0, k_cap, max_paths):
     rows = np.repeat(np.arange(B)[:, None], k, axis=1)
     w = ad.mul(ad.gather_nd(p0, (rows, idx0)),
                ad.gather_nd(t_all, (idx0, batch[:, [0]])))            # (B, k)
+    succ = np.argsort(-probs_all.value, axis=1, kind="stable")[:, :k]  # (R, k)
     cur = idx0
     for j in range(1, L):
         W = cur.shape[1]
-        trans_v = probs_all.value[cur]                                # (B, W, R)
-        cand_v = w.value[:, :, None] * trans_v * t_all.value[:, batch[:, j]].T[:, None, :]
         # per parent keep top-k rules, then cap total paths
-        keep_r = np.argsort(-trans_v, axis=2, kind="stable")[:, :, :k]  # (B, W, k)
-        cand_sel = np.take_along_axis(cand_v, keep_r, axis=2).reshape(B, W * k)
+        keep_r = succ[cur]                                            # (B, W, k)
+        trans_sel = probs_all.value[cur[:, :, None], keep_r]
+        emis_sel = t_all.value[keep_r, batch[:, j, None, None]]
+        cand_sel = (w.value[:, :, None] * trans_sel * emis_sel).reshape(B, W * k)
         order = np.argsort(-cand_sel, axis=1, kind="stable")[:, :max_paths]
         parent = order // k                                           # (B, W')
         rule = np.take_along_axis(keep_r.reshape(B, W * k), order, axis=1)
@@ -432,6 +460,7 @@ def train_grammar_only(dataset, grammar_model, config, on_log=None):
         raise InputError("empty dataset")
     if dataset.kind != "discrete":
         raise InputError("grammar-only training expects a discrete dataset")
+    _check_prefix_len(config, dataset.length)
     X = dataset.one_hot()
     toks = np.stack([np.asarray(r) for r in dataset.records])
     rng = np.random.default_rng(config.seed)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import DimensionError, InputError, ParameterError, ResourceError
+from .errors import DimensionError, InputError, ParameterError, ParseError, ResourceError
 from .nn import ACTIVATIONS, Conv1d, Dense, GRUCell, MLP
 
 POLICIES = ("sample_hard", "sample_soft", "greedy")
@@ -218,7 +218,7 @@ class GrammarModel:
     def load_state(self, state):
         for name, p in self.named_parameters().items():
             if name not in state:
-                raise KeyError(f"checkpoint missing parameter {name!r}")
+                raise ParseError(f"checkpoint missing parameter {name!r}")
             p.assign(state[name])
 
     # -- forward pieces -----------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import DimensionError, ParameterError, ScheduleError
+from .errors import DimensionError, ParameterError, ParseError, ScheduleError
 
 ACTIVATIONS = {
     "none": lambda x: x,
@@ -197,16 +197,39 @@ def save_checkpoint(path, named_params):
         f.write(bytes(payload))
 
 
+def _is_count(x):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def load_checkpoint(path):
+    """Parameters saved by save_checkpoint; ParseError if the file is
+    truncated or its manifest is malformed."""
     with open(path, "rb") as f:
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        manifest = json.loads(f.read(hlen).decode("utf-8"))
-        payload = f.read()
+        data = memoryview(f.read())
+    if len(data) < 8:
+        raise ParseError(f"{path}: checkpoint is shorter than its 8-byte header")
+    (hlen,) = struct.unpack_from("<Q", data)
+    if hlen > len(data) - 8:
+        raise ParseError(f"{path}: checkpoint ends inside its manifest")
+    try:
+        manifest = json.loads(bytes(data[8:8 + hlen]).decode("utf-8"))
+    except ValueError as e:      # bad UTF-8 or bad JSON
+        raise ParseError(f"{path}: unreadable checkpoint manifest ({e})") from e
+    payload = data[8 + hlen:]
+    if not isinstance(manifest, list):
+        raise ParseError(f"{path}: checkpoint manifest is not a list")
     out = {}
     for entry in manifest:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+        try:
+            name, shape, start = entry["name"], entry["shape"], entry["offset"]
+        except (TypeError, KeyError):
+            raise ParseError(f"{path}: malformed checkpoint entry {entry!r}") from None
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(map(_is_count, shape)) and _is_count(start)):
+            raise ParseError(f"{path}: malformed checkpoint entry {entry!r}")
+        n = math.prod(shape)
+        if start + 8 * n > len(payload):
+            raise ParseError(f"{path}: checkpoint payload ends before {name!r}")
         arr = np.frombuffer(payload, dtype="<f8", count=n, offset=start)
-        out[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        out[name] = arr.reshape(shape).astype(np.float64)
     return out

@@ -282,6 +282,22 @@ def save_dataset(path, dataset):
                 f.write(json.dumps({"frames": np.asarray(r).tolist()}) + "\n")
 
 
+def _numeric_row(obj, key, ndim, kinds, dtype, lineno):
+    """obj[key] as an ndim-d array of `dtype`, or ParseError when it has
+    another shape or an element is not a number of one of the numpy dtype
+    `kinds` (e.g. "iu": integers only)."""
+    try:
+        row = np.asarray(obj[key])
+    except ValueError as e:                 # ragged nesting
+        raise ParseError(f"line {lineno}: {key} is not a rectangular list") from e
+    if row.ndim != ndim:
+        raise ParseError(f"line {lineno}: {key} must be a {ndim}-d list")
+    if row.size and row.dtype.kind not in kinds:
+        what = "integers" if kinds == "iu" else "numbers"
+        raise ParseError(f"line {lineno}: {key} must hold only {what}")
+    return row.astype(dtype, copy=False)
+
+
 def load_dataset(path, alphabet_size=None):
     records = []
     kind = None
@@ -296,9 +312,11 @@ def load_dataset(path, alphabet_size=None):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"line {lineno}: invalid JSON ({e})") from e
+            if not isinstance(obj, dict):
+                raise ParseError(f"line {lineno}: record must be a JSON object")
             if "tokens" in obj:
                 row_kind = "discrete"
-                row = np.asarray(obj["tokens"], dtype=np.int64)
+                row = _numeric_row(obj, "tokens", 1, "iu", np.int64, lineno)
                 if alphabet_size is not None and row.size and row.max() >= alphabet_size:
                     raise ParseError(
                         f"line {lineno}: token {int(row.max())} >= alphabet "
@@ -307,9 +325,7 @@ def load_dataset(path, alphabet_size=None):
                     raise ParseError(f"line {lineno}: negative token index")
             elif "frames" in obj:
                 row_kind = "continuous"
-                row = np.asarray(obj["frames"], dtype=np.float64)
-                if row.ndim != 2:
-                    raise ParseError(f"line {lineno}: frames must be a 2-d list")
+                row = _numeric_row(obj, "frames", 2, "iuf", np.float64, lineno)
                 if width is None:
                     width = row.shape[1]
                 elif row.shape[1] != width:

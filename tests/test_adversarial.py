@@ -1,11 +1,13 @@
 """Discriminator, GAN losses, teacher forcing, and small end-to-end runs."""
+import math
+
 import numpy as np
 import pytest
 
 from agg import autodiff as ad
 from agg.autodiff import Tensor
 from agg.adversarial import (Discriminator, DiscriminatorConfig,
-                             GrammarOnlyConfig, TrainConfig,
+                             GrammarOnlyConfig, TrainConfig, _pruned_loglik,
                              discriminator_loss, generator_loss,
                              teacher_forced_states, train_adversarial,
                              train_grammar_only)
@@ -318,3 +320,117 @@ def test_grammar_only_rejects_continuous():
     model = tiny_model()
     with pytest.raises(InputError):
         train_grammar_only(ds, model, GrammarOnlyConfig(iterations=1))
+
+
+def test_config_values_must_be_positive():
+    for key in ("iterations", "batch_size", "k_cap", "max_paths", "prefix_len",
+                "log_every"):
+        with pytest.raises(ParameterError, match=key):
+            GrammarOnlyConfig(**{key: 0})
+    for key in ("iterations", "batch_size", "d_steps_per_g_step", "prefix_len",
+                "log_every"):
+        with pytest.raises(ParameterError, match=key):
+            TrainConfig(**{key: -1})
+
+
+def test_grammar_only_prefix_len_check():
+    ds = SequenceDataset(records=[np.zeros(6, dtype=np.int64)] * 4, length=6,
+                         kind="discrete", alphabet_size=4)
+    with pytest.raises(ParameterError, match="prefix_len"):
+        train_grammar_only(ds, tiny_model(),
+                           GrammarOnlyConfig(iterations=1, prefix_len=7))
+
+
+# ---------------------------------------------------------------------------
+# _pruned_loglik against plain-numpy and plain-Python oracles
+# ---------------------------------------------------------------------------
+
+def _tables(model, n0):
+    """(p0, t_all, probs_all) as numpy arrays, the tables _pruned_loglik
+    reads (softmax terminals)."""
+    _, t_all, probs_all = model.rule_tables()
+    with ad.no_grad():
+        p0 = model.rule_probs(Tensor(n0)).value
+    return p0, t_all, probs_all
+
+
+def _forward_loglik(p0, t_all, probs_all, tokens):
+    """Batch mean of log p(tokens): the exact forward recursion."""
+    alpha = p0 * t_all[:, tokens[:, 0]].T
+    for j in range(1, tokens.shape[1]):
+        alpha = (alpha @ probs_all) * t_all[:, tokens[:, j]].T
+    return float(np.mean(np.log(alpha.sum(axis=1))))
+
+
+def _pruned_loglik_loop(p0, t_all, probs_all, tokens, k, max_paths,
+                        lower_first=True):
+    """The pruning rule, stated literally: per parent keep the k most probable
+    successors, ties to the lower rule index; then keep the max_paths heaviest
+    candidates, ties to the earlier candidate. lower_first=False breaks both
+    kinds of tie the other way."""
+    p0, t_all, probs_all = p0.tolist(), t_all.tolist(), probs_all.tolist()
+    tie = 1 if lower_first else -1
+
+    def top(weights, n):
+        return sorted(range(len(weights)), key=lambda i: (-weights[i], tie * i))[:n]
+
+    total = 0.0
+    for b, x in enumerate(tokens.tolist()):
+        paths = [(r, p0[b][r] * t_all[r][x[0]]) for r in top(p0[b], k)]
+        for tok in x[1:]:
+            cands = [(s, w * probs_all[r][s] * t_all[s][tok])
+                     for r, w in paths for s in top(probs_all[r], k)]
+            paths = [cands[i] for i in top([w for _, w in cands], max_paths)]
+        total += math.log(max(sum(w for _, w in paths), 1e-300))
+    return total / len(tokens)
+
+
+def _loglik(model, tokens, n0, k_cap, max_paths):
+    return float(_pruned_loglik(model, tokens, Tensor(n0), k_cap, max_paths).value)
+
+
+def test_pruned_loglik_unpruned_equals_forward_recursion():
+    # R = 4, L = 3: all 4^3 = 64 paths fit, so nothing is pruned
+    model = tiny_model(num_rules=4, d_terminal=3)
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, 3, size=(5, 3))
+    n0 = rng.normal(size=(5, 8))
+    exact = _forward_loglik(*_tables(model, n0), tokens)
+    assert abs(_loglik(model, tokens, n0, 4, 64) - exact) < 1e-12
+    # pruning only removes mass
+    assert _loglik(model, tokens, n0, 2, 3) < exact
+
+
+def test_pruned_loglik_matches_literal_pruning_rule_topk_mask():
+    model = tiny_model(d_terminal=3, topk_mask=1)
+    rng = np.random.default_rng(1)
+    tokens = rng.integers(0, 3, size=(6, 5))
+    n0 = rng.normal(size=(6, 8))
+    tables = _tables(model, n0)
+    want = _pruned_loglik_loop(*tables, tokens, 2, 3)
+    assert abs(_loglik(model, tokens, n0, 2, 3) - want) < 1e-12
+
+
+def test_pruned_loglik_matches_literal_pruning_rule_with_ties():
+    # Small-integer rule logits give exact ties between successors, and rules
+    # that share an emission row give exact ties between candidates. The
+    # successor logits differ per rule, so which tied rule survives changes
+    # the likelihood (checked below by breaking ties the other way).
+    R, C = 6, 3
+    model = tiny_model(num_rules=R, d_nonterminal=R, d_terminal=C)
+    rng = np.random.default_rng(2)
+    logits = rng.integers(0, 3, size=(R, R)).astype(np.float64)
+    emissions = 3.0 * np.eye(C)[rng.integers(0, C, size=R)]
+    model.f_n.layers[0].w.assign(np.eye(R))      # n_all = one-hot rule rows
+    model.f_r.layers[0].w.assign(logits)
+    model.f_r.layers[0].b.assign(np.zeros(R))
+    model.f_t.layers[0].w.assign(emissions)
+    tokens = rng.integers(0, C, size=(8, 6))
+    n0 = np.eye(R)[rng.integers(0, R, size=8)]
+    tables = _tables(model, n0)
+    for k_cap, max_paths in ((2, 3), (3, 2), (2, 5)):
+        want = _pruned_loglik_loop(*tables, tokens, k_cap, max_paths)
+        assert abs(_loglik(model, tokens, n0, k_cap, max_paths) - want) < 1e-12
+        flipped = _pruned_loglik_loop(*tables, tokens, k_cap, max_paths,
+                                      lower_first=False)
+        assert abs(flipped - want) > 1e-6

@@ -159,6 +159,47 @@ def test_error_json_and_exit_codes(workdir):
     assert r.returncode == 1
 
 
+def _json_error(r):
+    """The error object of a failed CLI run, which must not print a traceback."""
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert err["error"] and err["message"]
+    return err
+
+
+@pytest.mark.parametrize("bad", ["k_cap=0", "max_paths=0", "prefix_len=20",
+                                 "log_every=0"])
+def test_grammar_only_bad_config_is_json_error(workdir, bad):
+    r = run_cli(["train", "--set", "dataset=data/dataset.jsonl",
+                 "--set", "mode=grammar_only", "--set", "iterations=2",
+                 "--set", bad, "--set", "out_dir=go_bad"], workdir)
+    err = _json_error(r)
+    assert err["error"] == "ParameterError"
+    assert bad.split("=")[0] in err["message"]
+
+
+def test_non_numeric_dataset_row_is_json_error(workdir):
+    (workdir / "bad.jsonl").write_text('{"tokens": [0, 1, 2]}\n{"tokens": [0, 1, "x"]}\n')
+    r = run_cli(["train", "--set", "dataset=bad.jsonl", "--set", "out_dir=bad_run"],
+                workdir)
+    err = _json_error(r)
+    assert err["error"] == "ParseError" and "line 2" in err["message"]
+
+
+def test_truncated_checkpoint_is_json_error(workdir):
+    r = run_cli(["train", "--set", "dataset=data/dataset.jsonl",
+                 "--set", "mode=grammar_only", "--set", "iterations=2",
+                 "--set", "out_dir=cut"], workdir)
+    assert r.returncode == 0, r.stderr
+    ckpt = workdir / "cut" / "checkpoint.bin"
+    ckpt.write_bytes(ckpt.read_bytes()[:30])
+    r = run_cli(["generate", "--set", "run_dir=cut",
+                 "--set", "dataset=data/dataset.jsonl", "--set", "out_dir=cut_gen"],
+                workdir)
+    assert _json_error(r)["error"] == "ParseError"
+
+
 def test_main_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "synth" in capsys.readouterr().out

@@ -5,7 +5,7 @@ import pytest
 
 from agg import autodiff as ad
 from agg.autodiff import Tensor
-from agg.errors import ParameterError, ResourceError
+from agg.errors import ParameterError, ParseError, ResourceError
 from agg.grammar import (GrammarConfig, GrammarModel, activity_config,
                          gumbel_softmax, pose_config)
 
@@ -306,6 +306,14 @@ def test_greedy_matches_top1_enumeration():
     (best, _), = model.enumerate_all(n0, 4, k_cap=1)
     greedy = model.unroll(n0, 4, "greedy")
     assert greedy.rule_indices == best.rule_indices
+
+
+def test_load_state_missing_parameter():
+    model = GrammarModel(tiny_config(), seed=0)
+    state = {n: p.value for n, p in model.named_parameters().items()}
+    del state["f_r.0.b"]
+    with pytest.raises(ParseError, match="f_r.0.b"):
+        model.load_state(state)
 
 
 def test_rule_tables_consistency():

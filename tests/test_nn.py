@@ -4,7 +4,7 @@ import pytest
 
 from agg import autodiff as ad
 from agg import nn
-from agg.errors import ParameterError, ScheduleError
+from agg.errors import ParameterError, ParseError, ScheduleError
 
 from helpers import check_op
 
@@ -159,6 +159,25 @@ def test_checkpoint_round_trip(tmp_path):
     assert set(loaded) == set(state)
     for k in state:
         assert np.array_equal(np.asarray(state[k]), loaded[k])
+
+
+def test_checkpoint_truncated_or_malformed_raises_parse_error(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    nn.save_checkpoint(path, {"a.w": np.ones((3, 4)), "b": np.zeros(5)})
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[:8], "little")
+    # cut in the header, in the manifest, and in the payload
+    for size in (0, 5, 30, 8 + hlen, len(data) - 1):
+        path.write_bytes(data[:size])
+        with pytest.raises(ParseError):
+            nn.load_checkpoint(path)
+    for manifest in (b"{}", b"[1]", b'[{"name": "a"}]',
+                     b'[{"name": "a", "shape": [-1], "offset": 0}]',
+                     b'[{"name": "a", "shape": [2], "offset": 8}]', b"\xff"):
+        path.write_bytes(len(manifest).to_bytes(8, "little") + manifest
+                         + bytes(16))
+        with pytest.raises(ParseError):
+            nn.load_checkpoint(path)
 
 
 def test_mlp_shapes_and_params():

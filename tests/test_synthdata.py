@@ -181,6 +181,20 @@ def test_parse_errors_name_lines(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("row", [
+    '{"tokens": [0, 1, "x"]}', '{"tokens": [0, 1.5, 2]}', '{"tokens": [true, false, true]}',
+    '{"tokens": 3}', '{"tokens": [[0], [1], [2]]}', '{"tokens": null}',
+    '{"frames": [[0.5], ["a"], [1.0]]}', '{"frames": [[0.5], [1.0, 2.0], [1.0]]}',
+    '[0, 1, 2]', '7',
+])
+def test_non_numeric_rows_name_lines(tmp_path, row):
+    path = tmp_path / "bad.jsonl"
+    first = '{"tokens": [0, 1, 2]}' if "tokens" in row else '{"frames": [[0.0], [1.0], [2.0]]}'
+    path.write_text(first + "\n" + row + "\n")
+    with pytest.raises(ParseError, match="line 2"):
+        load_dataset(path)
+
+
 def test_grammar_file_roundtrip(tmp_path):
     g = build_preset_grammar("bimodal")
     path = tmp_path / "g.json"
