@@ -86,10 +86,6 @@ class Discriminator:
             p.assign(state[name])
 
 
-def discriminate(t_seq, n_seq, model):
-    return model(t_seq, n_seq)
-
-
 def discriminator_loss(p_real, p_fake):
     """-mean log p_real - mean log (1 - p_fake), log args clamped at 1e-7."""
     p_real = p_real if isinstance(p_real, Tensor) else Tensor(p_real)
@@ -168,11 +164,17 @@ def teacher_forced_states(model, batch, n0=None, rng=None, harden=False,
 
     Without n0, each step greedily picks the rule whose expansion terminal is
     nearest (cosine) to the observed terminal and takes that rule's
-    non-terminal. With n0, the rule is *sampled* from the filtering posterior
-    (rule probability at the current state times the rule's emission weight at
-    the observed token), so the real stream has the same conditional law as a
-    generator path that happens to emit the data. A deterministic argmax here
-    would hand the discriminator an artifact that persists at convergence.
+    non-terminal. With n0, the rule is *sampled* step by step from the
+    forward-filtering posterior: rule probability at the current state times
+    the rule's emission weight at the observed token, given the tokens up to
+    this step only. This is not the smoothing posterior, which also conditions
+    on later tokens. The real stream has the same conditional law as a
+    generator path that happens to emit the data only when the tokens
+    determine the rules; otherwise a parsed rule can emit the observed token
+    yet have no successor that emits the next one, and the next step falls
+    back (below) even though the generator can produce the string. A
+    deterministic argmax here would hand the discriminator an artifact that
+    persists at convergence.
 
     The emission weight follows the generator's terminals. With harden=True
     (hardened fake terminals: a rule always emits the argmax of its terminal
@@ -284,8 +286,10 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
             batch = X_train[take]
             if last:
                 n0 = grammar_model.encode_start(Tensor(batch[:, :config.prefix_len]))
-                t_fake, n_fake, _, _, ent = grammar_model.unroll_batch(
-                    n0, L, config.policy, rng, tau=tau, return_entropy=True)
+                unrolled = grammar_model.unroll_batch(
+                    n0, L, config.policy, rng, tau=tau,
+                    return_entropy=bool(config.entropy_weight))
+                t_fake, n_fake = unrolled[:2]
                 if config.harden_terminals:
                     t_fake = _harden(t_fake)
                 fake_t_v, fake_n_v = t_fake.detach(), n_fake.detach()
@@ -326,7 +330,7 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
         if config.entropy_weight:
             # data-free entropy bonus; keeps rule selection from sharpening
             # into a deterministic basin whose softmax gradient vanishes
-            g_obj = ad.add(g_loss, ad.scale(ent, -config.entropy_weight))
+            g_obj = ad.add(g_loss, ad.scale(unrolled[4], -config.entropy_weight))
         ad.backward(g_obj)
         for p in d_params:          # generator backward also reaches D weights
             p.grad = None

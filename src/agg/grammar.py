@@ -84,9 +84,6 @@ def pose_config(use_codebook=False, **overrides):
     return GrammarConfig(**cfg)
 
 
-PRESETS = {"activity": activity_config, "pose": pose_config}
-
-
 @dataclass
 class SequenceSample:
     nonterminals: list            # L+1 vectors, starting at the seed state
@@ -96,27 +93,53 @@ class SequenceSample:
     length: int
 
 
+def _softmax_kept(s, kept):
+    """Softmax over the last axis of s, whose entries outside the flat
+    indices `kept` are -inf. exp runs on the kept entries only; the others
+    are exactly 0, as exp(-inf) would make them, so each row sum adds the
+    same terms in the same order as a full-width softmax."""
+    mx = s.max(axis=-1)
+    e = np.zeros(s.shape)
+    e.put(kept, np.exp(s.take(kept) - mx.take(kept // s.shape[-1])))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def gumbel_softmax(logits, tau, noise, hard=False):
     """Relaxed categorical draw from unnormalized logits.
 
     noise must be standard-uniform in the open interval (0, 1). In hard mode
     the forward output is exactly one-hot at the argmax of the soft sample and
     the gradient is the soft sample's (straight-through).
+
+    One autodiff node: the forward is softmax((logits + g) / tau) with Gumbel
+    noise g = -log(-log(noise)), computed only where logits are not -inf (a
+    masked rule gets weight 0 whatever its noise), and the backward is the
+    softmax Jacobian scaled by 1/tau, into logits only.
     """
     if tau <= 0:
         raise ParameterError("gumbel temperature must be > 0")
     noise = np.asarray(noise, dtype=np.float64)
-    if np.any(noise <= 0) or np.any(noise >= 1):
+    if ((noise <= 0) | (noise >= 1)).any():
         raise ParameterError("gumbel noise must lie in the open interval (0, 1)")
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
-    g = -np.log(-np.log(noise))
-    y = ad.softmax(ad.scale(ad.add(logits, g), 1.0 / tau))
-    if not hard:
-        return y
-    idx = np.argmax(y.value, axis=-1)
-    hard_v = np.zeros_like(y.value)
-    np.put_along_axis(hard_v, idx[..., None], 1.0, axis=-1)
-    return ad.straight_through(y, hard_v)
+    lv = logits.value
+    lb, nb = np.broadcast_arrays(lv, noise)
+    kept = (lb != -np.inf).ravel().nonzero()[0]
+    inv = 1.0 / tau
+    g = -np.log(-np.log(nb.take(kept)))
+    s = np.full(lb.shape, -np.inf)
+    s.put(kept, (lb.take(kept) + g) * inv)
+    y = _softmax_kept(s, kept)
+    if hard:
+        out_v = (np.arange(y.shape[-1]) == y.argmax(axis=-1)[..., None]).astype(np.float64)
+    else:
+        out_v = y
+
+    def bwd(gy):
+        dot = (gy * y).sum(axis=-1, keepdims=True)
+        ad._acc(logits, ad._unbroadcast((y * (gy - dot)) * inv, lv.shape))
+
+    return ad._node(out_v, (logits,), bwd)
 
 
 class _ConvEncoder:
@@ -292,8 +315,7 @@ class GrammarModel:
                 p_t = ad.softmax(logits)
                 plogp = ad.mul(p_t, ad.log(ad.clamp_min(p_t, 1e-12)))
                 entropies.append(ad.mean(ad.sum_along(plogp, axis=-1)))
-            probs = np.exp(logits.value - logits.value.max(axis=-1, keepdims=True))
-            probs = probs / probs.sum(axis=-1, keepdims=True)
+            probs = _softmax_kept(logits.value, (logits.value != -np.inf).ravel().nonzero()[0])
             if policy == "greedy":
                 idx = np.argmax(probs, axis=-1)
                 sel_v = np.zeros((B, R))

@@ -171,10 +171,6 @@ class SGD:
         self.step_count += 1
 
 
-def sgd_step(optimizer):
-    optimizer.step()
-
-
 # ---------------------------------------------------------------------------
 # checkpoint format: 8-byte little-endian manifest length, JSON manifest
 # (name, shape, offset per parameter), then a flat little-endian float64

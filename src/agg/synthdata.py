@@ -6,6 +6,7 @@ termination rule, and fixed-length sampling truncates the infinite language.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -285,14 +286,16 @@ def save_dataset(path, dataset):
 def _numeric_row(obj, key, ndim, kinds, dtype, lineno):
     """obj[key] as an ndim-d array of `dtype`, or ParseError when it has
     another shape or an element is not a number of one of the numpy dtype
-    `kinds` (e.g. "iu": integers only)."""
+    `kinds` (e.g. "iu": integers only). JSON booleans are not numbers."""
     try:
         row = np.asarray(obj[key])
     except ValueError as e:                 # ragged nesting
         raise ParseError(f"line {lineno}: {key} is not a rectangular list") from e
     if row.ndim != ndim:
         raise ParseError(f"line {lineno}: {key} must be a {ndim}-d list")
-    if row.size and row.dtype.kind not in kinds:
+    # numpy turns JSON true/false mixed with numbers into 1/0; reject them
+    items = obj[key] if ndim == 1 else itertools.chain.from_iterable(obj[key])
+    if row.size and (row.dtype.kind not in kinds or bool in set(map(type, items))):
         what = "integers" if kinds == "iu" else "numbers"
         raise ParseError(f"line {lineno}: {key} must hold only {what}")
     return row.astype(dtype, copy=False)

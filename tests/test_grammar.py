@@ -116,6 +116,41 @@ def test_gumbel_hard_is_one_hot_with_soft_grad():
     assert rel_err(ana, num) < 1e-4
 
 
+def _gumbel_chain(logits, tau, noise, hard):
+    """gumbel_softmax built from primitive autodiff ops."""
+    y = ad.softmax(ad.scale(ad.add(logits, -np.log(-np.log(noise))), 1.0 / tau))
+    if not hard:
+        return y
+    one_hot = np.zeros_like(y.value)
+    np.put_along_axis(one_hot, np.argmax(y.value, axis=-1)[..., None], 1.0, axis=-1)
+    return ad.straight_through(y, one_hot)
+
+
+@pytest.mark.parametrize("hard", [False, True])
+@pytest.mark.parametrize("logits_shape,tau", [((5, 9), 0.7), ((9,), 1.3)])
+def test_gumbel_node_equals_primitive_chain(hard, logits_shape, tau):
+    # the fused node must reproduce the chain's value and logits gradient
+    # bit for bit: masked -inf entries, tau != 1, 1-d logits broadcast
+    # against 2-d noise
+    rng = np.random.default_rng(11)
+    lv = rng.normal(size=logits_shape)
+    masked = rng.random(logits_shape) < 0.5
+    masked[..., 0] = False
+    lv[masked] = -np.inf
+    noise = rng.uniform(1e-6, 1 - 1e-6, size=(5, 9))
+    w = rng.normal(size=(5, 9))
+    results = []
+    for build in (gumbel_softmax, _gumbel_chain):
+        logits = Tensor(lv.copy())
+        y = build(logits, tau, noise, hard)
+        ad.backward(ad.total(ad.mul(y, w)))
+        results.append((y.value, logits.grad))
+    (y_node, g_node), (y_chain, g_chain) = results
+    assert np.array_equal(y_node, y_chain)
+    assert np.array_equal(g_node, g_chain)
+    assert g_node.shape == logits_shape
+
+
 def test_gumbel_temperature_limit():
     # tau -> 0 with fixed noise concentrates on argmax(logits + g)
     rng = np.random.default_rng(3)
@@ -255,6 +290,23 @@ def test_unroll_batch_entropy_gradient():
     assert ent.value.shape == ()
     ad.backward(ent)
     assert any(np.abs(p.grad_or_zero()).max() > 0 for p in model.f_r.parameters())
+
+
+def test_unroll_batch_entropy_flag_leaves_sample_unchanged():
+    model = GrammarModel(tiny_config(topk_mask=3), seed=1)
+    outs, states = [], []
+    for flag in (False, True):
+        rng = np.random.default_rng(4)
+        outs.append(model.unroll_batch(Tensor(np.ones((3, 8))), 5, "sample_hard",
+                                       rng, tau=0.8, return_entropy=flag))
+        states.append(rng.bit_generator.state)
+    off, on = outs
+    assert len(off) == 4 and len(on) == 5
+    assert np.array_equal(off[0].value, on[0].value)
+    assert np.array_equal(off[1].value, on[1].value)
+    assert np.array_equal(off[2], on[2])
+    assert np.array_equal(off[3], on[3])
+    assert states[0] == states[1]
 
 
 def test_enumerate_counts_and_mass():

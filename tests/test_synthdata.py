@@ -185,7 +185,7 @@ def test_parse_errors_name_lines(tmp_path):
     '{"tokens": [0, 1, "x"]}', '{"tokens": [0, 1.5, 2]}', '{"tokens": [true, false, true]}',
     '{"tokens": 3}', '{"tokens": [[0], [1], [2]]}', '{"tokens": null}',
     '{"frames": [[0.5], ["a"], [1.0]]}', '{"frames": [[0.5], [1.0, 2.0], [1.0]]}',
-    '[0, 1, 2]', '7',
+    '[0, 1, 2]', '7', '{"tokens": [true, 1, 0]}', '{"frames": [[true], [0.5], [1.0]]}',
 ])
 def test_non_numeric_rows_name_lines(tmp_path, row):
     path = tmp_path / "bad.jsonl"
