@@ -119,7 +119,7 @@ def gumbel_softmax(logits, tau, noise, hard=False):
     if tau <= 0:
         raise ParameterError("gumbel temperature must be > 0")
     noise = np.asarray(noise, dtype=np.float64)
-    if ((noise <= 0) | (noise >= 1)).any():
+    if not ((noise > 0) & (noise < 1)).all():        # NaN fails too
         raise ParameterError("gumbel noise must lie in the open interval (0, 1)")
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
     lv = logits.value
@@ -368,7 +368,10 @@ class GrammarModel:
     def sample_rule_paths(self, n0, length, num_samples, seed=0):
         """Fast hard-sampled rule-index paths (num_samples*B, L) from n0 rows.
 
-        n0: (B, d) seed states; each is unrolled `num_samples` times.
+        n0: (B, d) seed states; each is unrolled `num_samples` times. A step
+        draws one uniform u per path and takes the first rule whose cumulative
+        probability (last entry set to 1) is not below u. After step 0 the
+        cumulative rows are those of probs_all, searched once per current rule.
         """
         rng = np.random.default_rng(seed)
         _, _, probs_all = self.rule_tables()
@@ -377,16 +380,24 @@ class GrammarModel:
         p0 = np.repeat(p0, num_samples, axis=0)
         N = p0.shape[0]
         paths = np.empty((N, length), dtype=np.int64)
+        u = rng.random((length, N))          # step-major: one (N,) draw per step
         cum = np.cumsum(p0, axis=-1)
         cum[:, -1] = 1.0
-        idx = (cum < rng.random((N, 1))).sum(axis=-1)
+        idx = (cum < u[0, :, None]).sum(axis=-1)
         paths[:, 0] = idx
+        cum_all = np.cumsum(probs_all, axis=-1)
+        cum_all[:, -1] = 1.0
         for j in range(1, length):
-            p = probs_all[idx]
-            cum = np.cumsum(p, axis=-1)
-            cum[:, -1] = 1.0
-            idx = (cum < rng.random((N, 1))).sum(axis=-1)
-            paths[:, j] = idx
+            # group the paths by current rule; a cumsum of nonnegatives never
+            # decreases, so searchsorted "left" counts the entries below u
+            order = np.argsort(idx, kind="stable")
+            rules, starts = np.unique(idx[order], return_index=True)
+            uj = u[j, order]
+            nxt = np.empty(N, dtype=np.int64)
+            for r, a, b in zip(rules, starts, [*starts[1:], N]):
+                nxt[a:b] = cum_all[r].searchsorted(uj[a:b], side="left")
+            paths[order, j] = nxt
+            idx = paths[:, j]
         return paths
 
     def enumerate_all(self, n0, length, k_cap=None, budget=10**6):

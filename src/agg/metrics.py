@@ -115,18 +115,26 @@ def mean_angle_error(pred, truth):
 
 
 def empirical_ngram_distribution(samples, n, num_tokens):
-    """n-gram frequencies over all windows of the sampled token sequences."""
+    """n-gram frequencies over all windows of the sampled token sequences.
+
+    samples holds integer tokens; (max - min + 1) ** n must fit in int64.
+    The n-grams come in ascending order."""
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[1] < n:
         raise ParameterError("samples must be (N, horizon) with horizon >= n")
-    counts = {}
+    if samples.size == 0:
+        return {}
+    # one integer code per window, in base (max - min + 1) over the n tokens
+    lo = samples.min()
+    base = samples.max() - lo + 1
     windows = samples.shape[1] - n + 1
-    for j in range(windows):
-        grams = samples[:, j:j + n]
-        for row in map(tuple, grams):
-            counts[row] = counts.get(row, 0) + 1
+    codes = np.zeros((samples.shape[0], windows), dtype=np.int64)
+    for k in range(n):
+        codes = codes * base + (samples[:, k:k + windows] - lo)
+    uniq, counts = np.unique(codes, return_counts=True)
+    digits = (uniq[:, None] // base ** np.arange(n - 1, -1, -1)) % base + lo
     total = samples.shape[0] * windows
-    return {g: c / total for g, c in counts.items()}
+    return {tuple(g): c / total for g, c in zip(digits.tolist(), counts.tolist())}
 
 
 def kl_divergence(p, q, support, eps=1e-6):

@@ -42,10 +42,6 @@ def dense_forward(x, w, b, activation="none"):
     return ACTIVATIONS[activation](y)
 
 
-def conv1d_forward(x, kernel, bias, stride=1, padding="same"):
-    return ad.conv1d(x, kernel, bias, stride=stride, padding=padding)
-
-
 class Dense:
     def __init__(self, rng, d_in, d_out, activation="none", name="dense",
                  bias=True):

@@ -34,7 +34,7 @@ class GroundTruthGrammar:
                 raise ParameterError(f"rule {st}->{tok} {nxt} references unknown state")
             if tok not in self.tokens:
                 raise ParameterError(f"rule emits unknown token {tok!r}")
-            if p < 0:
+            if not p >= 0:                  # also rejects NaN
                 raise ParameterError("rule probabilities must be nonnegative")
             by_state[st] += p
         reachable = {self.start}
@@ -53,11 +53,25 @@ class GroundTruthGrammar:
                     f"rules out of state {s!r} sum to {by_state[s]}, expected 1")
         self._tok_index = {t: i for i, t in enumerate(self.tokens)}
         self._state_index = {s: i for i, s in enumerate(self.states)}
-        # per-state (token_index, state_index, prob) arrays for fast sampling
+        # per-state (token_index, next_state, prob) entries of the positive rules
         self._out = {s: [] for s in self.states}
         for st, tok, nxt, p in self.rules:
             if p > 0:
                 self._out[st].append((self._tok_index[tok], nxt, p))
+        # the same entries as padded (S, K) sampling tables; each cdf row is
+        # computed as Generator.choice computes it, and padding never gets drawn
+        K = max(len(e) for e in self._out.values())
+        self._cdf = np.full((len(self.states), K), np.inf)
+        self._tok = np.zeros((len(self.states), K), dtype=np.int64)
+        self._next = np.zeros((len(self.states), K), dtype=np.int64)
+        for s, entries in self._out.items():
+            i, n = self._state_index[s], len(entries)
+            probs = np.asarray([p for _, _, p in entries])
+            cdf = np.cumsum(probs / probs.sum())
+            cdf /= cdf[-1]
+            self._cdf[i, :n] = cdf
+            self._tok[i, :n] = [tok for tok, _, _ in entries]
+            self._next[i, :n] = [self._state_index[nxt] for _, nxt, _ in entries]
 
     @property
     def num_tokens(self):
@@ -154,24 +168,36 @@ def build_preset_grammar(name, seed=0, n_states=4, n_tokens=4,
 # sampling and exact oracles
 # ---------------------------------------------------------------------------
 
-def sample_sequence(grammar, length, rng):
-    """Sample `length` token indices starting from the grammar's start state."""
+def sample_sequences(grammar, num_sequences, length, rng):
+    """(num_sequences, length) token indices from the start state.
+
+    Each token takes one uniform from rng, row by row, and the first rule of
+    its state whose cdf lies above it: what Generator.choice(p=...) does with
+    the one double it draws. So this equals num_sequences calls of
+    sample_sequence on the same rng.
+    """
     if length < 1:
         raise ParameterError("length must be >= 1")
-    out = np.empty(length, dtype=np.int64)
-    state = grammar.start
+    u = rng.random((num_sequences, length))
+    out = np.empty((num_sequences, length), dtype=np.int64)
+    state = np.full(num_sequences, grammar._state_index[grammar.start])
     for j in range(length):
-        entries = grammar._out[state]
-        probs = np.asarray([p for _, _, p in entries])
-        i = int(rng.choice(len(entries), p=probs / probs.sum()))
-        tok, state, _ = entries[i]
-        out[j] = tok
+        i = (grammar._cdf[state] <= u[:, j, None]).sum(axis=-1)
+        out[:, j] = grammar._tok[state, i]
+        state = grammar._next[state, i]
     return out
+
+
+def sample_sequence(grammar, length, rng):
+    """Sample `length` token indices starting from the grammar's start state."""
+    return sample_sequences(grammar, 1, length, rng)[0]
 
 
 def sample_dataset(grammar, num_sequences, length, seed=0):
     rng = np.random.default_rng(seed)
-    records = [sample_sequence(grammar, length, rng) for _ in range(num_sequences)]
+    records = []
+    if num_sequences > 0:
+        records = list(sample_sequences(grammar, num_sequences, length, rng))
     return SequenceDataset(records=records, alphabet_size=grammar.num_tokens,
                            length=length, kind="discrete")
 
@@ -268,18 +294,21 @@ class SequenceDataset:
         """(N, L, alphabet) one-hot array for discrete datasets."""
         if self.kind != "discrete":
             raise InputError("one_hot is only defined for discrete datasets")
-        out = np.zeros((len(self.records), self.length, self.alphabet_size))
-        for i, r in enumerate(self.records):
-            out[i, np.arange(self.length), np.asarray(r)] = 1.0
+        N = len(self.records)
+        out = np.zeros((N, self.length, self.alphabet_size))
+        if N:
+            out[np.arange(N)[:, None], np.arange(self.length), np.asarray(self.records)] = 1.0
         return out
 
 
 def save_dataset(path, dataset):
     with open(path, "w") as f:
-        for r in dataset.records:
-            if dataset.kind == "discrete":
-                f.write(json.dumps({"tokens": [int(t) for t in r]}) + "\n")
-            else:
+        if dataset.kind == "discrete":
+            # a list of ints prints as json.dumps writes it
+            rows = np.asarray(dataset.records, dtype=np.int64).tolist()
+            f.writelines('{"tokens": %s}\n' % row for row in rows)
+        else:
+            for r in dataset.records:
                 f.write(json.dumps({"frames": np.asarray(r).tolist()}) + "\n")
 
 

@@ -94,6 +94,10 @@ def test_gumbel_validation():
         gumbel_softmax(Tensor(np.zeros(3)), 1.0, np.array([0.0, 0.5, 0.5]))
     with pytest.raises(ParameterError):
         gumbel_softmax(Tensor(np.zeros(3)), 1.0, np.array([1.0, 0.5, 0.5]))
+    with pytest.raises(ParameterError):   # NaN is not in (0, 1)
+        gumbel_softmax(Tensor(np.zeros(3)), 1.0, np.array([np.nan, 0.5, 0.5]))
+    with pytest.raises(ParameterError):
+        gumbel_softmax(Tensor(np.zeros((2, 3))), 1.0, np.full((2, 3), np.nan), hard=True)
 
 
 def test_gumbel_hard_is_one_hot_with_soft_grad():

@@ -7,7 +7,7 @@ from agg.metrics import (EvalReport, average_precision, best_of_k,
                          empirical_ngram_distribution, grammar_sampler,
                          kl_divergence, map_at_horizon, mean_angle_error,
                          model_sampler, ngram_kl, sample_model_futures)
-from agg.synthdata import build_preset_grammar, sample_dataset
+from agg.synthdata import build_preset_grammar, sample_dataset, sample_sequences
 
 
 def test_map_perfect_prediction():
@@ -130,9 +130,9 @@ def test_ngram_kl_self_sampling():
     # samples drawn from the oracle itself: KL small and shrinking with n
     g = build_preset_grammar("bimodal")
     rng = np.random.default_rng(0)
-    from agg.synthdata import sample_sequence
-    small = np.stack([sample_sequence(g, 8, rng) for _ in range(1000)])
-    big = np.stack([sample_sequence(g, 8, rng) for _ in range(10**5)])
+    # the same arrays as 1000 and then 10**5 sample_sequence calls on rng
+    small = sample_sequences(g, 1000, 8, rng)
+    big = sample_sequences(g, 10**5, 8, rng)
     kl_small = ngram_kl(small, g, 3, 8)
     kl_big = ngram_kl(big, g, 3, 8)
     assert kl_big <= 0.01

@@ -51,7 +51,7 @@ def test_conv_hand_oracle():
     x = ad.Tensor(np.array([[1.0, 2.0, 4.0, 7.0]]).reshape(1, 4, 1))
     w = ad.Tensor(np.array([1.0, 0.0, -1.0]).reshape(3, 1, 1))
     b = ad.Tensor(np.zeros(1))
-    y = nn.conv1d_forward(x, w, b, stride=1, padding="valid").value
+    y = ad.conv1d(x, w, b, stride=1, padding="valid").value
     assert np.allclose(y.reshape(-1), [-3.0, -5.0])
 
 
@@ -59,7 +59,7 @@ def test_conv_width1_channel_mix():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 6, 3))
     w = rng.normal(size=(1, 3, 4))
-    y = nn.conv1d_forward(ad.Tensor(x), ad.Tensor(w), ad.Tensor(np.zeros(4))).value
+    y = ad.conv1d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(np.zeros(4))).value
     assert np.allclose(y, x @ w[0])
 
 

@@ -50,6 +50,9 @@ def test_grammar_validation():
     with pytest.raises(ParameterError):   # negative probability
         GroundTruthGrammar(["A"], ["a", "b"], "A",
                            [("A", "a", "A", 1.5), ("A", "b", "A", -0.5)])
+    with pytest.raises(ParameterError):   # NaN probability
+        GroundTruthGrammar(["A"], ["a", "b"], "A",
+                           [("A", "a", "A", 1.0), ("A", "b", "A", float("nan"))])
 
 
 def test_sample_deterministic_grammar():
