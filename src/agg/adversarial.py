@@ -7,7 +7,7 @@ and generator momentum-SGD updates under the shared cosine schedule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError, InputError, ParameterError
 from .nn import SGD, Conv1d, Dense
-from .grammar import GrammarModel
 
 LOG_CLAMP = 1e-7
 
@@ -28,10 +27,12 @@ class DiscriminatorConfig:
     padding: str = "same"
 
     def __post_init__(self):
-        if any(c <= 0 for c in self.conv_channels):
-            raise ParameterError("conv channels must be positive")
-        if self.kernel_width % 2 == 0:
-            raise ParameterError("kernel width must be odd")
+        if not self.conv_channels or any(c <= 0 for c in self.conv_channels):
+            raise ParameterError("conv channels must be a non-empty list of positive sizes")
+        if self.kernel_width < 1 or self.kernel_width % 2 == 0:
+            raise ParameterError("kernel width must be positive and odd")
+        if self.stride < 1:
+            raise ParameterError("stride must be positive")
 
 
 class Discriminator:
@@ -81,10 +82,6 @@ class Discriminator:
     def named_parameters(self):
         return {p.name: p for p in self.parameters()}
 
-    def load_state(self, state):
-        for name, p in self.named_parameters().items():
-            p.assign(state[name])
-
 
 def discriminator_loss(p_real, p_fake):
     """-mean log p_real - mean log (1 - p_fake), log args clamped at 1e-7."""
@@ -133,7 +130,6 @@ class TrainConfig:
     tau: float = 1.0
     tau_end: float | None = None         # optional linear anneal target
     harden_terminals: bool = True        # straight-through one-hot fake terminals
-    teacher_forcing: str = "state_posterior"   # or "cosine"
     d_lr_scale: float = 1.0              # discriminator lr relative to generator
     d_loss_floor: float | None = 1.0     # skip D updates below this loss
     entropy_weight: float = 0.0          # bonus on rule-distribution entropy
@@ -158,13 +154,11 @@ class TrainResult:
     parse_fallback_share: float = 0.0
 
 
-def teacher_forced_states(model, batch, n0=None, rng=None, harden=False,
+def teacher_forced_states(model, batch, n0, rng=None, harden=False,
                           return_fallbacks=False):
     """Non-terminal stream for real data, built by a teacher-forced parse.
 
-    Without n0, each step greedily picks the rule whose expansion terminal is
-    nearest (cosine) to the observed terminal and takes that rule's
-    non-terminal. With n0, the rule is *sampled* step by step from the
+    From the seed states n0, each step *samples* a rule from the
     forward-filtering posterior: rule probability at the current state times
     the rule's emission weight at the observed token, given the tokens up to
     this step only. This is not the smoothing posterior, which also conditions
@@ -186,15 +180,7 @@ def teacher_forced_states(model, batch, n0=None, rng=None, harden=False,
     pairs that fell back). Forward-only; no gradients flow to the generator
     here."""
     n_all, t_all, probs_all = model.rule_tables()
-    B, L, C = batch.shape
-    if n0 is None:
-        tn = t_all / np.maximum(np.linalg.norm(t_all, axis=1, keepdims=True), 1e-12)
-        flat = batch.reshape(B * L, C)
-        flat = flat / np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
-        cos = (flat @ tn.T).reshape(B, L, -1)
-        idx = np.argmax(cos, axis=2)
-        out = n_all[idx.reshape(-1)].reshape(B, L, -1)
-        return (out, 0) if return_fallbacks else out
+    B, L, _ = batch.shape
     if rng is None:
         rng = np.random.default_rng(0)
     tokens = np.argmax(batch, axis=2)                   # (B, L)
@@ -303,14 +289,11 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
                         tf = _harden(tf)
                 fake_t_v, fake_n_v = Tensor(tf.value), Tensor(nf.value)
                 n0_v = n0.value
-            if config.teacher_forcing == "state_posterior":
-                n_real, fell = teacher_forced_states(
-                    grammar_model, batch, n0_v, rng,
-                    harden=config.harden_terminals, return_fallbacks=True)
-                parsed += batch.shape[0] * L
-                fallbacks += fell
-            else:
-                n_real = teacher_forced_states(grammar_model, batch)
+            n_real, fell = teacher_forced_states(
+                grammar_model, batch, n0_v, rng,
+                harden=config.harden_terminals, return_fallbacks=True)
+            parsed += batch.shape[0] * L
+            fallbacks += fell
             p_real = disc_model(Tensor(batch), Tensor(n_real))
             p_fake = disc_model(fake_t_v, fake_n_v)
             d_loss = discriminator_loss(p_real, p_fake)
@@ -367,11 +350,8 @@ def _holdout_accuracy(grammar_model, disc_model, X_hold, config, rng):
         return float("nan")
     with ad.no_grad():
         n0 = grammar_model.encode_start(Tensor(X_hold[:, :config.prefix_len]))
-        if config.teacher_forcing == "state_posterior":
-            n_real = teacher_forced_states(grammar_model, X_hold, n0.value, rng,
-                                           harden=config.harden_terminals)
-        else:
-            n_real = teacher_forced_states(grammar_model, X_hold)
+        n_real = teacher_forced_states(grammar_model, X_hold, n0.value, rng,
+                                       harden=config.harden_terminals)
         p_real = disc_model(Tensor(X_hold), Tensor(n_real)).value
         t_fake, n_fake, _, _ = grammar_model.unroll_batch(
             n0, X_hold.shape[1], config.policy, rng,
@@ -462,8 +442,6 @@ def train_grammar_only(dataset, grammar_model, config, on_log=None):
     """Maximize data likelihood over the pruned enumeration of futures."""
     if len(dataset) == 0:
         raise InputError("empty dataset")
-    if dataset.kind != "discrete":
-        raise InputError("grammar-only training expects a discrete dataset")
     _check_prefix_len(config, dataset.length)
     X = dataset.one_hot()
     toks = np.stack([np.asarray(r) for r in dataset.records])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -18,7 +19,7 @@ from . import autodiff as ad
 from .adversarial import (Discriminator, DiscriminatorConfig, GrammarOnlyConfig,
                           TrainConfig, train_adversarial, train_grammar_only)
 from .errors import AggError, ConfigError
-from .grammar import GrammarModel, activity_config, pose_config
+from .grammar import GrammarModel, activity_config
 from .metrics import EvalReport, ngram_kl, sample_model_futures
 from .nn import load_checkpoint, save_checkpoint
 from .synthdata import (build_preset_grammar, load_dataset, load_grammar,
@@ -38,7 +39,7 @@ SYNTH_DEFAULTS = {
 TRAIN_DEFAULTS = {
     "dataset": "",             # path to a JSONL dataset (required)
     "mode": "adversarial",     # adversarial | grammar_only
-    "preset": "activity",      # activity | pose
+    "preset": "activity",      # activity (the only model preset)
     "num_classes": 0,          # 0: infer from the dataset alphabet
     "topk_mask": 4,            # 0 disables the per-state rule mask
     "iterations": 5000,
@@ -117,28 +118,40 @@ DEFAULTS = {
 }
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_value(key, value, default):
+    """value, or ConfigError unless it has the default's type: an integer, a
+    finite number, a string, or a list of integers."""
+    if isinstance(default, list):
+        ok = isinstance(value, list) and all(map(_is_int, value))
+        what = "a list of integers"
+    elif isinstance(default, str):
+        ok, what = isinstance(value, str), "a string"
+    elif isinstance(default, int):
+        ok, what = _is_int(value), "an integer"
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+        what = "a finite number"
+    if not ok:
+        raise ConfigError(f"key {key!r} expects {what}, got {json.dumps(value)}")
+    return value
+
+
 def _coerce(key, value, default):
     """Parse an override string against the default's type."""
-    if isinstance(default, bool):
-        if value.lower() in ("true", "1"):
-            return True
-        if value.lower() in ("false", "0"):
-            return False
-        raise ConfigError(f"key {key!r} expects a boolean, got {value!r}")
     try:
         parsed = json.loads(value)
     except json.JSONDecodeError:
         parsed = value
-    if isinstance(default, int) and isinstance(parsed, float) and parsed.is_integer():
+    if isinstance(default, str) and not isinstance(parsed, str):
+        parsed = value
+    elif isinstance(default, int) and isinstance(parsed, float) and parsed.is_integer():
         parsed = int(parsed)
-    if default is not None and parsed is not None:
-        if isinstance(default, (int, float)) and not isinstance(parsed, (int, float)):
-            raise ConfigError(f"key {key!r} expects a number, got {value!r}")
-        if isinstance(default, str) and not isinstance(parsed, str):
-            parsed = value
-        if isinstance(default, list) and not isinstance(parsed, list):
-            raise ConfigError(f"key {key!r} expects a list, got {value!r}")
-    return parsed
+    return _check_value(key, parsed, default)
 
 
 def resolve_config(command, config_path=None, overrides=()):
@@ -151,14 +164,14 @@ def resolve_config(command, config_path=None, overrides=()):
                 loaded = json.load(f)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {config_path}")
-        except json.JSONDecodeError as e:
+        except ValueError as e:             # bad JSON or bad UTF-8
             raise ConfigError(f"config file is not valid JSON: {e}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in loaded.items():
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r} for {command!r}")
-            cfg[key] = value
+            cfg[key] = _check_value(key, value, defaults[key])
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -171,6 +184,9 @@ def resolve_config(command, config_path=None, overrides=()):
             cfg["seed"] = int(os.environ["AGG_SEED"])
         except ValueError:
             raise ConfigError("AGG_SEED must be an integer")
+    for key in ("seed", "grammar_seed"):
+        if cfg.get(key, 0) < 0:
+            raise ConfigError(f"{key} must be >= 0")
     return cfg
 
 
@@ -182,20 +198,9 @@ def _write_config(cfg, out_dir):
 
 
 def _grammar_config(cfg, num_classes):
-    topk = cfg["topk_mask"] or None
-    if cfg["preset"] == "activity":
-        return activity_config(num_classes, topk_mask=topk)
-    if cfg["preset"] == "pose":
-        return pose_config(topk_mask=topk)
-    raise ConfigError(f"unknown model preset {cfg['preset']!r}")
-
-
-def _infer_classes(cfg, dataset):
-    if cfg.get("num_classes"):
-        return cfg["num_classes"]
-    if dataset.alphabet_size is None:
-        raise ConfigError("num_classes is required for continuous datasets")
-    return dataset.alphabet_size
+    if cfg["preset"] != "activity":
+        raise ConfigError(f"unknown model preset {cfg['preset']!r}")
+    return activity_config(num_classes, topk_mask=cfg["topk_mask"] or None)
 
 
 def _load_trained(run_dir):
@@ -238,7 +243,7 @@ def cmd_train(cfg):
     if not cfg["dataset"]:
         raise ConfigError("train requires a dataset path")
     dataset = load_dataset(cfg["dataset"])
-    num_classes = _infer_classes(cfg, dataset)
+    num_classes = cfg["num_classes"] or dataset.alphabet_size
     cfg = dict(cfg, num_classes=num_classes)   # resolved config is replayable
     out = cfg["out_dir"]
     _write_config(cfg, out)
@@ -297,7 +302,7 @@ def cmd_generate(cfg):
         raise ConfigError("generate requires run_dir and dataset")
     model, _ = _load_trained(cfg["run_dir"])
     dataset = load_dataset(cfg["dataset"])
-    X = dataset.one_hot() if dataset.kind == "discrete" else np.stack(dataset.records)
+    X = dataset.one_hot()
     if cfg["prefix_len"] > dataset.length:
         raise ConfigError("prefix_len exceeds dataset length")
     out = cfg["out_dir"]

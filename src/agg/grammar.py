@@ -9,14 +9,14 @@ the rule bank.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Tensor
 from .errors import DimensionError, InputError, ParameterError, ParseError, ResourceError
-from .nn import ACTIVATIONS, Conv1d, Dense, GRUCell, MLP
+from .nn import ACTIVATIONS, Conv1d, Dense, MLP
 
 POLICIES = ("sample_hard", "sample_soft", "greedy")
 
@@ -30,15 +30,7 @@ class GrammarConfig:
     topk_mask: int | None = None
     gumbel_temperature: float = 1.0
     terminal_activation: str = "softmax"
-    rule_layers: int = 1
-    expand_layers: int = 1
-    hidden_dim: int | None = None
-    encoder: str = "temporal_conv"
     encoder_channels: int = 64
-    encoder_kernel: int = 3
-    encoder_input_dim: int | None = None
-    codebook_size: int | None = None
-    expander_bias: bool = False
 
     def __post_init__(self):
         if self.d_nonterminal <= 0 or self.d_terminal <= 0 or self.num_rules <= 0:
@@ -51,12 +43,6 @@ class GrammarConfig:
             raise ParameterError("branching_k must be in [1, num_rules]")
         if self.terminal_activation not in ("softmax", "sigmoid", "none"):
             raise ParameterError(f"bad terminal_activation {self.terminal_activation!r}")
-        if self.encoder not in ("temporal_conv", "gru"):
-            raise ParameterError(f"bad encoder mode {self.encoder!r}")
-        if self.encoder_input_dim is None:
-            self.encoder_input_dim = self.d_terminal
-        if self.hidden_dim is None:
-            self.hidden_dim = max(self.d_nonterminal, self.num_rules)
 
 
 def activity_config(num_classes, multi_label=False, **overrides):
@@ -65,20 +51,6 @@ def activity_config(num_classes, multi_label=False, **overrides):
         d_nonterminal=64, d_terminal=num_classes, num_rules=256,
         branching_k=4, topk_mask=4,
         terminal_activation="sigmoid" if multi_label else "softmax",
-        rule_layers=1, expand_layers=1, encoder="temporal_conv",
-    )
-    cfg.update(overrides)
-    return GrammarConfig(**cfg)
-
-
-def pose_config(use_codebook=False, **overrides):
-    """Pose preset: 1024-d non-terminals, 2048 rules, 128-d continuous terminals."""
-    cfg = dict(
-        d_nonterminal=1024, d_terminal=128, num_rules=2048,
-        branching_k=2, topk_mask=2, terminal_activation="none",
-        rule_layers=3, expand_layers=3, encoder="gru",
-        encoder_channels=1024, hidden_dim=1024,
-        codebook_size=1024 if use_codebook else None,
     )
     cfg.update(overrides)
     return GrammarConfig(**cfg)
@@ -146,10 +118,10 @@ class _ConvEncoder:
     """Two temporal 1-d conv layers, mean-pool over time, dense head."""
 
     def __init__(self, rng, cfg):
-        ch, k = cfg.encoder_channels, cfg.encoder_kernel
-        self.conv1 = Conv1d(rng, cfg.encoder_input_dim, ch, kernel=k,
+        ch = cfg.encoder_channels
+        self.conv1 = Conv1d(rng, cfg.d_terminal, ch, kernel=3,
                             padding="same", activation="relu", name="enc.conv1")
-        self.conv2 = Conv1d(rng, ch, ch, kernel=k, padding="same",
+        self.conv2 = Conv1d(rng, ch, ch, kernel=3, padding="same",
                             activation="relu", name="enc.conv2")
         self.head = Dense(rng, ch, cfg.d_nonterminal, name="enc.head")
 
@@ -161,43 +133,6 @@ class _ConvEncoder:
         return self.conv1.parameters() + self.conv2.parameters() + self.head.parameters()
 
 
-class _GruEncoder:
-    """Two stacked recurrent layers, mean-pool over outputs, dense head."""
-
-    def __init__(self, rng, cfg):
-        ch = cfg.encoder_channels
-        self.cell1 = GRUCell(rng, cfg.encoder_input_dim, ch, name="enc.gru1")
-        self.cell2 = GRUCell(rng, ch, ch, name="enc.gru2")
-        self.head = Dense(rng, ch, cfg.d_nonterminal, name="enc.head")
-
-    def __call__(self, x):
-        B, L, _ = x.value.shape
-        h1 = Tensor(np.zeros((B, self.cell1.d_hidden)))
-        h2 = Tensor(np.zeros((B, self.cell2.d_hidden)))
-        outs = []
-        for j in range(L):
-            xt = _slice_time(x, j)
-            h1 = self.cell1(xt, h1)
-            h2 = self.cell2(h1, h2)
-            outs.append(h2)
-        return self.head(ad.mean(ad.stack_time(outs), axis=1))
-
-    def parameters(self):
-        return self.cell1.parameters() + self.cell2.parameters() + self.head.parameters()
-
-
-def _slice_time(x, j):
-    """Gradient-carrying view of x[:, j, :]."""
-    out_v = x.value[:, j, :]
-
-    def bwd(g):
-        full = np.zeros_like(x.value)
-        full[:, j, :] = g
-        ad._acc(x, full)
-
-    return ad._node(out_v, (x,), bwd)
-
-
 class GrammarModel:
     """Encoder s, rule head f_R, expanders f_N / f_T, and unrolling."""
 
@@ -205,35 +140,19 @@ class GrammarModel:
         self.config = config
         rng = np.random.default_rng(seed)
         cfg = config
-        if cfg.encoder == "temporal_conv":
-            self.encoder = _ConvEncoder(rng, cfg)
-        else:
-            self.encoder = _GruEncoder(rng, cfg)
-        h = cfg.hidden_dim
-        self.f_r = MLP(rng, [cfg.d_nonterminal] + [h] * (cfg.rule_layers - 1) + [cfg.num_rules],
-                       name="f_r")
+        self.encoder = _ConvEncoder(rng, cfg)
+        self.f_r = MLP(rng, [cfg.d_nonterminal, cfg.num_rules], name="f_r")
         # expanders are bias-free: a shared bias is a common-mode channel that
         # lets adversarial gradients drag every rule's expansion to the same
         # output, collapsing the rule bank; without it a one-hot selection
         # reads a distinct column of each weight matrix
-        self.f_n = MLP(rng, [cfg.num_rules] + [h] * (cfg.expand_layers - 1) + [cfg.d_nonterminal],
-                       name="f_n", bias=cfg.expander_bias)
-        t_out = cfg.codebook_size if cfg.codebook_size else cfg.d_terminal
-        self.f_t = MLP(rng, [cfg.num_rules] + [h] * (cfg.expand_layers - 1) + [t_out],
-                       name="f_t", bias=cfg.expander_bias)
-        self.codebook = None
-        if cfg.codebook_size:
-            self.codebook = Parameter(
-                rng.normal(scale=0.1, size=(cfg.codebook_size, cfg.d_terminal)),
-                name="codebook")
+        self.f_n = MLP(rng, [cfg.num_rules, cfg.d_nonterminal], name="f_n", bias=False)
+        self.f_t = MLP(rng, [cfg.num_rules, cfg.d_terminal], name="f_t", bias=False)
 
     # -- parameter plumbing -------------------------------------------------
     def parameters(self):
-        ps = (self.encoder.parameters() + self.f_r.parameters()
-              + self.f_n.parameters() + self.f_t.parameters())
-        if self.codebook is not None:
-            ps.append(self.codebook)
-        return ps
+        return (self.encoder.parameters() + self.f_r.parameters()
+                + self.f_n.parameters() + self.f_t.parameters())
 
     def named_parameters(self):
         return {p.name: p for p in self.parameters()}
@@ -252,9 +171,9 @@ class GrammarModel:
             x = ad.reshape(x, (1,) + x.value.shape)
         if x.value.ndim != 3 or x.value.shape[1] == 0:
             raise InputError("encode_start needs a non-empty (B, L, d) input")
-        if x.value.shape[2] != self.config.encoder_input_dim:
+        if x.value.shape[2] != self.config.d_terminal:
             raise DimensionError(
-                f"encoder input width {x.value.shape[2]} != {self.config.encoder_input_dim}")
+                f"encoder input width {x.value.shape[2]} != {self.config.d_terminal}")
         return self.encoder(x)
 
     def rule_logits(self, n):
@@ -281,11 +200,7 @@ class GrammarModel:
         """Map a (relaxed) one-hot rule selection to (next non-terminal, terminal)."""
         selection = selection if isinstance(selection, Tensor) else Tensor(selection)
         n_new = self.f_n(selection)
-        t_logits = self.f_t(selection)
-        if self.codebook is not None:
-            t_new = ad.matmul(ad.softmax(t_logits), self.codebook)
-        else:
-            t_new = ACTIVATIONS[self.config.terminal_activation](t_logits)
+        t_new = ACTIVATIONS[self.config.terminal_activation](self.f_t(selection))
         return n_new, t_new
 
     # -- unrolling ----------------------------------------------------------
@@ -377,12 +292,13 @@ class GrammarModel:
         _, _, probs_all = self.rule_tables()
         with ad.no_grad():
             p0 = self.rule_probs(Tensor(np.asarray(n0, dtype=np.float64))).value
-        p0 = np.repeat(p0, num_samples, axis=0)
-        N = p0.shape[0]
-        paths = np.empty((N, length), dtype=np.int64)
-        u = rng.random((length, N))          # step-major: one (N,) draw per step
+        # each seed row's cumsum once, then one copy per sample
         cum = np.cumsum(p0, axis=-1)
         cum[:, -1] = 1.0
+        cum = np.repeat(cum, num_samples, axis=0)
+        N = cum.shape[0]
+        paths = np.empty((N, length), dtype=np.int64)
+        u = rng.random((length, N))          # step-major: one (N,) draw per step
         idx = (cum < u[0, :, None]).sum(axis=-1)
         paths[:, 0] = idx
         cum_all = np.cumsum(probs_all, axis=-1)

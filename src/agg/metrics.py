@@ -11,7 +11,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InputError, MetricError, ParameterError
-from .grammar import GrammarModel
 from .synthdata import GroundTruthGrammar, exact_ngram_distribution, sample_sequence
 
 
@@ -54,23 +53,6 @@ def grammar_sampler(grammar, state=None):
 
     def sample(horizon, rng):
         return sample_sequence(g, horizon, rng)
-
-    return sample
-
-
-def model_sampler(model, prefix):
-    """Sampler that seeds the generator from an observed one-hot prefix."""
-    prefix = np.asarray(prefix, dtype=np.float64)
-    if prefix.ndim == 2:
-        prefix = prefix[None]
-
-    def sample(horizon, rng):
-        with ad.no_grad():
-            n0 = model.encode_start(prefix).value
-        path = model.sample_rule_paths(n0, horizon, 1,
-                                       seed=int(rng.integers(2**63)))
-        _, t_all, _ = model.rule_tables()
-        return np.argmax(t_all[path[0]], axis=-1)
 
     return sample
 

@@ -6,13 +6,12 @@ termination rule, and fixed-length sampling truncates the infinite language.
 """
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError, ParseError, ResourceError
+from .errors import ParameterError, ParseError, ResourceError
 
 PROB_TOL = 1e-9
 
@@ -104,8 +103,12 @@ def save_grammar(path, grammar):
 
 
 def load_grammar(path):
-    with open(path) as f:
-        return GroundTruthGrammar.from_json(json.load(f))
+    try:
+        with open(path, encoding="utf-8") as f:
+            obj = json.load(f)
+    except ValueError as e:                 # bad JSON or bad UTF-8
+        raise ParseError(f"{path}: unreadable grammar file ({e})") from e
+    return GroundTruthGrammar.from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +147,8 @@ def build_preset_grammar(name, seed=0, n_states=4, n_tokens=4,
         rules.append(("R5", "step5", "R5", 1.0))
         return GroundTruthGrammar(states, tokens, "R0", rules)
     if name == "random":
+        if n_states < 1 or n_tokens < 1:
+            raise ParameterError("random preset needs n_states >= 1 and n_tokens >= 1")
         rng = np.random.default_rng(seed)
         states = [f"S{i}" for i in range(n_states)]
         tokens = [f"t{i}" for i in range(n_tokens)]
@@ -194,12 +199,12 @@ def sample_sequence(grammar, length, rng):
 
 
 def sample_dataset(grammar, num_sequences, length, seed=0):
+    if num_sequences < 0:
+        raise ParameterError("num_sequences must be >= 0")
     rng = np.random.default_rng(seed)
-    records = []
-    if num_sequences > 0:
-        records = list(sample_sequences(grammar, num_sequences, length, rng))
+    records = list(sample_sequences(grammar, num_sequences, length, rng))
     return SequenceDataset(records=records, alphabet_size=grammar.num_tokens,
-                           length=length, kind="discrete")
+                           length=length)
 
 
 def exact_future_distribution(grammar, state=None, horizon=1, budget=10**6):
@@ -273,17 +278,15 @@ def exact_ngram_distribution(grammar, n, horizon, state=None):
 
 @dataclass
 class SequenceDataset:
-    records: list               # list of int arrays (discrete) or float arrays
+    records: list               # list of int token-index arrays
     length: int
-    kind: str = "discrete"      # "discrete" | "continuous"
     alphabet_size: int | None = None
-    feature_width: int | None = None
 
     def __post_init__(self):
         for r in self.records:
             if len(r) != self.length:
                 raise ParameterError("dataset records must share a uniform length")
-            if self.kind == "discrete" and self.alphabet_size is not None:
+            if self.alphabet_size is not None:
                 if len(r) and int(np.max(r)) >= self.alphabet_size:
                     raise ParameterError("token index out of alphabet range")
 
@@ -291,9 +294,7 @@ class SequenceDataset:
         return len(self.records)
 
     def one_hot(self):
-        """(N, L, alphabet) one-hot array for discrete datasets."""
-        if self.kind != "discrete":
-            raise InputError("one_hot is only defined for discrete datasets")
+        """(N, L, alphabet) one-hot array."""
         N = len(self.records)
         out = np.zeros((N, self.length, self.alphabet_size))
         if N:
@@ -302,161 +303,62 @@ class SequenceDataset:
 
 
 def save_dataset(path, dataset):
+    # a list of ints prints as json.dumps writes it
+    rows = np.asarray(dataset.records, dtype=np.int64).tolist()
     with open(path, "w") as f:
-        if dataset.kind == "discrete":
-            # a list of ints prints as json.dumps writes it
-            rows = np.asarray(dataset.records, dtype=np.int64).tolist()
-            f.writelines('{"tokens": %s}\n' % row for row in rows)
-        else:
-            for r in dataset.records:
-                f.write(json.dumps({"frames": np.asarray(r).tolist()}) + "\n")
+        f.writelines('{"tokens": %s}\n' % row for row in rows)
 
 
-def _numeric_row(obj, key, ndim, kinds, dtype, lineno):
-    """obj[key] as an ndim-d array of `dtype`, or ParseError when it has
-    another shape or an element is not a number of one of the numpy dtype
-    `kinds` (e.g. "iu": integers only). JSON booleans are not numbers."""
+def _token_row(obj, lineno):
+    """obj["tokens"] as a non-empty 1-d int64 array, or ParseError when it has
+    another shape or an element is not an integer. JSON booleans are not
+    integers."""
     try:
-        row = np.asarray(obj[key])
+        row = np.asarray(obj["tokens"])
     except ValueError as e:                 # ragged nesting
-        raise ParseError(f"line {lineno}: {key} is not a rectangular list") from e
-    if row.ndim != ndim:
-        raise ParseError(f"line {lineno}: {key} must be a {ndim}-d list")
+        raise ParseError(f"line {lineno}: tokens is not a rectangular list") from e
+    if row.ndim != 1:
+        raise ParseError(f"line {lineno}: tokens must be a 1-d list")
+    if row.size == 0:
+        raise ParseError(f"line {lineno}: tokens must not be empty")
     # numpy turns JSON true/false mixed with numbers into 1/0; reject them
-    items = obj[key] if ndim == 1 else itertools.chain.from_iterable(obj[key])
-    if row.size and (row.dtype.kind not in kinds or bool in set(map(type, items))):
-        what = "integers" if kinds == "iu" else "numbers"
-        raise ParseError(f"line {lineno}: {key} must hold only {what}")
-    return row.astype(dtype, copy=False)
+    if row.dtype.kind not in "iu" or bool in set(map(type, obj["tokens"])):
+        raise ParseError(f"line {lineno}: tokens must hold only integers")
+    return row.astype(np.int64, copy=False)
 
 
 def load_dataset(path, alphabet_size=None):
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e})") from e
     records = []
-    kind = None
-    length = None
-    width = None
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"line {lineno}: invalid JSON ({e})") from e
-            if not isinstance(obj, dict):
-                raise ParseError(f"line {lineno}: record must be a JSON object")
-            if "tokens" in obj:
-                row_kind = "discrete"
-                row = _numeric_row(obj, "tokens", 1, "iu", np.int64, lineno)
-                if alphabet_size is not None and row.size and row.max() >= alphabet_size:
-                    raise ParseError(
-                        f"line {lineno}: token {int(row.max())} >= alphabet "
-                        f"size {alphabet_size}")
-                if np.any(row < 0):
-                    raise ParseError(f"line {lineno}: negative token index")
-            elif "frames" in obj:
-                row_kind = "continuous"
-                row = _numeric_row(obj, "frames", 2, "iuf", np.float64, lineno)
-                if width is None:
-                    width = row.shape[1]
-                elif row.shape[1] != width:
-                    raise ParseError(f"line {lineno}: inconsistent feature width")
-            else:
-                raise ParseError(f"line {lineno}: record needs 'tokens' or 'frames'")
-            if kind is None:
-                kind = row_kind
-                length = len(row)
-            elif kind != row_kind:
-                raise ParseError(f"line {lineno}: mixed record kinds")
-            elif len(row) != length:
-                raise ParseError(f"line {lineno}: inconsistent sequence length")
-            records.append(row)
-    if kind is None:
-        return SequenceDataset(records=[], length=0, kind="discrete",
-                               alphabet_size=alphabet_size or 0)
-    if kind == "discrete":
-        inferred = alphabet_size
-        if inferred is None:
-            inferred = int(max(int(np.max(r)) for r in records if len(r)) + 1)
-        return SequenceDataset(records=records, length=length, kind="discrete",
-                               alphabet_size=inferred)
-    return SequenceDataset(records=records, length=length, kind="continuous",
-                           feature_width=width)
-
-
-# ---------------------------------------------------------------------------
-# continuous stand-in (quaternion embeddings, per-step deltas)
-# ---------------------------------------------------------------------------
-
-def qmul(a, b):
-    """Hamilton product on trailing (..., 4) blocks."""
-    w1, x1, y1, z1 = np.moveaxis(a, -1, 0)
-    w2, x2, y2, z2 = np.moveaxis(b, -1, 0)
-    return np.stack([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ], axis=-1)
-
-
-def qconj(a):
-    return a * np.asarray([1.0, -1.0, -1.0, -1.0])
-
-
-def quaternion_embedding(num_tokens, num_blocks=1, seed=0):
-    """Seeded unit quaternions per token: (num_tokens, 4*num_blocks)."""
-    rng = np.random.default_rng(seed)
-    q = rng.normal(size=(num_tokens, num_blocks, 4))
-    q /= np.linalg.norm(q, axis=-1, keepdims=True)
-    return q.reshape(num_tokens, 4 * num_blocks)
-
-
-def make_continuous_dataset(grammar, num_sequences, length, embedding,
-                            noise_std=0.0, seed=0, quaternion_deltas=False):
-    """Embed grammar samples into vectors plus seeded Gaussian noise.
-
-    embedding: (num_tokens, d) array. With quaternion_deltas, each 4-block is
-    normalized to unit norm and the emitted frames are per-step rotation
-    deltas; cumulative composition from identity recovers the absolute frames.
-    """
-    if noise_std < 0:
-        raise ParameterError("noise_std must be >= 0")
-    embedding = np.asarray(embedding, dtype=np.float64)
-    if not np.isfinite(embedding).all():
-        raise ParameterError("embedding must be finite")
-    if embedding.shape[0] != grammar.num_tokens:
-        raise ParameterError("embedding rows must match the grammar alphabet")
-    rng = np.random.default_rng(seed)
-    records = []
-    for _ in range(num_sequences):
-        toks = sample_sequence(grammar, length, rng)
-        frames = embedding[toks].copy()
-        if quaternion_deltas:
-            q = frames.reshape(length, -1, 4)
-            q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-            prev = np.zeros_like(q)
-            prev[:, :, 0] = 1.0
-            prev[1:] = q[:-1]
-            delta = qmul(q, qconj(prev) / np.sum(prev * prev, axis=-1, keepdims=True))
-            frames = delta.reshape(length, -1)
-        if noise_std > 0:
-            frames = frames + rng.normal(scale=noise_std, size=frames.shape)
-        records.append(frames)
-    return SequenceDataset(records=records, length=length, kind="continuous",
-                           feature_width=embedding.shape[1])
-
-
-def compose_deltas(deltas):
-    """Invert the delta representation: cumulative quaternion composition."""
-    deltas = np.asarray(deltas, dtype=np.float64)
-    L, d = deltas.shape
-    q = deltas.reshape(L, -1, 4)
-    out = np.empty_like(q)
-    prev = np.zeros_like(q[0])
-    prev[:, 0] = 1.0
-    for j in range(L):
-        prev = qmul(q[j], prev)
-        out[j] = prev
-    return out.reshape(L, d)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"line {lineno}: invalid JSON ({e})") from e
+        if not isinstance(obj, dict):
+            raise ParseError(f"line {lineno}: record must be a JSON object")
+        if "tokens" not in obj:
+            raise ParseError(f"line {lineno}: record needs 'tokens'")
+        row = _token_row(obj, lineno)
+        if alphabet_size is not None and row.max() >= alphabet_size:
+            raise ParseError(
+                f"line {lineno}: token {int(row.max())} >= alphabet "
+                f"size {alphabet_size}")
+        if np.any(row < 0):
+            raise ParseError(f"line {lineno}: negative token index")
+        if records and len(row) != len(records[0]):
+            raise ParseError(f"line {lineno}: inconsistent sequence length")
+        records.append(row)
+    if not records:
+        return SequenceDataset(records=[], length=0, alphabet_size=alphabet_size or 0)
+    if alphabet_size is None:
+        alphabet_size = max(int(r.max()) for r in records) + 1
+    return SequenceDataset(records=records, length=len(records[0]),
+                           alphabet_size=alphabet_size)

@@ -32,6 +32,9 @@ def test_discriminator_config_validation():
         DiscriminatorConfig(conv_channels=(4, 0, 4))
     with pytest.raises(ParameterError):
         DiscriminatorConfig(kernel_width=4)
+    for bad in (dict(conv_channels=()), dict(kernel_width=-1), dict(stride=0)):
+        with pytest.raises(ParameterError):
+            DiscriminatorConfig(**bad)
 
 
 def test_discriminator_output_range_and_zero_head():
@@ -125,14 +128,6 @@ def test_generator_loss_variants():
     assert abs(grad_at(0.9, "saturating")) > abs(grad_at(0.9, "non_saturating"))
 
 
-def test_teacher_forced_cosine_shape_and_determinism():
-    model = tiny_model()
-    batch = np.eye(4)[np.random.default_rng(0).integers(0, 4, size=(3, 7))]
-    n = teacher_forced_states(model, batch)
-    assert n.shape == (3, 7, 8)
-    assert np.array_equal(n, teacher_forced_states(model, batch))
-
-
 def test_teacher_forced_posterior_tracks_emissions():
     # posterior sampling weights each rule by its probability times its
     # emission at the observed token: with hardened terminals the emission is
@@ -183,11 +178,11 @@ def test_teacher_forced_posterior_tracks_emissions():
 def test_train_validation_errors():
     model = tiny_model()
     d = Discriminator(4, 8, SMALL_D, seed=0)
-    empty = SequenceDataset(records=[], length=0, kind="discrete", alphabet_size=4)
+    empty = SequenceDataset(records=[], length=0, alphabet_size=4)
     with pytest.raises(InputError):
         train_adversarial(empty, model, d, TrainConfig(iterations=1))
     ds = SequenceDataset(records=[np.zeros(6, dtype=np.int64)] * 4, length=6,
-                         kind="discrete", alphabet_size=4)
+                         alphabet_size=4)
     with pytest.raises(ParameterError):
         train_adversarial(ds, model, d, TrainConfig(iterations=1, prefix_len=9))
     with pytest.raises(ParameterError):
@@ -284,7 +279,7 @@ def test_one_rule_grammar_converges_to_data():
     # D ends near chance once it matches
     seq = np.array([2, 2, 2, 2, 2, 2], dtype=np.int64)
     ds = SequenceDataset(records=[seq.copy() for _ in range(64)], length=6,
-                         kind="discrete", alphabet_size=3)
+                         alphabet_size=3)
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3,
                                        num_rules=4, branching_k=1,
                                        topk_mask=1, encoder_channels=8), seed=0)
@@ -314,14 +309,6 @@ def test_grammar_only_training_reduces_nll():
     assert rows[-1]["nll"] < rows[0]["nll"]
 
 
-def test_grammar_only_rejects_continuous():
-    ds = SequenceDataset(records=[np.zeros((4, 3))], length=4,
-                         kind="continuous", feature_width=3)
-    model = tiny_model()
-    with pytest.raises(InputError):
-        train_grammar_only(ds, model, GrammarOnlyConfig(iterations=1))
-
-
 def test_config_values_must_be_positive():
     for key in ("iterations", "batch_size", "k_cap", "max_paths", "prefix_len",
                 "log_every"):
@@ -335,7 +322,7 @@ def test_config_values_must_be_positive():
 
 def test_grammar_only_prefix_len_check():
     ds = SequenceDataset(records=[np.zeros(6, dtype=np.int64)] * 4, length=6,
-                         kind="discrete", alphabet_size=4)
+                         alphabet_size=4)
     with pytest.raises(ParameterError, match="prefix_len"):
         train_grammar_only(ds, tiny_model(),
                            GrammarOnlyConfig(iterations=1, prefix_len=7))

@@ -1,10 +1,13 @@
 """CLI surface: config resolution, artifacts, determinism, error JSON."""
 import json
+import shutil
+import string
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from agg.cli import DEFAULTS, build_parser, main, resolve_config
+from agg.cli import DEFAULTS, TRAIN_DEFAULTS, build_parser, main, resolve_config
 from agg.errors import ConfigError
 
 from helpers import run_cli
@@ -35,6 +38,9 @@ def test_resolve_rejects_unknown_and_malformed():
         resolve_config("train", None, ["iterations"])
     with pytest.raises(ConfigError):
         resolve_config("train", None, ["iterations=abc"])
+    for bad in ("iterations=true", "iterations=null", "lr0=NaN", "seed=-1", "d_channels=[1.5]"):
+        with pytest.raises(ConfigError):
+            resolve_config("train", None, [bad])
 
 
 def test_resolve_config_file(tmp_path):
@@ -50,14 +56,19 @@ def test_resolve_config_file(tmp_path):
         resolve_config("train", str(p), [])
     with pytest.raises(ConfigError):
         resolve_config("train", str(tmp_path / "missing.json"), [])
+    for bad in (b'{"iterations": "3"}', b"\xff"):
+        p.write_bytes(bad)
+        with pytest.raises(ConfigError):
+            resolve_config("train", str(p), [])
 
 
 def test_agg_seed_env_override(monkeypatch):
     monkeypatch.setenv("AGG_SEED", "123")
     assert resolve_config("synth", None, ["seed=5"])["seed"] == 123
-    monkeypatch.setenv("AGG_SEED", "xyz")
-    with pytest.raises(ConfigError):
-        resolve_config("synth", None, [])
+    for bad in ("xyz", "-3"):
+        monkeypatch.setenv("AGG_SEED", bad)
+        with pytest.raises(ConfigError):
+            resolve_config("synth", None, [])
 
 
 def test_help_lists_every_key():
@@ -212,3 +223,152 @@ def test_seed_env_changes_artifacts(workdir):
     assert r.returncode == 0, r.stderr
     cfg = json.loads((workdir / "s_env" / "config.json").read_text())
     assert cfg["seed"] == 77
+
+
+def _main_error(argv, capsys):
+    """The error object of an in-process CLI run, which must return 1 and end
+    stderr with a JSON object holding the error type and message."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert isinstance(err, dict) and {"error", "message"} <= set(err)
+    return err
+
+
+@pytest.mark.parametrize("bad", [["num_sequences=-1"], ["num_sequences=0", "length=0"]])
+def test_synth_rejects_bad_sizes(tmp_path, capsys, bad):
+    argv = ["synth", "--set", f"out_dir={tmp_path / 's'}"]
+    for item in bad:
+        argv += ["--set", item]
+    assert _main_error(argv, capsys)["error"] == "ParameterError"
+    assert not (tmp_path / "s").exists()
+
+
+def test_pose_preset_is_config_error(workdir, tmp_path, capsys):
+    data = workdir / "data"
+    train = ["train", "--set", f"dataset={data / 'dataset.jsonl'}",
+             "--set", "preset=pose", "--set", f"out_dir={tmp_path / 'run'}"]
+    evaluate = ["evaluate", "--set", f"dataset={data / 'dataset.jsonl'}",
+                "--set", f"grammar={data / 'grammar.json'}", "--set", "preset=pose",
+                "--set", f"out_dir={tmp_path / 'ev'}"]
+    for argv in (train, evaluate):
+        err = _main_error(argv, capsys)
+        assert err["error"] == "ConfigError" and "pose" in err["message"]
+
+
+def test_frames_dataset_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "frames.jsonl"
+    path.write_text('{"frames": [[0.5, 1.0], [0.0, 2.0]]}\n')
+    err = _main_error(["train", "--set", f"dataset={path}",
+                       "--set", f"out_dir={tmp_path / 'run'}"], capsys)
+    assert err["error"] == "ParseError" and "line 1" in err["message"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed bad inputs: each must exit 1 with the JSON error object
+# ---------------------------------------------------------------------------
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+GOOD_ROW = '{"tokens": [0, 1, 2, 0]}'
+WORDS = st.text(string.ascii_letters, min_size=1, max_size=8)
+
+BAD_ROWS = st.one_of(
+    # continuous frames, which are not a record kind
+    st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3), max_size=4)
+    .map(lambda frames: json.dumps({"frames": frames})),
+    # token lists holding at least one non-integer
+    st.lists(st.one_of(st.integers(0, 2), st.floats(), WORDS, st.booleans(), st.none(),
+                       st.lists(st.integers(0, 2), max_size=2)), min_size=1, max_size=4)
+    .filter(lambda toks: not all(type(t) is int for t in toks))
+    .map(lambda toks: json.dumps({"tokens": toks})),
+    # negative tokens, and rows whose length differs from GOOD_ROW's
+    st.lists(st.integers(-5, 2), min_size=4, max_size=4).filter(lambda t: min(t) < 0)
+    .map(lambda toks: json.dumps({"tokens": toks})),
+    st.lists(st.integers(0, 2), max_size=8).filter(lambda t: len(t) != 4)
+    .map(lambda toks: json.dumps({"tokens": toks})),
+    # text that is not a tokens record, and lines that are not UTF-8
+    st.text(max_size=20).filter(lambda t: t.strip() and "tokens" not in t),
+    st.sampled_from(['{"tokens": 3}', '{"tokens": null}', '{}', '[0, 1]', '{"tokens": []}']),
+    st.binary(max_size=8).map(lambda b: b"\xff" + b),
+)
+
+
+@FUZZ
+@given(bad=BAD_ROWS, good=st.integers(1, 3), at=st.integers(0, 3))
+def test_fuzz_malformed_dataset_is_json_error(tmp_path_factory, capsys, bad, good, at):
+    path = tmp_path_factory.getbasetemp() / "fuzz_dataset.jsonl"
+    lines = [GOOD_ROW.encode()] * good
+    lines.insert(min(at, good), bad if isinstance(bad, bytes) else bad.encode())
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    err = _main_error(["train", "--set", f"dataset={path}", "--set", "iterations=1",
+                       "--set", "d_channels=[4,6,4]",
+                       "--set", f"out_dir={path.parent / 'fuzz_run'}"], capsys)
+    assert err["error"] == "ParseError"
+
+
+@pytest.fixture(scope="module")
+def trained(workdir):
+    """A grammar-only run to truncate the checkpoint of."""
+    run = workdir / "fuzz_ckpt"
+    assert main(["train", "--set", f"dataset={workdir / 'data' / 'dataset.jsonl'}",
+                 "--set", "mode=grammar_only", "--set", "iterations=2",
+                 "--set", f"out_dir={run}"]) == 0
+    cut = workdir / "fuzz_cut"
+    cut.mkdir()
+    shutil.copy(run / "config.json", cut / "config.json")
+    return (run / "checkpoint.bin").read_bytes(), cut
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_truncated_checkpoint_is_json_error(workdir, trained, capsys, data):
+    full, cut = trained
+    size = data.draw(st.integers(0, len(full) - 1))
+    (cut / "checkpoint.bin").write_bytes(full[:size])
+    err = _main_error(["generate", "--set", f"run_dir={cut}",
+                       "--set", f"dataset={workdir / 'data' / 'dataset.jsonl'}",
+                       "--set", f"out_dir={cut / 'gen'}"], capsys)
+    assert err["error"] == "ParseError"
+
+
+INT_KEYS = [k for k, v in TRAIN_DEFAULTS.items() if type(v) is int]
+FLOAT_KEYS = [k for k, v in TRAIN_DEFAULTS.items() if type(v) is float]
+NOT_A_NUMBER = st.one_of(
+    WORDS, st.sampled_from(["true", "false", "null", "1e999", "-1e999", "[1]", "{}", '"3"', ""]))
+NOT_AN_INTEGER = st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()).map(repr)
+ENUMS = {"mode": ("adversarial", "grammar_only"), "preset": ("activity",),
+         "policy": ("sample_hard", "sample_soft", "greedy"),
+         "generator_loss_variant": ("non_saturating", "saturating")}
+POSITIVE = ["iterations", "batch_size", "prefix_len", "log_every", "d_steps_per_g_step",
+            "kernel_width", "stride"]
+
+BAD_SETS = st.one_of(
+    # unknown keys, and items without "="
+    st.tuples(WORDS.filter(lambda k: k not in TRAIN_DEFAULTS).map(lambda k: f"{k}=1")),
+    st.tuples(st.text(max_size=12).filter(lambda t: "=" not in t)),
+    # numbers of the wrong type
+    st.tuples(st.builds("{}={}".format, st.sampled_from(INT_KEYS + FLOAT_KEYS), NOT_A_NUMBER)),
+    st.tuples(st.builds("{}={}".format, st.sampled_from(INT_KEYS), NOT_AN_INTEGER)),
+    st.tuples(st.builds("{}={}".format, st.sampled_from(FLOAT_KEYS),
+                        st.sampled_from(["NaN", "Infinity", "-Infinity"]))),
+    st.tuples(st.builds("d_channels={}".format, st.sampled_from(
+        ["3", "[]", "[0]", "[-4]", "[1.5]", "[true]", '["a"]', "null", "[[1]]"]))),
+    # sizes out of range, negative seeds and unknown choices
+    st.tuples(st.builds("{}={}".format, st.sampled_from(POSITIVE), st.integers(-3, 0))),
+    st.builds(lambda k, v: ("mode=grammar_only", f"{k}={v}"),
+              st.sampled_from(["k_cap", "max_paths"]), st.integers(-3, 0)),
+    st.tuples(st.integers(-100, -1).map("seed={}".format)),
+    st.sampled_from(sorted(ENUMS)).flatmap(
+        lambda k: WORDS.filter(lambda v: v not in ENUMS[k]).map(lambda v: (f"{k}={v}",))),
+)
+
+
+@FUZZ
+@given(items=BAD_SETS)
+def test_fuzz_bad_set_value_is_json_error(workdir, tmp_path_factory, capsys, items):
+    out = tmp_path_factory.getbasetemp() / "fuzz_set"
+    argv = ["train", "--set", f"dataset={workdir / 'data' / 'dataset.jsonl'}",
+            "--set", "iterations=1", "--set", "d_channels=[4,6,4]",
+            "--set", f"out_dir={out}"]
+    _main_error(argv + [f"--set={item}" for item in items], capsys)

@@ -6,8 +6,7 @@ import pytest
 from agg import autodiff as ad
 from agg.autodiff import Tensor
 from agg.errors import ParameterError, ParseError, ResourceError
-from agg.grammar import (GrammarConfig, GrammarModel, activity_config,
-                         gumbel_softmax, pose_config)
+from agg.grammar import GrammarConfig, GrammarModel, activity_config, gumbel_softmax
 
 from helpers import numeric_grad, rel_err
 
@@ -35,10 +34,6 @@ def test_presets():
     assert (a.d_nonterminal, a.num_rules, a.branching_k, a.topk_mask) == (64, 256, 4, 4)
     assert a.d_terminal == 10 and a.terminal_activation == "softmax"
     assert activity_config(10, multi_label=True).terminal_activation == "sigmoid"
-    p = pose_config()
-    assert (p.d_nonterminal, p.d_terminal, p.num_rules, p.branching_k) == (1024, 128, 2048, 2)
-    assert p.encoder == "gru" and p.terminal_activation == "none"
-    assert pose_config(use_codebook=True).codebook_size == 1024
 
 
 def test_rule_probs_distribution():
@@ -170,7 +165,7 @@ def test_gumbel_temperature_limit():
 
 
 def test_expand_linear_columns():
-    model = GrammarModel(tiny_config(expand_layers=1), seed=0)
+    model = GrammarModel(tiny_config(), seed=0)
     w_n = model.f_n.layers[0].w.value
     sel = np.zeros((1, 6))
     sel[0, 3] = 1.0

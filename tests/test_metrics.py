@@ -6,7 +6,7 @@ from agg.errors import InputError, MetricError, ParameterError
 from agg.metrics import (EvalReport, average_precision, best_of_k,
                          empirical_ngram_distribution, grammar_sampler,
                          kl_divergence, map_at_horizon, mean_angle_error,
-                         model_sampler, ngram_kl, sample_model_futures)
+                         ngram_kl, sample_model_futures)
 from agg.synthdata import build_preset_grammar, sample_dataset, sample_sequences
 
 
@@ -162,10 +162,6 @@ def test_model_sampler_and_futures_shapes():
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3,
                                        num_rules=5, branching_k=2,
                                        encoder_channels=8), seed=0)
-    prefix = np.eye(3)[[0, 1]]
-    sampler = model_sampler(model, prefix)
-    seq = sampler(6, np.random.default_rng(0))
-    assert seq.shape == (6,) and seq.max() < 3
     X = np.eye(3)[np.zeros((4, 2), dtype=int)]
     futures = sample_model_futures(model, X, 5, num_samples_per_prefix=3, seed=1)
     assert futures.shape == (12, 5)

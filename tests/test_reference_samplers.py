@@ -6,8 +6,7 @@ from agg import autodiff as ad
 from agg.autodiff import Tensor
 from agg.grammar import GrammarConfig, GrammarModel, activity_config
 from agg.metrics import empirical_ngram_distribution
-from agg.synthdata import (GroundTruthGrammar, build_preset_grammar, make_continuous_dataset,
-                           qconj, qmul, quaternion_embedding, sample_dataset,
+from agg.synthdata import (GroundTruthGrammar, build_preset_grammar, sample_dataset,
                            sample_sequence)
 
 SEEDS = (0, 1, 7, 123)
@@ -25,27 +24,6 @@ def ref_sample_sequence(grammar, length, rng):
         tok, state, _ = entries[i]
         out[j] = tok
     return out
-
-
-def ref_make_continuous_dataset(grammar, num_sequences, length, embedding,
-                                noise_std=0.0, seed=0, quaternion_deltas=False):
-    rng = np.random.default_rng(seed)
-    records = []
-    for _ in range(num_sequences):
-        toks = ref_sample_sequence(grammar, length, rng)
-        frames = embedding[toks].copy()
-        if quaternion_deltas:
-            q = frames.reshape(length, -1, 4)
-            q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-            prev = np.zeros_like(q)
-            prev[:, :, 0] = 1.0
-            prev[1:] = q[:-1]
-            delta = qmul(q, qconj(prev) / np.sum(prev * prev, axis=-1, keepdims=True))
-            frames = delta.reshape(length, -1)
-        if noise_std > 0:
-            frames = frames + rng.normal(scale=noise_std, size=frames.shape)
-        records.append(frames)
-    return records
 
 
 def ref_sample_rule_paths(model, n0, length, num_samples, seed=0):
@@ -140,18 +118,6 @@ def test_sampler_cdf_is_renormalized_as_choice_does():
     want = ref_sample_sequence(g, 1, np.random.default_rng(0))
     assert want.tolist() == [0]
     assert sample_dataset(g, 1, 1, seed=0).records[0].tolist() == [0]
-
-
-def test_make_continuous_dataset_equals_reference():
-    g = build_preset_grammar("recipe")
-    emb = quaternion_embedding(g.num_tokens, num_blocks=2, seed=3)
-    for seed in SEEDS[:2]:
-        for kw in ({"noise_std": 0.0}, {"noise_std": 0.2},
-                   {"noise_std": 0.1, "quaternion_deltas": True}):
-            got = make_continuous_dataset(g, 12, 7, emb, seed=seed, **kw)
-            want = ref_make_continuous_dataset(g, 12, 7, emb, seed=seed, **kw)
-            assert all(np.array_equal(a, b) for a, b in zip(got.records, want))
-            assert len(got.records) == len(want)
 
 
 def test_sample_rule_paths_equals_gather_reference():

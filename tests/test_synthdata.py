@@ -1,14 +1,12 @@
-"""Ground-truth grammars, exact oracles, dataset round trips, quaternions."""
+"""Ground-truth grammars, exact oracles, dataset round trips and parse errors."""
 import numpy as np
 import pytest
 
 from agg.errors import ParameterError, ParseError, ResourceError
 from agg.synthdata import (GroundTruthGrammar, build_preset_grammar,
-                           compose_deltas, exact_future_distribution,
-                           load_dataset, load_grammar, make_continuous_dataset,
-                           qconj, qmul, quaternion_embedding, sample_dataset,
-                           sample_sequence, save_dataset, save_grammar,
-                           step_marginals)
+                           exact_future_distribution, load_dataset, load_grammar,
+                           sample_dataset, sample_sequence, save_dataset,
+                           save_grammar, step_marginals)
 
 
 def test_presets_well_formed():
@@ -21,6 +19,9 @@ def test_presets_well_formed():
             assert abs(by_state[s] - 1.0) < 1e-9
     with pytest.raises(ParameterError):
         build_preset_grammar("nope")
+    for sizes in (dict(n_states=0), dict(n_tokens=0)):
+        with pytest.raises(ParameterError):
+            build_preset_grammar("random", **sizes)
 
 
 def test_walk_stop_run_probs():
@@ -146,20 +147,8 @@ def test_dataset_roundtrip(tmp_path):
     path = tmp_path / "d.jsonl"
     save_dataset(path, ds)
     back = load_dataset(path)
-    assert back.kind == "discrete" and back.length == 7
+    assert back.length == 7 and back.alphabet_size == g.num_tokens
     assert all(np.array_equal(a, b) for a, b in zip(ds.records, back.records))
-
-
-def test_continuous_roundtrip(tmp_path):
-    g = build_preset_grammar("bimodal")
-    emb = np.random.default_rng(0).normal(size=(3, 5))
-    ds = make_continuous_dataset(g, 10, 6, emb, noise_std=0.1, seed=2)
-    path = tmp_path / "c.jsonl"
-    save_dataset(path, ds)
-    back = load_dataset(path)
-    assert back.kind == "continuous" and back.feature_width == 5
-    for a, b in zip(ds.records, back.records):
-        assert np.abs(a - b).max() < 1e-12
 
 
 def test_empty_file_is_empty_dataset(tmp_path):
@@ -182,6 +171,9 @@ def test_parse_errors_name_lines(tmp_path):
     path.write_text('{"other": 1}\n')
     with pytest.raises(ParseError, match="line 1"):
         load_dataset(path)
+    path.write_text('{"tokens": []}\n')
+    with pytest.raises(ParseError, match="line 1"):
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("row", [
@@ -191,9 +183,9 @@ def test_parse_errors_name_lines(tmp_path):
     '[0, 1, 2]', '7', '{"tokens": [true, 1, 0]}', '{"frames": [[true], [0.5], [1.0]]}',
 ])
 def test_non_numeric_rows_name_lines(tmp_path, row):
+    # a frames row (continuous data) is not a record kind
     path = tmp_path / "bad.jsonl"
-    first = '{"tokens": [0, 1, 2]}' if "tokens" in row else '{"frames": [[0.0], [1.0], [2.0]]}'
-    path.write_text(first + "\n" + row + "\n")
+    path.write_text('{"tokens": [0, 1, 2]}\n' + row + "\n")
     with pytest.raises(ParseError, match="line 2"):
         load_dataset(path)
 
@@ -204,40 +196,7 @@ def test_grammar_file_roundtrip(tmp_path):
     save_grammar(path, g)
     back = load_grammar(path)
     assert back.states == g.states and back.rules == g.rules
-
-
-def test_quaternion_embedding_unit_blocks():
-    q = quaternion_embedding(5, num_blocks=2, seed=0)
-    assert q.shape == (5, 8)
-    norms = np.linalg.norm(q.reshape(5, 2, 4), axis=-1)
-    assert np.abs(norms - 1.0).max() < 1e-9
-
-
-def test_noise_free_embedding_exact():
-    g = build_preset_grammar("bimodal")
-    emb = np.arange(12.0).reshape(3, 4)
-    ds = make_continuous_dataset(g, 5, 4, emb, noise_std=0.0, seed=0)
-    toks = sample_dataset(g, 5, 4, seed=0)
-    for r, t in zip(ds.records, toks.records):
-        assert np.array_equal(r, emb[t])
-
-
-def test_quaternion_delta_roundtrip():
-    g = build_preset_grammar("recipe")
-    emb = quaternion_embedding(g.num_tokens, num_blocks=3, seed=1)
-    ds = make_continuous_dataset(g, 4, 6, emb, seed=5, quaternion_deltas=True)
-    toks = sample_dataset(g, 4, 6, seed=5)
-    for deltas, t in zip(ds.records, toks.records):
-        absolute = compose_deltas(deltas)
-        want = emb[t].reshape(6, 3, 4)
-        got = absolute.reshape(6, 3, 4)
-        assert np.abs(got - want).max() < 1e-9
-
-
-def test_qmul_identity_and_conj():
-    rng = np.random.default_rng(0)
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    e = np.array([1.0, 0.0, 0.0, 0.0])
-    assert np.allclose(qmul(e, q), q)
-    assert np.allclose(qmul(q, qconj(q)), e, atol=1e-12)
+    for bad in (b"not json", b"\xff"):
+        path.write_bytes(bad)
+        with pytest.raises(ParseError):
+            load_grammar(path)
