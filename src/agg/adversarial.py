@@ -139,7 +139,13 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_positive(self, "iterations", "batch_size", "d_steps_per_g_step",
-                        "prefix_len", "log_every")
+                        "prefix_len", "log_every", "tau")
+        if self.tau_end is not None:
+            _check_positive(self, "tau_end")
+        if self.d_lr_scale < 0:
+            raise ParameterError("d_lr_scale must be >= 0")
+        if self.ema_decay is not None and not 0 <= self.ema_decay < 1:
+            raise ParameterError("ema_decay must be in [0, 1)")
         if self.generator_loss_variant not in ("non_saturating", "saturating"):
             raise ParameterError("bad generator_loss_variant")
 

@@ -159,15 +159,7 @@ def resolve_config(command, config_path=None, overrides=()):
     defaults = DEFAULTS[command]
     cfg = dict(defaults)
     if config_path:
-        try:
-            with open(config_path) as f:
-                loaded = json.load(f)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {config_path}")
-        except ValueError as e:             # bad JSON or bad UTF-8
-            raise ConfigError(f"config file is not valid JSON: {e}")
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
+        loaded = _read_config(config_path, f"config file not found: {config_path}")
         for key, value in loaded.items():
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r} for {command!r}")
@@ -184,10 +176,29 @@ def resolve_config(command, config_path=None, overrides=()):
             cfg["seed"] = int(os.environ["AGG_SEED"])
         except ValueError:
             raise ConfigError("AGG_SEED must be an integer")
+    _check_seeds(cfg)
+    return cfg
+
+
+def _read_config(path, missing):
+    """The JSON object in the file at path; ConfigError with the message
+    `missing` when there is no such file, and when it holds no JSON object."""
+    try:
+        with open(path) as f:
+            loaded = json.load(f)
+    except FileNotFoundError:
+        raise ConfigError(missing)
+    except ValueError as e:             # bad JSON or bad UTF-8
+        raise ConfigError(f"{path} is not valid JSON: {e}")
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return loaded
+
+
+def _check_seeds(cfg):
     for key in ("seed", "grammar_seed"):
         if cfg.get(key, 0) < 0:
             raise ConfigError(f"{key} must be >= 0")
-    return cfg
 
 
 def _write_config(cfg, out_dir):
@@ -206,11 +217,12 @@ def _grammar_config(cfg, num_classes):
 def _load_trained(run_dir):
     """Rebuild a trained grammar model from a train artifact directory."""
     cfg_path = os.path.join(run_dir, "config.json")
-    try:
-        with open(cfg_path) as f:
-            train_cfg = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"no config.json under {run_dir!r}")
+    train_cfg = _read_config(cfg_path, f"no config.json under {run_dir!r}")
+    for key, default in TRAIN_DEFAULTS.items():
+        if key not in train_cfg:
+            raise ConfigError(f"{cfg_path} lacks the train key {key!r}")
+        _check_value(key, train_cfg[key], default)
+    _check_seeds(train_cfg)
     model = GrammarModel(_grammar_config(train_cfg, train_cfg["num_classes"]),
                          seed=train_cfg["seed"])
     state = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
@@ -302,28 +314,26 @@ def cmd_generate(cfg):
         raise ConfigError("generate requires run_dir and dataset")
     model, _ = _load_trained(cfg["run_dir"])
     dataset = load_dataset(cfg["dataset"])
-    X = dataset.one_hot()
     if cfg["prefix_len"] > dataset.length:
         raise ConfigError("prefix_len exceeds dataset length")
     out = cfg["out_dir"]
     _write_config(cfg, out)
-    prefixes = X[:cfg["num_prefixes"], :cfg["prefix_len"]]
-    seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(prefixes) * cfg["k"])
+    prefixes = dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
+    k = cfg["k"]
+    seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(prefixes) * k)
+    with ad.no_grad():
+        n0 = model.encode_start(prefixes).value
+    paths, logp = model.sample_hard_paths(n0, cfg["horizon"], seeds)
+    # each rule's terminal as json.dumps prints it, formatted once
+    _, t_all, _ = model.rule_tables()
+    terminals = [json.dumps(t) for t in t_all.tolist()]
     with open(os.path.join(out, "futures.jsonl"), "w") as f:
-        with ad.no_grad():
-            n0 = model.encode_start(prefixes).value
-        for i in range(len(prefixes)):
-            for j in range(cfg["k"]):
-                sample = model.unroll(n0[i], cfg["horizon"], "sample_hard",
-                                      rng_seed=seeds[i * cfg["k"] + j])
-                f.write(json.dumps({
-                    "prefix_index": i,
-                    "sample_index": j,
-                    "rule_indices": [int(r) for r in sample.rule_indices],
-                    "log_prob": sample.log_prob,
-                    "terminals": [np.asarray(t).tolist() for t in sample.terminals],
-                }) + "\n")
-    print(f"wrote {len(prefixes) * cfg['k']} futures to {out}")
+        for n, (path, lp) in enumerate(zip(paths.tolist(), logp.tolist())):
+            f.write('{"prefix_index": %d, "sample_index": %d, "rule_indices": %s, '
+                    '"log_prob": %s, "terminals": [%s]}\n'
+                    % (n // k, n % k, path, json.dumps(lp),
+                       ", ".join(terminals[r] for r in path)))
+    print(f"wrote {len(prefixes) * k} futures to {out}")
     return 0
 
 
@@ -339,7 +349,7 @@ def cmd_evaluate(cfg):
         model = GrammarModel(_grammar_config(dict(cfg, topk_mask=4),
                                              grammar.num_tokens), seed=cfg["seed"])
         model_id = "untrained"
-    X = dataset.one_hot()[:cfg["num_prefixes"], :cfg["prefix_len"]]
+    X = dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
     per_horizon = {}
     for h in sorted(cfg["horizons"]):
         samples = sample_model_futures(model, X, h,
@@ -375,7 +385,7 @@ def _ablate_arm(grammar, dataset, cfg, mode, topk, seed):
                                prefix_len=cfg["prefix_len"], seed=seed,
                                lr0=cfg["lr0"], k_cap=min(4, max(1, topk)))
         train_grammar_only(dataset, model, gc)
-    X = dataset.one_hot()[:cfg["num_prefixes"], :cfg["prefix_len"]]
+    X = dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
     samples = sample_model_futures(model, X, dataset.length,
                                    num_samples_per_prefix=cfg["samples_per_prefix"],
                                    seed=seed + 7)

@@ -19,6 +19,8 @@ from .errors import DimensionError, InputError, ParameterError, ParseError, Reso
 from .nn import ACTIVATIONS, Conv1d, Dense, MLP
 
 POLICIES = ("sample_hard", "sample_soft", "greedy")
+# futures whose noise sample_hard_paths holds at once: 64 x L x R doubles
+_FUTURES_PER_BLOCK = 64
 
 
 @dataclass
@@ -76,6 +78,19 @@ def _softmax_kept(s, kept):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _gumbel_probs(logits, noise, inv):
+    """softmax((logits + g) * inv) over the last axis, with Gumbel noise
+    g = -log(-log(noise)) drawn only where logits is not -inf; logits and
+    noise broadcast together. The forward of gumbel_softmax and of the
+    table sampler, so the two pick the same argmax bit for bit."""
+    lb, nb = np.broadcast_arrays(logits, noise)
+    kept = (lb != -np.inf).ravel().nonzero()[0]
+    g = -np.log(-np.log(nb.take(kept)))
+    s = np.full(lb.shape, -np.inf)
+    s.put(kept, (lb.take(kept) + g) * inv)
+    return _softmax_kept(s, kept)
+
+
 def gumbel_softmax(logits, tau, noise, hard=False):
     """Relaxed categorical draw from unnormalized logits.
 
@@ -95,13 +110,8 @@ def gumbel_softmax(logits, tau, noise, hard=False):
         raise ParameterError("gumbel noise must lie in the open interval (0, 1)")
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
     lv = logits.value
-    lb, nb = np.broadcast_arrays(lv, noise)
-    kept = (lb != -np.inf).ravel().nonzero()[0]
     inv = 1.0 / tau
-    g = -np.log(-np.log(nb.take(kept)))
-    s = np.full(lb.shape, -np.inf)
-    s.put(kept, (lb.take(kept) + g) * inv)
-    y = _softmax_kept(s, kept)
+    y = _gumbel_probs(lv, noise, inv)
     if hard:
         out_v = (np.arange(y.shape[-1]) == y.argmax(axis=-1)[..., None]).astype(np.float64)
     else:
@@ -266,6 +276,51 @@ class GrammarModel:
             log_prob=float(logp[0]),
             length=length,
         )
+
+    def sample_hard_paths(self, n0, length, seeds):
+        """Hard-sampled futures as rule paths (N, L) and log_prob (N,).
+
+        There are N = len(seeds) futures, k = N // len(n0) per seed state:
+        future f starts from n0[f // k] and draws its noise from
+        default_rng(seeds[f]). Row f equals unroll(n0[f // k], length,
+        "sample_hard", rng_seed=seeds[f]) bit for bit. After step 0 the state
+        is the chosen rule's row of n_all, so the logits of each state reached
+        are computed once, by the (1, d) rule_logits call the unroll makes (a
+        gemm over all states would move the last bits), and each step gathers
+        them for a block of futures.
+        """
+        if length < 1:
+            raise ParameterError("unroll length must be >= 1")
+        n0 = np.asarray(n0, dtype=np.float64)
+        P, N, R = len(n0), len(seeds), self.config.num_rules
+        if N and (not P or N % P):
+            raise ParameterError("seeds must hold the same number of futures per seed state")
+        k = N // P if P else 0
+        inv = 1.0 / self.config.gumbel_temperature
+        n_all, _, _ = self.rule_tables()
+        states = np.concatenate([n_all, n0])      # rule r is row r, n0[i] is row R + i
+        logits, probs = np.empty((2, len(states), R))
+        done = np.zeros(len(states), dtype=bool)
+        paths = np.empty((N, length), dtype=np.int64)
+        logp = np.zeros(N)
+        for a in range(0, N, _FUTURES_PER_BLOCK):
+            b = min(a + _FUTURES_PER_BLOCK, N)
+            # (L, futures, R): future f's stream drawn one (R,) row per step
+            u = np.clip(np.stack([np.random.default_rng(s).random((length, R))
+                                  for s in seeds[a:b]], axis=1), 1e-12, 1.0 - 1e-12)
+            state = R + np.arange(a, b) // k
+            for j in range(length):
+                for i in np.unique(state[~done[state]]):
+                    with ad.no_grad():
+                        lg = self.rule_logits(Tensor(states[i:i + 1])).value
+                    logits[i] = lg[0]
+                    probs[i] = _softmax_kept(lg, (lg != -np.inf).ravel().nonzero()[0])[0]
+                    done[i] = True
+                idx = _gumbel_probs(logits[state], u[j], inv).argmax(axis=-1)
+                logp[a:b] += np.log(np.maximum(probs[state, idx], 1e-300))
+                paths[a:b, j] = idx
+                state = idx
+        return paths, logp
 
     # -- table form: rule i fully determines its successor state ------------
     def rule_tables(self):

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ParameterError, ParseError, ResourceError
 
 PROB_TOL = 1e-9
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 @dataclass
@@ -202,7 +203,7 @@ def sample_dataset(grammar, num_sequences, length, seed=0):
     if num_sequences < 0:
         raise ParameterError("num_sequences must be >= 0")
     rng = np.random.default_rng(seed)
-    records = list(sample_sequences(grammar, num_sequences, length, rng))
+    records = sample_sequences(grammar, num_sequences, length, rng)
     return SequenceDataset(records=records, alphabet_size=grammar.num_tokens,
                            length=length)
 
@@ -278,27 +279,34 @@ def exact_ngram_distribution(grammar, n, horizon, state=None):
 
 @dataclass
 class SequenceDataset:
-    records: list               # list of int token-index arrays
+    records: list               # (N, length) int array, or N int token-index arrays
     length: int
     alphabet_size: int | None = None
 
     def __post_init__(self):
-        for r in self.records:
-            if len(r) != self.length:
-                raise ParameterError("dataset records must share a uniform length")
-            if self.alphabet_size is not None:
-                if len(r) and int(np.max(r)) >= self.alphabet_size:
-                    raise ParameterError("token index out of alphabet range")
+        # the first record at fault names the error: a wrong length, or else
+        # a token outside the alphabet
+        lens = np.fromiter(map(len, self.records), dtype=np.int64, count=len(self.records))
+        bad = np.flatnonzero(lens != self.length)
+        n = bad[0] if bad.size else len(lens)
+        if self.alphabet_size is not None and n and self.length:
+            toks = np.asarray(self.records[:n]).reshape(n, self.length)
+            if (toks.max(axis=1) >= self.alphabet_size).any():
+                raise ParameterError("token index out of alphabet range")
+        if bad.size:
+            raise ParameterError("dataset records must share a uniform length")
 
     def __len__(self):
         return len(self.records)
 
-    def one_hot(self):
-        """(N, L, alphabet) one-hot array."""
-        N = len(self.records)
-        out = np.zeros((N, self.length, self.alphabet_size))
-        if N:
-            out[np.arange(N)[:, None], np.arange(self.length), np.asarray(self.records)] = 1.0
+    def one_hot(self, num=None, length=None):
+        """(N, L, alphabet) one-hot array of the first `num` records' first
+        `length` tokens; all of them by default."""
+        records = self.records[:num]
+        toks = np.asarray(records, dtype=np.int64).reshape(len(records), self.length)
+        toks = toks[:, :length]
+        out = np.zeros(toks.shape + (self.alphabet_size,))
+        out[np.arange(len(toks))[:, None], np.arange(toks.shape[1]), toks] = 1.0
         return out
 
 
@@ -327,38 +335,81 @@ def _token_row(obj, lineno):
     return row.astype(np.int64, copy=False)
 
 
+def _line_tokens(line, lineno):
+    """The tokens of one non-blank dataset line as a list of int64-sized ints,
+    or ParseError when the line is not a record with a non-empty, flat list
+    of integer tokens."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"line {lineno}: invalid JSON ({e})") from e
+    if not isinstance(obj, dict):
+        raise ParseError(f"line {lineno}: record must be a JSON object")
+    if "tokens" not in obj:
+        raise ParseError(f"line {lineno}: record needs 'tokens'")
+    toks = obj["tokens"]
+    # a non-empty list of int64-sized ints is taken as it is; _token_row
+    # rejects anything else, or converts it as numpy reads it
+    if (type(toks) is list and set(map(type, toks)) == {int}
+            and _INT64_MIN <= min(toks) and max(toks) <= _INT64_MAX):
+        return toks
+    return _token_row(obj, lineno).tolist()
+
+
+def _token_array(flat, lens, linenos, alphabet_size):
+    """The rows, given as their concatenated tokens and their lengths, as one
+    (N, L) int64 array; or the ParseError of the first row at fault, whose
+    checks run in load_dataset's order: alphabet bound, negative tokens,
+    then a length unlike the first row's."""
+    flat, lens = np.array(flat, dtype=np.int64), np.asarray(lens)
+    starts = np.cumsum(lens) - lens             # rows are non-empty
+    lo, hi = np.minimum.reduceat(flat, starts), np.maximum.reduceat(flat, starts)
+    over = hi >= alphabet_size if alphabet_size is not None else np.zeros(len(lens), bool)
+    at_fault = np.flatnonzero(over | (lo < 0) | (lens != lens[0]))
+    if at_fault.size:
+        i = at_fault[0]
+        if over[i]:
+            raise ParseError(
+                f"line {linenos[i]}: token {int(hi[i])} >= alphabet size {alphabet_size}")
+        if lo[i] < 0:
+            raise ParseError(f"line {linenos[i]}: negative token index")
+        raise ParseError(f"line {linenos[i]}: inconsistent sequence length")
+    return flat.reshape(len(lens), lens[0])
+
+
 def load_dataset(path, alphabet_size=None):
+    """Read a JSONL dataset, one {"tokens": [...]} record per non-blank line.
+
+    Lines are parsed and type-checked one at a time up to the first bad one;
+    the rows before it are then checked as one array. The error raised is
+    that of the first line at fault; per line the checks run in this order:
+    JSON, record shape, token types, alphabet bound, negative tokens, and a
+    length unlike the first record's.
+    """
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().split("\n")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e})") from e
-    records = []
+    flat, lens, linenos, fault = [], [], [], None
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"line {lineno}: invalid JSON ({e})") from e
-        if not isinstance(obj, dict):
-            raise ParseError(f"line {lineno}: record must be a JSON object")
-        if "tokens" not in obj:
-            raise ParseError(f"line {lineno}: record needs 'tokens'")
-        row = _token_row(obj, lineno)
-        if alphabet_size is not None and row.max() >= alphabet_size:
-            raise ParseError(
-                f"line {lineno}: token {int(row.max())} >= alphabet "
-                f"size {alphabet_size}")
-        if np.any(row < 0):
-            raise ParseError(f"line {lineno}: negative token index")
-        if records and len(row) != len(records[0]):
-            raise ParseError(f"line {lineno}: inconsistent sequence length")
-        records.append(row)
-    if not records:
+            toks = _line_tokens(line, lineno)
+        except ParseError as e:
+            fault = e
+            break
+        flat.extend(toks)
+        lens.append(len(toks))
+        linenos.append(lineno)
+    del lines                   # the text goes before the array is built
+    toks = _token_array(flat, lens, linenos, alphabet_size) if lens else None
+    if fault is not None:
+        raise fault
+    if toks is None:
         return SequenceDataset(records=[], length=0, alphabet_size=alphabet_size or 0)
     if alphabet_size is None:
-        alphabet_size = max(int(r.max()) for r in records) + 1
-    return SequenceDataset(records=records, length=len(records[0]),
-                           alphabet_size=alphabet_size)
+        alphabet_size = int(toks.max()) + 1
+    return SequenceDataset(records=toks, length=toks.shape[1], alphabet_size=alphabet_size)

@@ -318,6 +318,12 @@ def test_config_values_must_be_positive():
                 "log_every"):
         with pytest.raises(ParameterError, match=key):
             TrainConfig(**{key: -1})
+    for key, value in (("tau", 0.0), ("tau", -1.0), ("tau_end", 0.0), ("tau_end", -0.5),
+                       ("d_lr_scale", -1.0), ("ema_decay", -0.1), ("ema_decay", 1.0),
+                       ("ema_decay", 2.0)):
+        with pytest.raises(ParameterError, match=key):
+            TrainConfig(**{key: value})
+    TrainConfig(tau_end=0.5, d_lr_scale=0.0, ema_decay=0.0)     # edges that stay valid
 
 
 def test_grammar_only_prefix_len_check():

@@ -372,3 +372,40 @@ def test_fuzz_bad_set_value_is_json_error(workdir, tmp_path_factory, capsys, ite
             "--set", "iterations=1", "--set", "d_channels=[4,6,4]",
             "--set", f"out_dir={out}"]
     _main_error(argv + [f"--set={item}" for item in items], capsys)
+
+
+# ---------------------------------------------------------------------------
+# a run directory's config.json, and out-of-range train values
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    json.dumps({"seed": 0}),
+    json.dumps(dict(TRAIN_DEFAULTS, num_classes="x")),
+    json.dumps(dict(TRAIN_DEFAULTS, num_classes=3, topk_mask=True)),
+], ids=["not-json", "missing-keys", "string-num_classes", "boolean-topk_mask"])
+def test_bad_run_config_is_json_error(workdir, trained, tmp_path, text):
+    full, _ = trained
+    (tmp_path / "config.json").write_text(text)
+    (tmp_path / "checkpoint.bin").write_bytes(full)
+    data = workdir / "data"
+    generate = ["generate", "--set", f"run_dir={tmp_path}",
+                "--set", f"dataset={data / 'dataset.jsonl'}",
+                "--set", f"out_dir={tmp_path / 'gen'}"]
+    evaluate = ["evaluate", "--set", f"run_dir={tmp_path}",
+                "--set", f"dataset={data / 'dataset.jsonl'}",
+                "--set", f"grammar={data / 'grammar.json'}",
+                "--set", f"out_dir={tmp_path / 'ev'}"]
+    for argv in (generate, evaluate):
+        assert _json_error(run_cli(argv, workdir))["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("bad", ["tau=0", "tau_end=-1", "ema_decay=2", "ema_decay=1",
+                                 "d_lr_scale=-1"])
+def test_out_of_range_train_value_is_json_error(workdir, tmp_path, bad):
+    r = run_cli(["train", "--set", "dataset=data/dataset.jsonl", "--set", "iterations=1",
+                 "--set", "d_channels=[4,6,4]", "--set", bad,
+                 "--set", f"out_dir={tmp_path / 'run'}"], workdir)
+    err = _json_error(r)
+    assert err["error"] == "ParameterError"
+    assert bad.split("=")[0] in err["message"]

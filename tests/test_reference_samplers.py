@@ -1,13 +1,24 @@
-"""The whole-array samplers and the n-gram counter against literal per-row
-references: the same seeded draws must give the same arrays and values."""
+"""The whole-array samplers, the n-gram counter, the batched generate and
+the whole-array dataset loader against literal per-row references: the same
+seeded draws must give the same arrays, values and bytes, and the same input
+the same error."""
+import contextlib
+import io
+import json
+import os
+
 import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from agg import autodiff as ad
+from agg import cli
 from agg.autodiff import Tensor
+from agg.errors import ParameterError, ParseError
 from agg.grammar import GrammarConfig, GrammarModel, activity_config
 from agg.metrics import empirical_ngram_distribution
-from agg.synthdata import (GroundTruthGrammar, build_preset_grammar, sample_dataset,
-                           sample_sequence)
+from agg.synthdata import (GroundTruthGrammar, SequenceDataset, build_preset_grammar,
+                           load_dataset, sample_dataset, sample_sequence)
 
 SEEDS = (0, 1, 7, 123)
 LENGTHS = (1, 2, 5, 12)
@@ -157,3 +168,216 @@ def test_empirical_ngram_equals_tuple_counter():
             want = ref_empirical_ngram_distribution(samples, n, 6)
             assert got == want
             assert list(got) == sorted(want)
+
+
+# ---------------------------------------------------------------------------
+# agg generate: one batched table sampler against one unroll per future
+# ---------------------------------------------------------------------------
+
+def ref_generate(cfg, path):
+    """The per-future loop of cmd_generate: one B=1 unroll per future, each
+    seeded by its own SeedSequence child. Returns each future's
+    (rule_indices, log_prob)."""
+    model, _ = cli._load_trained(cfg["run_dir"])
+    dataset = cli.load_dataset(cfg["dataset"])
+    X = dataset.one_hot()
+    prefixes = X[:cfg["num_prefixes"], :cfg["prefix_len"]]
+    seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(prefixes) * cfg["k"])
+    rows = []
+    with open(path, "w") as f:
+        with ad.no_grad():
+            n0 = model.encode_start(prefixes).value
+        for i in range(len(prefixes)):
+            for j in range(cfg["k"]):
+                sample = model.unroll(n0[i], cfg["horizon"], "sample_hard",
+                                      rng_seed=seeds[i * cfg["k"] + j])
+                f.write(json.dumps({
+                    "prefix_index": i,
+                    "sample_index": j,
+                    "rule_indices": [int(r) for r in sample.rule_indices],
+                    "log_prob": sample.log_prob,
+                    "terminals": [np.asarray(t).tolist() for t in sample.terminals],
+                }) + "\n")
+                rows.append((sample.rule_indices, sample.log_prob))
+    return model, n0, seeds, rows
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+@pytest.fixture(scope="module")
+def trained_runs(tmp_path_factory):
+    """Adversarial runs on recipe data with topk_mask 4 and 0 (no mask)."""
+    root = tmp_path_factory.mktemp("generate")
+    data = root / "data"
+    assert _quiet_main(["synth", "--set", "preset=recipe", "--set", "num_sequences=50",
+                        "--set", f"out_dir={data}"]) == 0
+    runs = {}
+    for topk in (4, 0):
+        runs[topk] = root / f"run{topk}"
+        assert _quiet_main(["train", "--set", f"dataset={data / 'dataset.jsonl'}",
+                            "--set", "iterations=4", "--set", "d_channels=[4,6,4]",
+                            "--set", f"topk_mask={topk}", "--set", "seed=2",
+                            "--set", f"out_dir={runs[topk]}"]) == 0
+    return data / "dataset.jsonl", runs
+
+
+@pytest.mark.parametrize("topk", [4, 0])
+@pytest.mark.parametrize("horizon", [1, 12])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_generate_equals_unroll_per_future(trained_runs, tmp_path, topk, horizon, seed):
+    dataset, runs = trained_runs
+    cfg = dict(cli.GENERATE_DEFAULTS, run_dir=str(runs[topk]), dataset=str(dataset),
+               k=3, horizon=horizon, num_prefixes=7, seed=seed, out_dir=str(tmp_path))
+    argv = ["generate"] + [f"--set={key}={value}" for key, value in cfg.items()]
+    assert _quiet_main(argv) == 0
+    ref_path = tmp_path / "ref.jsonl"
+    model, n0, seeds, rows = ref_generate(cfg, ref_path)
+    got = (tmp_path / "futures.jsonl").read_bytes()
+    assert got == ref_path.read_bytes() and got.count(b"\n") == 21
+    paths, logp = model.sample_hard_paths(n0, horizon, seeds)
+    assert [p.tolist() for p in paths] == [list(r) for r, _ in rows]
+    assert logp.tolist() == [lp for _, lp in rows]
+
+
+def test_sample_hard_paths_checks_its_seeds():
+    model = GrammarModel(activity_config(6), seed=0)
+    n0 = np.zeros((2, 64))
+    seeds = np.random.SeedSequence(0).spawn(3)
+    with pytest.raises(ParameterError):
+        model.sample_hard_paths(n0, 4, seeds)
+    with pytest.raises(ParameterError):
+        model.sample_hard_paths(n0, 0, seeds[:2])
+    paths, logp = model.sample_hard_paths(n0, 4, [])
+    assert paths.shape == (0, 4) and logp.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# load_dataset: the whole-array loader against the per-line loader
+# ---------------------------------------------------------------------------
+
+def ref_token_row(obj, lineno):
+    """obj["tokens"] as a non-empty 1-d int64 array, or ParseError when it has
+    another shape or an element is not an integer. JSON booleans are not
+    integers."""
+    try:
+        row = np.asarray(obj["tokens"])
+    except ValueError as e:                 # ragged nesting
+        raise ParseError(f"line {lineno}: tokens is not a rectangular list") from e
+    if row.ndim != 1:
+        raise ParseError(f"line {lineno}: tokens must be a 1-d list")
+    if row.size == 0:
+        raise ParseError(f"line {lineno}: tokens must not be empty")
+    # numpy turns JSON true/false mixed with numbers into 1/0; reject them
+    if row.dtype.kind not in "iu" or bool in set(map(type, obj["tokens"])):
+        raise ParseError(f"line {lineno}: tokens must hold only integers")
+    return row.astype(np.int64, copy=False)
+
+
+def ref_load_dataset(path, alphabet_size=None):
+    """One json.loads and one numpy row per line, every check on that row."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e})") from e
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"line {lineno}: invalid JSON ({e})") from e
+        if not isinstance(obj, dict):
+            raise ParseError(f"line {lineno}: record must be a JSON object")
+        if "tokens" not in obj:
+            raise ParseError(f"line {lineno}: record needs 'tokens'")
+        row = ref_token_row(obj, lineno)
+        if alphabet_size is not None and row.max() >= alphabet_size:
+            raise ParseError(
+                f"line {lineno}: token {int(row.max())} >= alphabet "
+                f"size {alphabet_size}")
+        if np.any(row < 0):
+            raise ParseError(f"line {lineno}: negative token index")
+        if records and len(row) != len(records[0]):
+            raise ParseError(f"line {lineno}: inconsistent sequence length")
+        records.append(row)
+    if not records:
+        return SequenceDataset(records=[], length=0, alphabet_size=alphabet_size or 0)
+    if alphabet_size is None:
+        alphabet_size = max(int(r.max()) for r in records) + 1
+    return SequenceDataset(records=records, length=len(records[0]),
+                           alphabet_size=alphabet_size)
+
+
+def _tokens(values, size):
+    return st.lists(values, min_size=size, max_size=size).map(
+        lambda toks: json.dumps({"tokens": toks}))
+
+
+GOOD_LINE = _tokens(st.integers(0, 5), 4)
+BAD_LINE = st.one_of(
+    st.sampled_from(["not json", "{", '{"tokens": [0, 1', "[0, 1, 2, 3]", "7", '"x"',
+                     "null", "{}", '{"other": [0, 1, 2, 3]}', '{"tokens": 3}',
+                     '{"tokens": "0123"}', '{"tokens": {"a": 1}}', '{"tokens": null}',
+                     '{"tokens": []}', '{"tokens": [[0], [1, 2], [3], [0]]}',
+                     '{"tokens": [[0], [1], [2], [3]]}', '{"tokens": [0, 1.5, 2, 3]}',
+                     '{"tokens": [0, 1.0, 2, 3]}', '{"tokens": [true, 1, 0, 0]}',
+                     '{"tokens": [true, false, true, true]}', '{"tokens": [0, "1", 2, 3]}',
+                     '{"tokens": [0, null, 2, 3]}', '{"tokens": [0, 1, 2, 3], "x": 1}',
+                     '{"tokens": [9223372036854775808, 0, 1, 2]}',
+                     '{"tokens": [18446744073709551616, 0, 1, 2]}',
+                     '{"tokens": [-9223372036854775809, 0, 1, 2]}',
+                     '{"tokens": [9223372036854775808, -1, 1, 2]}']),
+    _tokens(st.integers(-3, 5), 4),                                  # negatives
+    st.integers(1, 7).filter(lambda n: n != 4).flatmap(              # other lengths
+        lambda n: _tokens(st.integers(0, 5), n)),
+    _tokens(st.integers(0, 40), 4),                                  # past the alphabet
+)
+BLANK = st.sampled_from(["", "   ", "\t"])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lines=st.lists(st.one_of(GOOD_LINE, GOOD_LINE, BAD_LINE, BLANK), max_size=8),
+       alphabet_size=st.sampled_from([None, 3, 6, 40]))
+@example(lines=['{"tokens": [0, 1, 2, 3]}', '{"tokens": [0, -1, 2, 3]}', "not json"],
+         alphabet_size=None)
+@example(lines=['{"tokens": [0, 1, 2, 3]}', '{"tokens": [0, 1, 9, 3]}', "{"],
+         alphabet_size=6)
+@example(lines=['{"tokens": [0, 1, 2, 3]}', '{"tokens": [0, 1]}', '{"tokens": [0, 9]}'],
+         alphabet_size=6)
+@example(lines=['{"tokens": [0, 1, 2, 3]}', '{"tokens": [0, 1, 9]}'], alphabet_size=6)
+@example(lines=['{"tokens": [0, 1, 2, 3]}', '{"tokens": [0, -1]}', '{"tokens": 1}'],
+         alphabet_size=None)
+def test_load_dataset_equals_per_line_loader(tmp_path_factory, lines, alphabet_size):
+    path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        want = ref_load_dataset(path, alphabet_size)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            load_dataset(path, alphabet_size)
+        assert str(got.value) == str(e)
+        return
+    got = load_dataset(path, alphabet_size)
+    assert (got.length, got.alphabet_size, len(got)) == (want.length, want.alphabet_size,
+                                                         len(want))
+    shape = (len(want), want.length)
+    assert np.array_equal(np.asarray(got.records, dtype=np.int64).reshape(shape),
+                          np.asarray(want.records, dtype=np.int64).reshape(shape))
+
+
+def test_sequence_dataset_reports_the_first_bad_record():
+    short, wide = np.array([0, 1]), np.array([0, 9, 1])
+    good = np.array([0, 1, 2])
+    with pytest.raises(ParameterError, match="uniform length"):
+        SequenceDataset(records=[good, short, wide], length=3, alphabet_size=4)
+    with pytest.raises(ParameterError, match="alphabet"):
+        SequenceDataset(records=[good, wide, short], length=3, alphabet_size=4)
+    with pytest.raises(ParameterError, match="alphabet"):
+        SequenceDataset(records=np.stack([good, wide]), length=3, alphabet_size=4)
+    SequenceDataset(records=[good, wide], length=3)       # no alphabet, no bound
