@@ -407,9 +407,7 @@ def _pruned_loglik(model, batch, n0, k_cap, max_paths):
     ranked once per call and candidate weights are computed only at the kept
     (parent, successor) pairs."""
     R = model.config.num_rules
-    eye = Tensor(np.eye(R))
-    n_all = model.f_n(eye)
-    t_all_logits = model.f_t(eye)
+    _, _, n_all, t_all_logits = model.weights()  # f_n(I), f_t(I)
     t_all = ad.softmax(t_all_logits)
     probs_all = model.rule_probs(n_all)          # (R, R)
     B, L = batch.shape

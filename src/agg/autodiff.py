@@ -123,6 +123,26 @@ def _node(value, parents, bwd):
     return Tensor(value, parents, bwd)
 
 
+def _multi_node(values, parents, bwd):
+    """One node with several outputs: returns a Tensor per value.
+
+    Each output is a node whose only parent is a joint node over `parents`.
+    An output's backward hands its gradient to the joint node, which the
+    walk reaches after every output, so bwd(grads) runs once, after all
+    consumers of all outputs, with grads[i] the gradient of output i or None
+    if nothing consumed it."""
+    grads = [None] * len(values)
+    joint = _node(np.zeros(0), parents, lambda _: bwd(grads))
+
+    def handoff(i):
+        def out_bwd(g):
+            grads[i] = g
+            joint.grad = grads      # any non-None grad schedules the joint bwd
+        return out_bwd
+
+    return [_node(v, (joint,), handoff(i)) for i, v in enumerate(values)]
+
+
 def _acc(t, g):
     # first write keeps the reference; later writes allocate a fresh sum
     if t.grad is None:

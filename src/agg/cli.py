@@ -201,6 +201,14 @@ def _check_seeds(cfg):
             raise ConfigError(f"{key} must be >= 0")
 
 
+def _check_at_least_one(cfg, *keys):
+    """ConfigError unless every named count (or each entry of a list) is >= 1."""
+    for key in keys:
+        values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+        if any(v < 1 for v in values):
+            raise ConfigError(f"{key} must be >= 1, got {json.dumps(cfg[key])}")
+
+
 def _write_config(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w") as f:
@@ -211,7 +219,13 @@ def _write_config(cfg, out_dir):
 def _grammar_config(cfg, num_classes):
     if cfg["preset"] != "activity":
         raise ConfigError(f"unknown model preset {cfg['preset']!r}")
-    return activity_config(num_classes, topk_mask=cfg["topk_mask"] or None)
+    config = activity_config(num_classes, topk_mask=cfg["topk_mask"] or None)
+    # a hardened rule emits one token, so a bank of R rules covers at most R
+    # classes; checked before anything is allocated with num_classes entries
+    if num_classes > config.num_rules:
+        raise ConfigError(f"num_classes {num_classes} exceeds the model's "
+                          f"{config.num_rules} rules")
+    return config
 
 
 def _load_trained(run_dir):
@@ -256,10 +270,11 @@ def cmd_train(cfg):
         raise ConfigError("train requires a dataset path")
     dataset = load_dataset(cfg["dataset"])
     num_classes = cfg["num_classes"] or dataset.alphabet_size
+    grammar_config = _grammar_config(cfg, num_classes)
     cfg = dict(cfg, num_classes=num_classes)   # resolved config is replayable
     out = cfg["out_dir"]
     _write_config(cfg, out)
-    model = GrammarModel(_grammar_config(cfg, num_classes), seed=cfg["seed"])
+    model = GrammarModel(grammar_config, seed=cfg["seed"])
 
     def checkpoint_fn(it):
         every = cfg["checkpoint_every"]
@@ -312,6 +327,7 @@ def cmd_train(cfg):
 def cmd_generate(cfg):
     if not cfg["run_dir"] or not cfg["dataset"]:
         raise ConfigError("generate requires run_dir and dataset")
+    _check_at_least_one(cfg, "k", "horizon", "num_prefixes")
     model, _ = _load_trained(cfg["run_dir"])
     dataset = load_dataset(cfg["dataset"])
     if cfg["prefix_len"] > dataset.length:
@@ -340,6 +356,7 @@ def cmd_generate(cfg):
 def cmd_evaluate(cfg):
     if not cfg["dataset"] or not cfg["grammar"]:
         raise ConfigError("evaluate requires dataset and grammar paths")
+    _check_at_least_one(cfg, "horizons", "num_prefixes", "samples_per_prefix")
     grammar = load_grammar(cfg["grammar"])
     dataset = load_dataset(cfg["dataset"])
     if cfg["run_dir"]:

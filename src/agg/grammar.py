@@ -68,26 +68,39 @@ class SequenceSample:
 
 
 def _softmax_kept(s, kept):
-    """Softmax over the last axis of s, whose entries outside the flat
-    indices `kept` are -inf. exp runs on the kept entries only; the others
-    are exactly 0, as exp(-inf) would make them, so each row sum adds the
-    same terms in the same order as a full-width softmax."""
+    """Softmax over the last axis of s with the entries outside the flat
+    indices `kept` taken as -inf; each row's largest entry must be kept (a
+    top-k mask keeps it). exp runs on the kept entries only; the others are
+    exactly 0, as exp(-inf) would make them, so each row sum adds the same
+    terms in the same order as a full-width softmax."""
     mx = s.max(axis=-1)
     e = np.zeros(s.shape)
     e.put(kept, np.exp(s.take(kept) - mx.take(kept // s.shape[-1])))
-    return e / e.sum(axis=-1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
-def _gumbel_probs(logits, noise, inv):
+def _sum(a, b):
+    """a + b, where None stands for a gradient that never arrived."""
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def _kept(logits):
+    """Flat indices of the entries of logits that are not -inf."""
+    return (logits != -np.inf).ravel().nonzero()[0]
+
+
+def _gumbel_probs(logits, kept, noise, inv):
     """softmax((logits + g) * inv) over the last axis, with Gumbel noise
-    g = -log(-log(noise)) drawn only where logits is not -inf; logits and
-    noise broadcast together. The forward of gumbel_softmax and of the
-    table sampler, so the two pick the same argmax bit for bit."""
-    lb, nb = np.broadcast_arrays(logits, noise)
-    kept = (lb != -np.inf).ravel().nonzero()[0]
-    g = -np.log(-np.log(nb.take(kept)))
-    s = np.full(lb.shape, -np.inf)
-    s.put(kept, (lb.take(kept) + g) * inv)
+    g = -log(-log(noise)) drawn only at the flat indices `kept`; the other
+    entries count as -inf. logits and noise have one shape. The forward of
+    gumbel_softmax, of the unroll and of the table sampler, so all three
+    pick the same argmax bit for bit."""
+    g = -np.log(-np.log(noise.take(kept)))
+    s = np.full(logits.shape, -np.inf)
+    s.put(kept, (logits.take(kept) + g) * inv)
     return _softmax_kept(s, kept)
 
 
@@ -111,7 +124,8 @@ def gumbel_softmax(logits, tau, noise, hard=False):
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
     lv = logits.value
     inv = 1.0 / tau
-    y = _gumbel_probs(lv, noise, inv)
+    lb, nb = np.broadcast_arrays(lv, noise)
+    y = _gumbel_probs(lb, _kept(lb), nb, inv)
     if hard:
         out_v = (np.arange(y.shape[-1]) == y.argmax(axis=-1)[..., None]).astype(np.float64)
     else:
@@ -186,22 +200,45 @@ class GrammarModel:
                 f"encoder input width {x.value.shape[2]} != {self.config.d_terminal}")
         return self.encoder(x)
 
+    def weights(self):
+        """(W_r, b_r, W_n, W_t): the Parameters of the rule head and of the
+        two expanders, each a single layer, so f_n(I) is W_n and f_t(I)
+        is W_t."""
+        head = self.f_r.layers[0]
+        return head.w, head.b, self.f_n.layers[0].w, self.f_t.layers[0].w
+
+    def _topk_keep(self, v):
+        """Boolean mask of the top-k entries of each row of the rule logits
+        v, exactly k per row (ties broken by rank); None when no mask
+        applies."""
+        m = self.config.topk_mask
+        if m is None or m >= self.config.num_rules:
+            return None
+        kth = np.partition(v, -m, axis=-1)[..., -m][..., None]
+        keep = v >= kth
+        # per-row tie overflow: keep exactly m by rank
+        if np.any(keep.sum(axis=-1) != m):
+            order = np.argsort(-v, kind="stable", axis=-1)
+            keep = np.zeros_like(v, dtype=bool)
+            np.put_along_axis(keep, order[..., :m], True, axis=-1)
+        return keep
+
+    def _head(self, n):
+        """(s, kept) of the rule head at states n (B, d): the logits
+        s = n @ W_r + b_r, unmasked, and the flat indices of the entries the
+        top-k mask keeps. rule_logits(n) is s with the others set to -inf."""
+        w_r, b_r, _, _ = self.weights()
+        s = n @ w_r.value
+        s += b_r.value
+        keep = self._topk_keep(s)
+        return s, np.arange(s.size) if keep is None else keep.ravel().nonzero()[0]
+
     def rule_logits(self, n):
         """Rule-bank logits with the optional top-k mask applied."""
         n = n if isinstance(n, Tensor) else Tensor(n)
         logits = self.f_r(n)
-        m = self.config.topk_mask
-        if m is not None and m < self.config.num_rules:
-            v = logits.value
-            kth = np.partition(v, -m, axis=-1)[..., -m][..., None]
-            keep = v >= kth
-            # per-row tie overflow: keep exactly m by rank
-            if np.any(keep.sum(axis=-1) != m):
-                order = np.argsort(-v, kind="stable", axis=-1)
-                keep = np.zeros_like(v, dtype=bool)
-                np.put_along_axis(keep, order[..., :m], True, axis=-1)
-            logits = ad.mask_logits(logits, keep)
-        return logits
+        keep = self._topk_keep(logits.value)
+        return logits if keep is None else ad.mask_logits(logits, keep)
 
     def rule_probs(self, n):
         return ad.softmax(self.rule_logits(n))
@@ -222,6 +259,19 @@ class GrammarModel:
         rule_indices (B,L) int array, log_prob (B,) array). With
         return_entropy=True a fifth element is appended: the mean per-step
         rule-distribution entropy as a differentiable scalar.
+
+        The L steps are one autodiff node over n0, W_r, b_r, W_n and W_t; the
+        terminal activation is one more node over all steps. A step computes
+        what the primitive ops would: masked rule logits n @ W_r + b_r, the
+        Gumbel-softmax selection (straight-through when hard), then
+        sel @ W_n and sel @ W_t, which a one-hot selection reads as gathered
+        rows (a one-hot row times W adds only exact zeros). The backward is
+        backpropagation through time from step L down to step 1, with the
+        primitive ops' backward expressions in their order, so every
+        gradient is theirs bit for bit: each weight sums its per-step gemms
+        from step L down to step 1. A greedy selection passes no gradient
+        into the logits, so then f_r and n0 get gradient from the entropy
+        alone.
         """
         if policy not in POLICIES:
             raise ParameterError(f"unknown policy {policy!r}")
@@ -229,39 +279,97 @@ class GrammarModel:
             raise ParameterError("unroll length must be >= 1")
         n0 = n0 if isinstance(n0, Tensor) else Tensor(n0)
         tau = self.config.gumbel_temperature if tau is None else tau
-        B = n0.value.shape[0]
-        R = self.config.num_rules
-        n = n0
-        terminals, nonterminals, indices, logp = [], [], [], np.zeros(B)
-        entropies = []
+        if policy != "greedy" and tau <= 0:
+            raise ParameterError("gumbel temperature must be > 0")
+        inv = 1.0 / tau
+        w_r, b_r, w_n, w_t = self.weights()
+        Wr, Wn, Wt = w_r.value, w_n.value, w_t.value
+        B, R = n0.value.shape[0], self.config.num_rules
+        rows = np.arange(B)
+        ns = [n0.value]           # N_0..N_L
+        ts, indices, logp, entropies = [], [], np.zeros(B), []
+        # what the backward reads beyond ns and indices, kept only when it
+        # can run: a forward-only unroll, such as the holdout's over a tenth
+        # of the dataset at once, holds none of it
+        record = ad.grad_enabled()
+        ys, ps = [], []           # soft samples; probs when entropy is returned
         for _ in range(length):
-            logits = self.rule_logits(n)
+            s, kept = self._head(ns[-1])
+            probs = _softmax_kept(s, kept)
             if return_entropy:
-                p_t = ad.softmax(logits)
-                plogp = ad.mul(p_t, ad.log(ad.clamp_min(p_t, 1e-12)))
-                entropies.append(ad.mean(ad.sum_along(plogp, axis=-1)))
-            probs = _softmax_kept(logits.value, (logits.value != -np.inf).ravel().nonzero()[0])
+                plogp = probs * np.log(np.maximum(probs, 1e-12))
+                entropies.append(plogp.sum(axis=-1).mean())
             if policy == "greedy":
-                idx = np.argmax(probs, axis=-1)
-                sel_v = np.zeros((B, R))
-                sel_v[np.arange(B), idx] = 1.0
-                sel = Tensor(sel_v)
+                y, idx = None, np.argmax(probs, axis=-1)
             else:
                 u = np.clip(rng.random((B, R)), 1e-12, 1.0 - 1e-12)
-                sel = gumbel_softmax(logits, tau, u, hard=(policy == "sample_hard"))
-                idx = np.argmax(sel.value, axis=-1)
-            logp += np.log(np.maximum(probs[np.arange(B), idx], 1e-300))
-            n, t = self.expand(sel)
-            terminals.append(t)
-            nonterminals.append(n)
+                y = _gumbel_probs(s, kept, u, inv)
+                idx = np.argmax(y, axis=-1)
+            logp += np.log(np.maximum(probs[rows, idx], 1e-300))
+            if policy == "sample_soft":
+                ns.append(y @ Wn)
+                ts.append(y @ Wt)
+            else:
+                ns.append(Wn[idx])
+                ts.append(Wt[idx])
             indices.append(idx)
-        out = (ad.stack_time(terminals), ad.stack_time(nonterminals),
-               np.stack(indices, axis=1), logp)
+            if record and y is not None:
+                ys.append(y)
+            if record and return_entropy:
+                ps.append(probs)
+        values = [np.stack(ts, axis=1), np.stack(ns[1:], axis=1)]
         if return_entropy:
-            ent = ad.scale(ad.mean(ad.concat([ad.reshape(e, (1,)) for e in entropies],
-                                             axis=0)), -1.0)
-            return out + (ent,)
-        return out
+            values.append(np.asarray(np.mean(entropies) * -1.0))
+
+        def bwd(grads):
+            g_t, g_n = grads[:2]
+            g_e = grads[2] if return_entropy else None
+            if g_e is not None:
+                # the entropy's -1 scale, mean over steps, mean over rows
+                c = (1.0 / B) * ((1.0 / length) * (g_e * -1.0))
+            gn = None             # into N_j from step j+1's rule head
+            for j in range(length - 1, -1, -1):
+                y = ys[j] if ys else None
+                if policy == "sample_soft":
+                    sel = y
+                else:
+                    sel = np.zeros((B, R))
+                    sel[rows, indices[j]] = 1.0
+                gn = _sum(None if g_n is None else g_n[:, j, :], gn)
+                gt = None if g_t is None else g_t[:, j, :]
+                gsel = gl = None
+                if gn is not None:
+                    ad._acc(w_n, sel.T @ gn)
+                    if y is not None:
+                        gsel = gn @ Wn.T
+                if gt is not None:
+                    ad._acc(w_t, sel.T @ gt)
+                    if y is not None:
+                        gsel = _sum(gsel, gt @ Wt.T)
+                if g_e is not None:
+                    # p log max(p, 1e-12): product rule, then the softmax
+                    p = ps[j]
+                    clamped = np.maximum(p, 1e-12)
+                    gp = c * np.log(clamped) + ((c * p) / clamped) * (p > 1e-12)
+                    gl = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+                if gsel is not None:
+                    # Gumbel-softmax Jacobian, scaled by 1/tau
+                    gl = _sum(gl, (y * (gsel - (gsel * y).sum(axis=-1, keepdims=True))) * inv)
+                if gl is None:
+                    gn = None
+                    continue
+                # gl is already +-0 wherever the top-k mask dropped a rule
+                # (p and y are exactly 0 there), so the mask's backward,
+                # gl * keep, would return gl bit for bit
+                ad._acc(b_r, gl.sum(axis=0))
+                ad._acc(w_r, ns[j].T @ gl)
+                gn = gl @ Wr.T
+            if gn is not None:
+                ad._acc(n0, gn)
+
+        t_pre, nonterminals, *ent = ad._multi_node(values, (n0, w_r, b_r, w_n, w_t), bwd)
+        terminals = ACTIVATIONS[self.config.terminal_activation](t_pre)
+        return (terminals, nonterminals, np.stack(indices, axis=1), logp, *ent)
 
     def unroll(self, n0, length, policy="sample_hard", rng_seed=0):
         """Single-sequence unroll (inference only)."""
@@ -314,9 +422,10 @@ class GrammarModel:
                     with ad.no_grad():
                         lg = self.rule_logits(Tensor(states[i:i + 1])).value
                     logits[i] = lg[0]
-                    probs[i] = _softmax_kept(lg, (lg != -np.inf).ravel().nonzero()[0])[0]
+                    probs[i] = _softmax_kept(lg, _kept(lg))[0]
                     done[i] = True
-                idx = _gumbel_probs(logits[state], u[j], inv).argmax(axis=-1)
+                lg = logits[state]
+                idx = _gumbel_probs(lg, _kept(lg), u[j], inv).argmax(axis=-1)
                 logp[a:b] += np.log(np.maximum(probs[state, idx], 1e-300))
                 paths[a:b, j] = idx
                 state = idx
@@ -327,13 +436,15 @@ class GrammarModel:
         """Per-rule expansion tables (next state, terminal, next-step probs).
 
         Because the next non-terminal is a function of the selected rule alone,
-        hard unrolls after the first step reduce to table lookups.
+        hard unrolls after the first step reduce to table lookups. Row r is
+        the expansion of the one-hot selection of rule r, which is row r of
+        the expander weights. The arrays are the caller's own.
         """
+        _, _, w_n, w_t = self.weights()
         with ad.no_grad():
-            eye = Tensor(np.eye(self.config.num_rules))
-            n_all, t_all = self.expand(eye)
-            probs_all = self.rule_probs(n_all)
-        return n_all.value, t_all.value, probs_all.value
+            t_all = ACTIVATIONS[self.config.terminal_activation](w_t).value
+        probs_all = _softmax_kept(*self._head(w_n.value))
+        return w_n.value.copy(), np.array(t_all), probs_all
 
     def sample_rule_paths(self, n0, length, num_samples, seed=0):
         """Fast hard-sampled rule-index paths (num_samples*B, L) from n0 rows.

@@ -150,6 +150,57 @@ def test_conv1d_shape_contracts():
         ad.conv1d(ad.Tensor(np.zeros((1, 3, 2))), w, b, padding="valid")
 
 
+def _square_and_double(x, calls):
+    """(x * x, 2 x) as one two-output node; each run of its backward appends
+    which outputs passed it a gradient."""
+    def bwd(grads):
+        calls.append([g is not None for g in grads])
+        g_sq, g_dbl = grads
+        if g_sq is not None:
+            ad._acc(x, g_sq * 2.0 * x.value)
+        if g_dbl is not None:
+            ad._acc(x, g_dbl * 2.0)
+
+    return ad._multi_node([x.value * x.value, 2.0 * x.value], (x,), bwd)
+
+
+@pytest.mark.parametrize("seed", seeds())
+def test_multi_node_output_unused(seed):
+    calls = []
+    check_op(lambda ts: ad.total(ad.mul(_square_and_double(ts[0], calls)[0], ts[1])),
+             [(3, 4), (3, 4)], seed)
+    assert calls[0] == [True, False]
+    x = ad.Tensor(np.ones(3))
+    _, dbl = _square_and_double(x, calls)
+    ad.backward(ad.total(dbl))
+    assert calls[-1] == [False, True] and np.array_equal(x.grad, np.full(3, 2.0))
+
+
+@pytest.mark.parametrize("seed", seeds())
+def test_multi_node_output_consumed_twice(seed):
+    calls = []
+
+    def loss(ts):
+        sq, dbl = _square_and_double(ts[0], calls)
+        twice = ad.add(ad.total(ad.mul(dbl, ts[1])), ad.total(ad.mul(dbl, ts[2])))
+        return ad.add(twice, ad.total(sq))
+
+    check_op(loss, [(2, 5), (2, 5), (2, 5)], seed)
+    # one backward run per graph, after both uses of dbl have added up
+    assert calls[0] == [True, True]
+    calls.clear()
+    x = ad.Tensor(np.arange(3.0))
+    ad.backward(loss([x, ad.Tensor(np.ones(3)), ad.Tensor(np.full(3, 2.0))]))
+    assert calls == [[True, True]]
+    assert np.array_equal(x.grad, 2.0 * np.arange(3.0) + 6.0)
+
+
+def test_multi_node_without_grad():
+    with ad.no_grad():
+        sq, dbl = _square_and_double(ad.Tensor(np.ones(2)), [])
+    assert all(t.parents == () and t.bwd is None for t in (sq, dbl))
+
+
 def test_backward_accumulates():
     x = ad.Tensor(np.ones(3))
     loss = ad.total(ad.mul(x, 2.0))

@@ -364,14 +364,49 @@ BAD_SETS = st.one_of(
 )
 
 
+# generate and evaluate counts below 1, which exit 1 with a ConfigError
+BAD_SIZES = st.one_of(
+    st.builds(lambda k, v: ("generate", f"{k}={v}"),
+              st.sampled_from(["k", "num_prefixes", "horizon"]), st.integers(-3000, 0)),
+    st.builds(lambda k, v: ("evaluate", f"{k}={v}"),
+              st.sampled_from(["num_prefixes", "samples_per_prefix"]), st.integers(-3000, 0)),
+    st.builds(lambda v: ("evaluate", f"horizons=[4,{v}]"), st.integers(-3, 0)),
+)
+
+
 @FUZZ
-@given(items=BAD_SETS)
-def test_fuzz_bad_set_value_is_json_error(workdir, tmp_path_factory, capsys, items):
+@given(case=st.one_of(BAD_SETS.map(lambda items: ("train",) + items), BAD_SIZES))
+def test_fuzz_bad_set_value_is_json_error(workdir, trained, tmp_path_factory, capsys,
+                                          case):
+    command, *items = case
     out = tmp_path_factory.getbasetemp() / "fuzz_set"
-    argv = ["train", "--set", f"dataset={workdir / 'data' / 'dataset.jsonl'}",
-            "--set", "iterations=1", "--set", "d_channels=[4,6,4]",
-            "--set", f"out_dir={out}"]
-    _main_error(argv + [f"--set={item}" for item in items], capsys)
+    data = workdir / "data"
+    argv = {"train": ["--set", "iterations=1", "--set", "d_channels=[4,6,4]"],
+            "generate": ["--set", f"run_dir={workdir / 'fuzz_ckpt'}"],
+            "evaluate": ["--set", f"run_dir={workdir / 'fuzz_ckpt'}",
+                         "--set", f"grammar={data / 'grammar.json'}"]}[command]
+    argv = [command, "--set", f"dataset={data / 'dataset.jsonl'}",
+            "--set", f"out_dir={out}"] + argv
+    err = _main_error(argv + [f"--set={item}" for item in items], capsys)
+    if command != "train":
+        assert err["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv", [["--set", "num_classes=10000000"],
+                                  ["--set", "dataset=big12.jsonl"],
+                                  ["--set", "dataset=big7.jsonl"]],
+                         ids=["given", "inferred-1e12", "inferred-1e7"])
+def test_num_classes_beyond_rule_bank_is_json_error(workdir, argv):
+    # a token index sizes the model and the one-hot data; past the 256
+    # rules it is refused before either is allocated
+    (workdir / "big12.jsonl").write_text('{"tokens": [0, 1000000000000, 0, 0]}\n')
+    (workdir / "big7.jsonl").write_text('{"tokens": [0, 10000000, 0, 0]}\n'
+                                        '{"tokens": [0, 1, 2, 0]}\n')
+    r = run_cli(["train", "--set", "dataset=data/dataset.jsonl", "--set", "iterations=1",
+                 "--set", "out_dir=big_run"] + argv, workdir)
+    err = _json_error(r)
+    assert err["error"] == "ConfigError" and "num_classes" in err["message"]
+    assert not (workdir / "big_run").exists()
 
 
 # ---------------------------------------------------------------------------

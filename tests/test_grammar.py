@@ -277,6 +277,44 @@ def test_unroll_batch_policy_validation():
         model.unroll_batch(np.zeros((1, 8)), 3, "beam", np.random.default_rng(0))
     with pytest.raises(ParameterError):
         model.unroll_batch(np.zeros((1, 8)), 0, "greedy")
+    with pytest.raises(ParameterError):
+        model.unroll_batch(np.zeros((1, 8)), 3, "sample_soft", np.random.default_rng(0),
+                           tau=0.0)
+
+
+@pytest.mark.parametrize("topk", [None, 3])
+def test_unroll_batch_soft_gradient_matches_central_differences(topk):
+    # the one-node unroll's backward against central differences of its
+    # forward, with the noise fixed by the seed, on every input it reaches
+    model = GrammarModel(tiny_config(topk_mask=topk, d_nonterminal=4, d_terminal=3),
+                         seed=2)
+    rng = np.random.default_rng(11)
+    n0_v = rng.normal(size=(2, 4))
+    w_t, w_n = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3, 4))
+
+    def loss_of(n0):
+        out = model.unroll_batch(n0, 3, "sample_soft", np.random.default_rng(5),
+                                 tau=0.7, return_entropy=True)
+        return ad.add(ad.add(ad.total(ad.mul(out[0], w_t)), ad.total(ad.mul(out[1], w_n))),
+                      ad.scale(out[4], 0.3))
+
+    n0 = Tensor(n0_v.copy())
+    ad.backward(loss_of(n0))
+
+    def value(n0):
+        with ad.no_grad():
+            return float(loss_of(Tensor(n0)).value)
+
+    assert rel_err(n0.grad, numeric_grad(value, n0_v.copy())) < 1e-4
+    for p in model.weights():
+        keep = p.value
+
+        def at(x, p=p):
+            p.value = x
+            return value(n0_v)
+
+        assert rel_err(p.grad, numeric_grad(at, keep.copy())) < 1e-4, p.name
+        p.value = keep
 
 
 def test_unroll_batch_entropy_gradient():

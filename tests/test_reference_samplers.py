@@ -1,7 +1,7 @@
-"""The whole-array samplers, the n-gram counter, the batched generate and
-the whole-array dataset loader against literal per-row references: the same
-seeded draws must give the same arrays, values and bytes, and the same input
-the same error."""
+"""The whole-array samplers, the n-gram counter, the batched generate, the
+whole-array dataset loader and the one-node unroll against literal per-row
+or per-op references: the same seeded draws must give the same arrays,
+values, gradients and bytes, and the same input the same error."""
 import contextlib
 import io
 import json
@@ -14,8 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 from agg import autodiff as ad
 from agg import cli
 from agg.autodiff import Tensor
+from agg.adversarial import Discriminator, DiscriminatorConfig, _harden, generator_loss
 from agg.errors import ParameterError, ParseError
-from agg.grammar import GrammarConfig, GrammarModel, activity_config
+from agg.grammar import (POLICIES, GrammarConfig, GrammarModel, _softmax_kept,
+                         activity_config, gumbel_softmax)
 from agg.metrics import empirical_ngram_distribution
 from agg.synthdata import (GroundTruthGrammar, SequenceDataset, build_preset_grammar,
                            load_dataset, sample_dataset, sample_sequence)
@@ -381,3 +383,150 @@ def test_sequence_dataset_reports_the_first_bad_record():
     with pytest.raises(ParameterError, match="alphabet"):
         SequenceDataset(records=np.stack([good, wide]), length=3, alphabet_size=4)
     SequenceDataset(records=[good, wide], length=3)       # no alphabet, no bound
+
+
+# ---------------------------------------------------------------------------
+# unroll_batch: the one-node unroll against the per-op graph it replaced
+# ---------------------------------------------------------------------------
+
+def ref_unroll_batch(self, n0, length, policy="sample_hard", rng=None, tau=None,
+                     return_entropy=False):
+    """GrammarModel.unroll_batch as a graph of primitive ops, seven nodes a
+    step, verbatim but for `self`, which is the model."""
+    if policy not in POLICIES:
+        raise ParameterError(f"unknown policy {policy!r}")
+    if length < 1:
+        raise ParameterError("unroll length must be >= 1")
+    n0 = n0 if isinstance(n0, Tensor) else Tensor(n0)
+    tau = self.config.gumbel_temperature if tau is None else tau
+    B = n0.value.shape[0]
+    R = self.config.num_rules
+    n = n0
+    terminals, nonterminals, indices, logp = [], [], [], np.zeros(B)
+    entropies = []
+    for _ in range(length):
+        logits = self.rule_logits(n)
+        if return_entropy:
+            p_t = ad.softmax(logits)
+            plogp = ad.mul(p_t, ad.log(ad.clamp_min(p_t, 1e-12)))
+            entropies.append(ad.mean(ad.sum_along(plogp, axis=-1)))
+        probs = _softmax_kept(logits.value, (logits.value != -np.inf).ravel().nonzero()[0])
+        if policy == "greedy":
+            idx = np.argmax(probs, axis=-1)
+            sel_v = np.zeros((B, R))
+            sel_v[np.arange(B), idx] = 1.0
+            sel = Tensor(sel_v)
+        else:
+            u = np.clip(rng.random((B, R)), 1e-12, 1.0 - 1e-12)
+            sel = gumbel_softmax(logits, tau, u, hard=(policy == "sample_hard"))
+            idx = np.argmax(sel.value, axis=-1)
+        logp += np.log(np.maximum(probs[np.arange(B), idx], 1e-300))
+        n, t = self.expand(sel)
+        terminals.append(t)
+        nonterminals.append(n)
+        indices.append(idx)
+    out = (ad.stack_time(terminals), ad.stack_time(nonterminals),
+           np.stack(indices, axis=1), logp)
+    if return_entropy:
+        ent = ad.scale(ad.mean(ad.concat([ad.reshape(e, (1,)) for e in entropies],
+                                         axis=0)), -1.0)
+        return out + (ent,)
+    return out
+
+
+def _unroll_and_grads(unroll, model, disc, prefix, policy, tau, return_entropy,
+                      consume, seed=5, length=7):
+    """Unroll from the encoded prefix, backpropagate a loss that consumes
+    `consume` ("both", "terminals" or "nonterminals"), and return the outputs,
+    every grammar parameter's gradient, n0's gradient and the next draw of
+    the unroll's generator."""
+    for p in model.parameters() + disc.parameters():
+        p.grad = None
+    rng = np.random.default_rng(seed)
+    n0 = model.encode_start(Tensor(prefix))
+    out = unroll(model, n0, length, policy, rng, tau=tau, return_entropy=return_entropy)
+    t, n = out[:2]
+    if consume == "both":
+        loss = generator_loss(disc(_harden(t), n))      # the generator step's shape
+    elif consume == "terminals":
+        loss = ad.total(ad.mul(t, np.linspace(-1.0, 2.0, t.value.size).reshape(t.shape)))
+    else:
+        loss = ad.total(ad.mul(n, np.linspace(-1.0, 2.0, n.value.size).reshape(n.shape)))
+    if return_entropy:
+        loss = ad.add(loss, ad.scale(out[4], -0.1))
+    ad.backward(loss)
+    values = [t.value, n.value, out[2], out[3]] + [e.value for e in out[4:]]
+    grads = {p.name: p.grad for p in model.parameters()}
+    return values, grads, n0.grad, rng.random()
+
+
+def _assert_unroll_matches(model, disc, prefix, **kw):
+    got = _unroll_and_grads(GrammarModel.unroll_batch, model, disc, prefix, **kw)
+    want = _unroll_and_grads(ref_unroll_batch, model, disc, prefix, **kw)
+    for a, b in zip(got[0], want[0], strict=True):
+        assert np.array_equal(a, b)
+    assert got[1].keys() == want[1].keys()
+    for name, g in want[1].items():
+        if g is None:
+            assert got[1][name] is None, name
+        else:
+            assert np.array_equal(got[1][name], g), name
+    assert (got[2] is None) == (want[2] is None)
+    if want[2] is not None:
+        assert np.array_equal(got[2], want[2])
+    assert got[3] == want[3]
+
+
+def _unroll_case(topk, activation="softmax", d_terminal=6):
+    cfg = GrammarConfig(d_nonterminal=12, d_terminal=d_terminal, num_rules=24,
+                        topk_mask=topk, terminal_activation=activation,
+                        encoder_channels=8)
+    model = GrammarModel(cfg, seed=4)
+    disc = Discriminator(d_terminal, 12, DiscriminatorConfig(conv_channels=(4, 6),
+                                                             kernel_width=3, stride=2),
+                         seed=9)
+    prefix = np.eye(d_terminal)[np.random.default_rng(2).integers(0, d_terminal, (5, 3))]
+    return model, disc, prefix
+
+
+@pytest.mark.parametrize("topk", [None, 4, 1])
+@pytest.mark.parametrize("return_entropy", [False, True])
+@pytest.mark.parametrize("policy", ["sample_hard", "sample_soft", "greedy"])
+def test_unroll_batch_equals_per_op_graph(policy, return_entropy, topk):
+    model, disc, prefix = _unroll_case(topk)
+    for tau in (1.0, 0.37):
+        _assert_unroll_matches(model, disc, prefix, policy=policy, tau=tau,
+                               return_entropy=return_entropy, consume="both")
+
+
+@pytest.mark.parametrize("consume", ["terminals", "nonterminals"])
+@pytest.mark.parametrize("return_entropy", [False, True])
+@pytest.mark.parametrize("policy", ["sample_hard", "sample_soft", "greedy"])
+def test_unroll_batch_equals_per_op_graph_one_stream(policy, return_entropy, consume):
+    model, disc, prefix = _unroll_case(4)
+    _assert_unroll_matches(model, disc, prefix, policy=policy, tau=0.7,
+                           return_entropy=return_entropy, consume=consume)
+
+
+@pytest.mark.parametrize("activation,d_terminal", [("softmax", 11), ("sigmoid", 6),
+                                                   ("none", 9)])
+@pytest.mark.parametrize("policy", ["sample_hard", "sample_soft"])
+def test_unroll_batch_equals_per_op_graph_activations(policy, activation, d_terminal):
+    model, disc, prefix = _unroll_case(4, activation, d_terminal)
+    for consume in ("both", "terminals"):
+        _assert_unroll_matches(model, disc, prefix, policy=policy, tau=0.7,
+                               return_entropy=True, consume=consume)
+
+
+def test_unroll_batch_equals_per_op_graph_without_grad():
+    model, _, prefix = _unroll_case(4)
+    with ad.no_grad():
+        n0 = model.encode_start(Tensor(prefix))
+        for policy in POLICIES:
+            got = model.unroll_batch(n0, 9, policy, np.random.default_rng(1),
+                                     return_entropy=True)
+            want = ref_unroll_batch(model, n0, 9, policy, np.random.default_rng(1),
+                                    return_entropy=True)
+            for a, b in zip(got, want, strict=True):
+                a, b = (x.value if isinstance(x, Tensor) else x for x in (a, b))
+                assert np.array_equal(a, b)
