@@ -202,9 +202,12 @@ def _check_seeds(cfg):
 
 
 def _check_at_least_one(cfg, *keys):
-    """ConfigError unless every named count (or each entry of a list) is >= 1."""
+    """ConfigError unless every named count is >= 1; a list must be
+    non-empty, and each of its entries >= 1."""
     for key in keys:
         values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+        if not values:
+            raise ConfigError(f"{key} must not be empty")
         if any(v < 1 for v in values):
             raise ConfigError(f"{key} must be >= 1, got {json.dumps(cfg[key])}")
 
@@ -329,7 +332,7 @@ def cmd_generate(cfg):
         raise ConfigError("generate requires run_dir and dataset")
     _check_at_least_one(cfg, "k", "horizon", "num_prefixes")
     model, _ = _load_trained(cfg["run_dir"])
-    dataset = load_dataset(cfg["dataset"])
+    dataset = load_dataset(cfg["dataset"], alphabet_size=model.config.d_terminal)
     if cfg["prefix_len"] > dataset.length:
         raise ConfigError("prefix_len exceeds dataset length")
     out = cfg["out_dir"]
@@ -356,9 +359,8 @@ def cmd_generate(cfg):
 def cmd_evaluate(cfg):
     if not cfg["dataset"] or not cfg["grammar"]:
         raise ConfigError("evaluate requires dataset and grammar paths")
-    _check_at_least_one(cfg, "horizons", "num_prefixes", "samples_per_prefix")
+    _check_at_least_one(cfg, "ngram", "horizons", "num_prefixes", "samples_per_prefix")
     grammar = load_grammar(cfg["grammar"])
-    dataset = load_dataset(cfg["dataset"])
     if cfg["run_dir"]:
         model, _ = _load_trained(cfg["run_dir"])
         model_id = cfg["run_dir"]
@@ -366,13 +368,16 @@ def cmd_evaluate(cfg):
         model = GrammarModel(_grammar_config(dict(cfg, topk_mask=4),
                                              grammar.num_tokens), seed=cfg["seed"])
         model_id = "untrained"
+    dataset = load_dataset(cfg["dataset"], alphabet_size=model.config.d_terminal)
     X = dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
-    per_horizon = {}
-    for h in sorted(cfg["horizons"]):
-        samples = sample_model_futures(model, X, h,
-                                       num_samples_per_prefix=cfg["samples_per_prefix"],
-                                       seed=cfg["seed"])
-        per_horizon[h] = ngram_kl(samples, grammar, cfg["ngram"], h, eps=cfg["eps"])
+    # one sample set at the longest horizon: the draws are step-major, so its
+    # first h columns are what a sample at horizon h would give
+    horizons = sorted(cfg["horizons"])
+    samples = sample_model_futures(model, X, horizons[-1],
+                                   num_samples_per_prefix=cfg["samples_per_prefix"],
+                                   seed=cfg["seed"])
+    per_horizon = {h: ngram_kl(samples[:, :h], grammar, cfg["ngram"], h, eps=cfg["eps"])
+                   for h in horizons}
     report = EvalReport(per_horizon=per_horizon,
                         metadata={"model": model_id, "dataset": cfg["dataset"],
                                   "seed": cfg["seed"], "ngram": cfg["ngram"]})
@@ -410,6 +415,7 @@ def _ablate_arm(grammar, dataset, cfg, mode, topk, seed):
 
 
 def cmd_ablate(cfg):
+    _check_at_least_one(cfg, "ngram")
     grammar = build_preset_grammar(cfg["preset"])
     dataset = sample_dataset(grammar, cfg["num_sequences"], cfg["length"],
                              seed=cfg["seed"])

@@ -393,8 +393,8 @@ class GrammarModel:
         default_rng(seeds[f]). Row f equals unroll(n0[f // k], length,
         "sample_hard", rng_seed=seeds[f]) bit for bit. After step 0 the state
         is the chosen rule's row of n_all, so the logits of each state reached
-        are computed once, by the (1, d) rule_logits call the unroll makes (a
-        gemm over all states would move the last bits), and each step gathers
+        are computed once, by the (1, d) rule head the unroll applies (a gemm
+        over all states would move the last bits), and each step gathers
         them for a block of futures.
         """
         if length < 1:
@@ -411,21 +411,24 @@ class GrammarModel:
         done = np.zeros(len(states), dtype=bool)
         paths = np.empty((N, length), dtype=np.int64)
         logp = np.zeros(N)
+        block = np.empty((min(N, _FUTURES_PER_BLOCK), length, R))
         for a in range(0, N, _FUTURES_PER_BLOCK):
             b = min(a + _FUTURES_PER_BLOCK, N)
-            # (L, futures, R): future f's stream drawn one (R,) row per step
-            u = np.clip(np.stack([np.random.default_rng(s).random((length, R))
-                                  for s in seeds[a:b]], axis=1), 1e-12, 1.0 - 1e-12)
+            # future f's stream, drawn one (R,) row per step
+            noise = block[:b - a]
+            for f, s in enumerate(seeds[a:b]):
+                np.random.default_rng(s).random(out=noise[f])
+            np.clip(noise, 1e-12, 1.0 - 1e-12, out=noise)
             state = R + np.arange(a, b) // k
             for j in range(length):
                 for i in np.unique(state[~done[state]]):
-                    with ad.no_grad():
-                        lg = self.rule_logits(Tensor(states[i:i + 1])).value
-                    logits[i] = lg[0]
-                    probs[i] = _softmax_kept(lg, _kept(lg))[0]
+                    row, kept = self._head(states[i:i + 1])
+                    logits[i] = -np.inf
+                    logits[i].put(kept, row.take(kept))
+                    probs[i] = _softmax_kept(row, kept)[0]
                     done[i] = True
                 lg = logits[state]
-                idx = _gumbel_probs(lg, _kept(lg), u[j], inv).argmax(axis=-1)
+                idx = _gumbel_probs(lg, _kept(lg), noise[:, j], inv).argmax(axis=-1)
                 logp[a:b] += np.log(np.maximum(probs[state, idx], 1e-300))
                 paths[a:b, j] = idx
                 state = idx
@@ -449,37 +452,48 @@ class GrammarModel:
     def sample_rule_paths(self, n0, length, num_samples, seed=0):
         """Fast hard-sampled rule-index paths (num_samples*B, L) from n0 rows.
 
-        n0: (B, d) seed states; each is unrolled `num_samples` times. A step
-        draws one uniform u per path and takes the first rule whose cumulative
-        probability (last entry set to 1) is not below u. After step 0 the
-        cumulative rows are those of probs_all, searched once per current rule.
+        n0: (B, d) seed states; each is unrolled `num_samples` times, and
+        path i starts from n0[i // num_samples]. A step draws one uniform u
+        per path and takes the first rule whose cumulative probability (last
+        entry set to 1) is not below u, as searchsorted(side="left") would.
+        The draws are step-major, one (N,) row per step, so the paths of a
+        shorter length are the first columns of those of a longer one.
+
+        The states are the R rules (rows of probs_all) and the B seeds (rows
+        R + b). Of each state's cumulative row only column 0, the columns of
+        nonzero probability and the last column are kept, padded with +inf:
+        the first entry not below u is always one of them, because a zero
+        adds nothing to the running sum and column 0 covers u = 0. A step
+        binary-searches the rows of all paths at once.
         """
         rng = np.random.default_rng(seed)
         _, _, probs_all = self.rule_tables()
-        with ad.no_grad():
-            p0 = self.rule_probs(Tensor(np.asarray(n0, dtype=np.float64))).value
-        # each seed row's cumsum once, then one copy per sample
-        cum = np.cumsum(p0, axis=-1)
-        cum[:, -1] = 1.0
-        cum = np.repeat(cum, num_samples, axis=0)
-        N = cum.shape[0]
-        paths = np.empty((N, length), dtype=np.int64)
-        u = rng.random((length, N))          # step-major: one (N,) draw per step
-        idx = (cum < u[0, :, None]).sum(axis=-1)
-        paths[:, 0] = idx
-        cum_all = np.cumsum(probs_all, axis=-1)
-        cum_all[:, -1] = 1.0
-        for j in range(1, length):
-            # group the paths by current rule; a cumsum of nonnegatives never
-            # decreases, so searchsorted "left" counts the entries below u
-            order = np.argsort(idx, kind="stable")
-            rules, starts = np.unique(idx[order], return_index=True)
-            uj = u[j, order]
-            nxt = np.empty(N, dtype=np.int64)
-            for r, a, b in zip(rules, starts, [*starts[1:], N]):
-                nxt[a:b] = cum_all[r].searchsorted(uj[a:b], side="left")
-            paths[order, j] = nxt
-            idx = paths[:, j]
+        p0 = _softmax_kept(*self._head(np.asarray(n0, dtype=np.float64)))
+        probs = np.concatenate([probs_all, p0])
+        keep = probs > 0
+        keep[:, [0, -1]] = True
+        # each row's kept columns in ascending order, then padding
+        width = keep.sum(axis=-1)
+        K = int(width.max())
+        cols = np.argsort(~keep, axis=-1, kind="stable")[:, :K]
+        # x + 0.0 is x, so the running sum of a row's kept entries is its
+        # full cumsum at those columns, bit for bit
+        vals = np.cumsum(np.take_along_axis(probs, cols, axis=-1), axis=-1)
+        vals[np.arange(len(vals)), width - 1] = 1.0     # the last column
+        vals[np.arange(K) >= width[:, None]] = np.inf
+        state = len(probs_all) + np.repeat(np.arange(len(p0)), num_samples)
+        paths = np.empty((len(state), length), dtype=np.int64)
+        u = rng.random((length, len(state)))     # step-major: one (N,) draw per step
+        for j in range(length):
+            # the kept entries of a row never decrease before its last one,
+            # which is 1 > u, so those below u come first: a binary search
+            # counts them in log2(K) gathers (K is R when nothing is masked)
+            lo, hi = np.zeros(len(state), dtype=np.int64), np.full(len(state), K)
+            for _ in range(K.bit_length()):
+                mid = (lo + hi) // 2
+                below = vals[state, np.minimum(mid, K - 1)] < u[j]
+                lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
+            state = paths[:, j] = cols[state, lo]
         return paths
 
     def enumerate_all(self, n0, length, k_cap=None, budget=10**6):

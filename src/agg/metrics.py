@@ -101,6 +101,8 @@ def empirical_ngram_distribution(samples, n, num_tokens):
 
     samples holds integer tokens; (max - min + 1) ** n must fit in int64.
     The n-grams come in ascending order."""
+    if n < 1:
+        raise ParameterError("n-gram order must be >= 1")
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[1] < n:
         raise ParameterError("samples must be (N, horizon) with horizon >= n")
@@ -136,6 +138,8 @@ def ngram_kl(model_samples, oracle, n, horizon, eps=1e-6):
     """
     if eps <= 0:
         raise ParameterError("smoothing eps must be > 0")
+    if n < 1:
+        raise ParameterError("n-gram order must be >= 1")
     if n > horizon:
         raise ParameterError("n must be <= horizon")
     p_data = exact_ngram_distribution(oracle, n, horizon)
@@ -152,7 +156,7 @@ def sample_model_futures(model, prefixes, horizon, num_samples_per_prefix=1, see
         n0 = model.encode_start(prefixes).value
     paths = model.sample_rule_paths(n0, horizon, num_samples_per_prefix, seed=seed)
     _, t_all, _ = model.rule_tables()
-    return np.argmax(t_all[paths], axis=-1)
+    return np.argmax(t_all, axis=-1)[paths]
 
 
 @dataclass

@@ -213,6 +213,8 @@ def exact_future_distribution(grammar, state=None, horizon=1, budget=10**6):
 
     Returns {tuple(token indices): probability}; the probabilities sum to 1.
     """
+    if horizon < 0:
+        raise ParameterError("horizon must be >= 0")
     state = grammar.start if state is None else state
     A = grammar.num_tokens
     if A ** horizon > budget:
@@ -248,6 +250,8 @@ def step_marginals(grammar, state=None, horizon=1):
 def exact_ngram_distribution(grammar, n, horizon, state=None):
     """Distribution over n-grams averaged across window starts in a length-
     `horizon` sequence, computed exactly from the state DP."""
+    if n < 1:
+        raise ParameterError("n-gram order must be >= 1")
     if n > horizon:
         raise ParameterError("n must be <= horizon")
     state = grammar.start if state is None else state
@@ -311,10 +315,13 @@ class SequenceDataset:
 
 
 def save_dataset(path, dataset):
-    # a list of ints prints as json.dumps writes it
-    rows = np.asarray(dataset.records, dtype=np.int64).tolist()
+    """Write one {"tokens": [...]} line per record, spaced as json.dumps
+    spaces it. Every line has the dataset's length, so one line template
+    repeated N times is formatted once with all N * L tokens."""
+    toks = np.asarray(dataset.records, dtype=np.int64).ravel().tolist()
+    line = '{"tokens": [%s]}\n' % ", ".join(["%d"] * dataset.length)
     with open(path, "w") as f:
-        f.writelines('{"tokens": %s}\n' % row for row in rows)
+        f.write((line * len(dataset)) % tuple(toks))
 
 
 def _token_row(obj, lineno):
@@ -335,14 +342,24 @@ def _token_row(obj, lineno):
     return row.astype(np.int64, copy=False)
 
 
+# json.loads without its per-call checks; the caller compares the end offset
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _line_tokens(line, lineno):
-    """The tokens of one non-blank dataset line as a list of int64-sized ints,
-    or ParseError when the line is not a record with a non-empty, flat list
-    of integer tokens."""
+    """The tokens of one stripped, non-blank dataset line as a list of
+    int64-sized ints, or ParseError when the line is not a record with a
+    non-empty, flat list of integer tokens."""
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {lineno}: invalid JSON ({e})") from e
+        obj, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        end = None
+    if end != len(line):
+        # what raw_decode rejects, json.loads does too: it raises its own error
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"line {lineno}: invalid JSON ({e})") from e
     if not isinstance(obj, dict):
         raise ParseError(f"line {lineno}: record must be a JSON object")
     if "tokens" not in obj:
@@ -381,7 +398,10 @@ def load_dataset(path, alphabet_size=None):
     """Read a JSONL dataset, one {"tokens": [...]} record per non-blank line.
 
     Lines are parsed and type-checked one at a time up to the first bad one;
-    the rows before it are then checked as one array. The error raised is
+    each is decoded by one raw_decode call that must consume the whole
+    stripped line, which is what json.loads accepts, and a rejected line
+    gets json.loads's own error message. The rows before the first bad line
+    are then checked as one array. The error raised is
     that of the first line at fault; per line the checks run in this order:
     JSON, record shape, token types, alphabet bound, negative tokens, and a
     length unlike the first record's.

@@ -5,7 +5,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from agg.cli import DEFAULTS, TRAIN_DEFAULTS, build_parser, main, resolve_config
 from agg.errors import ConfigError
@@ -364,32 +364,43 @@ BAD_SETS = st.one_of(
 )
 
 
-# generate and evaluate counts below 1, which exit 1 with a ConfigError
+# generate, evaluate and ablate counts below 1, and no horizons, which exit 1
+# with a ConfigError before anything is loaded or trained (ngram=-1 used to
+# hang evaluate, and ngram=0 or horizons=[] to exit 0)
 BAD_SIZES = st.one_of(
     st.builds(lambda k, v: ("generate", f"{k}={v}"),
               st.sampled_from(["k", "num_prefixes", "horizon"]), st.integers(-3000, 0)),
     st.builds(lambda k, v: ("evaluate", f"{k}={v}"),
-              st.sampled_from(["num_prefixes", "samples_per_prefix"]), st.integers(-3000, 0)),
+              st.sampled_from(["num_prefixes", "samples_per_prefix", "ngram"]),
+              st.integers(-3000, 0)),
     st.builds(lambda v: ("evaluate", f"horizons=[4,{v}]"), st.integers(-3, 0)),
+    st.just(("evaluate", "horizons=[]")),
+    st.builds(lambda v: ("ablate", f"ngram={v}"), st.integers(-3, 0)),
 )
 
 
 @FUZZ
 @given(case=st.one_of(BAD_SETS.map(lambda items: ("train",) + items), BAD_SIZES))
+@example(case=("evaluate", "ngram=-1"))
+@example(case=("evaluate", "ngram=0"))
+@example(case=("evaluate", "horizons=[]"))
+@example(case=("ablate", "ngram=0"))
 def test_fuzz_bad_set_value_is_json_error(workdir, trained, tmp_path_factory, capsys,
                                           case):
     command, *items = case
     out = tmp_path_factory.getbasetemp() / "fuzz_set"
     data = workdir / "data"
-    argv = {"train": ["--set", "iterations=1", "--set", "d_channels=[4,6,4]"],
-            "generate": ["--set", f"run_dir={workdir / 'fuzz_ckpt'}"],
-            "evaluate": ["--set", f"run_dir={workdir / 'fuzz_ckpt'}",
-                         "--set", f"grammar={data / 'grammar.json'}"]}[command]
-    argv = [command, "--set", f"dataset={data / 'dataset.jsonl'}",
-            "--set", f"out_dir={out}"] + argv
+    dataset = ["--set", f"dataset={data / 'dataset.jsonl'}"]
+    argv = {"train": dataset + ["--set", "iterations=1", "--set", "d_channels=[4,6,4]"],
+            "generate": dataset + ["--set", f"run_dir={workdir / 'fuzz_ckpt'}"],
+            "evaluate": dataset + ["--set", f"run_dir={workdir / 'fuzz_ckpt'}",
+                                   "--set", f"grammar={data / 'grammar.json'}"],
+            "ablate": []}[command]
+    argv = [command, "--set", f"out_dir={out}"] + argv
     err = _main_error(argv + [f"--set={item}" for item in items], capsys)
     if command != "train":
         assert err["error"] == "ConfigError"
+        assert items[0].split("=")[0] in err["message"]
 
 
 @pytest.mark.parametrize("argv", [["--set", "num_classes=10000000"],
@@ -444,3 +455,29 @@ def test_out_of_range_train_value_is_json_error(workdir, tmp_path, bad):
     err = _json_error(r)
     assert err["error"] == "ParameterError"
     assert bad.split("=")[0] in err["message"]
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate", "evaluate-untrained"])
+def test_prefixes_are_read_with_the_model_alphabet(workdir, trained, tmp_path, capsys,
+                                                   command):
+    data = workdir / "data"
+
+    def argv(dataset):
+        out = ["--set", f"dataset={dataset}", "--set", f"out_dir={tmp_path / 'out'}"]
+        if command != "evaluate-untrained":
+            out += ["--set", f"run_dir={workdir / 'fuzz_ckpt'}"]
+        if command != "generate":
+            out += ["--set", f"grammar={data / 'grammar.json'}"]
+        return [command.split("-")[0]] + out
+
+    # a token past the model's 3 classes is refused with its line, before a
+    # one-hot array is sized by it
+    big = tmp_path / "big.jsonl"
+    big.write_text('{"tokens": [0, 1, 2, 0, 1, 2, 0, 1]}\n'
+                   '{"tokens": [0, 1000000000000, 0, 0, 0, 0, 0, 0]}\n')
+    err = _main_error(argv(big), capsys)
+    assert err["error"] == "ParseError" and "line 2" in err["message"]
+    # rows that never use the top class still encode at the model's width
+    low = tmp_path / "low.jsonl"
+    low.write_text('{"tokens": [0, 0, 1, 1, 0, 0, 1, 1]}\n' * 12)
+    assert main(argv(low)) == 0

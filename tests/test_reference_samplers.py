@@ -18,9 +18,10 @@ from agg.adversarial import Discriminator, DiscriminatorConfig, _harden, generat
 from agg.errors import ParameterError, ParseError
 from agg.grammar import (POLICIES, GrammarConfig, GrammarModel, _softmax_kept,
                          activity_config, gumbel_softmax)
-from agg.metrics import empirical_ngram_distribution
+from agg.metrics import EvalReport, empirical_ngram_distribution, ngram_kl
 from agg.synthdata import (GroundTruthGrammar, SequenceDataset, build_preset_grammar,
-                           load_dataset, sample_dataset, sample_sequence)
+                           load_dataset, load_grammar, sample_dataset, sample_sequence,
+                           save_dataset)
 
 SEEDS = (0, 1, 7, 123)
 LENGTHS = (1, 2, 5, 12)
@@ -59,6 +60,19 @@ def ref_sample_rule_paths(model, n0, length, num_samples, seed=0):
         idx = (cum < rng.random((N, 1))).sum(axis=-1)
         paths[:, j] = idx
     return paths
+
+
+class _Uniforms:
+    """Stands in for np.random.default_rng(seed): random(shape) serves the
+    given values in order, as a Generator serves its stream."""
+
+    def __init__(self, values):
+        self.values, self.at = np.asarray(values, dtype=np.float64).ravel(), 0
+
+    def random(self, shape):
+        n = int(np.prod(shape))
+        self.at += n
+        return self.values[self.at - n:self.at].reshape(shape)
 
 
 def ref_empirical_ngram_distribution(samples, n, num_tokens):
@@ -159,6 +173,45 @@ def test_sample_rule_paths_tie_keeps_the_lower_rule():
     assert np.array_equal(model.sample_rule_paths(n0, 2, 1, seed=0), want)
 
 
+def test_sample_rule_paths_at_cdf_boundaries(monkeypatch):
+    # rows with zero columns before, between and after their nonzero ones,
+    # one summing to 0.75, and uniforms exactly on cumulative values, at 0
+    # and in (0.75, 1); each step must take searchsorted's "left" answer
+    R = 6
+    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=R,
+                                       branching_k=2, encoder_channels=8), seed=8)
+    probs_all = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                          [0.0, 0.25, 0.0, 0.0, 0.5, 0.25],
+                          [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                          [0.5, 0.0, 0.0, 0.25, 0.0, 0.0],
+                          [0.25, 0.0, 0.25, 0.0, 0.25, 0.25],
+                          [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    n_all, t_all, _ = model.rule_tables()
+    model.rule_tables = lambda: (n_all, t_all, probs_all)
+    # every seed state's rule law is exactly [0, 0.5, 0, 0.5, 0, 0]
+    w_r, b_r, _, _ = model.weights()
+    w_r.value[...] = 0.0
+    b_r.value[...] = -np.inf
+    b_r.value[[1, 3]] = np.log(0.5)
+    # (step-0 u, step-1 u) per path
+    u = np.array([[0.0, 0.0], [0.0, 0.3], [0.5, 0.0], [0.5, 0.2], [0.5, 0.25],
+                  [0.5, 0.5], [0.5, 0.75], [0.5, 0.9], [0.7, 0.5], [0.7, 0.6],
+                  [0.7, 0.75], [0.7, 0.8], [0.7, 0.999], [0.25, 0.0], [0.9, 0.3]])
+    want = [[0, 0], [0, 5], [1, 0], [1, 1], [1, 1], [1, 4], [1, 4], [1, 5], [3, 0],
+            [3, 3], [3, 3], [3, 5], [3, 5], [1, 0], [3, 0]]
+    # the same answers from searchsorted over each full cumulative row
+    with ad.no_grad():
+        p0 = model.rule_probs(Tensor(np.zeros((1, 8)))).value[0]
+    for (u0, u1), (r0, r1) in zip(u, want):
+        cum0, cum1 = np.cumsum(p0), np.cumsum(probs_all[r0])
+        cum0[-1] = cum1[-1] = 1.0
+        assert (cum0.searchsorted(u0), cum1.searchsorted(u1)) == (r0, r1)
+    n0 = np.zeros((len(u), 8))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Uniforms(u.T))
+    assert model.sample_rule_paths(n0, 2, 1).tolist() == want
+    assert ref_sample_rule_paths(model, n0, 2, 1).tolist() == want
+
+
 def test_empirical_ngram_equals_tuple_counter():
     rng = np.random.default_rng(0)
     cases = [rng.integers(0, a, size=(200, h)) for a in (1, 2, 6) for h in (3, 12)]
@@ -242,6 +295,66 @@ def test_generate_equals_unroll_per_future(trained_runs, tmp_path, topk, horizon
     paths, logp = model.sample_hard_paths(n0, horizon, seeds)
     assert [p.tolist() for p in paths] == [list(r) for r, _ in rows]
     assert logp.tolist() == [lp for _, lp in rows]
+
+
+# ---------------------------------------------------------------------------
+# agg evaluate: one sample set at the longest horizon against one per horizon
+# ---------------------------------------------------------------------------
+
+def ref_sample_model_futures(model, prefixes, horizon, num_samples_per_prefix=1, seed=0):
+    """Encode, sample with the gather reference, then take each sampled
+    rule's terminal argmax."""
+    prefixes = np.asarray(prefixes, dtype=np.float64)
+    with ad.no_grad():
+        n0 = model.encode_start(prefixes).value
+    paths = ref_sample_rule_paths(model, n0, horizon, num_samples_per_prefix, seed=seed)
+    _, t_all, _ = model.rule_tables()
+    return np.argmax(t_all[paths], axis=-1)
+
+
+def ref_evaluate(cfg, path):
+    """The per-horizon loop of cmd_evaluate: every horizon sampled from
+    scratch with the same seed. Writes the report to path."""
+    grammar = load_grammar(cfg["grammar"])
+    dataset = load_dataset(cfg["dataset"])
+    if cfg["run_dir"]:
+        model, _ = cli._load_trained(cfg["run_dir"])
+        model_id = cfg["run_dir"]
+    else:
+        model = GrammarModel(cli._grammar_config(dict(cfg, topk_mask=4),
+                                                 grammar.num_tokens), seed=cfg["seed"])
+        model_id = "untrained"
+    X = dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
+    per_horizon = {}
+    for h in sorted(cfg["horizons"]):
+        samples = ref_sample_model_futures(model, X, h,
+                                           num_samples_per_prefix=cfg["samples_per_prefix"],
+                                           seed=cfg["seed"])
+        per_horizon[h] = ngram_kl(samples, grammar, cfg["ngram"], h, eps=cfg["eps"])
+    report = EvalReport(per_horizon=per_horizon,
+                        metadata={"model": model_id, "dataset": cfg["dataset"],
+                                  "seed": cfg["seed"], "ngram": cfg["ngram"]})
+    with open(path, "w") as f:
+        f.write(report.to_json() + "\n")
+
+
+@pytest.mark.parametrize("model", ["topk4", "topk0", "untrained"])
+@pytest.mark.parametrize("ngram", [1, 2, 3])
+@pytest.mark.parametrize("horizons", [[4, 8, 12], [12], [8, 4, 8]])
+def test_evaluate_equals_sampling_per_horizon(trained_runs, tmp_path, model, ngram,
+                                              horizons):
+    dataset, runs = trained_runs
+    run_dir = {"topk4": str(runs[4]), "topk0": str(runs[0]), "untrained": ""}[model]
+    cfg = dict(cli.EVALUATE_DEFAULTS, run_dir=run_dir, dataset=str(dataset),
+               grammar=str(dataset.parent / "grammar.json"), ngram=ngram,
+               horizons=horizons, num_prefixes=30, seed=ngram, out_dir=str(tmp_path))
+    argv = ["evaluate"] + [f"--set={key}={json.dumps(value) if key == 'horizons' else value}"
+                           for key, value in cfg.items()]
+    assert _quiet_main(argv) == 0
+    ref_evaluate(cfg, tmp_path / "ref.json")
+    got = (tmp_path / "report.json").read_bytes()
+    assert got == (tmp_path / "ref.json").read_bytes()
+    assert list(json.loads(got)["per_horizon"]) == [str(h) for h in sorted(set(horizons))]
 
 
 def test_sample_hard_paths_checks_its_seeds():
@@ -334,7 +447,12 @@ BAD_LINE = st.one_of(
                      '{"tokens": [9223372036854775808, 0, 1, 2]}',
                      '{"tokens": [18446744073709551616, 0, 1, 2]}',
                      '{"tokens": [-9223372036854775809, 0, 1, 2]}',
-                     '{"tokens": [9223372036854775808, -1, 1, 2]}']),
+                     '{"tokens": [9223372036854775808, -1, 1, 2]}',
+                     # trailing data, a byte-order mark, and inner JSON whitespace
+                     '{"tokens": [0, 1, 2, 3]} x', '{"tokens": [0, 1, 2, 3]}{}',
+                     '{"tokens": [0, 1, 2, 3]}  ]', '\ufeff{"tokens": [0, 1, 2, 3]}',
+                     '{ "tokens" :[0,1 ,\t2,3] }', '{"tokens":[0,1,2,3]}',
+                     '{\t"tokens": [ 0, 1, 2, 3 ]\t}']),
     _tokens(st.integers(-3, 5), 4),                                  # negatives
     st.integers(1, 7).filter(lambda n: n != 4).flatmap(              # other lengths
         lambda n: _tokens(st.integers(0, 5), n)),
@@ -355,6 +473,9 @@ BLANK = st.sampled_from(["", "   ", "\t"])
 @example(lines=['{"tokens": [0, 1, 2, 3]}', '{"tokens": [0, 1, 9]}'], alphabet_size=6)
 @example(lines=['{"tokens": [0, 1, 2, 3]}', '{"tokens": [0, -1]}', '{"tokens": 1}'],
          alphabet_size=None)
+@example(lines=['{"tokens":[0,1,2,3]}', '{"tokens": [0, 1, 2, 3]} x'], alphabet_size=None)
+@example(lines=['{ "tokens" :[0,1 ,\t2,3] }', '\ufeff{"tokens": [0, 1, 2, 3]}'],
+         alphabet_size=6)
 def test_load_dataset_equals_per_line_loader(tmp_path_factory, lines, alphabet_size):
     path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
     path.write_text("\n".join(lines) + "\n")
@@ -371,6 +492,29 @@ def test_load_dataset_equals_per_line_loader(tmp_path_factory, lines, alphabet_s
     shape = (len(want), want.length)
     assert np.array_equal(np.asarray(got.records, dtype=np.int64).reshape(shape),
                           np.asarray(want.records, dtype=np.int64).reshape(shape))
+
+
+def ref_save_dataset(path, dataset):
+    """One '%s' format per row."""
+    rows = np.asarray(dataset.records, dtype=np.int64).tolist()
+    with open(path, "w") as f:
+        f.writelines('{"tokens": %s}\n' % row for row in rows)
+
+
+@pytest.mark.parametrize("n,length", [(0, 12), (1, 12), (10**4, 12), (7, 1), (0, 1)])
+def test_save_dataset_equals_per_row_writer(tmp_path, n, length):
+    rng = np.random.default_rng(n + length)
+    tokens = rng.integers(0, 6, (n, length))
+    wide = rng.integers(-2**63, 2**63 - 1, (n, length), dtype=np.int64, endpoint=True)
+    wide[:1, :1], wide[-1:, -1:] = -2**63, 2**63 - 1
+    for records in (tokens, rng.integers(0, 10**6, (n, length)), wide,
+                    list(tokens)):
+        dataset = SequenceDataset(records=records, length=length)
+        save_dataset(tmp_path / "got.jsonl", dataset)
+        ref_save_dataset(tmp_path / "want.jsonl", dataset)
+        got = (tmp_path / "got.jsonl").read_bytes()
+        assert got == (tmp_path / "want.jsonl").read_bytes()
+        assert got.count(b"\n") == n
 
 
 def test_sequence_dataset_reports_the_first_bad_record():

@@ -4,7 +4,8 @@ import pytest
 
 from agg.errors import ParameterError, ParseError, ResourceError
 from agg.synthdata import (GroundTruthGrammar, build_preset_grammar,
-                           exact_future_distribution, load_dataset, load_grammar,
+                           exact_future_distribution, exact_ngram_distribution,
+                           load_dataset, load_grammar,
                            sample_dataset, sample_sequence, save_dataset,
                            save_grammar, step_marginals)
 
@@ -114,6 +115,17 @@ def test_exact_future_budget():
     g = build_preset_grammar("recipe")
     with pytest.raises(ResourceError):
         exact_future_distribution(g, horizon=12, budget=10)
+
+
+def test_negative_horizon_and_order_are_rejected():
+    # the DFS never reaches a prefix of negative length, so these never ended
+    g = build_preset_grammar("recipe")
+    with pytest.raises(ParameterError, match="horizon"):
+        exact_future_distribution(g, horizon=-1)
+    assert exact_future_distribution(g, horizon=0) == {(): 1.0}
+    for n in (0, -1):
+        with pytest.raises(ParameterError, match="n-gram order"):
+            exact_ngram_distribution(g, n, 12)
 
 
 def test_marginal_dp_matches_enumeration():
