@@ -330,7 +330,7 @@ def cmd_train(cfg):
 def cmd_generate(cfg):
     if not cfg["run_dir"] or not cfg["dataset"]:
         raise ConfigError("generate requires run_dir and dataset")
-    _check_at_least_one(cfg, "k", "horizon", "num_prefixes")
+    _check_at_least_one(cfg, "k", "horizon", "prefix_len", "num_prefixes")
     model, _ = _load_trained(cfg["run_dir"])
     dataset = load_dataset(cfg["dataset"], alphabet_size=model.config.d_terminal)
     if cfg["prefix_len"] > dataset.length:
@@ -339,10 +339,9 @@ def cmd_generate(cfg):
     _write_config(cfg, out)
     prefixes = dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
     k = cfg["k"]
-    seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(prefixes) * k)
     with ad.no_grad():
         n0 = model.encode_start(prefixes).value
-    paths, logp = model.sample_hard_paths(n0, cfg["horizon"], seeds)
+    paths, logp = model.sample_rule_paths(n0, cfg["horizon"], k, seed=cfg["seed"])
     # each rule's terminal as json.dumps prints it, formatted once
     _, t_all, _ = model.rule_tables()
     terminals = [json.dumps(t) for t in t_all.tolist()]
@@ -359,7 +358,8 @@ def cmd_generate(cfg):
 def cmd_evaluate(cfg):
     if not cfg["dataset"] or not cfg["grammar"]:
         raise ConfigError("evaluate requires dataset and grammar paths")
-    _check_at_least_one(cfg, "ngram", "horizons", "num_prefixes", "samples_per_prefix")
+    _check_at_least_one(cfg, "ngram", "horizons", "prefix_len", "num_prefixes",
+                        "samples_per_prefix")
     grammar = load_grammar(cfg["grammar"])
     if cfg["run_dir"]:
         model, _ = _load_trained(cfg["run_dir"])
@@ -369,6 +369,8 @@ def cmd_evaluate(cfg):
                                              grammar.num_tokens), seed=cfg["seed"])
         model_id = "untrained"
     dataset = load_dataset(cfg["dataset"], alphabet_size=model.config.d_terminal)
+    if cfg["prefix_len"] > dataset.length:
+        raise ConfigError("prefix_len exceeds dataset length")
     X = dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
     # one sample set at the longest horizon: the draws are step-major, so its
     # first h columns are what a sample at horizon h would give
@@ -415,7 +417,7 @@ def _ablate_arm(grammar, dataset, cfg, mode, topk, seed):
 
 
 def cmd_ablate(cfg):
-    _check_at_least_one(cfg, "ngram")
+    _check_at_least_one(cfg, "ngram", "num_seeds", "num_prefixes", "samples_per_prefix")
     grammar = build_preset_grammar(cfg["preset"])
     dataset = sample_dataset(grammar, cfg["num_sequences"], cfg["length"],
                              seed=cfg["seed"])

@@ -19,8 +19,6 @@ from .errors import DimensionError, InputError, ParameterError, ParseError, Reso
 from .nn import ACTIVATIONS, Conv1d, Dense, MLP
 
 POLICIES = ("sample_hard", "sample_soft", "greedy")
-# futures whose noise sample_hard_paths holds at once: 64 x L x R doubles
-_FUTURES_PER_BLOCK = 64
 
 
 @dataclass
@@ -96,8 +94,8 @@ def _gumbel_probs(logits, kept, noise, inv):
     """softmax((logits + g) * inv) over the last axis, with Gumbel noise
     g = -log(-log(noise)) drawn only at the flat indices `kept`; the other
     entries count as -inf. logits and noise have one shape. The forward of
-    gumbel_softmax, of the unroll and of the table sampler, so all three
-    pick the same argmax bit for bit."""
+    gumbel_softmax and of the unroll, so both pick the same argmax bit for
+    bit."""
     g = -np.log(-np.log(noise.take(kept)))
     s = np.full(logits.shape, -np.inf)
     s.put(kept, (logits.take(kept) + g) * inv)
@@ -385,55 +383,6 @@ class GrammarModel:
             length=length,
         )
 
-    def sample_hard_paths(self, n0, length, seeds):
-        """Hard-sampled futures as rule paths (N, L) and log_prob (N,).
-
-        There are N = len(seeds) futures, k = N // len(n0) per seed state:
-        future f starts from n0[f // k] and draws its noise from
-        default_rng(seeds[f]). Row f equals unroll(n0[f // k], length,
-        "sample_hard", rng_seed=seeds[f]) bit for bit. After step 0 the state
-        is the chosen rule's row of n_all, so the logits of each state reached
-        are computed once, by the (1, d) rule head the unroll applies (a gemm
-        over all states would move the last bits), and each step gathers
-        them for a block of futures.
-        """
-        if length < 1:
-            raise ParameterError("unroll length must be >= 1")
-        n0 = np.asarray(n0, dtype=np.float64)
-        P, N, R = len(n0), len(seeds), self.config.num_rules
-        if N and (not P or N % P):
-            raise ParameterError("seeds must hold the same number of futures per seed state")
-        k = N // P if P else 0
-        inv = 1.0 / self.config.gumbel_temperature
-        n_all, _, _ = self.rule_tables()
-        states = np.concatenate([n_all, n0])      # rule r is row r, n0[i] is row R + i
-        logits, probs = np.empty((2, len(states), R))
-        done = np.zeros(len(states), dtype=bool)
-        paths = np.empty((N, length), dtype=np.int64)
-        logp = np.zeros(N)
-        block = np.empty((min(N, _FUTURES_PER_BLOCK), length, R))
-        for a in range(0, N, _FUTURES_PER_BLOCK):
-            b = min(a + _FUTURES_PER_BLOCK, N)
-            # future f's stream, drawn one (R,) row per step
-            noise = block[:b - a]
-            for f, s in enumerate(seeds[a:b]):
-                np.random.default_rng(s).random(out=noise[f])
-            np.clip(noise, 1e-12, 1.0 - 1e-12, out=noise)
-            state = R + np.arange(a, b) // k
-            for j in range(length):
-                for i in np.unique(state[~done[state]]):
-                    row, kept = self._head(states[i:i + 1])
-                    logits[i] = -np.inf
-                    logits[i].put(kept, row.take(kept))
-                    probs[i] = _softmax_kept(row, kept)[0]
-                    done[i] = True
-                lg = logits[state]
-                idx = _gumbel_probs(lg, _kept(lg), noise[:, j], inv).argmax(axis=-1)
-                logp[a:b] += np.log(np.maximum(probs[state, idx], 1e-300))
-                paths[a:b, j] = idx
-                state = idx
-        return paths, logp
-
     # -- table form: rule i fully determines its successor state ------------
     def rule_tables(self):
         """Per-rule expansion tables (next state, terminal, next-step probs).
@@ -450,14 +399,15 @@ class GrammarModel:
         return w_n.value.copy(), np.array(t_all), probs_all
 
     def sample_rule_paths(self, n0, length, num_samples, seed=0):
-        """Fast hard-sampled rule-index paths (num_samples*B, L) from n0 rows.
+        """Hard-sampled rule-index paths (N, L) and their log_prob (N,), for
+        N = num_samples * B futures from the (B, d) seed states n0.
 
-        n0: (B, d) seed states; each is unrolled `num_samples` times, and
-        path i starts from n0[i // num_samples]. A step draws one uniform u
+        Path i starts from n0[i // num_samples]. A step draws one uniform u
         per path and takes the first rule whose cumulative probability (last
         entry set to 1) is not below u, as searchsorted(side="left") would.
         The draws are step-major, one (N,) row per step, so the paths of a
         shorter length are the first columns of those of a longer one.
+        log_prob adds log(max(p, 1e-300)) of each chosen rule, step by step.
 
         The states are the R rules (rows of probs_all) and the B seeds (rows
         R + b). Of each state's cumulative row only column 0, the columns of
@@ -466,6 +416,8 @@ class GrammarModel:
         adds nothing to the running sum and column 0 covers u = 0. A step
         binary-searches the rows of all paths at once.
         """
+        if length < 1 or num_samples < 1:
+            raise ParameterError("path length and num_samples must be >= 1")
         rng = np.random.default_rng(seed)
         _, _, probs_all = self.rule_tables()
         p0 = _softmax_kept(*self._head(np.asarray(n0, dtype=np.float64)))
@@ -483,6 +435,7 @@ class GrammarModel:
         vals[np.arange(K) >= width[:, None]] = np.inf
         state = len(probs_all) + np.repeat(np.arange(len(p0)), num_samples)
         paths = np.empty((len(state), length), dtype=np.int64)
+        logp = np.zeros(len(state))
         u = rng.random((length, len(state)))     # step-major: one (N,) draw per step
         for j in range(length):
             # the kept entries of a row never decrease before its last one,
@@ -493,8 +446,10 @@ class GrammarModel:
                 mid = (lo + hi) // 2
                 below = vals[state, np.minimum(mid, K - 1)] < u[j]
                 lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
-            state = paths[:, j] = cols[state, lo]
-        return paths
+            rule = cols[state, lo]
+            logp += np.log(np.maximum(probs[state, rule], 1e-300))
+            state = paths[:, j] = rule
+        return paths, logp
 
     def enumerate_all(self, n0, length, k_cap=None, budget=10**6):
         """Exhaustively expand the k_cap most probable rules per step.

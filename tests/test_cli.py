@@ -366,16 +366,22 @@ BAD_SETS = st.one_of(
 
 # generate, evaluate and ablate counts below 1, and no horizons, which exit 1
 # with a ConfigError before anything is loaded or trained (ngram=-1 used to
-# hang evaluate, and ngram=0 or horizons=[] to exit 0)
+# hang evaluate, ngram=0 or horizons=[] to exit 0, prefix_len=-1 to drop the
+# last prefix token, and ablate's num_seeds=0 to write a NaN median)
 BAD_SIZES = st.one_of(
     st.builds(lambda k, v: ("generate", f"{k}={v}"),
-              st.sampled_from(["k", "num_prefixes", "horizon"]), st.integers(-3000, 0)),
+              st.sampled_from(["k", "num_prefixes", "horizon", "prefix_len"]),
+              st.integers(-3000, 0)),
     st.builds(lambda k, v: ("evaluate", f"{k}={v}"),
-              st.sampled_from(["num_prefixes", "samples_per_prefix", "ngram"]),
+              st.sampled_from(["num_prefixes", "samples_per_prefix", "ngram",
+                               "prefix_len"]),
               st.integers(-3000, 0)),
     st.builds(lambda v: ("evaluate", f"horizons=[4,{v}]"), st.integers(-3, 0)),
     st.just(("evaluate", "horizons=[]")),
-    st.builds(lambda v: ("ablate", f"ngram={v}"), st.integers(-3, 0)),
+    st.builds(lambda k, v: ("ablate", f"{k}={v}"),
+              st.sampled_from(["ngram", "num_seeds", "num_prefixes",
+                               "samples_per_prefix"]),
+              st.integers(-3, 0)),
 )
 
 
@@ -385,6 +391,10 @@ BAD_SIZES = st.one_of(
 @example(case=("evaluate", "ngram=0"))
 @example(case=("evaluate", "horizons=[]"))
 @example(case=("ablate", "ngram=0"))
+@example(case=("ablate", "num_seeds=0"))
+@example(case=("generate", "prefix_len=-1"))
+@example(case=("evaluate", "prefix_len=-1"))
+@example(case=("evaluate", "prefix_len=99"))      # the dataset's length is 8
 def test_fuzz_bad_set_value_is_json_error(workdir, trained, tmp_path_factory, capsys,
                                           case):
     command, *items = case

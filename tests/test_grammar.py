@@ -419,7 +419,7 @@ def test_rule_tables_consistency():
 def test_sample_rule_paths_matches_unroll_distribution():
     model = GrammarModel(tiny_config(), seed=8)
     n0 = np.ones((1, 8))
-    paths = model.sample_rule_paths(n0, 4, 4000, seed=0)
+    paths, _ = model.sample_rule_paths(n0, 4, 4000, seed=0)
     assert paths.shape == (4000, 4)
     with ad.no_grad():
         p0 = model.rule_probs(Tensor(n0)).value[0]

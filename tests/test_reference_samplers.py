@@ -1,7 +1,8 @@
-"""The whole-array samplers, the n-gram counter, the batched generate, the
+"""The whole-array samplers, the n-gram counter, generate's futures, the
 whole-array dataset loader and the one-node unroll against literal per-row
 or per-op references: the same seeded draws must give the same arrays,
-values, gradients and bytes, and the same input the same error."""
+values, gradients and bytes, and the same input the same error. The rule
+chain sampler's law is also checked against full enumeration."""
 import contextlib
 import io
 import json
@@ -153,7 +154,7 @@ def test_sample_rule_paths_equals_gather_reference():
         model = GrammarModel(activity_config(6, topk_mask=topk), seed=3)
         for seed in SEEDS[:2]:
             for length in LENGTHS:
-                got = model.sample_rule_paths(n0, length, 5, seed=seed)
+                got, _ = model.sample_rule_paths(n0, length, 5, seed=seed)
                 want = ref_sample_rule_paths(model, n0, length, 5, seed=seed)
                 assert np.array_equal(got, want)
 
@@ -170,7 +171,7 @@ def test_sample_rule_paths_tie_keeps_the_lower_rule():
     n0 = np.ones((1, 8))
     want = ref_sample_rule_paths(model, n0, 2, 1, seed=0)
     assert want[0, 1] == 0
-    assert np.array_equal(model.sample_rule_paths(n0, 2, 1, seed=0), want)
+    assert np.array_equal(model.sample_rule_paths(n0, 2, 1, seed=0)[0], want)
 
 
 def test_sample_rule_paths_at_cdf_boundaries(monkeypatch):
@@ -208,7 +209,7 @@ def test_sample_rule_paths_at_cdf_boundaries(monkeypatch):
         assert (cum0.searchsorted(u0), cum1.searchsorted(u1)) == (r0, r1)
     n0 = np.zeros((len(u), 8))
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _Uniforms(u.T))
-    assert model.sample_rule_paths(n0, 2, 1).tolist() == want
+    assert model.sample_rule_paths(n0, 2, 1)[0].tolist() == want
     assert ref_sample_rule_paths(model, n0, 2, 1).tolist() == want
 
 
@@ -223,38 +224,6 @@ def test_empirical_ngram_equals_tuple_counter():
             want = ref_empirical_ngram_distribution(samples, n, 6)
             assert got == want
             assert list(got) == sorted(want)
-
-
-# ---------------------------------------------------------------------------
-# agg generate: one batched table sampler against one unroll per future
-# ---------------------------------------------------------------------------
-
-def ref_generate(cfg, path):
-    """The per-future loop of cmd_generate: one B=1 unroll per future, each
-    seeded by its own SeedSequence child. Returns each future's
-    (rule_indices, log_prob)."""
-    model, _ = cli._load_trained(cfg["run_dir"])
-    dataset = cli.load_dataset(cfg["dataset"])
-    X = dataset.one_hot()
-    prefixes = X[:cfg["num_prefixes"], :cfg["prefix_len"]]
-    seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(prefixes) * cfg["k"])
-    rows = []
-    with open(path, "w") as f:
-        with ad.no_grad():
-            n0 = model.encode_start(prefixes).value
-        for i in range(len(prefixes)):
-            for j in range(cfg["k"]):
-                sample = model.unroll(n0[i], cfg["horizon"], "sample_hard",
-                                      rng_seed=seeds[i * cfg["k"] + j])
-                f.write(json.dumps({
-                    "prefix_index": i,
-                    "sample_index": j,
-                    "rule_indices": [int(r) for r in sample.rule_indices],
-                    "log_prob": sample.log_prob,
-                    "terminals": [np.asarray(t).tolist() for t in sample.terminals],
-                }) + "\n")
-                rows.append((sample.rule_indices, sample.log_prob))
-    return model, n0, seeds, rows
 
 
 def _quiet_main(argv):
@@ -279,22 +248,81 @@ def trained_runs(tmp_path_factory):
     return data / "dataset.jsonl", runs
 
 
+# ---------------------------------------------------------------------------
+# agg generate: the table sampler's paths and their step-ordered log_prob
+# ---------------------------------------------------------------------------
+
+def ref_path_log_probs(model, n0, paths, num_samples):
+    """Each path's log_prob, summed step by step over the probabilities of
+    its rules: the seed state's rule law at step 0, then probs_all rows."""
+    _, _, probs_all = model.rule_tables()
+    with ad.no_grad():
+        p0 = model.rule_probs(Tensor(n0)).value
+    p = np.empty(paths.shape)
+    p[:, 0] = np.repeat(p0, num_samples, axis=0)[np.arange(len(paths)), paths[:, 0]]
+    p[:, 1:] = probs_all[paths[:, :-1], paths[:, 1:]]
+    logs = np.log(np.maximum(p, 1e-300))
+    logp = np.zeros(len(paths))
+    for j in range(paths.shape[1]):
+        logp += logs[:, j]
+    return logp
+
+
 @pytest.mark.parametrize("topk", [4, 0])
 @pytest.mark.parametrize("horizon", [1, 12])
 @pytest.mark.parametrize("seed", [0, 5])
-def test_generate_equals_unroll_per_future(trained_runs, tmp_path, topk, horizon, seed):
+def test_generate_equals_gather_reference(trained_runs, tmp_path, topk, horizon, seed):
     dataset, runs = trained_runs
     cfg = dict(cli.GENERATE_DEFAULTS, run_dir=str(runs[topk]), dataset=str(dataset),
                k=3, horizon=horizon, num_prefixes=7, seed=seed, out_dir=str(tmp_path))
     argv = ["generate"] + [f"--set={key}={value}" for key, value in cfg.items()]
     assert _quiet_main(argv) == 0
-    ref_path = tmp_path / "ref.jsonl"
-    model, n0, seeds, rows = ref_generate(cfg, ref_path)
-    got = (tmp_path / "futures.jsonl").read_bytes()
-    assert got == ref_path.read_bytes() and got.count(b"\n") == 21
-    paths, logp = model.sample_hard_paths(n0, horizon, seeds)
-    assert [p.tolist() for p in paths] == [list(r) for r, _ in rows]
-    assert logp.tolist() == [lp for _, lp in rows]
+    model, _ = cli._load_trained(cfg["run_dir"])
+    X = load_dataset(cfg["dataset"], alphabet_size=model.config.d_terminal).one_hot(
+        cfg["num_prefixes"], cfg["prefix_len"])
+    with ad.no_grad():
+        n0 = model.encode_start(X).value
+    k = cfg["k"]
+    paths = ref_sample_rule_paths(model, n0, horizon, k, seed=seed)
+    logp = ref_path_log_probs(model, n0, paths, k)
+    _, t_all, _ = model.rule_tables()
+    want = "".join(json.dumps({
+        "prefix_index": n // k, "sample_index": n % k, "rule_indices": path.tolist(),
+        "log_prob": lp, "terminals": t_all[path].tolist()}) + "\n"
+        for n, (path, lp) in enumerate(zip(paths, logp.tolist())))
+    got = (tmp_path / "futures.jsonl").read_text()
+    assert got == want and got.count("\n") == 21
+
+
+@pytest.mark.parametrize("topk", [None, 2])
+def test_sample_rule_paths_law_equals_enumeration(topk):
+    # every path of a 6-rule chain at L = 3: each sampled log_prob is the
+    # log of its enumerated probability, and the sampled law is close to it
+    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=6,
+                                       branching_k=2, topk_mask=topk,
+                                       encoder_channels=8), seed=8)
+    n0 = np.random.default_rng(1).normal(size=(1, 8))
+    exact = {tuple(s.rule_indices): (s.log_prob, q)
+             for s, q in model.enumerate_all(n0, 3, k_cap=6)}
+    assert len(exact) == 6 ** 3 and abs(sum(q for _, q in exact.values()) - 1.0) < 1e-12
+    N = 10 ** 5
+    paths, logp = model.sample_rule_paths(n0, 3, N, seed=0)
+    rows, counts = np.unique(paths, axis=0, return_counts=True)
+    freq = dict(zip(map(tuple, rows.tolist()), counts / N))
+    for path, lp in zip(map(tuple, paths.tolist()), logp.tolist()):
+        assert abs(lp - exact[path][0]) < 1e-12
+    tv = 0.5 * sum(abs(freq.get(path, 0.0) - q) for path, (_, q) in exact.items())
+    assert tv < 0.03
+
+
+def test_sample_rule_paths_checks_its_sizes():
+    model = GrammarModel(activity_config(6), seed=0)
+    n0 = np.zeros((2, 64))
+    for length, num_samples in ((0, 3), (4, 0), (-1, 3), (4, -2)):
+        with pytest.raises(ParameterError):
+            model.sample_rule_paths(n0, length, num_samples)
+    paths, logp = model.sample_rule_paths(n0, 1, 3)
+    assert paths.shape == (6, 1) and logp.shape == (6,)
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +383,6 @@ def test_evaluate_equals_sampling_per_horizon(trained_runs, tmp_path, model, ngr
     got = (tmp_path / "report.json").read_bytes()
     assert got == (tmp_path / "ref.json").read_bytes()
     assert list(json.loads(got)["per_horizon"]) == [str(h) for h in sorted(set(horizons))]
-
-
-def test_sample_hard_paths_checks_its_seeds():
-    model = GrammarModel(activity_config(6), seed=0)
-    n0 = np.zeros((2, 64))
-    seeds = np.random.SeedSequence(0).spawn(3)
-    with pytest.raises(ParameterError):
-        model.sample_hard_paths(n0, 4, seeds)
-    with pytest.raises(ParameterError):
-        model.sample_hard_paths(n0, 0, seeds[:2])
-    paths, logp = model.sample_hard_paths(n0, 4, [])
-    assert paths.shape == (0, 4) and logp.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
