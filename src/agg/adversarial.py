@@ -448,7 +448,7 @@ def train_grammar_only(dataset, grammar_model, config, on_log=None):
         raise InputError("empty dataset")
     _check_prefix_len(config, dataset.length)
     X = dataset.one_hot()
-    toks = np.stack([np.asarray(r) for r in dataset.records])
+    toks = np.asarray(dataset.records, dtype=np.int64).reshape(len(dataset), dataset.length)
     rng = np.random.default_rng(config.seed)
     opt = SGD(grammar_model.parameters(), lr0=config.lr0,
               momentum=config.momentum, total_steps=config.iterations)

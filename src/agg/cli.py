@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .adversarial import (Discriminator, DiscriminatorConfig, GrammarOnlyConfig,
                           TrainConfig, train_adversarial, train_grammar_only)
-from .errors import AggError, ConfigError
+from .errors import AggError, ConfigError, InputError
 from .grammar import GrammarModel, activity_config
 from .metrics import EvalReport, ngram_kl, sample_model_futures
 from .nn import load_checkpoint, save_checkpoint
@@ -272,6 +272,8 @@ def cmd_train(cfg):
     if not cfg["dataset"]:
         raise ConfigError("train requires a dataset path")
     dataset = load_dataset(cfg["dataset"])
+    if len(dataset) == 0:
+        raise InputError("empty dataset")
     num_classes = cfg["num_classes"] or dataset.alphabet_size
     grammar_config = _grammar_config(cfg, num_classes)
     cfg = dict(cfg, num_classes=num_classes)   # resolved config is replayable

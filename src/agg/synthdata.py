@@ -6,6 +6,7 @@ termination rule, and fixed-length sampling truncates the infinite language.
 """
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 
@@ -290,7 +291,11 @@ class SequenceDataset:
     def __post_init__(self):
         # the first record at fault names the error: a wrong length, or else
         # a token outside the alphabet
-        lens = np.fromiter(map(len, self.records), dtype=np.int64, count=len(self.records))
+        if isinstance(self.records, np.ndarray) and self.records.ndim == 2:
+            lens = np.full(len(self.records), self.records.shape[1])
+        else:
+            lens = np.fromiter(map(len, self.records), dtype=np.int64,
+                               count=len(self.records))
         bad = np.flatnonzero(lens != self.length)
         n = bad[0] if bad.size else len(lens)
         if self.alphabet_size is not None and n and self.length:
@@ -314,14 +319,76 @@ class SequenceDataset:
         return out
 
 
+# save_dataset's line for a record: _HEAD, the tokens joined by _SEP, _TAIL
+_HEAD, _SEP, _TAIL = '{"tokens": [', ", ", "]}\n"
+
+
 def save_dataset(path, dataset):
     """Write one {"tokens": [...]} line per record, spaced as json.dumps
     spaces it. Every line has the dataset's length, so one line template
     repeated N times is formatted once with all N * L tokens."""
     toks = np.asarray(dataset.records, dtype=np.int64).ravel().tolist()
-    line = '{"tokens": [%s]}\n' % ", ".join(["%d"] * dataset.length)
+    line = _HEAD + _SEP.join(["%d"] * dataset.length) + _TAIL
     with open(path, "w") as f:
         f.write((line * len(dataset)) % tuple(toks))
+
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _bytes_in(a, chars):
+    """Whether every byte of the uint8 array `a` is one of `chars`."""
+    return np.isin(a, np.frombuffer(chars.encode(), dtype=np.uint8)).all()
+
+
+def _saved_tokens(data):
+    """The N * L tokens of `data`, row by row, and N, when `data` is exactly
+    what save_dataset writes for some N >= 1, L >= 1 and tokens of at most
+    18 digits, so that each line is a valid record; else None.
+
+    The bytes outside the numeric runs (digits and '-') must be N copies of
+    the line with its tokens taken out, and each of the N * L runs must sit
+    in a token's slot and be a canonical JSON integer."""
+    n = data.count(b"\n")
+    if not n or not data.endswith(b"\n"):
+        return None
+    b = np.frombuffer(data, dtype=np.uint8)
+    # uint8 arithmetic: bytes below "0" wrap past 9
+    numeric = ((b - ord("0")) < 10) | (b == ord("-"))
+    if numeric[0]:
+        return None
+    # the last byte is not numeric, so the flips alternate run start, run end
+    flips = np.flatnonzero(numeric[1:] != numeric[:-1]) + 1
+    starts, ends = flips[0::2], flips[1::2]
+    length = len(starts) // n
+    if length < 1 or length * n != len(starts):
+        return None
+    rest = _HEAD + _SEP * (length - 1) + _TAIL
+    if b.take(np.flatnonzero(~numeric)).tobytes() != rest.encode() * n:
+        return None
+    # a run in a slot follows '[' or the separator's ' ' and precedes the
+    # separator's ',' or ']'
+    if not (_bytes_in(b.take(starts - 1), _HEAD[-1] + _SEP[-1])
+            and _bytes_in(b.take(ends), _SEP[0] + _TAIL[0])):
+        return None
+    # each run: an optional '-', then 1 to 18 digits; a run whose first
+    # digit is 0 must be the one byte '0', so 01 and -0 are not canonical
+    digits = b.take(np.flatnonzero(numeric))
+    lens = ends - starts
+    first = np.cumsum(lens) - lens
+    neg = digits[first] == ord("-")
+    ndig = lens - neg
+    if (ndig.min() < 1 or ndig.max() > 18
+            or np.count_nonzero(digits == ord("-")) != np.count_nonzero(neg)
+            or ((digits[first + neg] == ord("0")) & (lens > 1)).any()):
+        return None
+    # place-value sums: a byte's exponent is its distance to its run's end
+    values = digits.astype(np.int64) - ord("0")
+    values[first[neg]] = 0
+    exps = np.repeat(first + lens - 1, lens) - np.arange(len(digits))
+    toks = np.add.reduceat(values * _POW10[exps], first)
+    np.negative(toks, out=toks, where=neg)
+    return toks, n
 
 
 def _token_row(obj, lineno):
@@ -397,6 +464,12 @@ def _token_array(flat, lens, linenos, alphabet_size):
 def load_dataset(path, alphabet_size=None):
     """Read a JSONL dataset, one {"tokens": [...]} record per non-blank line.
 
+    A file in save_dataset's format, with tokens of at most 18 digits, is
+    read as one byte array: every line is then a valid record, and the
+    tokens are checked as one (N, L) array. Any other file (other spacing,
+    other keys, blank lines, other newlines, a fault) is read line by line,
+    with the same checks and errors.
+
     Lines are parsed and type-checked one at a time up to the first bad one;
     each is decoded by one raw_decode call that must consume the whole
     stripped line, which is what json.loads accepts, and a rejected line
@@ -406,9 +479,28 @@ def load_dataset(path, alphabet_size=None):
     JSON, record shape, token types, alphabet bound, negative tokens, and a
     length unlike the first record's.
     """
+    with open(path, "rb") as f:
+        data = f.read()
+    saved = _saved_tokens(data)
+    if saved is not None:
+        flat, n = saved
+        toks = _token_array(flat, np.full(n, len(flat) // n), np.arange(1, n + 1),
+                            alphabet_size)
+    else:
+        toks = _load_lines(path, data, alphabet_size)
+    if toks is None:
+        return SequenceDataset(records=[], length=0, alphabet_size=alphabet_size or 0)
+    if alphabet_size is None:
+        alphabet_size = int(toks.max()) + 1
+    return SequenceDataset(records=toks, length=toks.shape[1], alphabet_size=alphabet_size)
+
+
+def _load_lines(path, data, alphabet_size):
+    """load_dataset's line-by-line reader of the file's bytes `data`, decoded
+    as text mode decodes them (UTF-8, universal newlines): the (N, L) token
+    array, or None when no line holds a record."""
     try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().split("\n")
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read().split("\n")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e})") from e
     flat, lens, linenos, fault = [], [], [], None
@@ -428,8 +520,4 @@ def load_dataset(path, alphabet_size=None):
     toks = _token_array(flat, lens, linenos, alphabet_size) if lens else None
     if fault is not None:
         raise fault
-    if toks is None:
-        return SequenceDataset(records=[], length=0, alphabet_size=alphabet_size or 0)
-    if alphabet_size is None:
-        alphabet_size = int(toks.max()) + 1
-    return SequenceDataset(records=toks, length=toks.shape[1], alphabet_size=alphabet_size)
+    return toks

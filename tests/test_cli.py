@@ -264,6 +264,19 @@ def test_frames_dataset_is_parse_error(tmp_path, capsys):
     assert err["error"] == "ParseError" and "line 1" in err["message"]
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["zero-byte", "blank-lines"])
+@pytest.mark.parametrize("extra", [[], ["num_classes=6"]], ids=["inferred", "num_classes"])
+def test_train_on_empty_dataset_is_input_error(tmp_path, capsys, text, extra):
+    path = tmp_path / "empty.jsonl"
+    path.write_text(text)
+    argv = ["train", "--set", f"dataset={path}", "--set", f"out_dir={tmp_path / 'run'}"]
+    for item in extra:
+        argv += ["--set", item]
+    err = _main_error(argv, capsys)
+    assert err == {"error": "InputError", "message": "empty dataset"}
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # fuzzed bad inputs: each must exit 1 with the JSON error object
 # ---------------------------------------------------------------------------

@@ -510,6 +510,81 @@ def test_load_dataset_equals_per_line_loader(tmp_path_factory, lines, alphabet_s
                           np.asarray(want.records, dtype=np.int64).reshape(shape))
 
 
+# token values of every width the fast reader sees: small, wide, negative, 18
+# digits (its widest), 19 digits (read line by line) and the int64 extremes
+TOKEN_KINDS = [st.integers(0, 5), st.integers(0, 10**6), st.integers(-10**6, -1),
+               st.integers(10**17, 10**18 - 1), st.integers(-10**18 + 1, -10**17),
+               st.integers(10**18, 2**63 - 1), st.integers(-2**63, -10**18),
+               st.sampled_from([-2**63, 2**63 - 1])]
+
+
+@st.composite
+def token_arrays(draw):
+    n, length = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(TOKEN_KINDS + [st.one_of(*TOKEN_KINDS)]))
+    toks = draw(st.lists(kind, min_size=n * length, max_size=n * length))
+    return np.array(toks, dtype=np.int64).reshape(n, length)
+
+
+EDIT = st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 10**4),
+                 st.sampled_from(list(b'0123456789-, []{}"\n\r\tx')))
+
+
+def _edit(data, edits):
+    """`data` with each (kind, position, byte) edit applied in turn; the
+    position wraps around the bytes."""
+    for kind, at, byte in edits:
+        at %= len(data) + (kind == "insert")
+        tail = data[at:] if kind == "insert" else data[at + 1:]
+        data = data[:at] + (b"" if kind == "delete" else bytes([byte])) + tail
+    return data
+
+
+def _load_outcome(load, path, alphabet_size):
+    try:
+        got = load(path, alphabet_size)
+    except Exception as e:                  # compared by type and message
+        return type(e), str(e)
+    records = np.asarray(got.records, dtype=np.int64).reshape(len(got), got.length)
+    return got.length, got.alphabet_size, records.tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(records=token_arrays(), edits=st.lists(EDIT, max_size=2))
+# a digit in the key and a token deleted: the runs are in the wrong slots
+@example(records=np.array([[1, 2, 3]]), edits=[("delete", 15, 0), ("insert", 3, ord("7"))])
+@example(records=np.array([[1, 2]]), edits=[("insert", 12, ord("0"))])      # 01
+@example(records=np.array([[0]]), edits=[("insert", 12, ord("-"))])         # -0
+@example(records=np.array([[1, 2]]), edits=[("replace", 12, ord("-"))])     # a lone -
+@example(records=np.array([[12, 3]]), edits=[("insert", 13, ord("-"))])     # 1-2
+@example(records=np.array([[1], [2]]), edits=[("insert", 15, ord("\r"))])   # \r\n
+@example(records=np.array([[4, 5]]), edits=[("delete", 10**4, 0)])          # no last \n
+def test_load_dataset_equals_per_line_loader_on_edited_files(tmp_path_factory, records,
+                                                              edits):
+    path = tmp_path_factory.getbasetemp() / "edited.jsonl"
+    save_dataset(path, SequenceDataset(records=records, length=records.shape[1]))
+    path.write_bytes(_edit(path.read_bytes(), edits))
+    for alphabet_size in (None, 3, 6, 40):
+        assert (_load_outcome(load_dataset, path, alphabet_size)
+                == _load_outcome(ref_load_dataset, path, alphabet_size))
+
+
+def test_load_dataset_reads_a_saved_file_as_one_array(tmp_path, monkeypatch):
+    def no_line_reader(line, lineno):
+        raise AssertionError("read line by line")
+
+    dataset = sample_dataset(build_preset_grammar("recipe"), 10**4, 12, seed=7)
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(path, dataset)
+    monkeypatch.setattr("agg.synthdata._line_tokens", no_line_reader)
+    got = load_dataset(path)
+    assert (got.length, got.alphabet_size) == (12, 6)
+    assert np.array_equal(got.records, dataset.records)
+    first = np.flatnonzero((dataset.records >= 5).any(axis=1))[0] + 1
+    with pytest.raises(ParseError, match=f"^line {first}: token 5 >= alphabet size 5$"):
+        load_dataset(path, 5)
+
+
 def ref_save_dataset(path, dataset):
     """One '%s' format per row."""
     rows = np.asarray(dataset.records, dtype=np.int64).tolist()
