@@ -14,6 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError, InputError, ParameterError
+from .grammar import _softmax_kept
 from .nn import SGD, Conv1d, Dense
 
 LOG_CLAMP = 1e-7
@@ -110,6 +111,13 @@ def _check_positive(config, *names):
         raise ParameterError(f"{', '.join(bad)} must be positive")
 
 
+def _check_sgd(config):
+    if not config.lr0 >= 0:                      # also rejects NaN
+        raise ParameterError("lr0 must be >= 0")
+    if not 0 <= config.momentum < 1:
+        raise ParameterError("momentum must be in [0, 1)")
+
+
 def _check_prefix_len(config, length):
     if config.prefix_len > length:
         raise ParameterError("prefix_len exceeds sequence length")
@@ -140,6 +148,7 @@ class TrainConfig:
     def __post_init__(self):
         _check_positive(self, "iterations", "batch_size", "d_steps_per_g_step",
                         "prefix_len", "log_every", "tau")
+        _check_sgd(self)
         if self.tau_end is not None:
             _check_positive(self, "tau_end")
         if self.d_lr_scale < 0:
@@ -387,6 +396,26 @@ class GrammarOnlyConfig:
     def __post_init__(self):
         _check_positive(self, "iterations", "batch_size", "k_cap", "max_paths",
                         "prefix_len", "log_every")
+        _check_sgd(self)
+
+
+def _top_stable(x, m):
+    """np.argsort(-x, axis=1, kind="stable")[:, :m] as a selection: entries
+    above a row's (m+1)-th largest value, stably sorted; rows where that value
+    ties the m-th (as equal path products do) or with a NaN take the full sort."""
+    n = x.shape[1]
+    if m >= n:
+        return np.argsort(-x, axis=1, kind="stable")
+    s = np.sort(x, axis=1)
+    tie = ~(s[:, -m] > s[:, -m - 1]) | np.isnan(s[:, -1])
+    keep = x > s[:, -m - 1, None]
+    keep[tie] = np.arange(n) < m                  # stand-in, replaced below
+    at = np.flatnonzero(keep).reshape(-1, m)      # flat indices
+    rows = np.arange(len(x))[:, None]
+    top = at.take((-x.take(at)).argsort(axis=1, kind="stable") + m * rows) - n * rows
+    if tie.any():
+        top[tie] = np.argsort(-x[tie], axis=1, kind="stable")[:, :m]
+    return top
 
 
 def _pruned_loglik(model, batch, n0, k_cap, max_paths):
@@ -403,43 +432,70 @@ def _pruned_loglik(model, batch, n0, k_cap, max_paths):
       max_paths heaviest, ties to the earlier candidate.
     The result is the batch mean of log(sum of kept path weights).
 
-    A parent's successors depend only on its rule, so the (R, R) table is
-    ranked once per call and candidate weights are computed only at the kept
-    (parent, successor) pairs."""
-    R = model.config.num_rules
-    _, _, n_all, t_all_logits = model.weights()  # f_n(I), f_t(I)
-    t_all = ad.softmax(t_all_logits)
-    probs_all = model.rule_probs(n_all)          # (R, R)
-    B, L = batch.shape
+    The (R, R) table is ranked once per call, and candidates are weighed
+    only at the kept (parent, successor) pairs. The beam and the rule-table
+    head probs_all = softmax(mask(W_n @ W_r + b_r)) are one autodiff node,
+    whose backward repeats the primitive-op graph's backward expressions in
+    that graph's order, so every gradient is the same bit for bit: mean,
+    log, clamp, sum; then from step L-1 down to step 0 a step's products and
+    gathers (each scatter-add one bincount), its sums into t_all and
+    probs_all added in that order; then the head's softmax, bias and matmul."""
+    (B, L), R = batch.shape, model.config.num_rules
+    w_r, b_r, w_n, w_t = model.weights()         # f_n(I) is W_n, f_t(I) is W_t
+    t_all = ad.softmax(w_t)
     p0 = model.rule_probs(n0)                    # (B, R)
+    P0, T = p0.value, t_all.value
+    P = _softmax_kept(*model._head(w_n.value))   # probs_all, (R, R)
+    C, rows = T.shape[1], np.arange(B)[:, None]
 
-    # level 0: top-k rules per example
+    # level 0: top-k rules per example. A step holds flat indices and factors
+    # (parent, trans, emis); step 0's parent is p0, its trans 1.0 (x * 1.0 is x)
     k = min(k_cap, R)
-    idx0 = np.argsort(-p0.value, axis=1, kind="stable")[:, :k]        # (B, k)
-    rows = np.repeat(np.arange(B)[:, None], k, axis=1)
-    w = ad.mul(ad.gather_nd(p0, (rows, idx0)),
-               ad.gather_nd(t_all, (idx0, batch[:, [0]])))            # (B, k)
-    succ = np.argsort(-probs_all.value, axis=1, kind="stable")[:, :k]  # (R, k)
-    cur = idx0
+    cur = _top_stable(P0, k)                                          # (B, k)
+    at, emis_at = cur + R * rows, cur * C + batch[:, [0]]
+    steps = [(at, B * R, None, emis_at, P0.take(at), 1.0, T.take(emis_at))]
+    w = P0.take(at) * T.take(emis_at)
+    succ = _top_stable(P, k)                                          # (R, k)
     for j in range(1, L):
         W = cur.shape[1]
         # per parent keep top-k rules, then cap total paths
         keep_r = succ[cur]                                            # (B, W, k)
-        trans_sel = probs_all.value[cur[:, :, None], keep_r]
-        emis_sel = t_all.value[keep_r, batch[:, j, None, None]]
-        cand_sel = (w.value[:, :, None] * trans_sel * emis_sel).reshape(B, W * k)
-        order = np.argsort(-cand_sel, axis=1, kind="stable")[:, :max_paths]
-        parent = order // k                                           # (B, W')
-        rule = np.take_along_axis(keep_r.reshape(B, W * k), order, axis=1)
-        Wn = parent.shape[1]
-        rowsB = np.repeat(np.arange(B)[:, None], Wn, axis=1)
-        w_parent = ad.gather_nd(w, (rowsB, parent))
-        trans = ad.gather_nd(probs_all, (np.take_along_axis(cur, parent, axis=1), rule))
-        emis = ad.gather_nd(t_all, (rule, batch[:, [j]]))
-        w = ad.mul(ad.mul(w_parent, trans), emis)
-        cur = rule
-    tot = ad.sum_along(w, axis=1)
-    return ad.mean(ad.log(ad.clamp_min(tot, 1e-300)))
+        trans_at = keep_r + R * cur[:, :, None]
+        emis_at = keep_r * C + batch[:, j, None, None]
+        trans_sel, emis_sel = P.take(trans_at), T.take(emis_at)
+        cand_sel = w[:, :, None] * trans_sel * emis_sel
+        order = _top_stable(cand_sel.reshape(B, W * k), max_paths)
+        at, parent = order + W * k * rows, order // k + W * rows
+        steps.append((parent, B * W, trans_at.take(at), emis_at.take(at),
+                      w.take(parent), trans_sel.take(at), emis_sel.take(at)))
+        w = cand_sel.take(at)
+        cur = keep_r.take(at)
+    tot = w.sum(axis=1)
+    clamped = np.maximum(tot, 1e-300)
+
+    def bwd(g):
+        g = np.full_like(clamped, 1.0 / B) * g / clamped * (tot > 1e-300)  # mean, log, clamp
+        gw = np.expand_dims(g, 1) * np.ones_like(w)       # sum along paths
+        gP = gT = None
+        for parent, size, trans_at, emis_at, wp, tr, em in reversed(steps):
+            # (w_parent * trans) * emis; emis's gather first, the parent's last
+            dT = np.bincount(emis_at.ravel(), (gw * (wp * tr)).ravel(), R * C)
+            gT = dT if gT is None else gT + dT
+            gm = gw * em
+            if trans_at is not None:
+                dP = np.bincount(trans_at.ravel(), (gm * wp).ravel(), R * R).reshape(R, R)
+                gP = dP if gP is None else gP + dP
+            gw = np.bincount(parent.ravel(), (gm * tr).ravel(), size).reshape(B, -1)
+        if gP is not None:
+            # softmax; its +-0 where the mask dropped a rule is gl * keep's
+            gl = P * (gP - (gP * P).sum(axis=-1, keepdims=True))
+            ad._acc(b_r, gl.sum(axis=0))
+            ad._acc(w_n, gl @ w_r.value.T)
+            ad._acc(w_r, w_n.value.T @ gl)
+        ad._acc(t_all, gT.reshape(R, C))
+        ad._acc(p0, gw)
+
+    return ad._node(np.log(clamped).mean(), (p0, t_all, w_n, w_r, b_r), bwd)
 
 
 def train_grammar_only(dataset, grammar_model, config, on_log=None):

@@ -53,9 +53,6 @@ class Tensor:
     def detach(self):
         return Tensor(self.value)
 
-    def zero_grad(self):
-        self.grad = None
-
     def grad_or_zero(self):
         if self.grad is None:
             return np.zeros_like(self.value)
@@ -302,16 +299,6 @@ def log(x):
     return _node(out_v, (x,), bwd)
 
 
-def exp(x):
-    x = _as_tensor(x)
-    out_v = np.exp(x.value)
-
-    def bwd(g):
-        _acc(x, g * out_v)
-
-    return _node(out_v, (x,), bwd)
-
-
 def clamp_min(x, lo):
     """max(x, lo); gradient passes only where x > lo."""
     x = _as_tensor(x)
@@ -386,30 +373,6 @@ def straight_through(soft, hard_value):
     return _node(hard_value, (soft,), bwd)
 
 
-def gather_nd(x, idx):
-    """x[idx] for a tuple of integer index arrays; backward scatter-adds."""
-    x = _as_tensor(x)
-    idx = tuple(np.asarray(i) for i in idx)
-    out_v = x.value[idx]
-
-    def bwd(g):
-        dx = np.zeros_like(x.value)
-        np.add.at(dx, idx, g)
-        _acc(x, dx)
-
-    return _node(out_v, (x,), bwd)
-
-
-def sum_along(x, axis):
-    x = _as_tensor(x)
-    out_v = x.value.sum(axis=axis)
-
-    def bwd(g):
-        _acc(x, np.expand_dims(g, axis) * np.ones_like(x.value))
-
-    return _node(out_v, (x,), bwd)
-
-
 def reshape(x, shape):
     x = _as_tensor(x)
     out_v = x.value.reshape(shape)
@@ -418,18 +381,6 @@ def reshape(x, shape):
         _acc(x, g.reshape(x.value.shape))
 
     return _node(out_v, (x,), bwd)
-
-
-def stack_time(tensors):
-    """Stack per-step (B, d) tensors into (B, T, d)."""
-    tensors = [_as_tensor(t) for t in tensors]
-    out_v = np.stack([t.value for t in tensors], axis=1)
-
-    def bwd(g):
-        for i, t in enumerate(tensors):
-            _acc(t, g[:, i, :])
-
-    return _node(out_v, tuple(tensors), bwd)
 
 
 def conv1d(x, w, b, stride=1, padding="same"):

@@ -241,13 +241,6 @@ class GrammarModel:
     def rule_probs(self, n):
         return ad.softmax(self.rule_logits(n))
 
-    def expand(self, selection):
-        """Map a (relaxed) one-hot rule selection to (next non-terminal, terminal)."""
-        selection = selection if isinstance(selection, Tensor) else Tensor(selection)
-        n_new = self.f_n(selection)
-        t_new = ACTIVATIONS[self.config.terminal_activation](self.f_t(selection))
-        return n_new, t_new
-
     # -- unrolling ----------------------------------------------------------
     def unroll_batch(self, n0, length, policy="sample_hard", rng=None, tau=None,
                      return_entropy=False):

@@ -1,5 +1,6 @@
-"""Shared test helpers: the finite-difference oracle for the gradient tests
-and the runner for `python -m agg.cli` child processes."""
+"""Shared test helpers: the finite-difference oracle for the gradient tests,
+the primitive ops that only the per-op reference graphs still use, and the
+runner for `python -m agg.cli` child processes."""
 import os
 import subprocess
 import sys
@@ -54,6 +55,45 @@ def check_op(build_loss, shapes, seed, tol=1e-4, h=H):
         num = numeric_grad(scalar, v, h=h)
         ana = tensors[k].grad_or_zero()
         assert rel_err(ana, num) < tol, f"input {k}: {rel_err(ana, num)}"
+
+
+# Primitive ops of the per-op graphs that the one-node unroll and likelihood
+# beam replaced; the reference tests build those graphs from these copies.
+
+def gather_nd(x, idx):
+    """x[idx] for a tuple of integer index arrays; backward scatter-adds."""
+    x = ad._as_tensor(x)
+    idx = tuple(np.asarray(i) for i in idx)
+    out_v = x.value[idx]
+
+    def bwd(g):
+        dx = np.zeros_like(x.value)
+        np.add.at(dx, idx, g)
+        ad._acc(x, dx)
+
+    return ad._node(out_v, (x,), bwd)
+
+
+def sum_along(x, axis):
+    x = ad._as_tensor(x)
+    out_v = x.value.sum(axis=axis)
+
+    def bwd(g):
+        ad._acc(x, np.expand_dims(g, axis) * np.ones_like(x.value))
+
+    return ad._node(out_v, (x,), bwd)
+
+
+def stack_time(tensors):
+    """Stack per-step (B, d) tensors into (B, T, d)."""
+    tensors = [ad._as_tensor(t) for t in tensors]
+    out_v = np.stack([t.value for t in tensors], axis=1)
+
+    def bwd(g):
+        for i, t in enumerate(tensors):
+            ad._acc(t, g[:, i, :])
+
+    return ad._node(out_v, tuple(tensors), bwd)
 
 
 def run_cli(args, cwd, env_extra=None):

@@ -326,6 +326,17 @@ def test_config_values_must_be_positive():
     TrainConfig(tau_end=0.5, d_lr_scale=0.0, ema_decay=0.0)     # edges that stay valid
 
 
+def test_optimizer_values_are_checked():
+    # lr0 < 0 would train uphill; momentum outside [0, 1) does not decay
+    for config in (TrainConfig, GrammarOnlyConfig):
+        for key, value in (("lr0", -1.0), ("lr0", -1e-12), ("lr0", math.nan),
+                           ("momentum", -0.1), ("momentum", 1.0), ("momentum", 2.0),
+                           ("momentum", math.nan)):
+            with pytest.raises(ParameterError, match=key):
+                config(**{key: value})
+        config(lr0=0.0, momentum=0.0)                    # edges that stay valid
+
+
 def test_grammar_only_prefix_len_check():
     ds = SequenceDataset(records=[np.zeros(6, dtype=np.int64)] * 4, length=6,
                          alphabet_size=4)

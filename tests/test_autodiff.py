@@ -1,11 +1,13 @@
-"""Gradient checks for every primitive op against central finite differences."""
+"""Gradient checks for every primitive op, and for the reference copies of
+the ops only the per-op reference graphs use (tests/helpers.py), against
+central finite differences."""
 import numpy as np
 import pytest
 
 from agg import autodiff as ad
 from agg.errors import DimensionError
 
-from helpers import check_op, numeric_grad, rel_err
+from helpers import check_op, gather_nd, numeric_grad, rel_err, stack_time, sum_along
 
 N_CASES = 20
 
@@ -40,7 +42,7 @@ def test_matmul_shape_error():
 
 @pytest.mark.parametrize("seed", seeds())
 def test_elementwise(seed):
-    for op in (ad.relu, ad.sigmoid, ad.tanh, ad.exp):
+    for op in (ad.relu, ad.sigmoid, ad.tanh):
         check_op(lambda ts, op=op: ad.total(op(ts[0])), [(4, 3)], seed)
 
 
@@ -93,7 +95,7 @@ def test_clamp_min(seed):
 def test_reductions(seed):
     check_op(lambda ts: ad.mean(ts[0]), [(3, 4)], seed)
     check_op(lambda ts: ad.total(ad.mean(ts[0], axis=1)), [(3, 4)], seed)
-    check_op(lambda ts: ad.total(ad.sum_along(ts[0], axis=0)), [(3, 4)], seed)
+    check_op(lambda ts: ad.total(sum_along(ts[0], axis=0)), [(3, 4)], seed)
 
 
 @pytest.mark.parametrize("seed", seeds())
@@ -101,7 +103,7 @@ def test_shape_ops(seed):
     check_op(lambda ts: ad.total(ad.reshape(ts[0], (6, 2))), [(3, 4)], seed)
     check_op(lambda ts: ad.total(ad.concat([ts[0], ts[1]], axis=-1)),
              [(3, 2), (3, 4)], seed)
-    check_op(lambda ts: ad.total(ad.stack_time([ts[0], ts[1]])),
+    check_op(lambda ts: ad.total(stack_time([ts[0], ts[1]])),
              [(3, 4), (3, 4)], seed)
 
 
@@ -110,7 +112,7 @@ def test_gather_nd(seed):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, 3, size=(4,))
     cols = rng.integers(0, 5, size=(4,))
-    check_op(lambda ts: ad.total(ad.gather_nd(ts[0], (rows, cols))),
+    check_op(lambda ts: ad.total(gather_nd(ts[0], (rows, cols))),
              [(3, 5)], seed)
 
 

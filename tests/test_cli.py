@@ -470,10 +470,21 @@ def test_bad_run_config_is_json_error(workdir, trained, tmp_path, text):
 
 
 @pytest.mark.parametrize("bad", ["tau=0", "tau_end=-1", "ema_decay=2", "ema_decay=1",
-                                 "d_lr_scale=-1"])
+                                 "d_lr_scale=-1", "lr0=-1", "momentum=-1", "momentum=1"])
 def test_out_of_range_train_value_is_json_error(workdir, tmp_path, bad):
     r = run_cli(["train", "--set", "dataset=data/dataset.jsonl", "--set", "iterations=1",
                  "--set", "d_channels=[4,6,4]", "--set", bad,
+                 "--set", f"out_dir={tmp_path / 'run'}"], workdir)
+    err = _json_error(r)
+    assert err["error"] == "ParameterError"
+    assert bad.split("=")[0] in err["message"]
+
+
+@pytest.mark.parametrize("bad", ["lr0=-1", "lr0=-1e-9", "momentum=-1", "momentum=1",
+                                 "momentum=1.5"])
+def test_out_of_range_grammar_only_value_is_json_error(workdir, tmp_path, bad):
+    r = run_cli(["train", "--set", "dataset=data/dataset.jsonl", "--set", "iterations=1",
+                 "--set", "mode=grammar_only", "--set", bad,
                  "--set", f"out_dir={tmp_path / 'run'}"], workdir)
     err = _json_error(r)
     assert err["error"] == "ParameterError"

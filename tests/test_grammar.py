@@ -169,12 +169,12 @@ def test_expand_linear_columns():
     w_n = model.f_n.layers[0].w.value
     sel = np.zeros((1, 6))
     sel[0, 3] = 1.0
-    n_new, _ = model.expand(Tensor(sel))
+    n_new = model.f_n(Tensor(sel))
     assert np.allclose(n_new.value[0], w_n[3])
     # linearity: mixture of one-hots maps to mixture of columns
     sel2 = np.zeros((1, 6))
     sel2[0, [1, 4]] = 0.5
-    n_mix, _ = model.expand(Tensor(sel2))
+    n_mix = model.f_n(Tensor(sel2))
     assert np.allclose(n_mix.value[0], 0.5 * (w_n[1] + w_n[4]))
 
 
@@ -182,7 +182,7 @@ def test_expand_terminal_softmax_property():
     model = GrammarModel(tiny_config(), seed=5)
     rng = np.random.default_rng(0)
     sel = rng.dirichlet(np.ones(6), size=1000)
-    _, t = model.expand(Tensor(sel))
+    t = ad.softmax(model.f_t(Tensor(sel)))
     assert np.allclose(t.value.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -262,7 +262,7 @@ def test_unroll_markov_property():
                 sel = gumbel_softmax(logits, 1.0, np.clip(u, 1e-12, 1 - 1e-12),
                                      hard=True)
                 idx.append(int(np.argmax(sel.value)))
-                n, _ = model.expand(sel)
+                n = model.f_n(sel)
         return idx, n.value
 
     full, _ = run(n0, noise)
@@ -411,7 +411,7 @@ def test_rule_tables_consistency():
     assert n_all.shape == (6, 8) and t_all.shape == (6, 4)
     assert np.allclose(probs_all.sum(axis=1), 1.0, atol=1e-9)
     sel = np.eye(6)[2:3]
-    n_new, t_new = model.expand(Tensor(sel))
+    n_new, t_new = model.f_n(Tensor(sel)), ad.softmax(model.f_t(Tensor(sel)))
     assert np.allclose(n_new.value[0], n_all[2])
     assert np.allclose(t_new.value[0], t_all[2])
 

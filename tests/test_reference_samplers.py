@@ -1,8 +1,9 @@
 """The whole-array samplers, the n-gram counter, generate's futures, the
-whole-array dataset loader and the one-node unroll against literal per-row
-or per-op references: the same seeded draws must give the same arrays,
-values, gradients and bytes, and the same input the same error. The rule
-chain sampler's law is also checked against full enumeration."""
+whole-array dataset loader, the one-node unroll and the one-node likelihood
+beam against literal per-row or per-op references: the same seeded draws
+must give the same arrays, values, gradients and bytes, and the same input
+the same error. The rule chain sampler's law is also checked against full
+enumeration."""
 import contextlib
 import io
 import json
@@ -12,17 +13,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from agg import adversarial, cli
 from agg import autodiff as ad
-from agg import cli
 from agg.autodiff import Tensor
-from agg.adversarial import Discriminator, DiscriminatorConfig, _harden, generator_loss
+from agg.adversarial import (Discriminator, DiscriminatorConfig, GrammarOnlyConfig, _harden,
+                             generator_loss, train_grammar_only)
 from agg.errors import ParameterError, ParseError
+from agg.nn import ACTIVATIONS
 from agg.grammar import (POLICIES, GrammarConfig, GrammarModel, _softmax_kept,
                          activity_config, gumbel_softmax)
 from agg.metrics import EvalReport, empirical_ngram_distribution, ngram_kl
 from agg.synthdata import (GroundTruthGrammar, SequenceDataset, build_preset_grammar,
                            load_dataset, load_grammar, sample_dataset, sample_sequence,
                            save_dataset)
+
+from helpers import gather_nd, rel_err, stack_time, sum_along
 
 SEEDS = (0, 1, 7, 123)
 LENGTHS = (1, 2, 5, 12)
@@ -624,10 +629,21 @@ def test_sequence_dataset_reports_the_first_bad_record():
 # unroll_batch: the one-node unroll against the per-op graph it replaced
 # ---------------------------------------------------------------------------
 
+def expand(self, selection):
+    """GrammarModel.expand, which the one-node unroll replaced: map a
+    (relaxed) one-hot rule selection to (next non-terminal, terminal)."""
+    selection = selection if isinstance(selection, Tensor) else Tensor(selection)
+    n_new = self.f_n(selection)
+    t_new = ACTIVATIONS[self.config.terminal_activation](self.f_t(selection))
+    return n_new, t_new
+
+
 def ref_unroll_batch(self, n0, length, policy="sample_hard", rng=None, tau=None,
                      return_entropy=False):
     """GrammarModel.unroll_batch as a graph of primitive ops, seven nodes a
-    step, verbatim but for `self`, which is the model."""
+    step, verbatim but for `self`, which is the model, and for expand,
+    sum_along and stack_time, which are the copies above and in the test
+    helpers."""
     if policy not in POLICIES:
         raise ParameterError(f"unknown policy {policy!r}")
     if length < 1:
@@ -644,7 +660,7 @@ def ref_unroll_batch(self, n0, length, policy="sample_hard", rng=None, tau=None,
         if return_entropy:
             p_t = ad.softmax(logits)
             plogp = ad.mul(p_t, ad.log(ad.clamp_min(p_t, 1e-12)))
-            entropies.append(ad.mean(ad.sum_along(plogp, axis=-1)))
+            entropies.append(ad.mean(sum_along(plogp, axis=-1)))
         probs = _softmax_kept(logits.value, (logits.value != -np.inf).ravel().nonzero()[0])
         if policy == "greedy":
             idx = np.argmax(probs, axis=-1)
@@ -656,11 +672,11 @@ def ref_unroll_batch(self, n0, length, policy="sample_hard", rng=None, tau=None,
             sel = gumbel_softmax(logits, tau, u, hard=(policy == "sample_hard"))
             idx = np.argmax(sel.value, axis=-1)
         logp += np.log(np.maximum(probs[np.arange(B), idx], 1e-300))
-        n, t = self.expand(sel)
+        n, t = expand(self, sel)
         terminals.append(t)
         nonterminals.append(n)
         indices.append(idx)
-    out = (ad.stack_time(terminals), ad.stack_time(nonterminals),
+    out = (stack_time(terminals), stack_time(nonterminals),
            np.stack(indices, axis=1), logp)
     if return_entropy:
         ent = ad.scale(ad.mean(ad.concat([ad.reshape(e, (1,)) for e in entropies],
@@ -765,3 +781,214 @@ def test_unroll_batch_equals_per_op_graph_without_grad():
             for a, b in zip(got, want, strict=True):
                 a, b = (x.value if isinstance(x, Tensor) else x for x in (a, b))
                 assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# _pruned_loglik: the one-node beam against the per-op graph it replaced
+# ---------------------------------------------------------------------------
+
+def ref_pruned_loglik(model, batch, n0, k_cap, max_paths):
+    """adversarial._pruned_loglik as a graph of primitive ops, three gathers
+    and two products a step, verbatim but for gather_nd and sum_along, which
+    come from the test helpers."""
+    R = model.config.num_rules
+    _, _, n_all, t_all_logits = model.weights()  # f_n(I), f_t(I)
+    t_all = ad.softmax(t_all_logits)
+    probs_all = model.rule_probs(n_all)          # (R, R)
+    B, L = batch.shape
+    p0 = model.rule_probs(n0)                    # (B, R)
+
+    # level 0: top-k rules per example
+    k = min(k_cap, R)
+    idx0 = np.argsort(-p0.value, axis=1, kind="stable")[:, :k]        # (B, k)
+    rows = np.repeat(np.arange(B)[:, None], k, axis=1)
+    w = ad.mul(gather_nd(p0, (rows, idx0)),
+               gather_nd(t_all, (idx0, batch[:, [0]])))               # (B, k)
+    succ = np.argsort(-probs_all.value, axis=1, kind="stable")[:, :k]  # (R, k)
+    cur = idx0
+    for j in range(1, L):
+        W = cur.shape[1]
+        # per parent keep top-k rules, then cap total paths
+        keep_r = succ[cur]                                            # (B, W, k)
+        trans_sel = probs_all.value[cur[:, :, None], keep_r]
+        emis_sel = t_all.value[keep_r, batch[:, j, None, None]]
+        cand_sel = (w.value[:, :, None] * trans_sel * emis_sel).reshape(B, W * k)
+        order = np.argsort(-cand_sel, axis=1, kind="stable")[:, :max_paths]
+        parent = order // k                                           # (B, W')
+        rule = np.take_along_axis(keep_r.reshape(B, W * k), order, axis=1)
+        Wn = parent.shape[1]
+        rowsB = np.repeat(np.arange(B)[:, None], Wn, axis=1)
+        w_parent = gather_nd(w, (rowsB, parent))
+        trans = gather_nd(probs_all, (np.take_along_axis(cur, parent, axis=1), rule))
+        emis = gather_nd(t_all, (rule, batch[:, [j]]))
+        w = ad.mul(ad.mul(w_parent, trans), emis)
+        cur = rule
+    tot = sum_along(w, axis=1)
+    return ad.mean(ad.log(ad.clamp_min(tot, 1e-300)))
+
+
+def _loglik_and_grads(loglik, model, tokens, prefix, k_cap, max_paths):
+    """-loglik backpropagated from the encoded prefix, as train_grammar_only
+    does: the value's bytes, each parameter's gradient bytes (None if it got
+    none) and the number of nodes recorded."""
+    for p in model.parameters():
+        p.grad = None
+    made = []
+    node = ad._node
+
+    def counted(*args):
+        made.append(1)
+        return node(*args)
+
+    ad._node = counted
+    try:
+        n0 = model.encode_start(Tensor(prefix))
+        loss = -loglik(model, tokens, n0, k_cap, max_paths)
+    finally:
+        ad._node = node
+    ad.backward(loss)
+    grads = {p.name: None if p.grad is None else p.grad.tobytes()
+             for p in model.parameters()}
+    return loss.value.tobytes(), grads, len(made)
+
+
+def _assert_beam_matches(model, tokens, prefix, k_cap, max_paths):
+    got = _loglik_and_grads(adversarial._pruned_loglik, model, tokens, prefix,
+                            k_cap, max_paths)
+    want = _loglik_and_grads(ref_pruned_loglik, model, tokens, prefix, k_cap,
+                             max_paths)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    return got[2], want[2]
+
+
+def _bimodal_case(topk=4, num_rows=32, length=12, seed=0):
+    """The benchmark's branching-ablation shape: R = 256, three tokens."""
+    model = GrammarModel(activity_config(3, topk_mask=topk), seed=seed)
+    data = sample_dataset(build_preset_grammar("bimodal"), num_rows, length, seed=seed)
+    tokens = np.stack(data.records)
+    return model, tokens, data.one_hot()[:, :2]
+
+
+@pytest.mark.parametrize("topk", [4, None])
+def test_pruned_loglik_equals_per_op_graph_bimodal(topk):
+    model, tokens, prefix = _bimodal_case(topk)
+    nodes, ref_nodes = _assert_beam_matches(model, tokens, prefix, 4, 64)
+    # one node in place of the rule-table head's three (four with a mask),
+    # step 0's three, five a step after it, and sum, clamp, log and mean
+    head = 3 + (topk is not None)
+    assert ref_nodes - nodes == head + 3 + 5 * (tokens.shape[1] - 1) + 4 - 1
+
+
+def test_pruned_loglik_equals_per_op_graph_with_ties():
+    # the tie fixture of test_adversarial: exact ties between successors and
+    # between candidates, also at the max_paths boundary
+    R, C = 6, 3
+    model = GrammarModel(GrammarConfig(d_nonterminal=R, d_terminal=C, num_rules=R,
+                                       branching_k=2, encoder_channels=8), seed=0)
+    rng = np.random.default_rng(2)
+    logits = rng.integers(0, 3, size=(R, R)).astype(np.float64)
+    emissions = 3.0 * np.eye(C)[rng.integers(0, C, size=R)]
+    model.f_n.layers[0].w.assign(np.eye(R))
+    model.f_r.layers[0].w.assign(logits)
+    model.f_r.layers[0].b.assign(np.zeros(R))
+    model.f_t.layers[0].w.assign(emissions)
+    tokens = rng.integers(0, C, size=(8, 6))
+    prefix = np.eye(C)[rng.integers(0, C, size=(8, 2))]
+    for k_cap, max_paths in ((2, 3), (3, 2), (2, 5), (1, 1), (4, 7)):
+        _assert_beam_matches(model, tokens, prefix, k_cap, max_paths)
+
+
+@pytest.mark.parametrize("k_cap,max_paths,rows,length", [
+    (6, 64, 5, 4),        # k_cap = R: the (R, R) table is sorted whole
+    (9, 3, 5, 4),         # k_cap > R
+    (2, 1000, 5, 5),      # max_paths >= W * k at every step
+    (3, 4, 5, 1),         # L = 1: no step after the first
+    (2, 3, 1, 6),         # B = 1
+    (6, 1000, 1, 1),
+])
+@pytest.mark.parametrize("topk", [None, 2])
+def test_pruned_loglik_equals_per_op_graph_edges(k_cap, max_paths, rows, length, topk):
+    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=6,
+                                       branching_k=2, topk_mask=topk,
+                                       encoder_channels=8), seed=3)
+    rng = np.random.default_rng(k_cap + rows + length)
+    tokens = rng.integers(0, 4, size=(rows, length))
+    prefix = np.eye(4)[rng.integers(0, 4, size=(rows, 3))]
+    _assert_beam_matches(model, tokens, prefix, k_cap, max_paths)
+
+
+def test_train_grammar_only_equals_per_op_graph(monkeypatch):
+    data = sample_dataset(build_preset_grammar("bimodal"), 200, 12, seed=4)
+    cfg = GrammarOnlyConfig(iterations=40, batch_size=32, prefix_len=2, lr0=0.02,
+                            k_cap=4, max_paths=64, log_every=1, seed=6)
+    runs = []
+    for loglik in (adversarial._pruned_loglik, ref_pruned_loglik):
+        monkeypatch.setattr(adversarial, "_pruned_loglik", loglik)
+        model = GrammarModel(activity_config(3, topk_mask=4), seed=1)
+        rows = train_grammar_only(data, model, cfg)
+        runs.append((rows, [p.value.tobytes() for p in model.parameters()]))
+    assert runs[0] == runs[1]
+
+
+def test_pruned_loglik_central_differences(monkeypatch):
+    """Every parameter's gradient against central differences, on a model
+    whose kept paths (every selection the beam makes) are the same at
+    theta + h and theta - h as at theta."""
+    model = GrammarModel(GrammarConfig(d_nonterminal=5, d_terminal=3, num_rules=5,
+                                       branching_k=2, topk_mask=3,
+                                       encoder_channels=4), seed=0)
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, 3, size=(4, 5))
+    prefix = np.eye(3)[rng.integers(0, 3, size=(4, 2))]
+    picks = []
+    top = adversarial._top_stable
+
+    def recorded(x, m):
+        picks.append(top(x, m))
+        return picks[-1]
+
+    monkeypatch.setattr(adversarial, "_top_stable", recorded)
+
+    def loglik():
+        picks.clear()
+        with ad.no_grad():
+            n0 = model.encode_start(Tensor(prefix))
+            value = float(adversarial._pruned_loglik(model, tokens, n0, 2, 3).value)
+        return value, [p.copy() for p in picks]
+
+    for p in model.parameters():
+        p.grad = None
+    _, kept = loglik()
+    n0 = model.encode_start(Tensor(prefix))
+    ad.backward(adversarial._pruned_loglik(model, tokens, n0, 2, 3))
+    h = 1e-6
+    for p in model.parameters():
+        num = np.zeros_like(p.value)
+        for i in range(p.value.size):
+            base = p.value.copy()
+            out = []
+            for step in (h, -h):
+                moved = base.copy()
+                moved.flat[i] += step
+                p.assign(moved)
+                value, picked = loglik()
+                assert all(np.array_equal(a, b) for a, b in zip(picked, kept, strict=True))
+                out.append(value)
+            p.assign(base)
+            num.flat[i] = (out[0] - out[1]) / (2 * h)
+        assert rel_err(p.grad, num) < 1e-6, p.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 300),
+       st.sampled_from([2, 3, 50]), st.booleans())
+def test_top_stable_equals_stable_argsort(seed, rows, n, levels, nan):
+    # few distinct values, so rows tie inside the kept set and at its edge
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=(rows, n)) / levels
+    if nan:
+        x[rng.random(x.shape) < 0.05] = np.nan
+    for m in {1, 2, 17, n // 2 + 1, n - 1, n, n + 3} - {0}:
+        assert np.array_equal(adversarial._top_stable(x, m),
+                              np.argsort(-x, axis=1, kind="stable")[:, :m])
