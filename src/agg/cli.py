@@ -335,6 +335,8 @@ def cmd_generate(cfg):
     _check_at_least_one(cfg, "k", "horizon", "prefix_len", "num_prefixes")
     model, _ = _load_trained(cfg["run_dir"])
     dataset = load_dataset(cfg["dataset"], alphabet_size=model.config.d_terminal)
+    if len(dataset) == 0:
+        raise InputError("empty dataset")
     if cfg["prefix_len"] > dataset.length:
         raise ConfigError("prefix_len exceeds dataset length")
     out = cfg["out_dir"]
@@ -344,15 +346,22 @@ def cmd_generate(cfg):
     with ad.no_grad():
         n0 = model.encode_start(prefixes).value
     paths, logp = model.sample_rule_paths(n0, cfg["horizon"], k, seed=cfg["seed"])
-    # each rule's terminal as json.dumps prints it, formatted once
-    _, t_all, _ = model.rule_tables()
-    terminals = [json.dumps(t) for t in t_all.tolist()]
+    # every line from one template; the JSON of each log_prob and of each
+    # rule's terminal comes from one json.dumps call of the whole table, split
+    # at the separators between its items (no number's JSON holds ", " or "]")
+    N, L = paths.shape
+    line = ('{"prefix_index": %d, "sample_index": %d, "rule_indices": ['
+            + ", ".join(["%d"] * L) + '], "log_prob": %s, "terminals": ['
+            + ", ".join(["%s"] * L) + "]}\n")
+    rows = json.dumps(model.rule_terminals().tolist())[2:-2].split("], [")
+    terminals = np.array(["[%s]" % row for row in rows], dtype=object)
+    values = np.empty((N, 3 + 2 * L), dtype=object)
+    values[:, 0], values[:, 1] = np.divmod(np.arange(N), k)
+    values[:, 2:2 + L] = paths
+    values[:, 2 + L] = json.dumps(logp.tolist())[1:-1].split(", ")
+    values[:, 3 + L:] = terminals[paths]
     with open(os.path.join(out, "futures.jsonl"), "w") as f:
-        for n, (path, lp) in enumerate(zip(paths.tolist(), logp.tolist())):
-            f.write('{"prefix_index": %d, "sample_index": %d, "rule_indices": %s, '
-                    '"log_prob": %s, "terminals": [%s]}\n'
-                    % (n // k, n % k, path, json.dumps(lp),
-                       ", ".join(terminals[r] for r in path)))
+        f.write((line * N) % tuple(values.ravel().tolist()))
     print(f"wrote {len(prefixes) * k} futures to {out}")
     return 0
 
@@ -371,6 +380,8 @@ def cmd_evaluate(cfg):
                                              grammar.num_tokens), seed=cfg["seed"])
         model_id = "untrained"
     dataset = load_dataset(cfg["dataset"], alphabet_size=model.config.d_terminal)
+    if len(dataset) == 0:
+        raise InputError("empty dataset")
     if cfg["prefix_len"] > dataset.length:
         raise ConfigError("prefix_len exceeds dataset length")
     X = dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])

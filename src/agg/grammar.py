@@ -212,7 +212,7 @@ class GrammarModel:
         m = self.config.topk_mask
         if m is None or m >= self.config.num_rules:
             return None
-        kth = np.partition(v, -m, axis=-1)[..., -m][..., None]
+        kth = np.sort(v, axis=-1)[..., -m][..., None]
         keep = v >= kth
         # per-row tie overflow: keep exactly m by rank
         if np.any(keep.sum(axis=-1) != m):
@@ -385,11 +385,16 @@ class GrammarModel:
         the expansion of the one-hot selection of rule r, which is row r of
         the expander weights. The arrays are the caller's own.
         """
-        _, _, w_n, w_t = self.weights()
-        with ad.no_grad():
-            t_all = ACTIVATIONS[self.config.terminal_activation](w_t).value
+        _, _, w_n, _ = self.weights()
         probs_all = _softmax_kept(*self._head(w_n.value))
-        return w_n.value.copy(), np.array(t_all), probs_all
+        return w_n.value.copy(), self.rule_terminals(), probs_all
+
+    def rule_terminals(self):
+        """(R, C) terminal of each rule, rule_tables' t_all: the terminal
+        activation of row r of W_t, without the (R, R) rule head."""
+        _, _, _, w_t = self.weights()
+        with ad.no_grad():
+            return np.array(ACTIVATIONS[self.config.terminal_activation](w_t).value)
 
     def sample_rule_paths(self, n0, length, num_samples, seed=0):
         """Hard-sampled rule-index paths (N, L) and their log_prob (N,), for
@@ -404,10 +409,11 @@ class GrammarModel:
 
         The states are the R rules (rows of probs_all) and the B seeds (rows
         R + b). Of each state's cumulative row only column 0, the columns of
-        nonzero probability and the last column are kept, padded with +inf:
-        the first entry not below u is always one of them, because a zero
-        adds nothing to the running sum and column 0 covers u = 0. A step
-        binary-searches the rows of all paths at once.
+        nonzero probability and the last column are kept, in K slots padded
+        with +inf: the first entry not below u is always one of them, because
+        a zero adds nothing to the running sum and column 0 covers u = 0. The
+        tables are flat, state s owning slots s * K to s * K + K - 1, and a
+        step binary-searches the slots of all paths at once.
         """
         if length < 1 or num_samples < 1:
             raise ParameterError("path length and num_samples must be >= 1")
@@ -417,31 +423,39 @@ class GrammarModel:
         probs = np.concatenate([probs_all, p0])
         keep = probs > 0
         keep[:, [0, -1]] = True
-        # each row's kept columns in ascending order, then padding
-        width = keep.sum(axis=-1)
+        kept = np.flatnonzero(keep)               # row by row, columns ascending
+        rows = kept // probs.shape[1]
+        cols = kept - rows * probs.shape[1]
+        width = np.bincount(rows, minlength=len(probs))
         K = int(width.max())
-        cols = np.argsort(~keep, axis=-1, kind="stable")[:, :K]
+        # a kept entry's slot: its row's first slot plus its place in the row
+        slot = rows * K + np.arange(len(kept)) - np.repeat(np.cumsum(width) - width, width)
+        p = np.zeros(len(probs) * K)
+        p[slot] = probs.take(kept)
         # x + 0.0 is x, so the running sum of a row's kept entries is its
         # full cumsum at those columns, bit for bit
-        vals = np.cumsum(np.take_along_axis(probs, cols, axis=-1), axis=-1)
-        vals[np.arange(len(vals)), width - 1] = 1.0     # the last column
-        vals[np.arange(K) >= width[:, None]] = np.inf
+        vals = np.cumsum(p.reshape(-1, K), axis=-1).ravel()
+        vals[np.arange(len(probs)) * K + width - 1] = 1.0      # the last column
+        vals[(np.arange(K) >= width[:, None]).ravel()] = np.inf
+        logs = np.log(np.maximum(p, 1e-300))
+        rule = np.zeros(len(probs) * K, dtype=np.int64)
+        rule[slot] = cols
         state = len(probs_all) + np.repeat(np.arange(len(p0)), num_samples)
         paths = np.empty((len(state), length), dtype=np.int64)
         logp = np.zeros(len(state))
         u = rng.random((length, len(state)))     # step-major: one (N,) draw per step
+        # the kept entries of a row never decrease before its last one, which
+        # is 1 > u, so those below u come first; a branch-free binary search
+        # counts them, each probe clamped to the row's last slot (1 or +inf)
+        steps = [1 << i for i in range((K - 1).bit_length() - 1, -1, -1)]
         for j in range(length):
-            # the kept entries of a row never decrease before its last one,
-            # which is 1 > u, so those below u come first: a binary search
-            # counts them in log2(K) gathers (K is R when nothing is masked)
-            lo, hi = np.zeros(len(state), dtype=np.int64), np.full(len(state), K)
-            for _ in range(K.bit_length()):
-                mid = (lo + hi) // 2
-                below = vals[state, np.minimum(mid, K - 1)] < u[j]
-                lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
-            rule = cols[state, lo]
-            logp += np.log(np.maximum(probs[state, rule], 1e-300))
-            state = paths[:, j] = rule
+            at = state * K
+            last = at + (K - 1)
+            for s in steps:
+                probe = np.minimum(at + (s - 1), last)
+                at += (vals.take(probe) < u[j]) * s
+            logp += logs.take(at)
+            state = paths[:, j] = rule.take(at)
         return paths, logp
 
     def enumerate_all(self, n0, length, k_cap=None, budget=10**6):

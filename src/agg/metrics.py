@@ -155,8 +155,7 @@ def sample_model_futures(model, prefixes, horizon, num_samples_per_prefix=1, see
     with ad.no_grad():
         n0 = model.encode_start(prefixes).value
     paths, _ = model.sample_rule_paths(n0, horizon, num_samples_per_prefix, seed=seed)
-    _, t_all, _ = model.rule_tables()
-    return np.argmax(t_all, axis=-1)[paths]
+    return np.argmax(model.rule_terminals(), axis=-1)[paths]
 
 
 @dataclass

@@ -325,12 +325,46 @@ _HEAD, _SEP, _TAIL = '{"tokens": [', ", ", "]}\n"
 
 def save_dataset(path, dataset):
     """Write one {"tokens": [...]} line per record, spaced as json.dumps
-    spaces it. Every line has the dataset's length, so one line template
-    repeated N times is formatted once with all N * L tokens."""
-    toks = np.asarray(dataset.records, dtype=np.int64).ravel().tolist()
-    line = _HEAD + _SEP.join(["%d"] * dataset.length) + _TAIL
-    with open(path, "w") as f:
-        f.write((line * len(dataset)) % tuple(toks))
+    spaces it, as one byte array.
+
+    Every token gets a field W bytes wide, W the width of the widest token
+    counting its '-': the digits of its magnitude right-aligned, 0 bytes to
+    their left, and a '-' just before the digits of a negative token. A line
+    is _HEAD, its L fields joined by _SEP, and _TAIL; one boolean compress
+    then drops the 0 bytes to the left of narrower tokens."""
+    n, length = len(dataset), dataset.length
+    toks = np.asarray(dataset.records, dtype=np.int64).ravel()
+    neg = toks < 0
+    # uint64 magnitudes: -(-2**63) wraps to 2**63, which uint64 holds
+    mag = toks.view(np.uint64)
+    width = len(str(mag.max(initial=0, where=~neg)))
+    if neg.any():
+        mag = np.where(neg, -mag, mag)
+        width = max(width, len(str(mag.max(initial=0, where=neg))) + 1)
+    fields = np.empty((len(toks), width), dtype=np.uint8)
+    digits = np.ones(len(toks), dtype=np.uint8)
+    ten = np.uint64(10)
+    for i in range(width - 1, 0, -1):
+        q = mag // ten
+        fields[:, i] = mag - q * ten        # mag % 10; numpy's % is the slower
+        digits += q != 0
+        mag = q
+    fields[:, 0] = mag                      # the leftmost digit: mag < 10 here
+    fields += ord("0")
+    w = digits + neg                        # each token's width
+    sign = np.flatnonzero(neg)
+    fields[sign, width - w[sign]] = ord("-")
+    line = _HEAD + _SEP.join(["0" * width] * length) + _TAIL
+    out = np.tile(np.frombuffer(line.encode(), dtype=np.uint8), (n, 1))
+    at = (len(_HEAD) + (width + len(_SEP)) * np.arange(length)[:, None]
+          + np.arange(width)).ravel()
+    out[:, at] = fields.reshape(n, length * width)
+    if (w != width).any():
+        keep = np.ones(out.shape, dtype=bool)
+        keep[:, at] = (np.arange(width) >= width - w[:, None]).reshape(n, length * width)
+        out = out[keep]
+    with open(path, "wb") as f:
+        f.write(out)
 
 
 _POW10 = 10 ** np.arange(19, dtype=np.int64)

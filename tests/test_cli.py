@@ -515,3 +515,20 @@ def test_prefixes_are_read_with_the_model_alphabet(workdir, trained, tmp_path, c
     low = tmp_path / "low.jsonl"
     low.write_text('{"tokens": [0, 0, 1, 1, 0, 0, 1, 1]}\n' * 12)
     assert main(argv(low)) == 0
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate", "evaluate-untrained"])
+def test_generate_evaluate_on_empty_dataset_is_input_error(workdir, trained, tmp_path,
+                                                           capsys, command):
+    # a dataset with no records, as synth writes it for num_sequences=0
+    assert main(["synth", "--set", "preset=bimodal", "--set", "num_sequences=0",
+                 "--set", f"out_dir={tmp_path / 'data'}"]) == 0
+    argv = [command.split("-")[0], "--set", f"dataset={tmp_path / 'data' / 'dataset.jsonl'}",
+            "--set", f"out_dir={tmp_path / 'out'}"]
+    if command != "evaluate-untrained":
+        argv += ["--set", f"run_dir={workdir / 'fuzz_ckpt'}"]
+    if command != "generate":
+        argv += ["--set", f"grammar={tmp_path / 'data' / 'grammar.json'}"]
+    err = _main_error(argv, capsys)
+    assert err == {"error": "InputError", "message": "empty dataset"}
+    assert not (tmp_path / "out").exists()
