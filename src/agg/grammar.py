@@ -2,10 +2,10 @@
 
 The generator keeps a bank of `num_rules` production rules of the form
 A -> aB. A rule head maps the current non-terminal vector to a probability
-distribution over the bank; a stochastic relaxed-categorical draw selects one
-rule; two expander networks map the selection to the next non-terminal and the
-emitted terminal. Unrolling repeats this, so every sequence is a path through
-the rule bank.
+distribution over the bank; a straight-through Gumbel-softmax draw selects
+one rule; two expander networks map the selection to the next non-terminal
+and the emitted terminal. Unrolling repeats this, so every sequence is a path
+through the rule bank.
 """
 from __future__ import annotations
 
@@ -16,9 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError, InputError, ParameterError, ParseError, ResourceError
-from .nn import ACTIVATIONS, Conv1d, Dense, MLP
-
-POLICIES = ("sample_hard", "sample_soft", "greedy")
+from .nn import Conv1d, Dense, MLP
 
 
 @dataclass
@@ -29,7 +27,6 @@ class GrammarConfig:
     branching_k: int = 4
     topk_mask: int | None = None
     gumbel_temperature: float = 1.0
-    terminal_activation: str = "softmax"
     encoder_channels: int = 64
 
     def __post_init__(self):
@@ -41,16 +38,13 @@ class GrammarConfig:
             raise ParameterError("topk_mask must be in [1, num_rules]")
         if not (1 <= self.branching_k <= self.num_rules):
             raise ParameterError("branching_k must be in [1, num_rules]")
-        if self.terminal_activation not in ("softmax", "sigmoid", "none"):
-            raise ParameterError(f"bad terminal_activation {self.terminal_activation!r}")
 
 
-def activity_config(num_classes, multi_label=False, **overrides):
+def activity_config(num_classes, **overrides):
     """Activity preset: 64-d non-terminals, 256 shared rules, 4-way branching."""
     cfg = dict(
         d_nonterminal=64, d_terminal=num_classes, num_rules=256,
         branching_k=4, topk_mask=4,
-        terminal_activation="sigmoid" if multi_label else "softmax",
     )
     cfg.update(overrides)
     return GrammarConfig(**cfg)
@@ -242,9 +236,9 @@ class GrammarModel:
         return ad.softmax(self.rule_logits(n))
 
     # -- unrolling ----------------------------------------------------------
-    def unroll_batch(self, n0, length, policy="sample_hard", rng=None, tau=None,
-                     return_entropy=False):
-        """Differentiable batched unroll.
+    def unroll_batch(self, n0, length, rng, tau=None, return_entropy=False):
+        """Differentiable batched unroll, each step drawing one hard rule from
+        the generator rng.
 
         Returns (terminals (B,L,C) Tensor, nonterminals N_1..N_L (B,L,d) Tensor,
         rule_indices (B,L) int array, log_prob (B,) array). With
@@ -252,25 +246,21 @@ class GrammarModel:
         rule-distribution entropy as a differentiable scalar.
 
         The L steps are one autodiff node over n0, W_r, b_r, W_n and W_t; the
-        terminal activation is one more node over all steps. A step computes
+        terminal softmax is one more node over all steps. A step computes
         what the primitive ops would: masked rule logits n @ W_r + b_r, the
-        Gumbel-softmax selection (straight-through when hard), then
-        sel @ W_n and sel @ W_t, which a one-hot selection reads as gathered
-        rows (a one-hot row times W adds only exact zeros). The backward is
+        straight-through Gumbel-softmax selection, then sel @ W_n and
+        sel @ W_t, which the one-hot selection reads as gathered rows (a
+        one-hot row times W adds only exact zeros). The backward is
         backpropagation through time from step L down to step 1, with the
         primitive ops' backward expressions in their order, so every
         gradient is theirs bit for bit: each weight sums its per-step gemms
-        from step L down to step 1. A greedy selection passes no gradient
-        into the logits, so then f_r and n0 get gradient from the entropy
-        alone.
+        from step L down to step 1.
         """
-        if policy not in POLICIES:
-            raise ParameterError(f"unknown policy {policy!r}")
         if length < 1:
             raise ParameterError("unroll length must be >= 1")
         n0 = n0 if isinstance(n0, Tensor) else Tensor(n0)
         tau = self.config.gumbel_temperature if tau is None else tau
-        if policy != "greedy" and tau <= 0:
+        if tau <= 0:
             raise ParameterError("gumbel temperature must be > 0")
         inv = 1.0 / tau
         w_r, b_r, w_n, w_t = self.weights()
@@ -290,21 +280,14 @@ class GrammarModel:
             if return_entropy:
                 plogp = probs * np.log(np.maximum(probs, 1e-12))
                 entropies.append(plogp.sum(axis=-1).mean())
-            if policy == "greedy":
-                y, idx = None, np.argmax(probs, axis=-1)
-            else:
-                u = np.clip(rng.random((B, R)), 1e-12, 1.0 - 1e-12)
-                y = _gumbel_probs(s, kept, u, inv)
-                idx = np.argmax(y, axis=-1)
+            u = np.clip(rng.random((B, R)), 1e-12, 1.0 - 1e-12)
+            y = _gumbel_probs(s, kept, u, inv)
+            idx = np.argmax(y, axis=-1)
             logp += np.log(np.maximum(probs[rows, idx], 1e-300))
-            if policy == "sample_soft":
-                ns.append(y @ Wn)
-                ts.append(y @ Wt)
-            else:
-                ns.append(Wn[idx])
-                ts.append(Wt[idx])
+            ns.append(Wn[idx])
+            ts.append(Wt[idx])
             indices.append(idx)
-            if record and y is not None:
+            if record:
                 ys.append(y)
             if record and return_entropy:
                 ps.append(probs)
@@ -320,23 +303,18 @@ class GrammarModel:
                 c = (1.0 / B) * ((1.0 / length) * (g_e * -1.0))
             gn = None             # into N_j from step j+1's rule head
             for j in range(length - 1, -1, -1):
-                y = ys[j] if ys else None
-                if policy == "sample_soft":
-                    sel = y
-                else:
-                    sel = np.zeros((B, R))
-                    sel[rows, indices[j]] = 1.0
+                y = ys[j]
+                sel = np.zeros((B, R))
+                sel[rows, indices[j]] = 1.0
                 gn = _sum(None if g_n is None else g_n[:, j, :], gn)
                 gt = None if g_t is None else g_t[:, j, :]
                 gsel = gl = None
                 if gn is not None:
                     ad._acc(w_n, sel.T @ gn)
-                    if y is not None:
-                        gsel = gn @ Wn.T
+                    gsel = gn @ Wn.T
                 if gt is not None:
                     ad._acc(w_t, sel.T @ gt)
-                    if y is not None:
-                        gsel = _sum(gsel, gt @ Wt.T)
+                    gsel = _sum(gsel, gt @ Wt.T)
                 if g_e is not None:
                     # p log max(p, 1e-12): product rule, then the softmax
                     p = ps[j]
@@ -359,15 +337,15 @@ class GrammarModel:
                 ad._acc(n0, gn)
 
         t_pre, nonterminals, *ent = ad._multi_node(values, (n0, w_r, b_r, w_n, w_t), bwd)
-        terminals = ACTIVATIONS[self.config.terminal_activation](t_pre)
+        terminals = ad.softmax(t_pre)
         return (terminals, nonterminals, np.stack(indices, axis=1), logp, *ent)
 
-    def unroll(self, n0, length, policy="sample_hard", rng_seed=0):
+    def unroll(self, n0, length, rng_seed=0):
         """Single-sequence unroll (inference only)."""
         n0 = np.asarray(n0, dtype=np.float64).reshape(1, -1)
         rng = np.random.default_rng(rng_seed)
         with ad.no_grad():
-            t, n, idx, logp = self.unroll_batch(n0, length, policy, rng)
+            t, n, idx, logp = self.unroll_batch(n0, length, rng)
         return SequenceSample(
             nonterminals=[n0[0]] + [n.value[0, j] for j in range(length)],
             terminals=[t.value[0, j] for j in range(length)],
@@ -390,11 +368,11 @@ class GrammarModel:
         return w_n.value.copy(), self.rule_terminals(), probs_all
 
     def rule_terminals(self):
-        """(R, C) terminal of each rule, rule_tables' t_all: the terminal
-        activation of row r of W_t, without the (R, R) rule head."""
+        """(R, C) terminal of each rule, rule_tables' t_all: the softmax of
+        row r of W_t, without the (R, R) rule head."""
         _, _, _, w_t = self.weights()
         with ad.no_grad():
-            return np.array(ACTIVATIONS[self.config.terminal_activation](w_t).value)
+            return np.array(ad.softmax(w_t).value)
 
     def sample_rule_paths(self, n0, length, num_samples, seed=0):
         """Hard-sampled rule-index paths (N, L) and their log_prob (N,), for

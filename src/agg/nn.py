@@ -98,35 +98,6 @@ class Conv1d:
         return [self.w, self.b]
 
 
-def gru_cell(x, h, params):
-    """One GRU step. params holds wz, uz, bz, wr, ur, br, wh, uh, bh."""
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, params["wz"]), ad.matmul(h, params["uz"])), params["bz"]))
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, params["wr"]), ad.matmul(h, params["ur"])), params["br"]))
-    hbar = ad.tanh(ad.add(ad.add(ad.matmul(x, params["wh"]),
-                                 ad.matmul(ad.mul(r, h), params["uh"])), params["bh"]))
-    one_minus_z = ad.add(ad.mul(z, -1.0), 1.0)
-    return ad.add(ad.mul(one_minus_z, h), ad.mul(z, hbar))
-
-
-class GRUCell:
-    def __init__(self, rng, d_in, d_hidden, name="gru"):
-        self.d_hidden = d_hidden
-        self.params = {}
-        for gate in ("z", "r", "h"):
-            self.params[f"w{gate}"] = Parameter(
-                xavier_uniform(rng, (d_in, d_hidden)), name=f"{name}.w{gate}")
-            self.params[f"u{gate}"] = Parameter(
-                xavier_uniform(rng, (d_hidden, d_hidden)), name=f"{name}.u{gate}")
-            self.params[f"b{gate}"] = Parameter(
-                np.zeros(d_hidden), name=f"{name}.b{gate}")
-
-    def __call__(self, x, h):
-        return gru_cell(x, h, self.params)
-
-    def parameters(self):
-        return list(self.params.values())
-
-
 class SGD:
     """Momentum SGD with cosine learning-rate decay to zero."""
 

@@ -79,18 +79,16 @@ def test_discriminator_uses_nonterminal_stream():
 
 
 def test_gan_loss_values():
-    # trivial equilibrium p = 0.5: d_loss = 2 ln 2, saturating g_loss = -ln 2
+    # trivial equilibrium p = 0.5: d_loss = 2 ln 2, g_loss = ln 2
     half = np.full(4, 0.5)
     assert abs(discriminator_loss(half, half).value - 2 * np.log(2)) < 1e-9
-    assert abs(generator_loss(half, "saturating").value + np.log(2)) < 1e-9
+    assert abs(generator_loss(half).value - np.log(2)) < 1e-9
     # hand values
     assert abs(discriminator_loss(np.array([0.9]), np.array([0.1])).value
                - (-np.log(0.9) - np.log(0.9))) < 1e-12
     eps = 1e-9
     assert discriminator_loss(np.array([1 - eps]), np.array([eps])).value < 1e-6
     assert generator_loss(np.array([1 - eps])).value < 1e-6
-    with pytest.raises(ParameterError):
-        generator_loss(np.array([0.5]), "wasserstein")
 
 
 def test_discriminator_loss_clamp():
@@ -103,38 +101,19 @@ def test_discriminator_loss_clamp():
 def test_loss_gradients_finite_difference():
     rng = np.random.default_rng(0)
     p = rng.uniform(0.1, 0.9, size=6)
-    for fn in (lambda x: discriminator_loss(x, np.full(6, 0.3)),
-               lambda x: generator_loss(x, "non_saturating"),
-               lambda x: generator_loss(x, "saturating")):
+    for fn in (lambda x: discriminator_loss(x, np.full(6, 0.3)), generator_loss):
         t = Tensor(p.copy())
         ad.backward(fn(t))
         num = numeric_grad(lambda v: float(fn(Tensor(v)).value), p)
         assert rel_err(t.grad, num) < 1e-4
 
 
-def test_generator_loss_variants():
-    # both variants decrease in p_fake (descent raises p_fake); they differ in
-    # which regime carries gradient: non-saturating is strong when D wins
-    # (p_fake small), saturating is strong only near p_fake = 1
-    def grad_at(p, variant):
-        t = Tensor(np.array([p]))
-        ad.backward(generator_loss(t, variant))
-        return float(t.grad[0])
-
-    for p in (0.1, 0.5, 0.9):
-        assert grad_at(p, "non_saturating") < 0
-        assert grad_at(p, "saturating") < 0
-    assert abs(grad_at(0.1, "non_saturating")) > abs(grad_at(0.1, "saturating"))
-    assert abs(grad_at(0.9, "saturating")) > abs(grad_at(0.9, "non_saturating"))
-
-
 def test_teacher_forced_posterior_tracks_emissions():
     # posterior sampling weights each rule by its probability times its
     # emission at the observed token: with hardened terminals the emission is
     # the indicator that the rule's argmax terminal is the token, so a parsed
-    # rule always emits the observed token unless no supported rule does;
-    # the soft parse weights by the terminal distribution itself, and a
-    # fallback to it is counted
+    # rule always emits the observed token unless no supported rule does, and
+    # a fallback to the soft weight is counted
     model = tiny_model()
     emit = np.array([0, 0, 1, 1, 2, 2])           # no rule emits token 3
     w_t = np.zeros((6, 4))
@@ -153,26 +132,24 @@ def test_teacher_forced_posterior_tracks_emissions():
     tokens = rng.integers(0, 4, size=(5, 6))
     batch = np.eye(4)[tokens]
     n0 = np.zeros((5, 8))
-    out, fell = teacher_forced_states(model, batch, n0, rng, harden=True,
-                                      return_fallbacks=True)
+    out, fell = teacher_forced_states(model, batch, n0, rng)
     assert out.shape == (5, 6, 8)
     rules = parsed_rules(out)
     emitted = tokens != 3
     assert np.array_equal(emit[rules][emitted], tokens[emitted])
     # a step falls back exactly when its parsed rule misses the token
     assert fell == np.sum(emit[rules] != tokens) == np.sum(~emitted)
-    assert parsed_rules(teacher_forced_states(model, batch, n0, rng)).shape == (5, 6)
 
     # first-step law over many rows matches the posterior weight
     n = 4000
     with ad.no_grad():
         p0 = model.rule_probs(Tensor(np.zeros((1, 8)))).value[0]
     one_token = np.eye(4)[np.zeros((n, 1), dtype=np.int64)]
-    for harden, weight in ((True, p0 * (emit == 0)), (False, p0 * t_all[:, 0])):
-        out = teacher_forced_states(model, one_token, np.zeros((n, 8)),
-                                    np.random.default_rng(2), harden=harden)
-        freq = np.bincount(parsed_rules(out)[:, 0], minlength=6) / n
-        assert np.abs(freq - weight / weight.sum()).max() < 0.03
+    weight = p0 * (emit == 0)
+    out, _ = teacher_forced_states(model, one_token, np.zeros((n, 8)),
+                                   np.random.default_rng(2))
+    freq = np.bincount(parsed_rules(out)[:, 0], minlength=6) / n
+    assert np.abs(freq - weight / weight.sum()).max() < 0.03
 
 
 def test_train_validation_errors():
@@ -187,8 +164,10 @@ def test_train_validation_errors():
         train_adversarial(ds, model, d, TrainConfig(iterations=1, prefix_len=9))
     with pytest.raises(ParameterError):
         TrainConfig(iterations=0)
-    with pytest.raises(ParameterError):
-        TrainConfig(generator_loss_variant="hinge")
+    for removed in ("policy", "d_steps_per_g_step", "generator_loss_variant",
+                    "harden_terminals", "sequence_length"):
+        with pytest.raises(TypeError):
+            TrainConfig(**{removed: None})
 
 
 def run_tiny(seed=0, iterations=30, lr0=0.01, **overrides):
@@ -233,7 +212,7 @@ def test_train_gradient_reaches_all_generator_params():
     rng = np.random.default_rng(0)
     X = ds.one_hot()[:8]
     n0 = model.encode_start(Tensor(X[:, :2]))
-    t_fake, n_fake, _, _ = model.unroll_batch(n0, 6, "sample_hard", rng)
+    t_fake, n_fake, _, _ = model.unroll_batch(n0, 6, rng)
     p_fake = d(t_fake, n_fake)
     ad.backward(generator_loss(p_fake))
     for group, params in (("encoder", model.encoder.parameters()),
@@ -291,7 +270,7 @@ def test_one_rule_grammar_converges_to_data():
                       holdout_fraction=0.25)
     result = train_adversarial(ds, model, d, cfg)
     n0 = model.encode_start(ds.one_hot()[:1, :2]).value[0]
-    sample = model.unroll(n0, 6, "greedy")
+    sample = model.enumerate_all(n0, 6, k_cap=1)[0][0]
     got = [int(np.argmax(t)) for t in sample.terminals]
     assert got == seq.tolist()
     assert 0.35 <= result.holdout_accuracy <= 0.65
@@ -314,8 +293,7 @@ def test_config_values_must_be_positive():
                 "log_every"):
         with pytest.raises(ParameterError, match=key):
             GrammarOnlyConfig(**{key: 0})
-    for key in ("iterations", "batch_size", "d_steps_per_g_step", "prefix_len",
-                "log_every"):
+    for key in ("iterations", "batch_size", "prefix_len", "log_every"):
         with pytest.raises(ParameterError, match=key):
             TrainConfig(**{key: -1})
     for key, value in (("tau", 0.0), ("tau", -1.0), ("tau_end", 0.0), ("tau_end", -0.5),

@@ -350,11 +350,8 @@ FLOAT_KEYS = [k for k, v in TRAIN_DEFAULTS.items() if type(v) is float]
 NOT_A_NUMBER = st.one_of(
     WORDS, st.sampled_from(["true", "false", "null", "1e999", "-1e999", "[1]", "{}", '"3"', ""]))
 NOT_AN_INTEGER = st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()).map(repr)
-ENUMS = {"mode": ("adversarial", "grammar_only"), "preset": ("activity",),
-         "policy": ("sample_hard", "sample_soft", "greedy"),
-         "generator_loss_variant": ("non_saturating", "saturating")}
-POSITIVE = ["iterations", "batch_size", "prefix_len", "log_every", "d_steps_per_g_step",
-            "kernel_width", "stride"]
+ENUMS = {"mode": ("adversarial", "grammar_only"), "preset": ("activity",)}
+POSITIVE = ["iterations", "batch_size", "prefix_len", "log_every", "kernel_width", "stride"]
 
 BAD_SETS = st.one_of(
     # unknown keys, and items without "="
@@ -532,3 +529,47 @@ def test_generate_evaluate_on_empty_dataset_is_input_error(workdir, trained, tmp
     err = _main_error(argv, capsys)
     assert err == {"error": "InputError", "message": "empty dataset"}
     assert not (tmp_path / "out").exists()
+
+
+# train keys that were removed along with the one value every run used; a run
+# directory written before then still holds them in its config.json
+REMOVED_TRAIN_KEYS = {"policy": "sample_hard", "d_steps_per_g_step": 1,
+                      "generator_loss_variant": "non_saturating", "checkpoint_every": 0}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_TRAIN_KEYS))
+def test_removed_train_key_is_config_error(workdir, tmp_path, capsys, key):
+    argv = ["train", "--set", f"dataset={workdir / 'data' / 'dataset.jsonl'}",
+            "--set", "iterations=1", "--set", f"out_dir={tmp_path / 'run'}"]
+    err = _main_error(argv + ["--set", f"{key}={REMOVED_TRAIN_KEYS[key]}"], capsys)
+    assert err["error"] == "ConfigError" and key in err["message"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: REMOVED_TRAIN_KEYS[key]}))
+    err = _main_error(argv + ["--config", str(config)], capsys)
+    assert err["error"] == "ConfigError" and key in err["message"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_dir_with_removed_keys_still_loads(workdir, trained, tmp_path):
+    run = workdir / "fuzz_ckpt"
+    old = tmp_path / "old_run"
+    old.mkdir()
+    config = json.loads((run / "config.json").read_text())
+    (old / "config.json").write_text(json.dumps(dict(config, **REMOVED_TRAIN_KEYS)))
+    shutil.copy(run / "checkpoint.bin", old / "checkpoint.bin")
+    data = workdir / "data"
+    for command, extra, artifact in (
+            ("generate", [], "futures.jsonl"),
+            ("evaluate", ["--set", f"grammar={data / 'grammar.json'}"], "report.json")):
+        outs = []
+        for run_dir in (run, old):
+            out = tmp_path / f"{command}_{run_dir.name}"
+            assert main([command, "--set", f"run_dir={run_dir}",
+                         "--set", f"dataset={data / 'dataset.jsonl'}",
+                         "--set", f"out_dir={out}"] + extra) == 0
+            outs.append(out / artifact)
+        if command == "evaluate":          # the report names its run directory
+            reports = [json.loads(p.read_text()) for p in outs]
+            assert reports[0]["per_horizon"] == reports[1]["per_horizon"]
+        else:
+            assert outs[0].read_bytes() == outs[1].read_bytes()

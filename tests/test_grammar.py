@@ -25,15 +25,12 @@ def test_config_validation():
         GrammarConfig(gumbel_temperature=0.0)
     with pytest.raises(ParameterError):
         GrammarConfig(num_rules=4, topk_mask=5)
-    with pytest.raises(ParameterError):
-        GrammarConfig(terminal_activation="linear")
 
 
 def test_presets():
     a = activity_config(10)
     assert (a.d_nonterminal, a.num_rules, a.branching_k, a.topk_mask) == (64, 256, 4, 4)
-    assert a.d_terminal == 10 and a.terminal_activation == "softmax"
-    assert activity_config(10, multi_label=True).terminal_activation == "sigmoid"
+    assert a.d_terminal == 10
 
 
 def test_rule_probs_distribution():
@@ -210,7 +207,7 @@ def test_encode_start_input_sensitivity():
 
 def test_unroll_length_contract():
     model = GrammarModel(tiny_config(), seed=0)
-    s = model.unroll(np.zeros(8), 5, "sample_hard", rng_seed=0)
+    s = model.unroll(np.zeros(8), 5, rng_seed=0)
     assert len(s.terminals) == 5
     assert len(s.nonterminals) == 6
     assert len(s.rule_indices) == 5
@@ -226,9 +223,10 @@ def test_unroll_seed_reproducible():
 
 
 def test_unroll_topk1_matches_greedy():
+    # with one rule kept per state, a sampled unroll is the argmax path
     model = GrammarModel(tiny_config(topk_mask=1), seed=3)
-    g = model.unroll(np.ones(8), 6, "greedy", rng_seed=0)
-    s = model.unroll(np.ones(8), 6, "sample_hard", rng_seed=11)
+    g = model.enumerate_all(np.ones(8), 6, k_cap=1)[0][0]
+    s = model.unroll(np.ones(8), 6, rng_seed=11)
     assert g.rule_indices == s.rule_indices
 
 
@@ -274,54 +272,15 @@ def test_unroll_markov_property():
 def test_unroll_batch_policy_validation():
     model = GrammarModel(tiny_config(), seed=0)
     with pytest.raises(ParameterError):
-        model.unroll_batch(np.zeros((1, 8)), 3, "beam", np.random.default_rng(0))
+        model.unroll_batch(np.zeros((1, 8)), 0, np.random.default_rng(0))
     with pytest.raises(ParameterError):
-        model.unroll_batch(np.zeros((1, 8)), 0, "greedy")
-    with pytest.raises(ParameterError):
-        model.unroll_batch(np.zeros((1, 8)), 3, "sample_soft", np.random.default_rng(0),
-                           tau=0.0)
-
-
-@pytest.mark.parametrize("topk", [None, 3])
-def test_unroll_batch_soft_gradient_matches_central_differences(topk):
-    # the one-node unroll's backward against central differences of its
-    # forward, with the noise fixed by the seed, on every input it reaches
-    model = GrammarModel(tiny_config(topk_mask=topk, d_nonterminal=4, d_terminal=3),
-                         seed=2)
-    rng = np.random.default_rng(11)
-    n0_v = rng.normal(size=(2, 4))
-    w_t, w_n = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3, 4))
-
-    def loss_of(n0):
-        out = model.unroll_batch(n0, 3, "sample_soft", np.random.default_rng(5),
-                                 tau=0.7, return_entropy=True)
-        return ad.add(ad.add(ad.total(ad.mul(out[0], w_t)), ad.total(ad.mul(out[1], w_n))),
-                      ad.scale(out[4], 0.3))
-
-    n0 = Tensor(n0_v.copy())
-    ad.backward(loss_of(n0))
-
-    def value(n0):
-        with ad.no_grad():
-            return float(loss_of(Tensor(n0)).value)
-
-    assert rel_err(n0.grad, numeric_grad(value, n0_v.copy())) < 1e-4
-    for p in model.weights():
-        keep = p.value
-
-        def at(x, p=p):
-            p.value = x
-            return value(n0_v)
-
-        assert rel_err(p.grad, numeric_grad(at, keep.copy())) < 1e-4, p.name
-        p.value = keep
+        model.unroll_batch(np.zeros((1, 8)), 3, np.random.default_rng(0), tau=0.0)
 
 
 def test_unroll_batch_entropy_gradient():
     model = GrammarModel(tiny_config(), seed=1)
     rng = np.random.default_rng(0)
-    out = model.unroll_batch(Tensor(np.ones((2, 8))), 3, "sample_hard", rng,
-                             return_entropy=True)
+    out = model.unroll_batch(Tensor(np.ones((2, 8))), 3, rng, return_entropy=True)
     assert len(out) == 5
     ent = out[4]
     assert ent.value.shape == ()
@@ -334,8 +293,8 @@ def test_unroll_batch_entropy_flag_leaves_sample_unchanged():
     outs, states = [], []
     for flag in (False, True):
         rng = np.random.default_rng(4)
-        outs.append(model.unroll_batch(Tensor(np.ones((3, 8))), 5, "sample_hard",
-                                       rng, tau=0.8, return_entropy=flag))
+        outs.append(model.unroll_batch(Tensor(np.ones((3, 8))), 5, rng, tau=0.8,
+                                       return_entropy=flag))
         states.append(rng.bit_generator.state)
     off, on = outs
     assert len(off) == 4 and len(on) == 5
@@ -385,16 +344,6 @@ def test_enumerate_hand_tree():
     want = [0.3 * 0.4, 0.3 * 0.6, 0.7 * 1.0]
     for v in want:
         assert min(abs(v - g) for g in got) < 1e-6, (v, got)
-
-
-def test_greedy_matches_top1_enumeration():
-    # with per-step pruning to the single most probable rule, the enumerated
-    # path is exactly the greedy unroll
-    model = GrammarModel(tiny_config(), seed=6)
-    n0 = np.random.default_rng(2).normal(size=8)
-    (best, _), = model.enumerate_all(n0, 4, k_cap=1)
-    greedy = model.unroll(n0, 4, "greedy")
-    assert greedy.rule_indices == best.rule_indices
 
 
 def test_load_state_missing_parameter():

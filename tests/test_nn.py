@@ -6,8 +6,6 @@ from agg import autodiff as ad
 from agg import nn
 from agg.errors import ParameterError, ParseError, ScheduleError
 
-from helpers import check_op
-
 
 def test_dense_identity():
     w = ad.Tensor(np.eye(3))
@@ -61,39 +59,6 @@ def test_conv_width1_channel_mix():
     w = rng.normal(size=(1, 3, 4))
     y = ad.conv1d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(np.zeros(4))).value
     assert np.allclose(y, x @ w[0])
-
-
-def test_gru_zero_params_halves_hidden():
-    # zero weights: z = r = 1/2, hbar = 0, so h' = (1 - 1/2) h
-    params = {k: ad.Tensor(np.zeros((3, 3)) if k[0] in "wu" else np.zeros(3))
-              for k in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")}
-    h = np.array([2.0, -4.0, 6.0])
-    out = nn.gru_cell(ad.Tensor(np.zeros(3)), ad.Tensor(h), params)
-    assert np.allclose(out.value, 0.5 * h)
-    out0 = nn.gru_cell(ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros(3)), params)
-    assert np.allclose(out0.value, 0.0)
-
-
-def test_gru_deterministic():
-    a = nn.GRUCell(np.random.default_rng(7), 3, 4)
-    b = nn.GRUCell(np.random.default_rng(7), 3, 4)
-    x = np.random.default_rng(1).normal(size=(2, 3))
-    h = np.zeros((2, 4))
-    ya = a(ad.Tensor(x), ad.Tensor(h)).value
-    yb = b(ad.Tensor(x), ad.Tensor(h)).value
-    assert np.array_equal(ya, yb)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_gru_gradients(seed):
-    cell = nn.GRUCell(np.random.default_rng(seed), 3, 4)
-
-    def loss_fn(ts):
-        out = nn.gru_cell(ts[0], ts[1], dict(zip(cell.params, ts[2:])))
-        return ad.total(out)
-
-    shapes = [(2, 3), (2, 4)] + [p.value.shape for p in cell.parameters()]
-    check_op(loss_fn, shapes, seed)
 
 
 def test_sgd_schedule_endpoints():

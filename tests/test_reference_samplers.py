@@ -20,8 +20,7 @@ from agg.autodiff import Tensor
 from agg.adversarial import (Discriminator, DiscriminatorConfig, GrammarOnlyConfig, _harden,
                              generator_loss, train_grammar_only)
 from agg.errors import ParameterError, ParseError
-from agg.nn import ACTIVATIONS
-from agg.grammar import (POLICIES, GrammarConfig, GrammarModel, _softmax_kept,
+from agg.grammar import (GrammarConfig, GrammarModel, _softmax_kept,
                          activity_config, gumbel_softmax)
 from agg.metrics import EvalReport, empirical_ngram_distribution, ngram_kl
 from agg.synthdata import (GroundTruthGrammar, SequenceDataset, _saved_tokens,
@@ -762,18 +761,15 @@ def expand(self, selection):
     (relaxed) one-hot rule selection to (next non-terminal, terminal)."""
     selection = selection if isinstance(selection, Tensor) else Tensor(selection)
     n_new = self.f_n(selection)
-    t_new = ACTIVATIONS[self.config.terminal_activation](self.f_t(selection))
+    t_new = ad.softmax(self.f_t(selection))
     return n_new, t_new
 
 
-def ref_unroll_batch(self, n0, length, policy="sample_hard", rng=None, tau=None,
-                     return_entropy=False):
+def ref_unroll_batch(self, n0, length, rng, tau=None, return_entropy=False):
     """GrammarModel.unroll_batch as a graph of primitive ops, seven nodes a
     step, verbatim but for `self`, which is the model, and for expand,
     sum_along and stack_time, which are the copies above and in the test
-    helpers."""
-    if policy not in POLICIES:
-        raise ParameterError(f"unknown policy {policy!r}")
+    helpers. Every step draws a hard straight-through sample."""
     if length < 1:
         raise ParameterError("unroll length must be >= 1")
     n0 = n0 if isinstance(n0, Tensor) else Tensor(n0)
@@ -790,15 +786,9 @@ def ref_unroll_batch(self, n0, length, policy="sample_hard", rng=None, tau=None,
             plogp = ad.mul(p_t, ad.log(ad.clamp_min(p_t, 1e-12)))
             entropies.append(ad.mean(sum_along(plogp, axis=-1)))
         probs = _softmax_kept(logits.value, (logits.value != -np.inf).ravel().nonzero()[0])
-        if policy == "greedy":
-            idx = np.argmax(probs, axis=-1)
-            sel_v = np.zeros((B, R))
-            sel_v[np.arange(B), idx] = 1.0
-            sel = Tensor(sel_v)
-        else:
-            u = np.clip(rng.random((B, R)), 1e-12, 1.0 - 1e-12)
-            sel = gumbel_softmax(logits, tau, u, hard=(policy == "sample_hard"))
-            idx = np.argmax(sel.value, axis=-1)
+        u = np.clip(rng.random((B, R)), 1e-12, 1.0 - 1e-12)
+        sel = gumbel_softmax(logits, tau, u, hard=True)
+        idx = np.argmax(sel.value, axis=-1)
         logp += np.log(np.maximum(probs[np.arange(B), idx], 1e-300))
         n, t = expand(self, sel)
         terminals.append(t)
@@ -813,8 +803,8 @@ def ref_unroll_batch(self, n0, length, policy="sample_hard", rng=None, tau=None,
     return out
 
 
-def _unroll_and_grads(unroll, model, disc, prefix, policy, tau, return_entropy,
-                      consume, seed=5, length=7):
+def _unroll_and_grads(unroll, model, disc, prefix, tau, return_entropy, consume,
+                      seed=5, length=7):
     """Unroll from the encoded prefix, backpropagate a loss that consumes
     `consume` ("both", "terminals" or "nonterminals"), and return the outputs,
     every grammar parameter's gradient, n0's gradient and the next draw of
@@ -823,7 +813,7 @@ def _unroll_and_grads(unroll, model, disc, prefix, policy, tau, return_entropy,
         p.grad = None
     rng = np.random.default_rng(seed)
     n0 = model.encode_start(Tensor(prefix))
-    out = unroll(model, n0, length, policy, rng, tau=tau, return_entropy=return_entropy)
+    out = unroll(model, n0, length, rng, tau=tau, return_entropy=return_entropy)
     t, n = out[:2]
     if consume == "both":
         loss = generator_loss(disc(_harden(t), n))      # the generator step's shape
@@ -856,10 +846,9 @@ def _assert_unroll_matches(model, disc, prefix, **kw):
     assert got[3] == want[3]
 
 
-def _unroll_case(topk, activation="softmax", d_terminal=6):
+def _unroll_case(topk, d_terminal=6):
     cfg = GrammarConfig(d_nonterminal=12, d_terminal=d_terminal, num_rules=24,
-                        topk_mask=topk, terminal_activation=activation,
-                        encoder_channels=8)
+                        topk_mask=topk, encoder_channels=8)
     model = GrammarModel(cfg, seed=4)
     disc = Discriminator(d_terminal, 12, DiscriminatorConfig(conv_channels=(4, 6),
                                                              kernel_width=3, stride=2),
@@ -868,32 +857,34 @@ def _unroll_case(topk, activation="softmax", d_terminal=6):
     return model, disc, prefix
 
 
+# the case ids name the unroll's one selection policy (hard straight-through
+# samples) and its one terminal activation (the softmax)
 @pytest.mark.parametrize("topk", [None, 4, 1])
 @pytest.mark.parametrize("return_entropy", [False, True])
-@pytest.mark.parametrize("policy", ["sample_hard", "sample_soft", "greedy"])
+@pytest.mark.parametrize("policy", ["sample_hard"])
 def test_unroll_batch_equals_per_op_graph(policy, return_entropy, topk):
     model, disc, prefix = _unroll_case(topk)
     for tau in (1.0, 0.37):
-        _assert_unroll_matches(model, disc, prefix, policy=policy, tau=tau,
+        _assert_unroll_matches(model, disc, prefix, tau=tau,
                                return_entropy=return_entropy, consume="both")
 
 
 @pytest.mark.parametrize("consume", ["terminals", "nonterminals"])
 @pytest.mark.parametrize("return_entropy", [False, True])
-@pytest.mark.parametrize("policy", ["sample_hard", "sample_soft", "greedy"])
+@pytest.mark.parametrize("policy", ["sample_hard"])
 def test_unroll_batch_equals_per_op_graph_one_stream(policy, return_entropy, consume):
     model, disc, prefix = _unroll_case(4)
-    _assert_unroll_matches(model, disc, prefix, policy=policy, tau=0.7,
+    _assert_unroll_matches(model, disc, prefix, tau=0.7,
                            return_entropy=return_entropy, consume=consume)
 
 
-@pytest.mark.parametrize("activation,d_terminal", [("softmax", 11), ("sigmoid", 6),
-                                                   ("none", 9)])
-@pytest.mark.parametrize("policy", ["sample_hard", "sample_soft"])
+@pytest.mark.parametrize("activation,d_terminal", [("softmax", 11), ("softmax", 6),
+                                                   ("softmax", 9)])
+@pytest.mark.parametrize("policy", ["sample_hard"])
 def test_unroll_batch_equals_per_op_graph_activations(policy, activation, d_terminal):
-    model, disc, prefix = _unroll_case(4, activation, d_terminal)
+    model, disc, prefix = _unroll_case(4, d_terminal)
     for consume in ("both", "terminals"):
-        _assert_unroll_matches(model, disc, prefix, policy=policy, tau=0.7,
+        _assert_unroll_matches(model, disc, prefix, tau=0.7,
                                return_entropy=True, consume=consume)
 
 
@@ -901,14 +892,12 @@ def test_unroll_batch_equals_per_op_graph_without_grad():
     model, _, prefix = _unroll_case(4)
     with ad.no_grad():
         n0 = model.encode_start(Tensor(prefix))
-        for policy in POLICIES:
-            got = model.unroll_batch(n0, 9, policy, np.random.default_rng(1),
-                                     return_entropy=True)
-            want = ref_unroll_batch(model, n0, 9, policy, np.random.default_rng(1),
-                                    return_entropy=True)
-            for a, b in zip(got, want, strict=True):
-                a, b = (x.value if isinstance(x, Tensor) else x for x in (a, b))
-                assert np.array_equal(a, b)
+        got = model.unroll_batch(n0, 9, np.random.default_rng(1), return_entropy=True)
+        want = ref_unroll_batch(model, n0, 9, np.random.default_rng(1),
+                                return_entropy=True)
+        for a, b in zip(got, want, strict=True):
+            a, b = (x.value if isinstance(x, Tensor) else x for x in (a, b))
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
