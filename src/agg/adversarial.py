@@ -14,7 +14,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError, InputError, ParameterError
-from .grammar import _softmax_kept
 from .nn import SGD, Conv1d, Dense
 
 LOG_CLAMP = 1e-7
@@ -25,7 +24,6 @@ class DiscriminatorConfig:
     conv_channels: tuple = (128, 256, 64)
     kernel_width: int = 5
     stride: int = 4
-    padding: str = "same"
 
     def __post_init__(self):
         if not self.conv_channels or any(c <= 0 for c in self.conv_channels):
@@ -51,8 +49,7 @@ class Discriminator:
         c_prev = d_in
         for i, c in enumerate(cfg.conv_channels):
             layers.append(Conv1d(rng, c_prev, c, kernel=cfg.kernel_width,
-                                 stride=cfg.stride, padding=cfg.padding,
-                                 activation="relu", name=f"{name}.conv{i}"))
+                                 stride=cfg.stride, name=f"{name}.conv{i}"))
             c_prev = c
         return layers
 
@@ -69,9 +66,9 @@ class Discriminator:
             raise DimensionError("terminal and non-terminal streams must align")
         ht, hn = t_seq, n_seq
         for layer in self.t_stack:
-            ht = layer(ht)
+            ht = ad.relu(layer(ht))
         for layer in self.n_stack:
-            hn = layer(hn)
+            hn = ad.relu(layer(hn))
         feat = ad.concat([ad.mean(ht, axis=1), ad.mean(hn, axis=1)], axis=-1)
         p = ad.sigmoid(self.head(feat))
         return ad.reshape(p, (-1,))
@@ -186,8 +183,7 @@ def teacher_forced_states(model, batch, n0, rng):
     tokens = np.argmax(batch, axis=2)                   # (B, L)
     emis = t_all.T                                      # (C, R) emission weight
     emits = np.argmax(t_all, axis=1)                    # (R,) hardened emission
-    with ad.no_grad():
-        p = model.rule_probs(Tensor(np.asarray(n0, dtype=np.float64))).value
+    p = model.rule_probs(np.asarray(n0, dtype=np.float64))
     out = np.empty((B, L, n_all.shape[1]))
     fallbacks = 0
     for j in range(L):
@@ -327,8 +323,10 @@ def _holdout_accuracy(grammar_model, disc_model, X_hold, config, rng):
         return float("nan")
     with ad.no_grad():
         n0 = grammar_model.encode_start(Tensor(X_hold[:, :config.prefix_len]))
-        n_real, _ = teacher_forced_states(grammar_model, X_hold, n0.value, rng)
-        p_real = disc_model(Tensor(X_hold), Tensor(n_real)).value
+        # the parsed states are freed once D has read them, before the unroll;
+        # held through it, they raised a train request's peak RSS by 7 to 11 MB
+        p_real = disc_model(Tensor(X_hold), Tensor(
+            teacher_forced_states(grammar_model, X_hold, n0.value, rng)[0])).value
         t_fake, n_fake, _, _ = grammar_model.unroll_batch(
             n0, X_hold.shape[1], rng, tau=_tau_at(config, config.iterations - 1))
         # rebinding frees the soft terminals before D's forward; holding them
@@ -395,19 +393,20 @@ def _pruned_loglik(model, batch, n0, k_cap, max_paths):
     The result is the batch mean of log(sum of kept path weights).
 
     The (R, R) table is ranked once per call, and candidates are weighed
-    only at the kept (parent, successor) pairs. The beam and the rule-table
-    head probs_all = softmax(mask(W_n @ W_r + b_r)) are one autodiff node,
-    whose backward repeats the primitive-op graph's backward expressions in
-    that graph's order, so every gradient is the same bit for bit: mean,
-    log, clamp, sum; then from step L-1 down to step 0 a step's products and
+    only at the kept (parent, successor) pairs. The beam and both rule heads,
+    the rule table's probs_all = softmax(mask(W_n @ W_r + b_r)) and the seed
+    states' p0 = softmax(mask(n0 @ W_r + b_r)), are one autodiff node, whose
+    backward repeats the primitive-op graph's backward expressions in that
+    graph's order, so every gradient is the same bit for bit: mean, log,
+    clamp, sum; then from step L-1 down to step 0 a step's products and
     gathers (each scatter-add one bincount), its sums into t_all and
-    probs_all added in that order; then the head's softmax, bias and matmul."""
+    probs_all added in that order; then each head's softmax, bias and
+    matmul, probs_all's before p0's."""
     (B, L), R = batch.shape, model.config.num_rules
-    w_r, b_r, w_n, w_t = model.weights()         # f_n(I) is W_n, f_t(I) is W_t
-    t_all = ad.softmax(w_t)
-    p0 = model.rule_probs(n0)                    # (B, R)
-    P0, T = p0.value, t_all.value
-    P = _softmax_kept(*model._head(w_n.value))   # probs_all, (R, R)
+    w_n = model.w_n                              # f_n(I) is W_n, f_t(I) is W_t
+    t_all = ad.softmax(model.w_t)
+    P0, T = model.rule_probs(n0.value), t_all.value   # p0, (B, R)
+    P = model.rule_probs(w_n.value)                   # probs_all, (R, R)
     C, rows = T.shape[1], np.arange(B)[:, None]
 
     # level 0: top-k rules per example. A step holds flat indices and factors
@@ -448,16 +447,16 @@ def _pruned_loglik(model, batch, n0, k_cap, max_paths):
                 dP = np.bincount(trans_at.ravel(), (gm * wp).ravel(), R * R).reshape(R, R)
                 gP = dP if gP is None else gP + dP
             gw = np.bincount(parent.ravel(), (gm * tr).ravel(), size).reshape(B, -1)
+        # a head's softmax (its +-0 where the mask dropped a rule is
+        # gl * keep's), then its logits' bias and matmul
         if gP is not None:
-            # softmax; its +-0 where the mask dropped a rule is gl * keep's
             gl = P * (gP - (gP * P).sum(axis=-1, keepdims=True))
-            ad._acc(b_r, gl.sum(axis=0))
-            ad._acc(w_n, gl @ w_r.value.T)
-            ad._acc(w_r, w_n.value.T @ gl)
+            ad._acc(w_n, model._head_backward(w_n.value, gl))
         ad._acc(t_all, gT.reshape(R, C))
-        ad._acc(p0, gw)
+        gl = P0 * (gw - (gw * P0).sum(axis=-1, keepdims=True))
+        ad._acc(n0, model._head_backward(n0.value, gl))
 
-    return ad._node(np.log(clamped).mean(), (p0, t_all, w_n, w_r, b_r), bwd)
+    return ad._node(np.log(clamped).mean(), (n0, t_all, w_n, model.w_r, model.b_r), bwd)
 
 
 def train_grammar_only(dataset, grammar_model, config, on_log=None):

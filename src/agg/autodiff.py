@@ -6,7 +6,6 @@ gradients into every reachable leaf. Everything is 64-bit for reproducibility.
 """
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -348,18 +347,6 @@ def concat(tensors, axis=-1):
     return _node(out_v, tuple(tensors), bwd)
 
 
-def mask_logits(x, keep):
-    """Set entries where keep is False to -inf; gradient flows only where kept."""
-    x = _as_tensor(x)
-    keep = np.asarray(keep, dtype=bool)
-    out_v = np.where(keep, x.value, -np.inf)
-
-    def bwd(g):
-        _acc(x, g * keep)
-
-    return _node(out_v, (x,), bwd)
-
-
 def straight_through(soft, hard_value):
     """Forward the hard value, route gradients to the soft sample unchanged."""
     soft = _as_tensor(soft)
@@ -383,11 +370,11 @@ def reshape(x, shape):
     return _node(out_v, (x,), bwd)
 
 
-def conv1d(x, w, b, stride=1, padding="same"):
+def conv1d(x, w, b, stride=1):
     """1-d cross-correlation over time.
 
-    x: (B, L, Cin), w: (K, Cin, Cout), b: (Cout,). `same` zero-pads so the
-    output length is ceil(L / stride); `valid` requires L >= K.
+    x: (B, L, Cin), w: (K, Cin, Cout), b: (Cout,). The input is zero-padded
+    ("same" padding), so the output length is ceil(L / stride).
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.value.ndim != 3:
@@ -398,18 +385,10 @@ def conv1d(x, w, b, stride=1, padding="same"):
         raise DimensionError("conv1d kernel width must be odd")
     if cin != wcin:
         raise DimensionError(f"conv1d channels {cin} vs kernel {wcin}")
-    if padding == "same":
-        lout = -(-L // stride)
-        pad_total = max((lout - 1) * stride + K - L, 0)
-        left = pad_total // 2
-        right = pad_total - left
-    elif padding == "valid":
-        if L < K:
-            raise DimensionError(f"conv1d valid padding needs length >= {K}, got {L}")
-        lout = (L - K) // stride + 1
-        left = right = 0
-    else:
-        raise ValueError(f"unknown padding {padding!r}")
+    lout = -(-L // stride)
+    pad_total = max((lout - 1) * stride + K - L, 0)
+    left = pad_total // 2
+    right = pad_total - left
     xp = np.zeros((B, left + L + right, cin))
     xp[:, left:left + L, :] = x.value
     span = (lout - 1) * stride + 1

@@ -264,21 +264,12 @@ def _metrics_csv(path, rows, columns):
                              for c in columns) + "\n")
 
 
-def cmd_train(cfg):
-    if not cfg["dataset"]:
-        raise ConfigError("train requires a dataset path")
-    dataset = load_dataset(cfg["dataset"])
-    if len(dataset) == 0:
-        raise InputError("empty dataset")
-    num_classes = cfg["num_classes"] or dataset.alphabet_size
-    grammar_config = _grammar_config(cfg, num_classes)
-    cfg = dict(cfg, num_classes=num_classes)   # resolved config is replayable
-    out = cfg["out_dir"]
-    _write_config(cfg, out)
-    model = GrammarModel(grammar_config, seed=cfg["seed"])
+def _train(cfg, dataset, model):
+    """Train model on dataset as the resolved train config cfg says. Returns
+    the metrics rows, their columns and a one-line summary."""
     if cfg["mode"] == "adversarial":
         disc = Discriminator(
-            num_classes, model.config.d_nonterminal,
+            cfg["num_classes"], model.config.d_nonterminal,
             DiscriminatorConfig(conv_channels=tuple(cfg["d_channels"]),
                                 kernel_width=cfg["kernel_width"],
                                 stride=cfg["stride"]),
@@ -292,24 +283,37 @@ def cmd_train(cfg):
             entropy_weight=cfg["entropy_weight"],
             ema_decay=cfg["ema_decay"] or None, log_every=cfg["log_every"])
         result = train_adversarial(dataset, model, disc, tc)
-        _metrics_csv(os.path.join(out, "metrics.csv"), result.metrics,
-                     ["iteration", "d_loss", "g_loss", "d_accuracy", "lr"])
-        print(f"trained {cfg['iterations']} iterations; "
-              f"holdout discriminator accuracy {result.holdout_accuracy:.3f}; "
-              f"parse fallbacks {result.parse_fallback_share:.1%}")
-    elif cfg["mode"] == "grammar_only":
+        return (result.metrics, ["iteration", "d_loss", "g_loss", "d_accuracy", "lr"],
+                f"trained {cfg['iterations']} iterations; "
+                f"holdout discriminator accuracy {result.holdout_accuracy:.3f}; "
+                f"parse fallbacks {result.parse_fallback_share:.1%}")
+    if cfg["mode"] == "grammar_only":
         gc = GrammarOnlyConfig(
             iterations=cfg["iterations"], batch_size=cfg["batch_size"],
             k_cap=cfg["k_cap"], max_paths=cfg["max_paths"],
             prefix_len=cfg["prefix_len"], seed=cfg["seed"], lr0=cfg["lr0"],
             momentum=cfg["momentum"], log_every=cfg["log_every"])
         rows = train_grammar_only(dataset, model, gc)
-        _metrics_csv(os.path.join(out, "metrics.csv"), rows,
-                     ["iteration", "nll", "lr"])
-        print(f"trained {cfg['iterations']} iterations; "
-              f"final nll {rows[-1]['nll']:.4f}")
-    else:
-        raise ConfigError(f"unknown train mode {cfg['mode']!r}")
+        return (rows, ["iteration", "nll", "lr"],
+                f"trained {cfg['iterations']} iterations; final nll {rows[-1]['nll']:.4f}")
+    raise ConfigError(f"unknown train mode {cfg['mode']!r}")
+
+
+def cmd_train(cfg):
+    if not cfg["dataset"]:
+        raise ConfigError("train requires a dataset path")
+    dataset = load_dataset(cfg["dataset"])
+    if len(dataset) == 0:
+        raise InputError("empty dataset")
+    num_classes = cfg["num_classes"] or dataset.alphabet_size
+    grammar_config = _grammar_config(cfg, num_classes)
+    cfg = dict(cfg, num_classes=num_classes)   # resolved config is replayable
+    out = cfg["out_dir"]
+    _write_config(cfg, out)
+    model = GrammarModel(grammar_config, seed=cfg["seed"])
+    rows, columns, summary = _train(cfg, dataset, model)
+    _metrics_csv(os.path.join(out, "metrics.csv"), rows, columns)
+    print(summary)
     save_checkpoint(os.path.join(out, "checkpoint.bin"),
                     {n: p.value for n, p in model.named_parameters().items()})
     return 0
@@ -391,23 +395,14 @@ def cmd_evaluate(cfg):
 
 
 def _ablate_arm(grammar, dataset, cfg, mode, topk, seed):
-    """One (training mode, branching) cell: returns the n-gram KL."""
-    num_classes = grammar.num_tokens
-    model = GrammarModel(activity_config(num_classes, topk_mask=topk), seed=seed)
-    if mode == "adversarial":
-        disc = Discriminator(num_classes, model.config.d_nonterminal,
-                             DiscriminatorConfig(conv_channels=(16, 32, 16)),
-                             seed=seed + 1)
-        tc = TrainConfig(iterations=cfg["iterations"], batch_size=cfg["batch_size"],
-                         prefix_len=cfg["prefix_len"], seed=seed, lr0=cfg["lr0"],
-                         d_loss_floor=0.7, entropy_weight=0.1, ema_decay=0.999)
-        train_adversarial(dataset, model, disc, tc)
-    else:
-        gc = GrammarOnlyConfig(iterations=cfg["iterations"],
-                               batch_size=cfg["batch_size"],
-                               prefix_len=cfg["prefix_len"], seed=seed,
-                               lr0=cfg["lr0"], k_cap=min(4, max(1, topk)))
-        train_grammar_only(dataset, model, gc)
+    """One (training mode, branching) cell, trained as `train` trains from
+    its defaults: returns the n-gram KL. The likelihood beam keeps as many
+    rules a step as the mask does."""
+    arm = dict(TRAIN_DEFAULTS, mode=mode, num_classes=grammar.num_tokens,
+               topk_mask=topk, k_cap=topk, seed=seed,
+               **{key: cfg[key] for key in ("iterations", "batch_size", "prefix_len", "lr0")})
+    model = GrammarModel(_grammar_config(arm, arm["num_classes"]), seed=seed)
+    _train(arm, dataset, model)
     X = dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
     samples = sample_model_futures(model, X, dataset.length,
                                    num_samples_per_prefix=cfg["samples_per_prefix"],
@@ -417,12 +412,16 @@ def _ablate_arm(grammar, dataset, cfg, mode, topk, seed):
 
 def cmd_ablate(cfg):
     _check_at_least_one(cfg, "ngram", "num_seeds", "num_prefixes", "samples_per_prefix")
+    # checked before the first arm trains, not when it is scored
+    for key in ("ngram", "prefix_len"):
+        if cfg[key] > cfg["length"]:
+            raise ConfigError(f"{key} {cfg[key]} exceeds length {cfg['length']}")
     grammar = build_preset_grammar(cfg["preset"])
     dataset = sample_dataset(grammar, cfg["num_sequences"], cfg["length"],
                              seed=cfg["seed"])
-    arms = {"adversarial": "adversarial", "grammar_only": "grammar_only"}
+    modes = ("adversarial", "grammar_only")
     results = {}
-    for mode in arms:
+    for mode in modes:
         for label, topk in (("branching", 4), ("no_branching", 1)):
             values = [
                 _ablate_arm(grammar, dataset, cfg, mode, topk, cfg["seed"] + s)
@@ -438,7 +437,7 @@ def cmd_ablate(cfg):
         f.write("\n")
     lines = [f"{cfg['ngram']}-gram KL (median over {cfg['num_seeds']} seeds)",
              f"{'training':<14}{'branching':>12}{'no branching':>14}"]
-    for mode in arms:
+    for mode in modes:
         b = results[f"{mode}.branching"]["median"]
         nb = results[f"{mode}.no_branching"]["median"]
         lines.append(f"{mode:<14}{b:>12.4f}{nb:>14.4f}")

@@ -3,9 +3,9 @@
 The generator keeps a bank of `num_rules` production rules of the form
 A -> aB. A rule head maps the current non-terminal vector to a probability
 distribution over the bank; a straight-through Gumbel-softmax draw selects
-one rule; two expander networks map the selection to the next non-terminal
-and the emitted terminal. Unrolling repeats this, so every sequence is a path
-through the rule bank.
+one rule; two expanders, weight matrices read at the selected rule's row,
+map the selection to the next non-terminal and the emitted terminal.
+Unrolling repeats this, so every sequence is a path through the rule bank.
 """
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Parameter, Tensor
 from .errors import DimensionError, InputError, ParameterError, ParseError, ResourceError
-from .nn import Conv1d, Dense, MLP
+from .nn import Conv1d, Dense, xavier_uniform
 
 
 @dataclass
@@ -24,7 +24,6 @@ class GrammarConfig:
     d_nonterminal: int = 64
     d_terminal: int = 8
     num_rules: int = 256
-    branching_k: int = 4
     topk_mask: int | None = None
     gumbel_temperature: float = 1.0
     encoder_channels: int = 64
@@ -36,15 +35,12 @@ class GrammarConfig:
             raise ParameterError("gumbel temperature must be > 0")
         if self.topk_mask is not None and not (1 <= self.topk_mask <= self.num_rules):
             raise ParameterError("topk_mask must be in [1, num_rules]")
-        if not (1 <= self.branching_k <= self.num_rules):
-            raise ParameterError("branching_k must be in [1, num_rules]")
 
 
 def activity_config(num_classes, **overrides):
     """Activity preset: 64-d non-terminals, 256 shared rules, 4-way branching."""
     cfg = dict(
-        d_nonterminal=64, d_terminal=num_classes, num_rules=256,
-        branching_k=4, topk_mask=4,
+        d_nonterminal=64, d_terminal=num_classes, num_rules=256, topk_mask=4,
     )
     cfg.update(overrides)
     return GrammarConfig(**cfg)
@@ -135,14 +131,12 @@ class _ConvEncoder:
 
     def __init__(self, rng, cfg):
         ch = cfg.encoder_channels
-        self.conv1 = Conv1d(rng, cfg.d_terminal, ch, kernel=3,
-                            padding="same", activation="relu", name="enc.conv1")
-        self.conv2 = Conv1d(rng, ch, ch, kernel=3, padding="same",
-                            activation="relu", name="enc.conv2")
+        self.conv1 = Conv1d(rng, cfg.d_terminal, ch, kernel=3, name="enc.conv1")
+        self.conv2 = Conv1d(rng, ch, ch, kernel=3, name="enc.conv2")
         self.head = Dense(rng, ch, cfg.d_nonterminal, name="enc.head")
 
     def __call__(self, x):
-        h = self.conv2(self.conv1(x))
+        h = ad.relu(self.conv2(ad.relu(self.conv1(x))))
         return self.head(ad.mean(h, axis=1))
 
     def parameters(self):
@@ -157,18 +151,20 @@ class GrammarModel:
         rng = np.random.default_rng(seed)
         cfg = config
         self.encoder = _ConvEncoder(rng, cfg)
-        self.f_r = MLP(rng, [cfg.d_nonterminal, cfg.num_rules], name="f_r")
-        # expanders are bias-free: a shared bias is a common-mode channel that
-        # lets adversarial gradients drag every rule's expansion to the same
-        # output, collapsing the rule bank; without it a one-hot selection
-        # reads a distinct column of each weight matrix
-        self.f_n = MLP(rng, [cfg.num_rules, cfg.d_nonterminal], name="f_n", bias=False)
-        self.f_t = MLP(rng, [cfg.num_rules, cfg.d_terminal], name="f_t", bias=False)
+        d, R = cfg.d_nonterminal, cfg.num_rules
+        # rule head f_R: logits n @ W_r + b_r over the bank
+        self.w_r = Parameter(xavier_uniform(rng, (d, R)), name="f_r.0.w")
+        self.b_r = Parameter(np.zeros(R), name="f_r.0.b")
+        # expanders f_N, f_T: a one-hot selection of rule r reads row r of
+        # W_n and of W_t. They are bias-free: a shared bias is a common-mode
+        # channel that lets adversarial gradients drag every rule's expansion
+        # to the same output, collapsing the rule bank
+        self.w_n = Parameter(xavier_uniform(rng, (R, d)), name="f_n.0.w")
+        self.w_t = Parameter(xavier_uniform(rng, (R, cfg.d_terminal)), name="f_t.0.w")
 
     # -- parameter plumbing -------------------------------------------------
     def parameters(self):
-        return (self.encoder.parameters() + self.f_r.parameters()
-                + self.f_n.parameters() + self.f_t.parameters())
+        return self.encoder.parameters() + [self.w_r, self.b_r, self.w_n, self.w_t]
 
     def named_parameters(self):
         return {p.name: p for p in self.parameters()}
@@ -192,13 +188,6 @@ class GrammarModel:
                 f"encoder input width {x.value.shape[2]} != {self.config.d_terminal}")
         return self.encoder(x)
 
-    def weights(self):
-        """(W_r, b_r, W_n, W_t): the Parameters of the rule head and of the
-        two expanders, each a single layer, so f_n(I) is W_n and f_t(I)
-        is W_t."""
-        head = self.f_r.layers[0]
-        return head.w, head.b, self.f_n.layers[0].w, self.f_t.layers[0].w
-
     def _topk_keep(self, v):
         """Boolean mask of the top-k entries of each row of the rule logits
         v, exactly k per row (ties broken by rank); None when no mask
@@ -218,22 +207,23 @@ class GrammarModel:
     def _head(self, n):
         """(s, kept) of the rule head at states n (B, d): the logits
         s = n @ W_r + b_r, unmasked, and the flat indices of the entries the
-        top-k mask keeps. rule_logits(n) is s with the others set to -inf."""
-        w_r, b_r, _, _ = self.weights()
-        s = n @ w_r.value
-        s += b_r.value
+        top-k mask keeps; the masked logits are s with the others -inf."""
+        s = n @ self.w_r.value
+        s += self.b_r.value
         keep = self._topk_keep(s)
         return s, np.arange(s.size) if keep is None else keep.ravel().nonzero()[0]
 
-    def rule_logits(self, n):
-        """Rule-bank logits with the optional top-k mask applied."""
-        n = n if isinstance(n, Tensor) else Tensor(n)
-        logits = self.f_r(n)
-        keep = self._topk_keep(logits.value)
-        return logits if keep is None else ad.mask_logits(logits, keep)
+    def _head_backward(self, n, gl):
+        """Backward of the logits n @ W_r + b_r for their gradient gl: adds
+        into b_r and W_r, and returns the gradient into the states n."""
+        ad._acc(self.b_r, gl.sum(axis=0))
+        ad._acc(self.w_r, n.T @ gl)
+        return gl @ self.w_r.value.T
 
     def rule_probs(self, n):
-        return ad.softmax(self.rule_logits(n))
+        """(B, R) rule distributions at the states n (B, d), an array: the
+        softmax of the masked logits. Forward-only."""
+        return _softmax_kept(*self._head(n))
 
     # -- unrolling ----------------------------------------------------------
     def unroll_batch(self, n0, length, rng, tau=None, return_entropy=False):
@@ -263,8 +253,7 @@ class GrammarModel:
         if tau <= 0:
             raise ParameterError("gumbel temperature must be > 0")
         inv = 1.0 / tau
-        w_r, b_r, w_n, w_t = self.weights()
-        Wr, Wn, Wt = w_r.value, w_n.value, w_t.value
+        Wn, Wt = self.w_n.value, self.w_t.value
         B, R = n0.value.shape[0], self.config.num_rules
         rows = np.arange(B)
         ns = [n0.value]           # N_0..N_L
@@ -310,10 +299,10 @@ class GrammarModel:
                 gt = None if g_t is None else g_t[:, j, :]
                 gsel = gl = None
                 if gn is not None:
-                    ad._acc(w_n, sel.T @ gn)
+                    ad._acc(self.w_n, sel.T @ gn)
                     gsel = gn @ Wn.T
                 if gt is not None:
-                    ad._acc(w_t, sel.T @ gt)
+                    ad._acc(self.w_t, sel.T @ gt)
                     gsel = _sum(gsel, gt @ Wt.T)
                 if g_e is not None:
                     # p log max(p, 1e-12): product rule, then the softmax
@@ -330,13 +319,12 @@ class GrammarModel:
                 # gl is already +-0 wherever the top-k mask dropped a rule
                 # (p and y are exactly 0 there), so the mask's backward,
                 # gl * keep, would return gl bit for bit
-                ad._acc(b_r, gl.sum(axis=0))
-                ad._acc(w_r, ns[j].T @ gl)
-                gn = gl @ Wr.T
+                gn = self._head_backward(ns[j], gl)
             if gn is not None:
                 ad._acc(n0, gn)
 
-        t_pre, nonterminals, *ent = ad._multi_node(values, (n0, w_r, b_r, w_n, w_t), bwd)
+        t_pre, nonterminals, *ent = ad._multi_node(
+            values, (n0, self.w_r, self.b_r, self.w_n, self.w_t), bwd)
         terminals = ad.softmax(t_pre)
         return (terminals, nonterminals, np.stack(indices, axis=1), logp, *ent)
 
@@ -363,16 +351,13 @@ class GrammarModel:
         the expansion of the one-hot selection of rule r, which is row r of
         the expander weights. The arrays are the caller's own.
         """
-        _, _, w_n, _ = self.weights()
-        probs_all = _softmax_kept(*self._head(w_n.value))
-        return w_n.value.copy(), self.rule_terminals(), probs_all
+        return self.w_n.value.copy(), self.rule_terminals(), self.rule_probs(self.w_n.value)
 
     def rule_terminals(self):
         """(R, C) terminal of each rule, rule_tables' t_all: the softmax of
         row r of W_t, without the (R, R) rule head."""
-        _, _, _, w_t = self.weights()
         with ad.no_grad():
-            return np.array(ad.softmax(w_t).value)
+            return np.array(ad.softmax(self.w_t).value)
 
     def sample_rule_paths(self, n0, length, num_samples, seed=0):
         """Hard-sampled rule-index paths (N, L) and their log_prob (N,), for
@@ -397,7 +382,7 @@ class GrammarModel:
             raise ParameterError("path length and num_samples must be >= 1")
         rng = np.random.default_rng(seed)
         _, _, probs_all = self.rule_tables()
-        p0 = _softmax_kept(*self._head(np.asarray(n0, dtype=np.float64)))
+        p0 = self.rule_probs(np.asarray(n0, dtype=np.float64))
         probs = np.concatenate([probs_all, p0])
         keep = probs > 0
         keep[:, [0, -1]] = True
@@ -436,14 +421,13 @@ class GrammarModel:
             state = paths[:, j] = rule.take(at)
         return paths, logp
 
-    def enumerate_all(self, n0, length, k_cap=None, budget=10**6):
+    def enumerate_all(self, n0, length, k_cap, budget=10**6):
         """Exhaustively expand the k_cap most probable rules per step.
 
         Returns [(SequenceSample, probability)] sorted by descending path
         probability. Probabilities are raw products of the per-step rule
         probabilities (no renormalization over the pruned tree).
         """
-        k_cap = self.config.branching_k if k_cap is None else k_cap
         if length < 1:
             raise ParameterError("length must be >= 1")
         if k_cap < 1 or k_cap > self.config.num_rules:
@@ -454,8 +438,7 @@ class GrammarModel:
                 f"sequences, over budget {budget}")
         n0 = np.asarray(n0, dtype=np.float64).reshape(-1)
         n_all, t_all, probs_all = self.rule_tables()
-        with ad.no_grad():
-            p0 = self.rule_probs(Tensor(n0.reshape(1, -1))).value[0]
+        p0 = self.rule_probs(n0.reshape(1, -1))[0]
 
         def topk(p):
             order = np.argsort(-p, kind="stable")

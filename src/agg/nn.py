@@ -13,16 +13,8 @@ import struct
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter
 from .errors import DimensionError, ParameterError, ParseError, ScheduleError
-
-ACTIVATIONS = {
-    "none": lambda x: x,
-    "relu": ad.relu,
-    "sigmoid": ad.sigmoid,
-    "tanh": ad.tanh,
-    "softmax": ad.softmax,
-}
 
 
 def xavier_uniform(rng, shape):
@@ -34,65 +26,30 @@ def xavier_uniform(rng, shape):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def dense_forward(x, w, b, activation="none"):
-    """activation(x @ w + b). x may be (d,), (B, d) or (B, L, d)."""
-    if activation not in ACTIVATIONS:
-        raise ParameterError(f"unknown activation {activation!r}")
-    y = ad.add(ad.matmul(x, w), b)
-    return ACTIVATIONS[activation](y)
-
-
 class Dense:
-    def __init__(self, rng, d_in, d_out, activation="none", name="dense",
-                 bias=True):
+    """The linear layer x @ w + b; x may be (d,), (B, d) or (B, L, d)."""
+
+    def __init__(self, rng, d_in, d_out, name="dense"):
         self.w = Parameter(xavier_uniform(rng, (d_in, d_out)), name=f"{name}.w")
-        self.b = Parameter(np.zeros(d_out), name=f"{name}.b") if bias else None
-        self.activation = activation
+        self.b = Parameter(np.zeros(d_out), name=f"{name}.b")
 
     def __call__(self, x):
-        if self.b is None:
-            if self.activation not in ACTIVATIONS:
-                raise ParameterError(f"unknown activation {self.activation!r}")
-            return ACTIVATIONS[self.activation](ad.matmul(x, self.w))
-        return dense_forward(x, self.w, self.b, self.activation)
+        return ad.add(ad.matmul(x, self.w), self.b)
 
     def parameters(self):
-        return [self.w] if self.b is None else [self.w, self.b]
-
-
-class MLP:
-    """Stack of dense layers; hidden layers use `hidden_activation`."""
-
-    def __init__(self, rng, dims, hidden_activation="relu",
-                 out_activation="none", name="mlp", bias=True):
-        self.layers = []
-        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-            act = out_activation if i == len(dims) - 2 else hidden_activation
-            self.layers.append(Dense(rng, a, b, act, name=f"{name}.{i}", bias=bias))
-
-    def __call__(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def parameters(self):
-        return [p for layer in self.layers for p in layer.parameters()]
+        return [self.w, self.b]
 
 
 class Conv1d:
-    def __init__(self, rng, c_in, c_out, kernel=5, stride=1, padding="same",
-                 activation="none", name="conv"):
+    def __init__(self, rng, c_in, c_out, kernel=5, stride=1, name="conv"):
         if kernel % 2 == 0:
             raise DimensionError("conv kernel width must be odd")
         self.w = Parameter(xavier_uniform(rng, (kernel, c_in, c_out)), name=f"{name}.w")
         self.b = Parameter(np.zeros(c_out), name=f"{name}.b")
         self.stride = stride
-        self.padding = padding
-        self.activation = activation
 
     def __call__(self, x):
-        y = ad.conv1d(x, self.w, self.b, stride=self.stride, padding=self.padding)
-        return ACTIVATIONS[self.activation](y)
+        return ad.conv1d(x, self.w, self.b, stride=self.stride)
 
     def parameters(self):
         return [self.w, self.b]

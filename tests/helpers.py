@@ -1,6 +1,6 @@
 """Shared test helpers: the finite-difference oracle for the gradient tests,
-the primitive ops that only the per-op reference graphs still use, and the
-runner for `python -m agg.cli` child processes."""
+the primitive ops and the rule head that only the per-op reference graphs
+still use, and the runner for `python -m agg.cli` child processes."""
 import os
 import subprocess
 import sys
@@ -94,6 +94,35 @@ def stack_time(tensors):
             ad._acc(t, g[:, i, :])
 
     return ad._node(out_v, tuple(tensors), bwd)
+
+
+def mask_logits(x, keep):
+    """Set entries where keep is False to -inf; gradient flows only where kept."""
+    x = ad._as_tensor(x)
+    keep = np.asarray(keep, dtype=bool)
+    out_v = np.where(keep, x.value, -np.inf)
+
+    def bwd(g):
+        ad._acc(x, g * keep)
+
+    return ad._node(out_v, (x,), bwd)
+
+
+def ref_rule_logits(model, n):
+    """GrammarModel.rule_logits, which the numpy rule head replaced: the
+    masked rule logits mask(add(matmul(n, W_r), b_r)) as primitive ops."""
+    n = n if isinstance(n, ad.Tensor) else ad.Tensor(n)
+    logits = ad.add(ad.matmul(n, model.w_r), model.b_r)
+    keep = model._topk_keep(logits.value)
+    return logits if keep is None else mask_logits(logits, keep)
+
+
+def expand(model, selection):
+    """GrammarModel.expand, which the one-node unroll replaced: map a
+    (relaxed) one-hot rule selection to (next non-terminal, terminal), the
+    selection times W_n and the softmax of the selection times W_t."""
+    selection = selection if isinstance(selection, ad.Tensor) else ad.Tensor(selection)
+    return ad.matmul(selection, model.w_n), ad.softmax(ad.matmul(selection, model.w_t))
 
 
 def run_cli(args, cwd, env_extra=None):

@@ -89,8 +89,7 @@ def test_gradient_suite_dense():
 def test_gradient_suite_conv1d():
     for case in range(GRAD_CASES):
         rng = np.random.default_rng(1000 + case)
-        conv = Conv1d(rng, 2, 2, kernel=3, stride=1, padding="same",
-                      name=f"c{case}")
+        conv = Conv1d(rng, 2, 2, kernel=3, stride=1, name=f"c{case}")
         x = Tensor(rng.normal(size=(1, 5, 2)))
         fd_check_params(lambda: ad.total(ad.tanh(conv(x))),
                         conv.parameters() + [x], rng)
@@ -165,8 +164,7 @@ def test_gumbel_hard_sampling_exact():
 
 def test_enumeration_count_and_mass():
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3,
-                                       num_rules=6, branching_k=2,
-                                       encoder_channels=8), seed=0)
+                                       num_rules=6, encoder_channels=8), seed=0)
     n0 = np.ones(8)
     seqs = model.enumerate_all(n0, length=10, k_cap=2)
     assert len(seqs) == 1024

@@ -21,8 +21,7 @@ SMALL_D = DiscriminatorConfig(conv_channels=(4, 6, 4))
 
 
 def tiny_model(**overrides):
-    cfg = dict(d_nonterminal=8, d_terminal=4, num_rules=6, branching_k=2,
-               encoder_channels=8)
+    cfg = dict(d_nonterminal=8, d_terminal=4, num_rules=6, encoder_channels=8)
     cfg.update(overrides)
     return GrammarModel(GrammarConfig(**cfg), seed=0)
 
@@ -50,7 +49,7 @@ def test_discriminator_output_range_and_zero_head():
 
 
 def test_discriminator_length_sweep():
-    # same padding keeps every layer's output length at ceil(L / stride)
+    # "same" padding keeps every layer's output length at ceil(L / stride)
     d = Discriminator(3, 5, SMALL_D, seed=1)
     rng = np.random.default_rng(1)
     for L in (1, 2, 5, 16, 64, 256):
@@ -118,7 +117,7 @@ def test_teacher_forced_posterior_tracks_emissions():
     emit = np.array([0, 0, 1, 1, 2, 2])           # no rule emits token 3
     w_t = np.zeros((6, 4))
     w_t[np.arange(6), emit] = 2.0
-    model.f_t.layers[0].w.assign(w_t)
+    model.w_t.assign(w_t)
     n_all, t_all, _ = model.rule_tables()
     assert np.array_equal(np.argmax(t_all, axis=1), emit)
 
@@ -142,8 +141,7 @@ def test_teacher_forced_posterior_tracks_emissions():
 
     # first-step law over many rows matches the posterior weight
     n = 4000
-    with ad.no_grad():
-        p0 = model.rule_probs(Tensor(np.zeros((1, 8)))).value[0]
+    p0 = model.rule_probs(np.zeros((1, 8)))[0]
     one_token = np.eye(4)[np.zeros((n, 1), dtype=np.int64)]
     weight = p0 * (emit == 0)
     out, _ = teacher_forced_states(model, one_token, np.zeros((n, 8)),
@@ -174,8 +172,7 @@ def run_tiny(seed=0, iterations=30, lr0=0.01, **overrides):
     g = build_preset_grammar("bimodal")
     ds = sample_dataset(g, 80, 6, seed=1)
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3,
-                                       num_rules=6, branching_k=2,
-                                       encoder_channels=8), seed=seed)
+                                       num_rules=6, encoder_channels=8), seed=seed)
     d = Discriminator(3, 8, SMALL_D, seed=seed + 1)
     cfg = TrainConfig(iterations=iterations, batch_size=8, prefix_len=2,
                       seed=seed, lr0=lr0, log_every=10, **overrides)
@@ -216,9 +213,9 @@ def test_train_gradient_reaches_all_generator_params():
     p_fake = d(t_fake, n_fake)
     ad.backward(generator_loss(p_fake))
     for group, params in (("encoder", model.encoder.parameters()),
-                          ("f_r", model.f_r.parameters()),
-                          ("f_n", model.f_n.parameters()),
-                          ("f_t", model.f_t.parameters())):
+                          ("f_r", [model.w_r, model.b_r]),
+                          ("f_n", [model.w_n]),
+                          ("f_t", [model.w_t])):
         mx = max(np.abs(p.grad_or_zero()).max() for p in params)
         assert mx > 0, group
 
@@ -260,8 +257,7 @@ def test_one_rule_grammar_converges_to_data():
     ds = SequenceDataset(records=[seq.copy() for _ in range(64)], length=6,
                          alphabet_size=3)
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3,
-                                       num_rules=4, branching_k=1,
-                                       topk_mask=1, encoder_channels=8), seed=0)
+                                       num_rules=4, topk_mask=1, encoder_channels=8), seed=0)
     # the (4,6,4) stack can collapse to a constant output here; use a wider D
     d = Discriminator(3, 8, DiscriminatorConfig(conv_channels=(16, 32, 16)),
                       seed=1)
@@ -280,8 +276,7 @@ def test_grammar_only_training_reduces_nll():
     g = build_preset_grammar("bimodal")
     ds = sample_dataset(g, 100, 6, seed=0)
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3,
-                                       num_rules=6, branching_k=2,
-                                       encoder_channels=8), seed=0)
+                                       num_rules=6, encoder_channels=8), seed=0)
     cfg = GrammarOnlyConfig(iterations=120, batch_size=16, k_cap=2,
                             prefix_len=2, seed=0, lr0=0.05, log_every=20)
     rows = train_grammar_only(ds, model, cfg)
@@ -331,9 +326,7 @@ def _tables(model, n0):
     """(p0, t_all, probs_all) as numpy arrays, the tables _pruned_loglik
     reads (softmax terminals)."""
     _, t_all, probs_all = model.rule_tables()
-    with ad.no_grad():
-        p0 = model.rule_probs(Tensor(n0)).value
-    return p0, t_all, probs_all
+    return model.rule_probs(n0), t_all, probs_all
 
 
 def _forward_loglik(p0, t_all, probs_all, tokens):
@@ -403,10 +396,10 @@ def test_pruned_loglik_matches_literal_pruning_rule_with_ties():
     rng = np.random.default_rng(2)
     logits = rng.integers(0, 3, size=(R, R)).astype(np.float64)
     emissions = 3.0 * np.eye(C)[rng.integers(0, C, size=R)]
-    model.f_n.layers[0].w.assign(np.eye(R))      # n_all = one-hot rule rows
-    model.f_r.layers[0].w.assign(logits)
-    model.f_r.layers[0].b.assign(np.zeros(R))
-    model.f_t.layers[0].w.assign(emissions)
+    model.w_n.assign(np.eye(R))                  # n_all = one-hot rule rows
+    model.w_r.assign(logits)
+    model.b_r.assign(np.zeros(R))
+    model.w_t.assign(emissions)
     tokens = rng.integers(0, C, size=(8, 6))
     n0 = np.eye(R)[rng.integers(0, R, size=8)]
     tables = _tables(model, n0)

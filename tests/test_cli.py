@@ -1,12 +1,18 @@
 """CLI surface: config resolution, artifacts, determinism, error JSON."""
 import json
+import os
 import shutil
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import agg
+from agg import cli
 from agg.cli import DEFAULTS, TRAIN_DEFAULTS, build_parser, main, resolve_config
 from agg.errors import ConfigError
 
@@ -242,6 +248,39 @@ def test_synth_rejects_bad_sizes(tmp_path, capsys, bad):
         argv += ["--set", item]
     assert _main_error(argv, capsys)["error"] == "ParameterError"
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("bad", ["ngram=13", "prefix_len=13"])
+def test_ablate_checks_lengths_before_training(tmp_path, capsys, monkeypatch, bad):
+    # an n-gram longer than the sequences used to fail only when the first
+    # arm was scored, after a whole adversarial training
+    def refuse(*args, **kwargs):
+        raise AssertionError("ablate trained before checking its lengths")
+
+    monkeypatch.setattr(cli, "train_adversarial", refuse)
+    monkeypatch.setattr(cli, "train_grammar_only", refuse)
+    argv = ["ablate", "--set", "length=12", "--set", bad,
+            "--set", f"out_dir={tmp_path / 'ablate'}"]
+    err = _main_error(argv, capsys)
+    assert err["error"] == "ConfigError" and bad.split("=")[0] in err["message"]
+    assert not (tmp_path / "ablate").exists()
+
+
+@pytest.mark.parametrize("preset,want", [({}, "1 1"),
+                                         ({"OPENBLAS_NUM_THREADS": "2",
+                                           "OMP_NUM_THREADS": "3"}, "2 3")],
+                         ids=["unset", "already-set"])
+def test_import_pins_blas_threads_unless_set(preset, want):
+    # the `agg` command imports the package before numpy, so the setting
+    # reaches OpenBLAS when numpy loads it
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(preset, PYTHONPATH=str(Path(agg.__file__).resolve().parents[1]))
+    code = ("import os, agg; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == want
 
 
 def test_pose_preset_is_config_error(workdir, tmp_path, capsys):

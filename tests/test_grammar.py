@@ -8,12 +8,11 @@ from agg.autodiff import Tensor
 from agg.errors import ParameterError, ParseError, ResourceError
 from agg.grammar import GrammarConfig, GrammarModel, activity_config, gumbel_softmax
 
-from helpers import numeric_grad, rel_err
+from helpers import expand, numeric_grad, ref_rule_logits, rel_err
 
 
 def tiny_config(**overrides):
-    cfg = dict(d_nonterminal=8, d_terminal=4, num_rules=6, branching_k=2,
-               encoder_channels=8)
+    cfg = dict(d_nonterminal=8, d_terminal=4, num_rules=6, encoder_channels=8)
     cfg.update(overrides)
     return GrammarConfig(**cfg)
 
@@ -29,7 +28,7 @@ def test_config_validation():
 
 def test_presets():
     a = activity_config(10)
-    assert (a.d_nonterminal, a.num_rules, a.branching_k, a.topk_mask) == (64, 256, 4, 4)
+    assert (a.d_nonterminal, a.num_rules, a.topk_mask) == (64, 256, 4)
     assert a.d_terminal == 10
 
 
@@ -37,16 +36,16 @@ def test_rule_probs_distribution():
     model = GrammarModel(tiny_config(), seed=0)
     rng = np.random.default_rng(1)
     n = rng.normal(size=(1000, 8))
-    p = model.rule_probs(Tensor(n)).value
+    p = model.rule_probs(n)
     assert np.all(p >= 0)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_rule_probs_zero_weights_uniform():
     model = GrammarModel(tiny_config(), seed=0)
-    for p in model.f_r.parameters():
+    for p in (model.w_r, model.b_r):
         p.assign(np.zeros_like(p.value))
-    probs = model.rule_probs(Tensor(np.ones((1, 8)))).value
+    probs = model.rule_probs(np.ones((1, 8)))
     assert np.allclose(probs, 1.0 / 6)
 
 
@@ -55,13 +54,12 @@ def test_topk_mask_behaviors():
     full = GrammarModel(tiny_config(topk_mask=6), seed=2)
     one = GrammarModel(tiny_config(topk_mask=1), seed=2)
     n = np.random.default_rng(0).normal(size=(5, 8))
-    assert np.allclose(base.rule_probs(Tensor(n)).value,
-                       full.rule_probs(Tensor(n)).value)
-    p1 = one.rule_probs(Tensor(n)).value
+    assert np.allclose(base.rule_probs(n), full.rule_probs(n))
+    p1 = one.rule_probs(n)
     assert np.all(p1.max(axis=1) == 1.0)
     assert np.all((p1 > 0).sum(axis=1) == 1)
     two = GrammarModel(tiny_config(topk_mask=2), seed=2)
-    p2 = two.rule_probs(Tensor(n)).value
+    p2 = two.rule_probs(n)
     assert np.all((p2 > 0).sum(axis=1) == 2)
 
 
@@ -161,28 +159,6 @@ def test_gumbel_temperature_limit():
         assert y[k] > 1 - 1e-3
 
 
-def test_expand_linear_columns():
-    model = GrammarModel(tiny_config(), seed=0)
-    w_n = model.f_n.layers[0].w.value
-    sel = np.zeros((1, 6))
-    sel[0, 3] = 1.0
-    n_new = model.f_n(Tensor(sel))
-    assert np.allclose(n_new.value[0], w_n[3])
-    # linearity: mixture of one-hots maps to mixture of columns
-    sel2 = np.zeros((1, 6))
-    sel2[0, [1, 4]] = 0.5
-    n_mix = model.f_n(Tensor(sel2))
-    assert np.allclose(n_mix.value[0], 0.5 * (w_n[1] + w_n[4]))
-
-
-def test_expand_terminal_softmax_property():
-    model = GrammarModel(tiny_config(), seed=5)
-    rng = np.random.default_rng(0)
-    sel = rng.dirichlet(np.ones(6), size=1000)
-    t = ad.softmax(model.f_t(Tensor(sel)))
-    assert np.allclose(t.value.sum(axis=1), 1.0, atol=1e-9)
-
-
 def test_encode_start_contracts():
     model = GrammarModel(tiny_config(), seed=0)
     x = np.random.default_rng(0).normal(size=(2, 5, 4))
@@ -233,7 +209,7 @@ def test_unroll_topk1_matches_greedy():
 def test_unroll_two_rule_frequencies():
     # force a near-uniform two-rule head via zero weights and a 2-rule bank
     model = GrammarModel(tiny_config(num_rules=2), seed=0)
-    for p in model.f_r.parameters():
+    for p in (model.w_r, model.b_r):
         p.assign(np.zeros_like(p.value))
     counts = np.zeros(2)
     for k in range(1000):
@@ -256,11 +232,11 @@ def test_unroll_markov_property():
         idx = []
         with ad.no_grad():
             for u in draws:
-                logits = model.rule_logits(n)
+                logits = ref_rule_logits(model, n)
                 sel = gumbel_softmax(logits, 1.0, np.clip(u, 1e-12, 1 - 1e-12),
                                      hard=True)
                 idx.append(int(np.argmax(sel.value)))
-                n = model.f_n(sel)
+                n = expand(model, sel)[0]
         return idx, n.value
 
     full, _ = run(n0, noise)
@@ -285,7 +261,7 @@ def test_unroll_batch_entropy_gradient():
     ent = out[4]
     assert ent.value.shape == ()
     ad.backward(ent)
-    assert any(np.abs(p.grad_or_zero()).max() > 0 for p in model.f_r.parameters())
+    assert any(np.abs(p.grad_or_zero()).max() > 0 for p in (model.w_r, model.b_r))
 
 
 def test_unroll_batch_entropy_flag_leaves_sample_unchanged():
@@ -326,19 +302,18 @@ def test_enumerate_hand_tree():
     # step probs (0.7, 0.3), then the 0.7-branch is deterministic while the
     # 0.3-branch splits (0.4, 0.6): path products {0.7, 0.12, 0.18}
     model = GrammarModel(GrammarConfig(d_nonterminal=3, d_terminal=4,
-                                       num_rules=3, branching_k=2,
-                                       encoder_channels=4), seed=0)
+                                       num_rules=3, encoder_channels=4), seed=0)
     # wire f_n so rule i lands in state e_i, then solve a 1-layer rule head
     # that realizes the desired per-state distributions
-    model.f_n.layers[0].w.assign(np.eye(3))
+    model.w_n.assign(np.eye(3))
     n0 = np.array([1.0, 1.0, 1.0])
     states = np.stack([n0, np.eye(3)[0], np.eye(3)[1]])
     probs = np.array([[0.7, 0.3, 0.0],
                       [1.0, 0.0, 0.0],
                       [0.0, 0.4, 0.6]])
     targets = np.log(probs + 1e-15)
-    model.f_r.layers[0].w.assign(np.linalg.solve(states, targets))
-    model.f_r.layers[0].b.assign(np.zeros(3))
+    model.w_r.assign(np.linalg.solve(states, targets))
+    model.b_r.assign(np.zeros(3))
 
     got = sorted(q for _, q in model.enumerate_all(n0, 2, k_cap=2))
     want = [0.3 * 0.4, 0.3 * 0.6, 0.7 * 1.0]
@@ -359,8 +334,7 @@ def test_rule_tables_consistency():
     n_all, t_all, probs_all = model.rule_tables()
     assert n_all.shape == (6, 8) and t_all.shape == (6, 4)
     assert np.allclose(probs_all.sum(axis=1), 1.0, atol=1e-9)
-    sel = np.eye(6)[2:3]
-    n_new, t_new = model.f_n(Tensor(sel)), ad.softmax(model.f_t(Tensor(sel)))
+    n_new, t_new = expand(model, np.eye(6)[2:3])
     assert np.allclose(n_new.value[0], n_all[2])
     assert np.allclose(t_new.value[0], t_all[2])
 
@@ -370,7 +344,6 @@ def test_sample_rule_paths_matches_unroll_distribution():
     n0 = np.ones((1, 8))
     paths, _ = model.sample_rule_paths(n0, 4, 4000, seed=0)
     assert paths.shape == (4000, 4)
-    with ad.no_grad():
-        p0 = model.rule_probs(Tensor(n0)).value[0]
+    p0 = model.rule_probs(n0)[0]
     freq = np.bincount(paths[:, 0], minlength=6) / 4000
     assert np.abs(freq - p0).max() < 0.05

@@ -1,56 +1,50 @@
-"""Layer oracles, optimizer schedule, and checkpoint round trips."""
+"""Layer oracles, initial parameters, optimizer schedule, and checkpoint
+round trips."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from agg import autodiff as ad
 from agg import nn
-from agg.errors import ParameterError, ParseError, ScheduleError
+from agg.adversarial import Discriminator, DiscriminatorConfig
+from agg.grammar import GrammarModel, activity_config
+from agg.errors import ParseError, ScheduleError
+
+
+def _dense(w, b):
+    layer = nn.Dense(np.random.default_rng(0), *np.shape(w))
+    layer.w.assign(w)
+    layer.b.assign(b)
+    return layer
 
 
 def test_dense_identity():
-    w = ad.Tensor(np.eye(3))
-    b = ad.Tensor(np.zeros(3))
     x = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(nn.dense_forward(ad.Tensor(x), w, b, "none").value, x)
+    assert np.array_equal(_dense(np.eye(3), np.zeros(3))(ad.Tensor(x)).value, x)
 
 
 def test_dense_zero_weights_softmax_uniform():
-    w = ad.Tensor(np.zeros((3, 4)))
-    b = ad.Tensor(np.zeros(4))
-    y = nn.dense_forward(ad.Tensor(np.array([5.0, -1.0, 2.0])), w, b, "softmax")
+    y = ad.softmax(_dense(np.zeros((3, 4)), np.zeros(4))(ad.Tensor(np.array([5.0, -1.0, 2.0]))))
     assert np.allclose(y.value, 0.25)
 
 
 def test_dense_hand_oracle():
     # W = [[1,2],[3,4]], b = (1,1), x = (1,1): Wx + b = (4, 8). The layer
     # computes x @ w + b, so w holds W transposed.
-    w = ad.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).T)
-    b = ad.Tensor(np.array([1.0, 1.0]))
-    y = nn.dense_forward(ad.Tensor(np.array([1.0, 1.0])), w, b, "none")
+    layer = _dense(np.array([[1.0, 2.0], [3.0, 4.0]]).T, np.array([1.0, 1.0]))
+    y = layer(ad.Tensor(np.array([1.0, 1.0])))
     assert np.array_equal(y.value, np.array([4.0, 8.0]))
 
 
-def test_dense_unknown_activation():
-    with pytest.raises(ParameterError):
-        nn.dense_forward(ad.Tensor(np.zeros(2)), ad.Tensor(np.zeros((2, 2))),
-                         ad.Tensor(np.zeros(2)), "gelu")
-
-
-def test_dense_bias_free():
-    rng = np.random.default_rng(0)
-    layer = nn.Dense(rng, 4, 3, bias=False)
-    assert layer.b is None and len(layer.parameters()) == 1
-    x = np.eye(4)[1]
-    assert np.allclose(layer(ad.Tensor(x)).value, layer.w.value[1])
-
-
 def test_conv_hand_oracle():
-    # kernel (1, 0, -1), valid, input (1, 2, 4, 7) -> (1-4, 2-7) = (-3, -5)
+    # kernel (1, 0, -1) over the input (1, 2, 4, 7), zero-padded by one on
+    # each side ("same"): (0-2, 1-4, 2-7, 4-0) = (-2, -3, -5, 4)
     x = ad.Tensor(np.array([[1.0, 2.0, 4.0, 7.0]]).reshape(1, 4, 1))
     w = ad.Tensor(np.array([1.0, 0.0, -1.0]).reshape(3, 1, 1))
     b = ad.Tensor(np.zeros(1))
-    y = ad.conv1d(x, w, b, stride=1, padding="valid").value
-    assert np.allclose(y.reshape(-1), [-3.0, -5.0])
+    y = ad.conv1d(x, w, b, stride=1).value
+    assert np.array_equal(y.reshape(-1), [-2.0, -3.0, -5.0, 4.0])
 
 
 def test_conv_width1_channel_mix():
@@ -59,6 +53,35 @@ def test_conv_width1_channel_mix():
     w = rng.normal(size=(1, 3, 4))
     y = ad.conv1d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(np.zeros(4))).value
     assert np.allclose(y, x @ w[0])
+
+
+# names, shapes and the sha256 of the initial values' bytes, in the models'
+# parameter order; the values are seeded uniform draws times a bound, so the
+# digests hold on any platform
+INITIAL_GRAMMAR = ([("enc.conv1.w", (3, 6, 64)), ("enc.conv1.b", (64,)),
+                    ("enc.conv2.w", (3, 64, 64)), ("enc.conv2.b", (64,)),
+                    ("enc.head.w", (64, 64)), ("enc.head.b", (64,)),
+                    ("f_r.0.w", (64, 256)), ("f_r.0.b", (256,)),
+                    ("f_n.0.w", (256, 64)), ("f_t.0.w", (256, 6))],
+                   "14b110e23f8182b979ef3050c2844826ac6954911b2f613d755309c19f63b8e3")
+INITIAL_DISCRIMINATOR = (
+    [(f"d.{s}.conv{i}.{p}", shape) for s, d_in in (("t", 6), ("n", 64))
+     for i, (c_in, c_out) in enumerate(((d_in, 16), (16, 32), (32, 16)))
+     for p, shape in (("w", (5, c_in, c_out)), ("b", (c_out,)))]
+    + [("d.head.w", (32, 1)), ("d.head.b", (1,))],
+    "c814aa1ad81e27f9147a2e74d8c5a2f4be56d4786f17f2bde4947ce8ee18ff1a")
+
+
+@pytest.mark.parametrize("build,want", [
+    (lambda: GrammarModel(activity_config(6), seed=0), INITIAL_GRAMMAR),
+    (lambda: Discriminator(6, 64, DiscriminatorConfig(conv_channels=(16, 32, 16)), seed=1),
+     INITIAL_DISCRIMINATOR),
+], ids=["grammar", "discriminator"])
+def test_initial_parameters_are_pinned(build, want):
+    params = build().parameters()
+    assert [(p.name, p.value.shape) for p in params] == want[0]
+    digest = hashlib.sha256(b"".join(p.value.tobytes() for p in params)).hexdigest()
+    assert digest == want[1]
 
 
 def test_sgd_schedule_endpoints():
@@ -144,11 +167,3 @@ def test_checkpoint_truncated_or_malformed_raises_parse_error(tmp_path):
         with pytest.raises(ParseError):
             nn.load_checkpoint(path)
 
-
-def test_mlp_shapes_and_params():
-    rng = np.random.default_rng(0)
-    mlp = nn.MLP(rng, [4, 8, 3])
-    y = mlp(ad.Tensor(np.zeros((2, 4))))
-    assert y.value.shape == (2, 3)
-    assert len(mlp.parameters()) == 4
-    assert len(nn.MLP(rng, [4, 8, 3], bias=False).parameters()) == 2

@@ -27,7 +27,7 @@ from agg.synthdata import (GroundTruthGrammar, SequenceDataset, _saved_tokens,
                            build_preset_grammar, load_dataset, load_grammar, sample_dataset,
                            sample_sequence, save_dataset)
 
-from helpers import gather_nd, rel_err, stack_time, sum_along
+from helpers import expand, gather_nd, ref_rule_logits, rel_err, stack_time, sum_along
 
 SEEDS = (0, 1, 7, 123)
 LENGTHS = (1, 2, 5, 12)
@@ -46,12 +46,17 @@ def ref_sample_sequence(grammar, length, rng):
     return out
 
 
+def ref_rule_probs(model, n):
+    """GrammarModel.rule_probs as the softmax of the per-op masked logits."""
+    with ad.no_grad():
+        return ad.softmax(ref_rule_logits(model, n)).value
+
+
 def ref_sample_rule_paths(model, n0, length, num_samples, seed=0):
     """Gather each path's probability row, cumsum it and compare every step."""
     rng = np.random.default_rng(seed)
     _, _, probs_all = model.rule_tables()
-    with ad.no_grad():
-        p0 = model.rule_probs(Tensor(np.asarray(n0, dtype=np.float64))).value
+    p0 = ref_rule_probs(model, np.asarray(n0, dtype=np.float64))
     p0 = np.repeat(p0, num_samples, axis=0)
     N = p0.shape[0]
     paths = np.empty((N, length), dtype=np.int64)
@@ -167,7 +172,7 @@ def test_sample_rule_paths_equals_gather_reference():
 def test_sample_rule_paths_tie_keeps_the_lower_rule():
     # a step-1 uniform equal to a cumulative probability selects that rule
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=6,
-                                       branching_k=2, encoder_channels=8), seed=8)
+                                       encoder_channels=8), seed=8)
     u = np.random.default_rng(0).random(2)[1]
     probs_all = np.zeros((6, 6))
     probs_all[:, 0], probs_all[:, 1] = u, 1.0 - u
@@ -185,7 +190,7 @@ def test_sample_rule_paths_at_cdf_boundaries(monkeypatch):
     # and in (0.75, 1); each step must take searchsorted's "left" answer
     R = 6
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=R,
-                                       branching_k=2, encoder_channels=8), seed=8)
+                                       encoder_channels=8), seed=8)
     probs_all = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
                           [0.0, 0.25, 0.0, 0.0, 0.5, 0.25],
                           [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
@@ -195,10 +200,9 @@ def test_sample_rule_paths_at_cdf_boundaries(monkeypatch):
     n_all, t_all, _ = model.rule_tables()
     model.rule_tables = lambda: (n_all, t_all, probs_all)
     # every seed state's rule law is exactly [0, 0.5, 0, 0.5, 0, 0]
-    w_r, b_r, _, _ = model.weights()
-    w_r.value[...] = 0.0
-    b_r.value[...] = -np.inf
-    b_r.value[[1, 3]] = np.log(0.5)
+    model.w_r.value[...] = 0.0
+    model.b_r.value[...] = -np.inf
+    model.b_r.value[[1, 3]] = np.log(0.5)
     # (step-0 u, step-1 u) per path
     u = np.array([[0.0, 0.0], [0.0, 0.3], [0.5, 0.0], [0.5, 0.2], [0.5, 0.25],
                   [0.5, 0.5], [0.5, 0.75], [0.5, 0.9], [0.7, 0.5], [0.7, 0.6],
@@ -206,8 +210,7 @@ def test_sample_rule_paths_at_cdf_boundaries(monkeypatch):
     want = [[0, 0], [0, 5], [1, 0], [1, 1], [1, 1], [1, 4], [1, 4], [1, 5], [3, 0],
             [3, 3], [3, 3], [3, 5], [3, 5], [1, 0], [3, 0]]
     # the same answers from searchsorted over each full cumulative row
-    with ad.no_grad():
-        p0 = model.rule_probs(Tensor(np.zeros((1, 8)))).value[0]
+    p0 = model.rule_probs(np.zeros((1, 8)))[0]
     for (u0, u1), (r0, r1) in zip(u, want):
         cum0, cum1 = np.cumsum(p0), np.cumsum(probs_all[r0])
         cum0[-1] = cum1[-1] = 1.0
@@ -261,8 +264,7 @@ def ref_path_log_probs(model, n0, paths, num_samples):
     """Each path's log_prob, summed step by step over the probabilities of
     its rules: the seed state's rule law at step 0, then probs_all rows."""
     _, _, probs_all = model.rule_tables()
-    with ad.no_grad():
-        p0 = model.rule_probs(Tensor(n0)).value
+    p0 = ref_rule_probs(model, n0)
     p = np.empty(paths.shape)
     p[:, 0] = np.repeat(p0, num_samples, axis=0)[np.arange(len(paths)), paths[:, 0]]
     p[:, 1:] = probs_all[paths[:, :-1], paths[:, 1:]]
@@ -304,7 +306,7 @@ def test_sample_rule_paths_law_equals_enumeration(topk):
     # every path of a 6-rule chain at L = 3: each sampled log_prob is the
     # log of its enumerated probability, and the sampled law is close to it
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=6,
-                                       branching_k=2, topk_mask=topk,
+                                       topk_mask=topk,
                                        encoder_channels=8), seed=8)
     n0 = np.random.default_rng(1).normal(size=(1, 8))
     exact = {tuple(s.rule_indices): (s.log_prob, q)
@@ -334,8 +336,7 @@ def _table_width(model, n0):
     """K of sample_rule_paths' compact table: the widest row of probs_all
     and the seed laws, counting column 0, the nonzero columns and the last."""
     _, _, probs_all = model.rule_tables()
-    with ad.no_grad():
-        p0 = model.rule_probs(Tensor(n0)).value
+    p0 = ref_rule_probs(model, n0)
     keep = np.concatenate([probs_all, p0]) > 0
     keep[:, [0, -1]] = True
     return int(keep.sum(axis=1).max())
@@ -349,7 +350,7 @@ def _chain_of_width(K, R=11, seed=0):
     -inf biases to the two end columns and K - 2 others."""
     rng = np.random.default_rng(seed)
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=R,
-                                       branching_k=1, encoder_channels=8), seed=seed)
+                                       encoder_channels=8), seed=seed)
     inner = np.arange(1, R - 1)
     probs_all = np.zeros((R, R))
     for r in range(R):
@@ -362,9 +363,8 @@ def _chain_of_width(K, R=11, seed=0):
         probs_all[r, cols] = p
     n_all, t_all, _ = model.rule_tables()
     model.rule_tables = lambda: (n_all, t_all, probs_all)
-    _, b_r, _, _ = model.weights()
-    b_r.value[...] = -np.inf
-    b_r.value[np.r_[0, rng.choice(inner, K - 2, replace=False), R - 1]] = 0.0
+    model.b_r.value[...] = -np.inf
+    model.b_r.value[np.r_[0, rng.choice(inner, K - 2, replace=False), R - 1]] = 0.0
     return model
 
 
@@ -391,7 +391,7 @@ def test_sample_rule_paths_equals_reference_on_small_banks(R, topk):
     # one rule (K = 1: no search step), and an odd bank whose rows are all
     # kept (K = R) or masked to 3 rules
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=R,
-                                       branching_k=1, topk_mask=topk,
+                                       topk_mask=topk,
                                        encoder_channels=8), seed=R)
     n0 = np.random.default_rng(R).normal(size=(4, 8))
     assert _table_width(model, n0) == (R if topk is None else 5)
@@ -756,20 +756,11 @@ def test_sequence_dataset_reports_the_first_bad_record():
 # unroll_batch: the one-node unroll against the per-op graph it replaced
 # ---------------------------------------------------------------------------
 
-def expand(self, selection):
-    """GrammarModel.expand, which the one-node unroll replaced: map a
-    (relaxed) one-hot rule selection to (next non-terminal, terminal)."""
-    selection = selection if isinstance(selection, Tensor) else Tensor(selection)
-    n_new = self.f_n(selection)
-    t_new = ad.softmax(self.f_t(selection))
-    return n_new, t_new
-
-
 def ref_unroll_batch(self, n0, length, rng, tau=None, return_entropy=False):
     """GrammarModel.unroll_batch as a graph of primitive ops, seven nodes a
-    step, verbatim but for `self`, which is the model, and for expand,
-    sum_along and stack_time, which are the copies above and in the test
-    helpers. Every step draws a hard straight-through sample."""
+    step, verbatim but for `self`, which is the model, and for
+    ref_rule_logits, expand, sum_along and stack_time, which are the copies
+    in the test helpers. Every step draws a hard straight-through sample."""
     if length < 1:
         raise ParameterError("unroll length must be >= 1")
     n0 = n0 if isinstance(n0, Tensor) else Tensor(n0)
@@ -780,7 +771,7 @@ def ref_unroll_batch(self, n0, length, rng, tau=None, return_entropy=False):
     terminals, nonterminals, indices, logp = [], [], [], np.zeros(B)
     entropies = []
     for _ in range(length):
-        logits = self.rule_logits(n)
+        logits = ref_rule_logits(self, n)
         if return_entropy:
             p_t = ad.softmax(logits)
             plogp = ad.mul(p_t, ad.log(ad.clamp_min(p_t, 1e-12)))
@@ -906,14 +897,15 @@ def test_unroll_batch_equals_per_op_graph_without_grad():
 
 def ref_pruned_loglik(model, batch, n0, k_cap, max_paths):
     """adversarial._pruned_loglik as a graph of primitive ops, three gathers
-    and two products a step, verbatim but for gather_nd and sum_along, which
-    come from the test helpers."""
+    and two products a step, verbatim but for ref_rule_logits, gather_nd and
+    sum_along, which come from the test helpers; both rule heads are the
+    per-op softmax of ref_rule_logits, as rule_probs was."""
     R = model.config.num_rules
-    _, _, n_all, t_all_logits = model.weights()  # f_n(I), f_t(I)
-    t_all = ad.softmax(t_all_logits)
-    probs_all = model.rule_probs(n_all)          # (R, R)
+    n_all = model.w_n                            # f_n(I)
+    t_all = ad.softmax(model.w_t)                # f_t(I)
+    probs_all = ad.softmax(ref_rule_logits(model, n_all))   # (R, R)
     B, L = batch.shape
-    p0 = model.rule_probs(n0)                    # (B, R)
+    p0 = ad.softmax(ref_rule_logits(model, n0))  # (B, R)
 
     # level 0: top-k rules per example
     k = min(k_cap, R)
@@ -991,10 +983,11 @@ def _bimodal_case(topk=4, num_rows=32, length=12, seed=0):
 def test_pruned_loglik_equals_per_op_graph_bimodal(topk):
     model, tokens, prefix = _bimodal_case(topk)
     nodes, ref_nodes = _assert_beam_matches(model, tokens, prefix, 4, 64)
-    # one node in place of the rule-table head's three (four with a mask),
-    # step 0's three, five a step after it, and sum, clamp, log and mean
+    # one node in place of the two rule heads' three nodes each (four with a
+    # mask), the rule table's and p0's, step 0's three, five a step after it,
+    # and sum, clamp, log and mean
     head = 3 + (topk is not None)
-    assert ref_nodes - nodes == head + 3 + 5 * (tokens.shape[1] - 1) + 4 - 1
+    assert ref_nodes - nodes == 2 * head + 3 + 5 * (tokens.shape[1] - 1) + 4 - 1
 
 
 def test_pruned_loglik_equals_per_op_graph_with_ties():
@@ -1002,14 +995,14 @@ def test_pruned_loglik_equals_per_op_graph_with_ties():
     # between candidates, also at the max_paths boundary
     R, C = 6, 3
     model = GrammarModel(GrammarConfig(d_nonterminal=R, d_terminal=C, num_rules=R,
-                                       branching_k=2, encoder_channels=8), seed=0)
+                                       encoder_channels=8), seed=0)
     rng = np.random.default_rng(2)
     logits = rng.integers(0, 3, size=(R, R)).astype(np.float64)
     emissions = 3.0 * np.eye(C)[rng.integers(0, C, size=R)]
-    model.f_n.layers[0].w.assign(np.eye(R))
-    model.f_r.layers[0].w.assign(logits)
-    model.f_r.layers[0].b.assign(np.zeros(R))
-    model.f_t.layers[0].w.assign(emissions)
+    model.w_n.assign(np.eye(R))
+    model.w_r.assign(logits)
+    model.b_r.assign(np.zeros(R))
+    model.w_t.assign(emissions)
     tokens = rng.integers(0, C, size=(8, 6))
     prefix = np.eye(C)[rng.integers(0, C, size=(8, 2))]
     for k_cap, max_paths in ((2, 3), (3, 2), (2, 5), (1, 1), (4, 7)):
@@ -1027,7 +1020,7 @@ def test_pruned_loglik_equals_per_op_graph_with_ties():
 @pytest.mark.parametrize("topk", [None, 2])
 def test_pruned_loglik_equals_per_op_graph_edges(k_cap, max_paths, rows, length, topk):
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=6,
-                                       branching_k=2, topk_mask=topk,
+                                       topk_mask=topk,
                                        encoder_channels=8), seed=3)
     rng = np.random.default_rng(k_cap + rows + length)
     tokens = rng.integers(0, 4, size=(rows, length))
@@ -1053,7 +1046,7 @@ def test_pruned_loglik_central_differences(monkeypatch):
     whose kept paths (every selection the beam makes) are the same at
     theta + h and theta - h as at theta."""
     model = GrammarModel(GrammarConfig(d_nonterminal=5, d_terminal=3, num_rules=5,
-                                       branching_k=2, topk_mask=3,
+                                       topk_mask=3,
                                        encoder_channels=4), seed=0)
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, 3, size=(4, 5))
