@@ -264,16 +264,6 @@ def sigmoid(x):
     return _node(out_v, (x,), bwd)
 
 
-def tanh(x):
-    x = _as_tensor(x)
-    out_v = np.tanh(x.value)
-
-    def bwd(g):
-        _acc(x, g * (1.0 - out_v * out_v))
-
-    return _node(out_v, (x,), bwd)
-
-
 def softmax(x, axis=-1):
     """Softmax along `axis`; tolerates -inf entries (they map to exactly 0)."""
     x = _as_tensor(x)

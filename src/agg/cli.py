@@ -39,7 +39,6 @@ SYNTH_DEFAULTS = {
 TRAIN_DEFAULTS = {
     "dataset": "",             # path to a JSONL dataset (required)
     "mode": "adversarial",     # adversarial | grammar_only
-    "preset": "activity",      # activity (the only model preset)
     "num_classes": 0,          # 0: infer from the dataset alphabet
     "topk_mask": 4,            # 0 disables the per-state rule mask
     "iterations": 5000,
@@ -55,8 +54,6 @@ TRAIN_DEFAULTS = {
     "entropy_weight": 0.1,
     "ema_decay": 0.999,        # 0 disables generator weight averaging
     "d_channels": [16, 32, 16],
-    "kernel_width": 5,
-    "stride": 4,
     "k_cap": 2,                # grammar_only: rules kept per step
     "max_paths": 64,           # grammar_only: enumeration beam cap
     "log_every": 100,
@@ -76,7 +73,6 @@ GENERATE_DEFAULTS = {
 
 EVALUATE_DEFAULTS = {
     "run_dir": "",             # train artifact directory; "" evaluates untrained
-    "preset": "activity",      # used when run_dir is ""
     "dataset": "",             # prefixes (required)
     "grammar": "",             # ground-truth grammar JSON (required)
     "ngram": 3,
@@ -84,7 +80,6 @@ EVALUATE_DEFAULTS = {
     "prefix_len": 4,
     "num_prefixes": 1000,
     "samples_per_prefix": 10,
-    "eps": 1e-6,
     "seed": 0,
     "out_dir": "runs/evaluate",
 }
@@ -215,10 +210,8 @@ def _write_config(cfg, out_dir):
         f.write("\n")
 
 
-def _grammar_config(cfg, num_classes):
-    if cfg["preset"] != "activity":
-        raise ConfigError(f"unknown model preset {cfg['preset']!r}")
-    config = activity_config(num_classes, topk_mask=cfg["topk_mask"] or None)
+def _grammar_config(num_classes, topk_mask):
+    config = activity_config(num_classes, topk_mask=topk_mask or None)
     # a hardened rule emits one token, so a bank of R rules covers at most R
     # classes; checked before anything is allocated with num_classes entries
     if num_classes > config.num_rules:
@@ -236,7 +229,7 @@ def _load_trained(run_dir):
             raise ConfigError(f"{cfg_path} lacks the train key {key!r}")
         _check_value(key, train_cfg[key], default)
     _check_seeds(train_cfg)
-    model = GrammarModel(_grammar_config(train_cfg, train_cfg["num_classes"]),
+    model = GrammarModel(_grammar_config(train_cfg["num_classes"], train_cfg["topk_mask"]),
                          seed=train_cfg["seed"])
     state = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
     model.load_state(state)
@@ -270,9 +263,7 @@ def _train(cfg, dataset, model):
     if cfg["mode"] == "adversarial":
         disc = Discriminator(
             cfg["num_classes"], model.config.d_nonterminal,
-            DiscriminatorConfig(conv_channels=tuple(cfg["d_channels"]),
-                                kernel_width=cfg["kernel_width"],
-                                stride=cfg["stride"]),
+            DiscriminatorConfig(conv_channels=tuple(cfg["d_channels"])),
             seed=cfg["seed"] + 1)
         tc = TrainConfig(
             iterations=cfg["iterations"], batch_size=cfg["batch_size"],
@@ -306,7 +297,7 @@ def cmd_train(cfg):
     if len(dataset) == 0:
         raise InputError("empty dataset")
     num_classes = cfg["num_classes"] or dataset.alphabet_size
-    grammar_config = _grammar_config(cfg, num_classes)
+    grammar_config = _grammar_config(num_classes, cfg["topk_mask"])
     cfg = dict(cfg, num_classes=num_classes)   # resolved config is replayable
     out = cfg["out_dir"]
     _write_config(cfg, out)
@@ -319,19 +310,25 @@ def cmd_train(cfg):
     return 0
 
 
-def cmd_generate(cfg):
-    if not cfg["run_dir"] or not cfg["dataset"]:
-        raise ConfigError("generate requires run_dir and dataset")
-    _check_at_least_one(cfg, "k", "horizon", "prefix_len", "num_prefixes")
-    model, _ = _load_trained(cfg["run_dir"])
+def _load_prefixes(cfg, model):
+    """One-hot prefixes for generate and evaluate: the first prefix_len tokens
+    of the dataset's first num_prefixes records, read at the model's width."""
     dataset = load_dataset(cfg["dataset"], alphabet_size=model.config.d_terminal)
     if len(dataset) == 0:
         raise InputError("empty dataset")
     if cfg["prefix_len"] > dataset.length:
         raise ConfigError("prefix_len exceeds dataset length")
+    return dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
+
+
+def cmd_generate(cfg):
+    if not cfg["run_dir"] or not cfg["dataset"]:
+        raise ConfigError("generate requires run_dir and dataset")
+    _check_at_least_one(cfg, "k", "horizon", "prefix_len", "num_prefixes")
+    model, _ = _load_trained(cfg["run_dir"])
+    prefixes = _load_prefixes(cfg, model)
     out = cfg["out_dir"]
     _write_config(cfg, out)
-    prefixes = dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
     k = cfg["k"]
     with ad.no_grad():
         n0 = model.encode_start(prefixes).value
@@ -361,27 +358,24 @@ def cmd_evaluate(cfg):
         raise ConfigError("evaluate requires dataset and grammar paths")
     _check_at_least_one(cfg, "ngram", "horizons", "prefix_len", "num_prefixes",
                         "samples_per_prefix")
+    horizons = sorted(cfg["horizons"])
+    # checked before the model loads and samples, not when a horizon is scored
+    if cfg["ngram"] > horizons[0]:
+        raise ConfigError(f"ngram {cfg['ngram']} exceeds the shortest horizon {horizons[0]}")
     grammar = load_grammar(cfg["grammar"])
     if cfg["run_dir"]:
         model, _ = _load_trained(cfg["run_dir"])
         model_id = cfg["run_dir"]
     else:
-        model = GrammarModel(_grammar_config(dict(cfg, topk_mask=4),
-                                             grammar.num_tokens), seed=cfg["seed"])
+        model = GrammarModel(_grammar_config(grammar.num_tokens, 4), seed=cfg["seed"])
         model_id = "untrained"
-    dataset = load_dataset(cfg["dataset"], alphabet_size=model.config.d_terminal)
-    if len(dataset) == 0:
-        raise InputError("empty dataset")
-    if cfg["prefix_len"] > dataset.length:
-        raise ConfigError("prefix_len exceeds dataset length")
-    X = dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
+    X = _load_prefixes(cfg, model)
     # one sample set at the longest horizon: the draws are step-major, so its
     # first h columns are what a sample at horizon h would give
-    horizons = sorted(cfg["horizons"])
     samples = sample_model_futures(model, X, horizons[-1],
                                    num_samples_per_prefix=cfg["samples_per_prefix"],
                                    seed=cfg["seed"])
-    per_horizon = {h: ngram_kl(samples[:, :h], grammar, cfg["ngram"], h, eps=cfg["eps"])
+    per_horizon = {h: ngram_kl(samples[:, :h], grammar, cfg["ngram"], h)
                    for h in horizons}
     report = EvalReport(per_horizon=per_horizon,
                         metadata={"model": model_id, "dataset": cfg["dataset"],
@@ -401,7 +395,7 @@ def _ablate_arm(grammar, dataset, cfg, mode, topk, seed):
     arm = dict(TRAIN_DEFAULTS, mode=mode, num_classes=grammar.num_tokens,
                topk_mask=topk, k_cap=topk, seed=seed,
                **{key: cfg[key] for key in ("iterations", "batch_size", "prefix_len", "lr0")})
-    model = GrammarModel(_grammar_config(arm, arm["num_classes"]), seed=seed)
+    model = GrammarModel(_grammar_config(grammar.num_tokens, topk), seed=seed)
     _train(arm, dataset, model)
     X = dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
     samples = sample_model_futures(model, X, dataset.length,

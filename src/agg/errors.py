@@ -14,7 +14,7 @@ class ParameterError(AggError, ValueError):
 
 
 class InputError(AggError, ValueError):
-    """Invalid runtime input (empty sequence, zero quaternion, ...)."""
+    """Invalid runtime input (empty sequence, empty dataset, ...)."""
 
 
 class ScheduleError(AggError, RuntimeError):
@@ -27,10 +27,6 @@ class ResourceError(AggError, RuntimeError):
 
 class ParseError(AggError, ValueError):
     """Malformed dataset or grammar file."""
-
-
-class MetricError(AggError, ValueError):
-    """Metric is undefined for the given inputs."""
 
 
 class ConfigError(AggError, ValueError):

@@ -25,14 +25,11 @@ class GrammarConfig:
     d_terminal: int = 8
     num_rules: int = 256
     topk_mask: int | None = None
-    gumbel_temperature: float = 1.0
     encoder_channels: int = 64
 
     def __post_init__(self):
         if self.d_nonterminal <= 0 or self.d_terminal <= 0 or self.num_rules <= 0:
             raise ParameterError("dimensions must be positive")
-        if self.gumbel_temperature <= 0:
-            raise ParameterError("gumbel temperature must be > 0")
         if self.topk_mask is not None and not (1 <= self.topk_mask <= self.num_rules):
             raise ParameterError("topk_mask must be in [1, num_rules]")
 
@@ -226,7 +223,7 @@ class GrammarModel:
         return _softmax_kept(*self._head(n))
 
     # -- unrolling ----------------------------------------------------------
-    def unroll_batch(self, n0, length, rng, tau=None, return_entropy=False):
+    def unroll_batch(self, n0, length, rng, tau=1.0, return_entropy=False):
         """Differentiable batched unroll, each step drawing one hard rule from
         the generator rng.
 
@@ -249,7 +246,6 @@ class GrammarModel:
         if length < 1:
             raise ParameterError("unroll length must be >= 1")
         n0 = n0 if isinstance(n0, Tensor) else Tensor(n0)
-        tau = self.config.gumbel_temperature if tau is None else tau
         if tau <= 0:
             raise ParameterError("gumbel temperature must be > 0")
         inv = 1.0 / tau

@@ -1,49 +1,16 @@
-"""Evaluation machinery: mAP at a horizon, best-of-K multi-future scoring,
-quaternion mean angle error, and n-gram KL against an exact grammar oracle."""
+"""Evaluation machinery: n-gram KL against an exact grammar oracle, model
+futures to score with it, and best-of-K multi-future scoring."""
 from __future__ import annotations
 
 import itertools
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InputError, MetricError, ParameterError
+from .errors import ParameterError
 from .synthdata import GroundTruthGrammar, exact_ngram_distribution, sample_sequence
-
-
-def average_precision(scores, labels):
-    """Ranked AP for one class: mean precision at each positive."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels).astype(bool)
-    order = np.argsort(-scores, kind="stable")
-    hits = labels[order]
-    if not hits.any():
-        raise MetricError("average precision undefined without positives")
-    cum = np.cumsum(hits)
-    ranks = np.arange(1, len(hits) + 1)
-    return float((cum[hits] / ranks[hits]).mean())
-
-
-def map_at_horizon(predicted_scores, ground_truth):
-    """Mean AP over classes with at least one positive.
-
-    predicted_scores: (N, C) per-class scores at the horizon of interest;
-    ground_truth: (N, C) binary labels.
-    """
-    scores = np.asarray(predicted_scores, dtype=np.float64)
-    labels = np.asarray(ground_truth)
-    if scores.shape != labels.shape:
-        raise InputError("scores and labels must align")
-    aps = []
-    for c in range(scores.shape[1]):
-        if labels[:, c].any():
-            aps.append(average_precision(scores[:, c], labels[:, c]))
-    if not aps:
-        raise MetricError("mAP undefined: no positive labels in any class")
-    return float(np.mean(aps))
 
 
 def grammar_sampler(grammar, state=None):
@@ -71,29 +38,6 @@ def best_of_k(sampler, horizon, k, metric, seed=0, higher_is_better=True):
         rng = np.random.default_rng(child)
         values.append(metric(sampler(horizon, rng)))
     return max(values) if higher_is_better else min(values)
-
-
-def mean_angle_error(pred, truth):
-    """Mean geodesic angle (radians) between unit-quaternion sequences.
-
-    Inputs are (frames, 4*joints) or (frames, joints, 4); antipodal
-    quaternions count as identical.
-    """
-    p = np.asarray(pred, dtype=np.float64).reshape(len(pred), -1, 4)
-    t = np.asarray(truth, dtype=np.float64).reshape(len(truth), -1, 4)
-    if p.shape != t.shape:
-        raise InputError("quaternion sequences must share shape")
-    for name, q in (("pred", p), ("truth", t)):
-        norms = np.linalg.norm(q, axis=-1)
-        if np.any(norms < 1e-12):
-            raise InputError(f"zero quaternion in {name}")
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            warnings.warn(f"{name} quaternions not unit norm; normalizing")
-    p = p / np.linalg.norm(p, axis=-1, keepdims=True)
-    t = t / np.linalg.norm(t, axis=-1, keepdims=True)
-    dots = np.abs(np.sum(p * t, axis=-1))
-    theta = 2.0 * np.arccos(np.minimum(1.0, dots))
-    return float(theta.mean())
 
 
 def empirical_ngram_distribution(samples, n, num_tokens):
@@ -161,7 +105,6 @@ def sample_model_futures(model, prefixes, horizon, num_samples_per_prefix=1, see
 @dataclass
 class EvalReport:
     per_horizon: dict                  # horizon -> metric value
-    best_of_k_values: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -175,7 +118,6 @@ class EvalReport:
     def to_json(self):
         return json.dumps({
             "per_horizon": {str(h): v for h, v in self.per_horizon.items()},
-            "best_of_k": {str(k): v for k, v in self.best_of_k_values.items()},
             "metadata": self.metadata,
         }, indent=2)
 
@@ -184,8 +126,6 @@ class EvalReport:
         horizons = list(self.per_horizon)
         header = ["metric"] + [str(h) for h in horizons]
         rows = [["value"] + [f"{self.per_horizon[h]:.4f}" for h in horizons]]
-        for k, v in self.best_of_k_values.items():
-            rows.append([f"best_of_{k}"] + [f"{v:.4f}"] + [""] * (len(horizons) - 1))
         widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
         lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
         for r in rows:

@@ -43,7 +43,7 @@ def test_matmul_shape_error():
 
 @pytest.mark.parametrize("seed", seeds())
 def test_elementwise(seed):
-    for op in (ad.relu, ad.sigmoid, ad.tanh):
+    for op in (ad.relu, ad.sigmoid):
         check_op(lambda ts, op=op: ad.total(op(ts[0])), [(4, 3)], seed)
 
 

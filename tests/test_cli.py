@@ -127,6 +127,7 @@ def test_train_generate_evaluate_pipeline(workdir):
                  "--set", "out_dir=ev"], workdir)
     assert r.returncode == 0, r.stderr
     report = json.loads((workdir / "ev" / "report.json").read_text())
+    assert list(report) == ["per_horizon", "metadata"]
     assert "8" in report["per_horizon"]
 
 
@@ -284,6 +285,7 @@ def test_import_pins_blas_threads_unless_set(preset, want):
 
 
 def test_pose_preset_is_config_error(workdir, tmp_path, capsys):
+    # the model preset key is gone with its one value, "activity"
     data = workdir / "data"
     train = ["train", "--set", f"dataset={data / 'dataset.jsonl'}",
              "--set", "preset=pose", "--set", f"out_dir={tmp_path / 'run'}"]
@@ -292,7 +294,9 @@ def test_pose_preset_is_config_error(workdir, tmp_path, capsys):
                 "--set", f"out_dir={tmp_path / 'ev'}"]
     for argv in (train, evaluate):
         err = _main_error(argv, capsys)
-        assert err["error"] == "ConfigError" and "pose" in err["message"]
+        assert err == {"error": "ConfigError",
+                       "message": f"unknown config key 'preset' for {argv[0]!r}"}
+    assert not (tmp_path / "run").exists() and not (tmp_path / "ev").exists()
 
 
 def test_frames_dataset_is_parse_error(tmp_path, capsys):
@@ -389,8 +393,8 @@ FLOAT_KEYS = [k for k, v in TRAIN_DEFAULTS.items() if type(v) is float]
 NOT_A_NUMBER = st.one_of(
     WORDS, st.sampled_from(["true", "false", "null", "1e999", "-1e999", "[1]", "{}", '"3"', ""]))
 NOT_AN_INTEGER = st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()).map(repr)
-ENUMS = {"mode": ("adversarial", "grammar_only"), "preset": ("activity",)}
-POSITIVE = ["iterations", "batch_size", "prefix_len", "log_every", "kernel_width", "stride"]
+ENUMS = {"mode": ("adversarial", "grammar_only")}
+POSITIVE = ["iterations", "batch_size", "prefix_len", "log_every"]
 
 BAD_SETS = st.one_of(
     # unknown keys, and items without "="
@@ -573,7 +577,9 @@ def test_generate_evaluate_on_empty_dataset_is_input_error(workdir, trained, tmp
 # train keys that were removed along with the one value every run used; a run
 # directory written before then still holds them in its config.json
 REMOVED_TRAIN_KEYS = {"policy": "sample_hard", "d_steps_per_g_step": 1,
-                      "generator_loss_variant": "non_saturating", "checkpoint_every": 0}
+                      "generator_loss_variant": "non_saturating", "checkpoint_every": 0,
+                      "preset": "activity", "kernel_width": 5, "stride": 4}
+REMOVED_EVALUATE_KEYS = {"preset": "activity", "eps": 1e-6}
 
 
 @pytest.mark.parametrize("key", sorted(REMOVED_TRAIN_KEYS))
@@ -587,6 +593,41 @@ def test_removed_train_key_is_config_error(workdir, tmp_path, capsys, key):
     err = _main_error(argv + ["--config", str(config)], capsys)
     assert err["error"] == "ConfigError" and key in err["message"]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_EVALUATE_KEYS))
+def test_removed_evaluate_key_is_config_error(workdir, tmp_path, capsys, key):
+    data = workdir / "data"
+    argv = ["evaluate", "--set", f"run_dir={workdir / 'fuzz_ckpt'}",
+            "--set", f"dataset={data / 'dataset.jsonl'}",
+            "--set", f"grammar={data / 'grammar.json'}", "--set", f"out_dir={tmp_path / 'ev'}"]
+    err = _main_error(argv + ["--set", f"{key}={REMOVED_EVALUATE_KEYS[key]}"], capsys)
+    assert err == {"error": "ConfigError", "message": f"unknown config key {key!r} for 'evaluate'"}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: REMOVED_EVALUATE_KEYS[key]}))
+    err = _main_error(argv + ["--config", str(config)], capsys)
+    assert err == {"error": "ConfigError", "message": f"unknown config key {key!r} for 'evaluate'"}
+    assert not (tmp_path / "ev").exists()
+
+
+def test_evaluate_checks_ngram_against_horizons_first(workdir, tmp_path, capsys,
+                                                      monkeypatch):
+    # an n-gram longer than the shortest horizon used to fail only when that
+    # horizon was scored, after the model was loaded and every future sampled
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate loaded or sampled before checking ngram")
+
+    monkeypatch.setattr(cli, "_load_trained", refuse)
+    monkeypatch.setattr(cli, "sample_model_futures", refuse)
+    data = workdir / "data"
+    err = _main_error(["evaluate", "--set", f"run_dir={workdir / 'fuzz_ckpt'}",
+                       "--set", f"dataset={data / 'dataset.jsonl'}",
+                       "--set", f"grammar={data / 'grammar.json'}",
+                       "--set", "ngram=5", "--set", "horizons=[4,12]",
+                       "--set", f"out_dir={tmp_path / 'ev'}"], capsys)
+    assert err == {"error": "ConfigError",
+                   "message": "ngram 5 exceeds the shortest horizon 4"}
+    assert not (tmp_path / "ev").exists()
 
 
 def test_run_dir_with_removed_keys_still_loads(workdir, trained, tmp_path):

@@ -21,8 +21,6 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         GrammarConfig(d_nonterminal=0)
     with pytest.raises(ParameterError):
-        GrammarConfig(gumbel_temperature=0.0)
-    with pytest.raises(ParameterError):
         GrammarConfig(num_rules=4, topk_mask=5)
 
 

@@ -458,8 +458,7 @@ def ref_evaluate(cfg, path):
         model, _ = cli._load_trained(cfg["run_dir"])
         model_id = cfg["run_dir"]
     else:
-        model = GrammarModel(cli._grammar_config(dict(cfg, topk_mask=4),
-                                                 grammar.num_tokens), seed=cfg["seed"])
+        model = GrammarModel(cli._grammar_config(grammar.num_tokens, 4), seed=cfg["seed"])
         model_id = "untrained"
     X = dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
     per_horizon = {}
@@ -467,7 +466,7 @@ def ref_evaluate(cfg, path):
         samples = ref_sample_model_futures(model, X, h,
                                            num_samples_per_prefix=cfg["samples_per_prefix"],
                                            seed=cfg["seed"])
-        per_horizon[h] = ngram_kl(samples, grammar, cfg["ngram"], h, eps=cfg["eps"])
+        per_horizon[h] = ngram_kl(samples, grammar, cfg["ngram"], h)
     report = EvalReport(per_horizon=per_horizon,
                         metadata={"model": model_id, "dataset": cfg["dataset"],
                                   "seed": cfg["seed"], "ngram": cfg["ngram"]})
@@ -756,7 +755,7 @@ def test_sequence_dataset_reports_the_first_bad_record():
 # unroll_batch: the one-node unroll against the per-op graph it replaced
 # ---------------------------------------------------------------------------
 
-def ref_unroll_batch(self, n0, length, rng, tau=None, return_entropy=False):
+def ref_unroll_batch(self, n0, length, rng, tau=1.0, return_entropy=False):
     """GrammarModel.unroll_batch as a graph of primitive ops, seven nodes a
     step, verbatim but for `self`, which is the model, and for
     ref_rule_logits, expand, sum_along and stack_time, which are the copies
@@ -764,7 +763,6 @@ def ref_unroll_batch(self, n0, length, rng, tau=None, return_entropy=False):
     if length < 1:
         raise ParameterError("unroll length must be >= 1")
     n0 = n0 if isinstance(n0, Tensor) else Tensor(n0)
-    tau = self.config.gumbel_temperature if tau is None else tau
     B = n0.value.shape[0]
     R = self.config.num_rules
     n = n0
