@@ -15,12 +15,11 @@ import sys
 
 import numpy as np
 
-from . import autodiff as ad
 from .adversarial import (Discriminator, DiscriminatorConfig, GrammarOnlyConfig,
                           TrainConfig, train_adversarial, train_grammar_only)
 from .errors import AggError, ConfigError, InputError
 from .grammar import GrammarModel, activity_config
-from .metrics import EvalReport, ngram_kl, sample_model_futures
+from .metrics import EvalReport, ngram_kl, ngram_kl_by_horizon, sample_model_futures
 from .nn import load_checkpoint, save_checkpoint
 from .synthdata import (build_preset_grammar, load_dataset, load_grammar,
                         sample_dataset, save_dataset, save_grammar)
@@ -330,9 +329,7 @@ def cmd_generate(cfg):
     out = cfg["out_dir"]
     _write_config(cfg, out)
     k = cfg["k"]
-    with ad.no_grad():
-        n0 = model.encode_start(prefixes).value
-    paths, logp = model.sample_rule_paths(n0, cfg["horizon"], k, seed=cfg["seed"])
+    paths, logp = model.sample_prefix_paths(prefixes, cfg["horizon"], k, seed=cfg["seed"])
     # every line from one template; the JSON of each log_prob and of each
     # rule's terminal comes from one json.dumps call of the whole table, split
     # at the separators between its items (no number's JSON holds ", " or "]")
@@ -371,12 +368,12 @@ def cmd_evaluate(cfg):
         model_id = "untrained"
     X = _load_prefixes(cfg, model)
     # one sample set at the longest horizon: the draws are step-major, so its
-    # first h columns are what a sample at horizon h would give
+    # first h columns are what a sample at horizon h would give, and one
+    # count of its windows scores every horizon
     samples = sample_model_futures(model, X, horizons[-1],
                                    num_samples_per_prefix=cfg["samples_per_prefix"],
                                    seed=cfg["seed"])
-    per_horizon = {h: ngram_kl(samples[:, :h], grammar, cfg["ngram"], h)
-                   for h in horizons}
+    per_horizon = ngram_kl_by_horizon(samples, grammar, cfg["ngram"], horizons)
     report = EvalReport(per_horizon=per_horizon,
                         metadata={"model": model_id, "dataset": cfg["dataset"],
                                   "seed": cfg["seed"], "ngram": cfg["ngram"]})

@@ -355,19 +355,21 @@ class GrammarModel:
         with ad.no_grad():
             return np.array(ad.softmax(self.w_t).value)
 
-    def sample_rule_paths(self, n0, length, num_samples, seed=0):
+    def sample_rule_paths(self, n0, length, num_samples, seed=0, start=None):
         """Hard-sampled rule-index paths (N, L) and their log_prob (N,), for
-        N = num_samples * B futures from the (B, d) seed states n0.
+        N = num_samples * B futures from the (U, d) seed states n0.
 
-        Path i starts from n0[i // num_samples]. A step draws one uniform u
-        per path and takes the first rule whose cumulative probability (last
-        entry set to 1) is not below u, as searchsorted(side="left") would.
-        The draws are step-major, one (N,) row per step, so the paths of a
-        shorter length are the first columns of those of a longer one.
-        log_prob adds log(max(p, 1e-300)) of each chosen rule, step by step.
+        start (B,) names the seed row of each prefix, every row of n0 in
+        order by default; path i starts from n0[start[i // num_samples]]. A
+        step draws one uniform u per path and takes the first rule whose
+        cumulative probability (last entry set to 1) is not below u, as
+        searchsorted(side="left") would. The draws are step-major, one (N,)
+        row per step, so the paths of a shorter length are the first columns
+        of those of a longer one. log_prob adds log(max(p, 1e-300)) of each
+        chosen rule, step by step.
 
-        The states are the R rules (rows of probs_all) and the B seeds (rows
-        R + b). Of each state's cumulative row only column 0, the columns of
+        The states are the R rules (rows of probs_all) and the U seeds (rows
+        R + u). Of each state's cumulative row only column 0, the columns of
         nonzero probability and the last column are kept, in K slots padded
         with +inf: the first entry not below u is always one of them, because
         a zero adds nothing to the running sum and column 0 covers u = 0. The
@@ -399,7 +401,9 @@ class GrammarModel:
         logs = np.log(np.maximum(p, 1e-300))
         rule = np.zeros(len(probs) * K, dtype=np.int64)
         rule[slot] = cols
-        state = len(probs_all) + np.repeat(np.arange(len(p0)), num_samples)
+        if start is None:
+            start = np.arange(len(p0))
+        state = len(probs_all) + np.repeat(start, num_samples)
         paths = np.empty((len(state), length), dtype=np.int64)
         logp = np.zeros(len(state))
         u = rng.random((length, len(state)))     # step-major: one (N,) draw per step
@@ -416,6 +420,30 @@ class GrammarModel:
             logp += logs.take(at)
             state = paths[:, j] = rule.take(at)
         return paths, logp
+
+    def sample_prefix_paths(self, prefixes, length, num_samples, seed=0):
+        """sample_rule_paths seeded by encoding the one-hot prefixes
+        (B, L, C): paths (N, length) and log_prob (N,), path i from prefix
+        i // num_samples.
+
+        Only the distinct prefixes, found by byte equality, are encoded and
+        become seed rows of the sampler's table. The result is the same bit
+        for bit as encoding every prefix: a batched encode rounds each row
+        alike whatever the batch holds, and the uniforms are drawn per path.
+        numpy multiplies a one-row batch by gemv, which rounds otherwise, so
+        a lone distinct prefix among several is encoded twice.
+        """
+        x = np.asarray(prefixes, dtype=np.float64)
+        if x.ndim != 3:
+            raise InputError("prefixes must be a (B, L, C) array")
+        flat = np.ascontiguousarray(x).reshape(len(x), x.shape[1] * x.shape[2])
+        rows = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+        _, first, start = np.unique(rows, return_index=True, return_inverse=True)
+        if len(first) == 1 < len(x):
+            first = np.zeros(2, dtype=np.intp)
+        with ad.no_grad():
+            n0 = self.encode_start(x[first]).value
+        return self.sample_rule_paths(n0, length, num_samples, seed=seed, start=start)
 
     def enumerate_all(self, n0, length, k_cap, budget=10**6):
         """Exhaustively expand the k_cap most probable rules per step.

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ParameterError
 from .synthdata import GroundTruthGrammar, exact_ngram_distribution, sample_sequence
 
@@ -74,31 +73,77 @@ def kl_divergence(p, q, support, eps=1e-6):
     return float(np.sum(pv * np.log(pv / qv)))
 
 
-def ngram_kl(model_samples, oracle, n, horizon, eps=1e-6):
+def _check_order(n, horizon):
+    if n < 1:
+        raise ParameterError("n-gram order must be >= 1")
+    if n > horizon:
+        raise ParameterError("n must be <= horizon")
+
+
+def _support(oracle, n):
+    """The oracle's n-grams in ascending order, the first token most
+    significant: every tuple of its tokens."""
+    return list(itertools.product(range(oracle.num_tokens), repeat=n))
+
+
+def ngram_kl(model_samples, oracle, n, horizon):
     """KL(data || model) over n-gram distributions, in nats.
 
     model_samples: (N, horizon) token-index array drawn from the model;
     oracle: GroundTruthGrammar giving the exact data-side distribution.
     """
-    if eps <= 0:
-        raise ParameterError("smoothing eps must be > 0")
-    if n < 1:
-        raise ParameterError("n-gram order must be >= 1")
-    if n > horizon:
-        raise ParameterError("n must be <= horizon")
+    _check_order(n, horizon)
     p_data = exact_ngram_distribution(oracle, n, horizon)
     p_model = empirical_ngram_distribution(model_samples, n, oracle.num_tokens)
-    support = list(itertools.product(range(oracle.num_tokens), repeat=n))
-    return kl_divergence(p_data, p_model, support, eps=eps)
+    return kl_divergence(p_data, p_model, _support(oracle, n))
+
+
+def ngram_kl_by_horizon(model_samples, oracle, n, horizons):
+    """{h: ngram_kl(model_samples[:, :h], oracle, n, h)} over the horizons
+    in ascending order, bit for bit, from one count of the windows.
+
+    Every window of the (N, H) samples, H the longest horizon, is coded once
+    as its index in the support. A window that holds a token outside the
+    oracle's alphabet goes to one bin past the support: it counts in the
+    total but in no n-gram, as in ngram_kl. One bincount over (column, code)
+    and a running total over the columns give, for horizon h, the counts of
+    its first h - n + 1 window columns.
+    """
+    horizons = sorted(set(horizons))
+    _check_order(n, horizons[0])
+    samples = np.asarray(model_samples)
+    if samples.ndim != 2 or samples.shape[1] < horizons[-1]:
+        raise ParameterError("samples must be (N, H) with H >= the longest horizon")
+    C = oracle.num_tokens
+    size = C ** n
+    samples = samples[:, :horizons[-1]]
+    outside = (samples < 0) | (samples >= C)
+    windows = samples.shape[1] - n + 1
+    codes = np.zeros((len(samples), windows), dtype=np.int64)
+    missed = np.zeros(codes.shape, dtype=bool)
+    for k in range(n):
+        codes = codes * C + samples[:, k:k + windows]
+        missed |= outside[:, k:k + windows]
+    codes[missed] = size
+    codes += np.arange(windows) * (size + 1)
+    counts = np.bincount(codes.ravel(), minlength=windows * (size + 1))
+    counts = np.cumsum(counts.reshape(windows, size + 1), axis=0)
+    support = _support(oracle, n)
+    out = {}
+    for h in horizons:
+        # each count over the total, as empirical_ngram_distribution divides
+        # (with no samples every count is 0, and so is its frequency)
+        q = counts[h - n, :size] / max(len(samples) * (h - n + 1), 1)
+        out[h] = kl_divergence(exact_ngram_distribution(oracle, n, h),
+                               dict(zip(support, q.tolist())), support)
+    return out
 
 
 def sample_model_futures(model, prefixes, horizon, num_samples_per_prefix=1, seed=0):
     """(N * num_samples, horizon) token paths from the generator, seeded by
-    encoding each one-hot prefix."""
-    prefixes = np.asarray(prefixes, dtype=np.float64)
-    with ad.no_grad():
-        n0 = model.encode_start(prefixes).value
-    paths, _ = model.sample_rule_paths(n0, horizon, num_samples_per_prefix, seed=seed)
+    encoding each distinct one-hot prefix."""
+    paths, _ = model.sample_prefix_paths(prefixes, horizon, num_samples_per_prefix,
+                                         seed=seed)
     return np.argmax(model.rule_terminals(), axis=-1)[paths]
 
 

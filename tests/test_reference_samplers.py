@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agg import adversarial, cli
+from agg import adversarial, cli, metrics
 from agg import autodiff as ad
 from agg.autodiff import Tensor
 from agg.adversarial import (Discriminator, DiscriminatorConfig, GrammarOnlyConfig, _harden,
@@ -25,7 +25,7 @@ from agg.grammar import (GrammarConfig, GrammarModel, _softmax_kept,
 from agg.metrics import EvalReport, empirical_ngram_distribution, ngram_kl
 from agg.synthdata import (GroundTruthGrammar, SequenceDataset, _saved_tokens,
                            build_preset_grammar, load_dataset, load_grammar, sample_dataset,
-                           sample_sequence, save_dataset)
+                           sample_sequence, sample_sequences, save_dataset)
 
 from helpers import expand, gather_nd, ref_rule_logits, rel_err, stack_time, sum_along
 
@@ -423,7 +423,8 @@ def test_generate_writer_equals_per_line_writer(trained_runs, tmp_path, monkeypa
                       size=len(paths))
     monkeypatch.setattr(GrammarModel, "rule_terminals", lambda self: t_all)
     monkeypatch.setattr(GrammarModel, "sample_rule_paths",
-                        lambda self, n0, length, num_samples, seed=0: (paths, logp))
+                        lambda self, n0, length, num_samples, seed=0, start=None:
+                        (paths, logp))
     assert _quiet_main(["generate", f"--set=run_dir={runs[4]}", f"--set=dataset={dataset}",
                         f"--set=k={k}", f"--set=horizon={horizon}",
                         f"--set=num_prefixes={num_prefixes}",
@@ -432,6 +433,49 @@ def test_generate_writer_equals_per_line_writer(trained_runs, tmp_path, monkeypa
     got = (tmp_path / "gen" / "futures.jsonl").read_text()
     assert got == (tmp_path / "want.jsonl").read_text()
     assert got.count("\n") == len(paths) and "e-05" in got and "5e-324" in got
+
+
+def _prefix_cases():
+    """(name, one-hot prefixes (B, 4, 6), distinct rows): all equal, all
+    distinct, and a few distinct rows repeated in shuffled order."""
+    rng = np.random.default_rng(0)
+    eye = np.eye(6)
+    codes = rng.permutation(6 ** 4)[:40]
+    distinct = eye[np.stack([codes // 6 ** k % 6 for k in range(4)], axis=1)]
+    yield "one", distinct[:1], 1
+    yield "two equal", distinct[[3, 3]], 1
+    yield "all equal", distinct[[5] * 50], 1
+    yield "two distinct", distinct[[4, 9]], 2
+    yield "all distinct", distinct, 40
+    yield "mixed", distinct[rng.choice([0, 7, 8, 21, 39], 200)], 5
+    yield "mixed, one repeated", distinct[np.r_[np.arange(10), [2] * 30][rng.permutation(40)]], 10
+    for seed in (1, 2, 3):
+        # the CLI's case: recipe's first 1000 four-token prefixes
+        dataset = sample_dataset(build_preset_grammar("recipe"), 1000, 12, seed=seed)
+        yield f"recipe seed {seed}", dataset.one_hot(1000, 4), 7
+
+
+@pytest.mark.parametrize("topk", [4, None])
+@pytest.mark.parametrize("case", list(_prefix_cases()), ids=lambda case: case[0])
+def test_sample_prefix_paths_equals_sampling_every_prefix(monkeypatch, topk, case):
+    # each distinct prefix is encoded and seeded once, and the paths and
+    # log_prob are those of the gather reference on every prefix's encoding
+    _, X, num_distinct = case
+    model = GrammarModel(activity_config(6, topk_mask=topk), seed=len(X))
+    with ad.no_grad():
+        n0 = model.encode_start(X).value
+    encoded = []
+    encode_start = GrammarModel.encode_start
+    monkeypatch.setattr(GrammarModel, "encode_start",
+                        lambda self, x: encoded.append(len(x)) or encode_start(self, x))
+    for length, k, seed in ((1, 3, 0), (6, 10, 5)):
+        paths, logp = model.sample_prefix_paths(X, length, k, seed=seed)
+        want = ref_sample_rule_paths(model, n0, length, k, seed=seed)
+        assert np.array_equal(paths, want)
+        assert logp.tobytes() == ref_path_log_probs(model, n0, want, k).tobytes()
+    # a lone distinct row among several is encoded twice: numpy multiplies a
+    # one-row batch by gemv, which rounds otherwise than the batched gemm
+    assert encoded == [2 if num_distinct == 1 < len(X) else num_distinct] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +535,29 @@ def test_evaluate_equals_sampling_per_horizon(trained_runs, tmp_path, model, ngr
     got = (tmp_path / "report.json").read_bytes()
     assert got == (tmp_path / "ref.json").read_bytes()
     assert list(json.loads(got)["per_horizon"]) == [str(h) for h in sorted(set(horizons))]
+
+
+@pytest.mark.parametrize("preset", ["bimodal", "recipe"])
+@pytest.mark.parametrize("ngram,horizons", [(1, [8, 4, 8]), (2, [8, 4, 8]), (4, [8, 4, 8]),
+                                            (1, [1, 12]), (3, [3]), (3, [12, 4, 5])])
+@pytest.mark.parametrize("wide", [False, True])
+def test_ngram_kl_by_horizon_equals_ngram_kl_per_horizon(preset, ngram, horizons, wide):
+    # one count of the windows against one ngram_kl per horizon; a wide
+    # sample holds tokens past the oracle's alphabet, as a model trained on
+    # more classes than the oracle emits them
+    grammar = build_preset_grammar(preset)
+    rng = np.random.default_rng(ngram)
+    H = max(horizons)
+    samples = sample_sequences(grammar, 300, H + 2, rng)
+    if wide:
+        samples[rng.random(samples.shape) < 0.1] = grammar.num_tokens + 1
+    got = metrics.ngram_kl_by_horizon(samples, grammar, ngram, horizons)
+    want = {h: ngram_kl(samples[:, :h], grammar, ngram, h) for h in sorted(set(horizons))}
+    assert got == want and list(got) == list(want)
+    with pytest.raises(ParameterError):
+        metrics.ngram_kl_by_horizon(samples, grammar, min(horizons) + 1, horizons)
+    with pytest.raises(ParameterError):
+        metrics.ngram_kl_by_horizon(samples[:, :H - 1], grammar, ngram, horizons)
 
 
 # ---------------------------------------------------------------------------
