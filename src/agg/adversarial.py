@@ -14,6 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError, InputError, ParameterError
+from .grammar import _top_stable
 from .nn import SGD, Conv1d, Dense
 
 LOG_CLAMP = 1e-7
@@ -126,11 +127,11 @@ class TrainConfig:
     lr0: float = 0.1
     momentum: float = 0.9
     tau: float = 1.0
-    tau_end: float | None = None         # optional linear anneal target
+    tau_end: float = 0.0                 # linear anneal target; 0: no anneal
     d_lr_scale: float = 1.0              # discriminator lr relative to generator
-    d_loss_floor: float | None = 1.0     # skip D updates below this loss
+    d_loss_floor: float = 1.0            # skip D updates below this loss; 0: never
     entropy_weight: float = 0.0          # bonus on rule-distribution entropy
-    ema_decay: float | None = None       # Polyak-average generator weights
+    ema_decay: float = 0.0               # Polyak-average generator weights; 0: off
     log_every: int = 100
     holdout_fraction: float = 0.1
 
@@ -138,11 +139,11 @@ class TrainConfig:
         _check_positive(self, "iterations", "batch_size", "prefix_len", "log_every",
                         "tau")
         _check_sgd(self)
-        if self.tau_end is not None:
-            _check_positive(self, "tau_end")
+        if not self.tau_end >= 0:                # also rejects NaN
+            raise ParameterError("tau_end must be >= 0")
         if self.d_lr_scale < 0:
             raise ParameterError("d_lr_scale must be >= 0")
-        if self.ema_decay is not None and not 0 <= self.ema_decay < 1:
+        if not 0 <= self.ema_decay < 1:
             raise ParameterError("ema_decay must be in [0, 1)")
 
 
@@ -212,7 +213,7 @@ def _harden(t_seq):
 
 
 def _tau_at(cfg, it):
-    if cfg.tau_end is None:
+    if not cfg.tau_end:
         return cfg.tau
     frac = it / max(cfg.iterations - 1, 1)
     return cfg.tau + frac * (cfg.tau_end - cfg.tau)
@@ -251,7 +252,7 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
     # Polyak average damps the limit cycling of the adversarial game; the
     # averaged weights become the trained generator
     ema = None
-    if config.ema_decay is not None:
+    if config.ema_decay:
         ema = [p.value.copy() for p in g_params]
 
     metrics = []
@@ -273,8 +274,9 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
         d_loss_v = float(d_loss.value)
         acc_v = _accuracy(p_real.value, p_fake.value)
         # throttle D near the decision boundary: a saturated D pushes
-        # p_fake under the log clamp and the generator goes gradient-dead
-        if config.d_loss_floor is None or d_loss_v >= config.d_loss_floor:
+        # p_fake under the log clamp and the generator goes gradient-dead;
+        # the loss is >= 0, so a floor of 0 never throttles
+        if d_loss_v >= config.d_loss_floor:
             ad.backward(d_loss)
             d_opt.step()
         else:
@@ -286,7 +288,7 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
         if config.entropy_weight:
             # data-free entropy bonus; keeps rule selection from sharpening
             # into a deterministic basin whose softmax gradient vanishes
-            g_obj = ad.add(g_loss, ad.scale(unrolled[4], -config.entropy_weight))
+            g_obj = ad.add(g_loss, ad.mul(unrolled[4], -config.entropy_weight))
         ad.backward(g_obj)
         for p in d_params:          # generator backward also reaches D weights
             p.grad = None
@@ -302,7 +304,7 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
 
         if it % config.log_every == 0 or it == config.iterations - 1:
             row = {"iteration": it, "d_loss": d_loss_v, "g_loss": g_loss_v,
-                   "d_accuracy": acc_v, "lr": g_opt.lr(min(it, config.iterations))}
+                   "d_accuracy": acc_v, "lr": g_opt.lr(it)}
             metrics.append(row)
             if on_log:
                 on_log(row)
@@ -357,25 +359,6 @@ class GrammarOnlyConfig:
         _check_positive(self, "iterations", "batch_size", "k_cap", "max_paths",
                         "prefix_len", "log_every")
         _check_sgd(self)
-
-
-def _top_stable(x, m):
-    """np.argsort(-x, axis=1, kind="stable")[:, :m] as a selection: entries
-    above a row's (m+1)-th largest value, stably sorted; rows where that value
-    ties the m-th (as equal path products do) or with a NaN take the full sort."""
-    n = x.shape[1]
-    if m >= n:
-        return np.argsort(-x, axis=1, kind="stable")
-    s = np.sort(x, axis=1)
-    tie = ~(s[:, -m] > s[:, -m - 1]) | np.isnan(s[:, -1])
-    keep = x > s[:, -m - 1, None]
-    keep[tie] = np.arange(n) < m                  # stand-in, replaced below
-    at = np.flatnonzero(keep).reshape(-1, m)      # flat indices
-    rows = np.arange(len(x))[:, None]
-    top = at.take((-x.take(at)).argsort(axis=1, kind="stable") + m * rows) - n * rows
-    if tie.any():
-        top[tie] = np.argsort(-x[tie], axis=1, kind="stable")[:, :m]
-    return top
 
 
 def _pruned_loglik(model, batch, n0, k_cap, max_paths):
@@ -479,7 +462,7 @@ def train_grammar_only(dataset, grammar_model, config, on_log=None):
         ad.backward(loss)
         opt.step()
         if it % config.log_every == 0 or it == config.iterations - 1:
-            row = {"iteration": it, "nll": float(loss.value), "lr": opt.lr(min(it, config.iterations))}
+            row = {"iteration": it, "nll": float(loss.value), "lr": opt.lr(it)}
             metrics.append(row)
             if on_log:
                 on_log(row)

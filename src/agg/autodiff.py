@@ -203,25 +203,19 @@ def add(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_v = a.value * b.value
+    """a * b. An operand that is not a Tensor is a constant: no gradient is
+    computed for it, so a constant may multiply -inf entries."""
+    av, bv = (t.value if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+              for t in (a, b))
+    out_v = av * bv
 
     def bwd(g):
-        _acc(a, _unbroadcast(g * b.value, a.value.shape))
-        _acc(b, _unbroadcast(g * a.value, b.value.shape))
+        if isinstance(a, Tensor):
+            _acc(a, _unbroadcast(g * bv, av.shape))
+        if isinstance(b, Tensor):
+            _acc(b, _unbroadcast(g * av, bv.shape))
 
-    return _node(out_v, (a, b), bwd)
-
-
-def scale(x, s):
-    """x * python-scalar s; safe for inputs containing -inf entries."""
-    x = _as_tensor(x)
-    out_v = x.value * s
-
-    def bwd(g):
-        _acc(x, g * s)
-
-    return _node(out_v, (x,), bwd)
+    return _node(out_v, tuple(t for t in (a, b) if isinstance(t, Tensor)), bwd)
 
 
 def matmul(a, w):

@@ -21,8 +21,8 @@ from .errors import AggError, ConfigError, InputError
 from .grammar import GrammarModel, activity_config
 from .metrics import EvalReport, ngram_kl, ngram_kl_by_horizon, sample_model_futures
 from .nn import load_checkpoint, save_checkpoint
-from .synthdata import (build_preset_grammar, load_dataset, load_grammar,
-                        sample_dataset, save_dataset, save_grammar)
+from .synthdata import (build_preset_grammar, check_oracle_budget, load_dataset,
+                        load_grammar, sample_dataset, save_dataset, save_grammar)
 
 SYNTH_DEFAULTS = {
     "preset": "recipe",        # walk_stop_run | bimodal | recipe | random
@@ -267,11 +267,10 @@ def _train(cfg, dataset, model):
         tc = TrainConfig(
             iterations=cfg["iterations"], batch_size=cfg["batch_size"],
             prefix_len=cfg["prefix_len"], seed=cfg["seed"], lr0=cfg["lr0"],
-            momentum=cfg["momentum"], tau=cfg["tau"],
-            tau_end=cfg["tau_end"] or None, d_lr_scale=cfg["d_lr_scale"],
-            d_loss_floor=cfg["d_loss_floor"] or None,
-            entropy_weight=cfg["entropy_weight"],
-            ema_decay=cfg["ema_decay"] or None, log_every=cfg["log_every"])
+            momentum=cfg["momentum"], tau=cfg["tau"], tau_end=cfg["tau_end"],
+            d_lr_scale=cfg["d_lr_scale"], d_loss_floor=cfg["d_loss_floor"],
+            entropy_weight=cfg["entropy_weight"], ema_decay=cfg["ema_decay"],
+            log_every=cfg["log_every"])
         result = train_adversarial(dataset, model, disc, tc)
         return (result.metrics, ["iteration", "d_loss", "g_loss", "d_accuracy", "lr"],
                 f"trained {cfg['iterations']} iterations; "
@@ -292,10 +291,11 @@ def _train(cfg, dataset, model):
 def cmd_train(cfg):
     if not cfg["dataset"]:
         raise ConfigError("train requires a dataset path")
-    dataset = load_dataset(cfg["dataset"])
+    # read at the model's width: num_classes, or inferred from the data
+    dataset = load_dataset(cfg["dataset"], alphabet_size=cfg["num_classes"] or None)
     if len(dataset) == 0:
         raise InputError("empty dataset")
-    num_classes = cfg["num_classes"] or dataset.alphabet_size
+    num_classes = dataset.alphabet_size
     grammar_config = _grammar_config(num_classes, cfg["topk_mask"])
     cfg = dict(cfg, num_classes=num_classes)   # resolved config is replayable
     out = cfg["out_dir"]
@@ -360,6 +360,7 @@ def cmd_evaluate(cfg):
     if cfg["ngram"] > horizons[0]:
         raise ConfigError(f"ngram {cfg['ngram']} exceeds the shortest horizon {horizons[0]}")
     grammar = load_grammar(cfg["grammar"])
+    check_oracle_budget(grammar, cfg["ngram"])
     if cfg["run_dir"]:
         model, _ = _load_trained(cfg["run_dir"])
         model_id = cfg["run_dir"]
@@ -408,6 +409,7 @@ def cmd_ablate(cfg):
         if cfg[key] > cfg["length"]:
             raise ConfigError(f"{key} {cfg[key]} exceeds length {cfg['length']}")
     grammar = build_preset_grammar(cfg["preset"])
+    check_oracle_budget(grammar, cfg["ngram"])
     dataset = sample_dataset(grammar, cfg["num_sequences"], cfg["length"],
                              seed=cfg["seed"])
     modes = ("adversarial", "grammar_only")

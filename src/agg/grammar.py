@@ -65,6 +65,33 @@ def _softmax_kept(s, kept):
     return e
 
 
+def _top_mask(x, m):
+    """Boolean mask of the m < n largest entries of each row of the (rows, n)
+    array x, ties to the lower column: the first m of np.argsort(-x, axis=1,
+    kind="stable"). A row keeps its entries above its (m+1)-th largest value;
+    a row where that value ties the m-th, or with a NaN, ranks by that sort."""
+    s = np.sort(x, axis=1)
+    keep = x > s[:, -m - 1, None]
+    tie = ~(s[:, -m] > s[:, -m - 1]) | np.isnan(s[:, -1])
+    if tie.any():
+        order = np.argsort(-x[tie], axis=1, kind="stable")
+        rank = np.zeros(order.shape, dtype=bool)
+        np.put_along_axis(rank, order[:, :m], True, axis=1)
+        keep[tie] = rank
+    return keep
+
+
+def _top_stable(x, m):
+    """np.argsort(-x, axis=1, kind="stable")[:, :m]: the entries of the
+    (rows, n) array x that _top_mask keeps, stably sorted by -x."""
+    n = x.shape[1]
+    if m >= n:
+        return np.argsort(-x, axis=1, kind="stable")
+    at = np.flatnonzero(_top_mask(x, m)).reshape(-1, m)     # flat indices
+    rows = np.arange(len(x))[:, None]
+    return at.take((-x.take(at)).argsort(axis=1, kind="stable") + m * rows) - n * rows
+
+
 def _sum(a, b):
     """a + b, where None stands for a gradient that never arrived."""
     if a is None:
@@ -186,20 +213,12 @@ class GrammarModel:
         return self.encoder(x)
 
     def _topk_keep(self, v):
-        """Boolean mask of the top-k entries of each row of the rule logits
-        v, exactly k per row (ties broken by rank); None when no mask
+        """_top_mask of the rule logits v at k = topk_mask; None when no mask
         applies."""
         m = self.config.topk_mask
         if m is None or m >= self.config.num_rules:
             return None
-        kth = np.sort(v, axis=-1)[..., -m][..., None]
-        keep = v >= kth
-        # per-row tie overflow: keep exactly m by rank
-        if np.any(keep.sum(axis=-1) != m):
-            order = np.argsort(-v, kind="stable", axis=-1)
-            keep = np.zeros_like(v, dtype=bool)
-            np.put_along_axis(keep, order[..., :m], True, axis=-1)
-        return keep
+        return _top_mask(v, m)
 
     def _head(self, n):
         """(s, kept) of the rule head at states n (B, d): the logits
@@ -464,16 +483,12 @@ class GrammarModel:
         n_all, t_all, probs_all = self.rule_tables()
         p0 = self.rule_probs(n0.reshape(1, -1))[0]
 
-        def topk(p):
-            order = np.argsort(-p, kind="stable")
-            return order[:k_cap]
-
         results = []
         # DFS over (depth, prefix indices, prefix prob, step distribution)
         stack = [((), 1.0, p0)]
         while stack:
             prefix, prob, p = stack.pop()
-            for i in topk(p):
+            for i in _top_stable(p[None], k_cap)[0]:
                 q = prob * p[i]
                 path = prefix + (int(i),)
                 if len(path) == length:

@@ -73,44 +73,29 @@ def kl_divergence(p, q, support, eps=1e-6):
     return float(np.sum(pv * np.log(pv / qv)))
 
 
-def _check_order(n, horizon):
-    if n < 1:
-        raise ParameterError("n-gram order must be >= 1")
-    if n > horizon:
-        raise ParameterError("n must be <= horizon")
-
-
-def _support(oracle, n):
-    """The oracle's n-grams in ascending order, the first token most
-    significant: every tuple of its tokens."""
-    return list(itertools.product(range(oracle.num_tokens), repeat=n))
-
-
 def ngram_kl(model_samples, oracle, n, horizon):
-    """KL(data || model) over n-gram distributions, in nats.
-
-    model_samples: (N, horizon) token-index array drawn from the model;
-    oracle: GroundTruthGrammar giving the exact data-side distribution.
-    """
-    _check_order(n, horizon)
-    p_data = exact_ngram_distribution(oracle, n, horizon)
-    p_model = empirical_ngram_distribution(model_samples, n, oracle.num_tokens)
-    return kl_divergence(p_data, p_model, _support(oracle, n))
+    """KL(data || model) over the n-grams of the (N, horizon) model samples
+    and of the exact oracle, in nats: ngram_kl_by_horizon at one horizon."""
+    return ngram_kl_by_horizon(model_samples, oracle, n, [horizon])[horizon]
 
 
 def ngram_kl_by_horizon(model_samples, oracle, n, horizons):
-    """{h: ngram_kl(model_samples[:, :h], oracle, n, h)} over the horizons
-    in ascending order, bit for bit, from one count of the windows.
+    """{h: KL(data || model) of the n-gram distributions at horizon h}, in
+    nats, over the horizons in ascending order: the model's from the windows
+    of the first h columns of the (N, H) samples, H >= the longest horizon,
+    and the data's from the exact oracle. Refused with ResourceError before
+    any counting when the oracle's n-grams are over its budget.
 
-    Every window of the (N, H) samples, H the longest horizon, is coded once
-    as its index in the support. A window that holds a token outside the
-    oracle's alphabet goes to one bin past the support: it counts in the
-    total but in no n-gram, as in ngram_kl. One bincount over (column, code)
-    and a running total over the columns give, for horizon h, the counts of
-    its first h - n + 1 window columns.
+    Every window of the samples' first H columns is coded once as its index
+    in the support. A window that holds a token outside the oracle's
+    alphabet goes to one bin past the support: it counts in the total but in
+    no n-gram. One bincount over (column, code) and a running total over the
+    columns give, for horizon h, the counts of its first h - n + 1 window
+    columns.
     """
     horizons = sorted(set(horizons))
-    _check_order(n, horizons[0])
+    # the exact laws come first: they check n, and the oracle's budget
+    exact = [exact_ngram_distribution(oracle, n, h) for h in horizons]
     samples = np.asarray(model_samples)
     if samples.ndim != 2 or samples.shape[1] < horizons[-1]:
         raise ParameterError("samples must be (N, H) with H >= the longest horizon")
@@ -128,14 +113,14 @@ def ngram_kl_by_horizon(model_samples, oracle, n, horizons):
     codes += np.arange(windows) * (size + 1)
     counts = np.bincount(codes.ravel(), minlength=windows * (size + 1))
     counts = np.cumsum(counts.reshape(windows, size + 1), axis=0)
-    support = _support(oracle, n)
+    # every n-gram in ascending order, the first token most significant
+    support = list(itertools.product(range(C), repeat=n))
     out = {}
-    for h in horizons:
+    for h, p in zip(horizons, exact):
         # each count over the total, as empirical_ngram_distribution divides
         # (with no samples every count is 0, and so is its frequency)
         q = counts[h - n, :size] / max(len(samples) * (h - n + 1), 1)
-        out[h] = kl_divergence(exact_ngram_distribution(oracle, n, h),
-                               dict(zip(support, q.tolist())), support)
+        out[h] = kl_divergence(p, dict(zip(support, q.tolist())), support)
     return out
 
 

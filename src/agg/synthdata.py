@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ParameterError, ParseError, ResourceError
 
 PROB_TOL = 1e-9
+ORACLE_BUDGET = 10**6           # most strings an exact oracle enumerates
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
@@ -209,7 +210,15 @@ def sample_dataset(grammar, num_sequences, length, seed=0):
                            length=length)
 
 
-def exact_future_distribution(grammar, state=None, horizon=1, budget=10**6):
+def check_oracle_budget(grammar, length, budget=ORACLE_BUDGET):
+    """ResourceError when the grammar's token strings of that length number
+    more than budget: the bound of the exact oracles, which enumerate them."""
+    A = grammar.num_tokens
+    if A ** length > budget:
+        raise ResourceError(f"{A}^{length} = {A ** length} strings exceeds budget {budget}")
+
+
+def exact_future_distribution(grammar, state=None, horizon=1, budget=ORACLE_BUDGET):
     """Exact map over all length-`horizon` token strings from `state`.
 
     Returns {tuple(token indices): probability}; the probabilities sum to 1.
@@ -217,10 +226,7 @@ def exact_future_distribution(grammar, state=None, horizon=1, budget=10**6):
     if horizon < 0:
         raise ParameterError("horizon must be >= 0")
     state = grammar.start if state is None else state
-    A = grammar.num_tokens
-    if A ** horizon > budget:
-        raise ResourceError(
-            f"{A}^{horizon} = {A ** horizon} strings exceeds budget {budget}")
+    check_oracle_budget(grammar, horizon, budget)
     out = {}
     stack = [((), state, 1.0)]
     while stack:
@@ -230,21 +236,6 @@ def exact_future_distribution(grammar, state=None, horizon=1, budget=10**6):
             continue
         for tok, nxt, p in grammar._out[s]:
             stack.append((prefix + (tok,), nxt, prob * p))
-    return out
-
-
-def step_marginals(grammar, state=None, horizon=1):
-    """(horizon, num_tokens) per-step token marginals by dynamic programming."""
-    state = grammar.start if state is None else state
-    S, A = len(grammar.states), grammar.num_tokens
-    T = grammar.transition_matrices()
-    dist = np.zeros(S)
-    dist[grammar._state_index[state]] = 1.0
-    out = np.zeros((horizon, A))
-    for j in range(horizon):
-        joint = np.einsum("s,sat->at", dist, T)
-        out[j] = joint.sum(axis=1)
-        dist = joint.sum(axis=0)
     return out
 
 

@@ -291,12 +291,13 @@ def test_config_values_must_be_positive():
     for key in ("iterations", "batch_size", "prefix_len", "log_every"):
         with pytest.raises(ParameterError, match=key):
             TrainConfig(**{key: -1})
-    for key, value in (("tau", 0.0), ("tau", -1.0), ("tau_end", 0.0), ("tau_end", -0.5),
+    for key, value in (("tau", 0.0), ("tau", -1.0), ("tau_end", -0.5), ("tau_end", math.nan),
                        ("d_lr_scale", -1.0), ("ema_decay", -0.1), ("ema_decay", 1.0),
                        ("ema_decay", 2.0)):
         with pytest.raises(ParameterError, match=key):
             TrainConfig(**{key: value})
-    TrainConfig(tau_end=0.5, d_lr_scale=0.0, ema_decay=0.0)     # edges that stay valid
+    # edges that stay valid; 0 turns the anneal, the floor and the average off
+    TrainConfig(tau_end=0.0, d_lr_scale=0.0, d_loss_floor=0.0, ema_decay=0.0)
 
 
 def test_optimizer_values_are_checked():

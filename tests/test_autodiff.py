@@ -21,7 +21,18 @@ def seeds():
 def test_add_mul_scale(seed):
     check_op(lambda ts: ad.total(ad.mul(ad.add(ts[0], ts[1]), ts[2])),
              [(3, 4), (3, 4), (3, 4)], seed)
-    check_op(lambda ts: ad.total(ad.scale(ts[0], -2.5)), [(5,)], seed)
+    check_op(lambda ts: ad.total(ad.mul(ts[0], -2.5)), [(5,)], seed)
+
+
+def test_mul_by_constant_takes_no_gradient_for_it():
+    # the softmax hands the -inf entry a zero gradient; one computed for the
+    # constant 2.0 would take 0 * -inf = NaN there, with a RuntimeWarning
+    x = ad.Tensor(np.array([-np.inf, 0.5]))
+    loss = ad.total(ad.mul(ad.softmax(ad.mul(x, 2.0)), np.array([1.0, 2.0])))
+    with np.errstate(all="raise"):
+        ad.backward(loss)
+    assert x.grad.tolist() == [0.0, 0.0]
+    assert ad.mul(2.0, 3.0).value == 6.0 and ad.mul(2.0, 3.0).parents == ()
 
 
 @pytest.mark.parametrize("seed", seeds())

@@ -15,6 +15,7 @@ import agg
 from agg import cli
 from agg.cli import DEFAULTS, TRAIN_DEFAULTS, build_parser, main, resolve_config
 from agg.errors import ConfigError
+from agg.nn import load_checkpoint
 
 from helpers import run_cli
 
@@ -267,6 +268,42 @@ def test_ablate_checks_lengths_before_training(tmp_path, capsys, monkeypatch, ba
     assert not (tmp_path / "ablate").exists()
 
 
+BUDGET_ERROR = {"error": "ResourceError",
+                "message": "6^8 = 1679616 strings exceeds budget 1000000"}
+
+
+def test_ablate_checks_ngram_budget_before_training(tmp_path, capsys, monkeypatch):
+    # recipe's 6^8 8-grams are over the exact oracle's budget; that used to
+    # fail only when the first arm was scored, after its training
+    def refuse(*args, **kwargs):
+        raise AssertionError("ablate trained before checking the n-gram budget")
+
+    monkeypatch.setattr(cli, "_train", refuse)
+    argv = ["ablate", "--set", "preset=recipe", "--set", "ngram=8",
+            "--set", f"out_dir={tmp_path / 'ablate'}"]
+    assert _main_error(argv, capsys) == BUDGET_ERROR
+    assert not (tmp_path / "ablate").exists()
+
+
+def test_evaluate_checks_ngram_budget_before_loading(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate loaded or sampled before checking the n-gram budget")
+
+    data = tmp_path / "data"
+    assert main(["synth", "--set", "preset=recipe", "--set", "num_sequences=20",
+                 "--set", "length=8", "--set", f"out_dir={data}"]) == 0
+    monkeypatch.setattr(cli, "_load_trained", refuse)
+    monkeypatch.setattr(cli, "sample_model_futures", refuse)
+    for run_dir in (tmp_path / "run", ""):               # a trained and an untrained model
+        argv = ["evaluate", "--set", f"run_dir={run_dir}",
+                "--set", f"dataset={data / 'dataset.jsonl'}",
+                "--set", f"grammar={data / 'grammar.json'}",
+                "--set", "ngram=8", "--set", "horizons=[8]",
+                "--set", f"out_dir={tmp_path / 'ev'}"]
+        assert _main_error(argv, capsys) == BUDGET_ERROR
+    assert not (tmp_path / "ev").exists()
+
+
 @pytest.mark.parametrize("preset,want", [({}, "1 1"),
                                          ({"OPENBLAS_NUM_THREADS": "2",
                                            "OMP_NUM_THREADS": "3"}, "2 3")],
@@ -318,6 +355,22 @@ def test_train_on_empty_dataset_is_input_error(tmp_path, capsys, text, extra):
     err = _main_error(argv, capsys)
     assert err == {"error": "InputError", "message": "empty dataset"}
     assert not (tmp_path / "run").exists()
+
+
+def test_train_reads_dataset_at_num_classes(workdir, tmp_path, capsys):
+    # the bimodal data holds 3 tokens: a wider model trains on them, and a
+    # narrower one is a parse error naming the line, before out_dir is made
+    data = str(workdir / "data" / "dataset.jsonl")
+    assert main(["train", "--set", f"dataset={data}", "--set", "num_classes=8",
+                 "--set", "iterations=2", "--set", "d_channels=[4,6,4]",
+                 "--set", f"out_dir={tmp_path / 'wide'}"]) == 0
+    state = load_checkpoint(str(tmp_path / "wide" / "checkpoint.bin"))
+    assert state["f_t.0.w"].shape[1] == 8
+    assert json.loads((tmp_path / "wide" / "config.json").read_text())["num_classes"] == 8
+    err = _main_error(["train", "--set", f"dataset={data}", "--set", "num_classes=2",
+                       "--set", f"out_dir={tmp_path / 'narrow'}"], capsys)
+    assert err["error"] == "ParseError" and err["message"].startswith("line ")
+    assert not (tmp_path / "narrow").exists()
 
 
 # ---------------------------------------------------------------------------

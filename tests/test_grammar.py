@@ -110,7 +110,7 @@ def test_gumbel_hard_is_one_hot_with_soft_grad():
 
 def _gumbel_chain(logits, tau, noise, hard):
     """gumbel_softmax built from primitive autodiff ops."""
-    y = ad.softmax(ad.scale(ad.add(logits, -np.log(-np.log(noise))), 1.0 / tau))
+    y = ad.softmax(ad.mul(ad.add(logits, -np.log(-np.log(noise))), 1.0 / tau))
     if not hard:
         return y
     one_hot = np.zeros_like(y.value)

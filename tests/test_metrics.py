@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from agg.errors import ParameterError
+from agg.errors import ParameterError, ResourceError
 from agg.metrics import (EvalReport, best_of_k, empirical_ngram_distribution,
                          grammar_sampler, kl_divergence, ngram_kl,
                          sample_model_futures)
@@ -83,6 +83,22 @@ def test_ngram_kl_validation():
             ngram_kl(samples, g, n, 4)
         with pytest.raises(ParameterError, match="n-gram order"):
             empirical_ngram_distribution(samples, n, 3)
+
+
+def test_ngram_kl_refuses_narrow_samples_and_n_grams_over_budget(monkeypatch):
+    g = build_preset_grammar("recipe")                   # 6 tokens
+    samples = np.zeros((10, 8), dtype=np.int64)
+    with pytest.raises(ParameterError, match="horizon"):
+        ngram_kl(samples[:, :7], g, 3, 8)                # one column short of the horizon
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted the windows before checking the budget")
+
+    # 6^8 n-grams are over the exact oracle's budget; the count would need a
+    # bin for each of them, per window column
+    monkeypatch.setattr(np, "bincount", refuse)
+    with pytest.raises(ResourceError, match=r"6\^8 = 1679616 strings exceeds budget 1000000"):
+        ngram_kl(samples, g, 8, 8)
 
 
 def test_empirical_ngram_distribution():

@@ -6,6 +6,7 @@ the same error. The rule chain sampler's law is also checked against full
 enumeration."""
 import contextlib
 import io
+import itertools
 import json
 import os
 from unittest import mock
@@ -20,12 +21,13 @@ from agg.autodiff import Tensor
 from agg.adversarial import (Discriminator, DiscriminatorConfig, GrammarOnlyConfig, _harden,
                              generator_loss, train_grammar_only)
 from agg.errors import ParameterError, ParseError
-from agg.grammar import (GrammarConfig, GrammarModel, _softmax_kept,
+from agg.grammar import (GrammarConfig, GrammarModel, _softmax_kept, _top_mask,
                          activity_config, gumbel_softmax)
-from agg.metrics import EvalReport, empirical_ngram_distribution, ngram_kl
+from agg.metrics import EvalReport, empirical_ngram_distribution, kl_divergence
 from agg.synthdata import (GroundTruthGrammar, SequenceDataset, _saved_tokens,
-                           build_preset_grammar, load_dataset, load_grammar, sample_dataset,
-                           sample_sequence, sample_sequences, save_dataset)
+                           build_preset_grammar, exact_ngram_distribution, load_dataset,
+                           load_grammar, sample_dataset, sample_sequence, sample_sequences,
+                           save_dataset)
 
 from helpers import expand, gather_nd, ref_rule_logits, rel_err, stack_time, sum_along
 
@@ -96,6 +98,15 @@ def ref_empirical_ngram_distribution(samples, n, num_tokens):
             counts[row] = counts.get(row, 0) + 1
     total = samples.shape[0] * windows
     return {g: c / total for g, c in counts.items()}
+
+
+def ref_ngram_kl(samples, oracle, n, horizon):
+    """The n-gram KL of the samples from its parts: the exact oracle's
+    n-gram law at the horizon, the samples' window frequencies, and the
+    smoothed KL over every n-gram of the oracle's tokens."""
+    support = list(itertools.product(range(oracle.num_tokens), repeat=n))
+    return kl_divergence(exact_ngram_distribution(oracle, n, horizon),
+                         empirical_ngram_distribution(samples, n, oracle.num_tokens), support)
 
 
 def presets():
@@ -510,7 +521,7 @@ def ref_evaluate(cfg, path):
         samples = ref_sample_model_futures(model, X, h,
                                            num_samples_per_prefix=cfg["samples_per_prefix"],
                                            seed=cfg["seed"])
-        per_horizon[h] = ngram_kl(samples, grammar, cfg["ngram"], h)
+        per_horizon[h] = ref_ngram_kl(samples, grammar, cfg["ngram"], h)
     report = EvalReport(per_horizon=per_horizon,
                         metadata={"model": model_id, "dataset": cfg["dataset"],
                                   "seed": cfg["seed"], "ngram": cfg["ngram"]})
@@ -542,7 +553,8 @@ def test_evaluate_equals_sampling_per_horizon(trained_runs, tmp_path, model, ngr
                                             (1, [1, 12]), (3, [3]), (3, [12, 4, 5])])
 @pytest.mark.parametrize("wide", [False, True])
 def test_ngram_kl_by_horizon_equals_ngram_kl_per_horizon(preset, ngram, horizons, wide):
-    # one count of the windows against one ngram_kl per horizon; a wide
+    # one count of the windows against the n-gram KL from its parts at each
+    # horizon, and ngram_kl against the same at the longest; a wide
     # sample holds tokens past the oracle's alphabet, as a model trained on
     # more classes than the oracle emits them
     grammar = build_preset_grammar(preset)
@@ -552,8 +564,9 @@ def test_ngram_kl_by_horizon_equals_ngram_kl_per_horizon(preset, ngram, horizons
     if wide:
         samples[rng.random(samples.shape) < 0.1] = grammar.num_tokens + 1
     got = metrics.ngram_kl_by_horizon(samples, grammar, ngram, horizons)
-    want = {h: ngram_kl(samples[:, :h], grammar, ngram, h) for h in sorted(set(horizons))}
+    want = {h: ref_ngram_kl(samples[:, :h], grammar, ngram, h) for h in sorted(set(horizons))}
     assert got == want and list(got) == list(want)
+    assert metrics.ngram_kl(samples[:, :H], grammar, ngram, H) == want[H]
     with pytest.raises(ParameterError):
         metrics.ngram_kl_by_horizon(samples, grammar, min(horizons) + 1, horizons)
     with pytest.raises(ParameterError):
@@ -853,8 +866,8 @@ def ref_unroll_batch(self, n0, length, rng, tau=1.0, return_entropy=False):
     out = (stack_time(terminals), stack_time(nonterminals),
            np.stack(indices, axis=1), logp)
     if return_entropy:
-        ent = ad.scale(ad.mean(ad.concat([ad.reshape(e, (1,)) for e in entropies],
-                                         axis=0)), -1.0)
+        ent = ad.mul(ad.mean(ad.concat([ad.reshape(e, (1,)) for e in entropies],
+                                       axis=0)), -1.0)
         return out + (ent,)
     return out
 
@@ -878,7 +891,7 @@ def _unroll_and_grads(unroll, model, disc, prefix, tau, return_entropy, consume,
     else:
         loss = ad.total(ad.mul(n, np.linspace(-1.0, 2.0, n.value.size).reshape(n.shape)))
     if return_entropy:
-        loss = ad.add(loss, ad.scale(out[4], -0.1))
+        loss = ad.add(loss, ad.mul(out[4], -0.1))
     ad.backward(loss)
     values = [t.value, n.value, out[2], out[3]] + [e.value for e in out[4:]]
     grads = {p.name: p.grad for p in model.parameters()}
@@ -1159,11 +1172,16 @@ def test_pruned_loglik_central_differences(monkeypatch):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 300),
        st.sampled_from([2, 3, 50]), st.booleans())
 def test_top_stable_equals_stable_argsort(seed, rows, n, levels, nan):
-    # few distinct values, so rows tie inside the kept set and at its edge
+    # few distinct values, so rows tie inside the kept set and at its edge;
+    # the rule mask keeps what the beam and the enumeration rank first
     rng = np.random.default_rng(seed)
     x = rng.integers(0, levels, size=(rows, n)) / levels
     if nan:
         x[rng.random(x.shape) < 0.05] = np.nan
+    order = np.argsort(-x, axis=1, kind="stable")
     for m in {1, 2, 17, n // 2 + 1, n - 1, n, n + 3} - {0}:
-        assert np.array_equal(adversarial._top_stable(x, m),
-                              np.argsort(-x, axis=1, kind="stable")[:, :m])
+        assert np.array_equal(adversarial._top_stable(x, m), order[:, :m])
+        if m < n:
+            want = np.zeros(x.shape, dtype=bool)
+            np.put_along_axis(want, order[:, :m], True, axis=1)
+            assert np.array_equal(_top_mask(x, m), want)
