@@ -109,8 +109,6 @@ def _check_positive(config, *names):
 def _check_sgd(config):
     if not config.lr0 >= 0:                      # also rejects NaN
         raise ParameterError("lr0 must be >= 0")
-    if not 0 <= config.momentum < 1:
-        raise ParameterError("momentum must be in [0, 1)")
 
 
 def _check_prefix_len(config, length):
@@ -124,11 +122,8 @@ class TrainConfig:
     batch_size: int = 32
     prefix_len: int = 4
     seed: int = 0
-    lr0: float = 0.1
-    momentum: float = 0.9
-    tau: float = 1.0
-    tau_end: float = 0.0                 # linear anneal target; 0: no anneal
-    d_lr_scale: float = 1.0              # discriminator lr relative to generator
+    lr0: float = 0.1                     # both G's and D's
+    tau_end: float = 0.0                 # anneal target from 1.0; 0: no anneal
     d_loss_floor: float = 1.0            # skip D updates below this loss; 0: never
     entropy_weight: float = 0.0          # bonus on rule-distribution entropy
     ema_decay: float = 0.0               # Polyak-average generator weights; 0: off
@@ -136,13 +131,10 @@ class TrainConfig:
     holdout_fraction: float = 0.1
 
     def __post_init__(self):
-        _check_positive(self, "iterations", "batch_size", "prefix_len", "log_every",
-                        "tau")
+        _check_positive(self, "iterations", "batch_size", "prefix_len", "log_every")
         _check_sgd(self)
         if not self.tau_end >= 0:                # also rejects NaN
             raise ParameterError("tau_end must be >= 0")
-        if self.d_lr_scale < 0:
-            raise ParameterError("d_lr_scale must be >= 0")
         if not 0 <= self.ema_decay < 1:
             raise ParameterError("ema_decay must be in [0, 1)")
 
@@ -214,9 +206,9 @@ def _harden(t_seq):
 
 def _tau_at(cfg, it):
     if not cfg.tau_end:
-        return cfg.tau
+        return 1.0
     frac = it / max(cfg.iterations - 1, 1)
-    return cfg.tau + frac * (cfg.tau_end - cfg.tau)
+    return 1.0 + frac * (cfg.tau_end - 1.0)
 
 
 def _accuracy(p_real, p_fake):
@@ -243,10 +235,8 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
     if len(X_train) == 0:
         raise InputError("no training data left after holdout split")
 
-    g_opt = SGD(grammar_model.parameters(), lr0=config.lr0,
-                momentum=config.momentum, total_steps=config.iterations)
-    d_opt = SGD(disc_model.parameters(), lr0=config.lr0 * config.d_lr_scale,
-                momentum=config.momentum, total_steps=config.iterations)
+    g_opt = SGD(grammar_model.parameters(), lr0=config.lr0, total_steps=config.iterations)
+    d_opt = SGD(disc_model.parameters(), lr0=config.lr0, total_steps=config.iterations)
     d_params = disc_model.parameters()
     g_params = grammar_model.parameters()
     # Polyak average damps the limit cycling of the adversarial game; the
@@ -352,7 +342,6 @@ class GrammarOnlyConfig:
     prefix_len: int = 4
     seed: int = 0
     lr0: float = 0.1
-    momentum: float = 0.9
     log_every: int = 100
 
     def __post_init__(self):
@@ -448,15 +437,13 @@ def train_grammar_only(dataset, grammar_model, config, on_log=None):
         raise InputError("empty dataset")
     _check_prefix_len(config, dataset.length)
     X = dataset.one_hot()
-    toks = np.asarray(dataset.records, dtype=np.int64).reshape(len(dataset), dataset.length)
     rng = np.random.default_rng(config.seed)
-    opt = SGD(grammar_model.parameters(), lr0=config.lr0,
-              momentum=config.momentum, total_steps=config.iterations)
+    opt = SGD(grammar_model.parameters(), lr0=config.lr0, total_steps=config.iterations)
     metrics = []
     for it in range(config.iterations):
         take = rng.integers(0, len(X), size=config.batch_size)
         n0 = grammar_model.encode_start(Tensor(X[take][:, :config.prefix_len]))
-        loglik = _pruned_loglik(grammar_model, toks[take], n0,
+        loglik = _pruned_loglik(grammar_model, dataset.records[take], n0,
                                 config.k_cap, config.max_paths)
         loss = -loglik
         ad.backward(loss)

@@ -45,10 +45,7 @@ TRAIN_DEFAULTS = {
     "prefix_len": 4,
     "seed": 0,
     "lr0": 0.02,
-    "momentum": 0.9,
-    "tau": 1.0,
     "tau_end": 0.0,            # 0: no anneal
-    "d_lr_scale": 1.0,
     "d_loss_floor": 0.7,       # 0 disables discriminator throttling
     "entropy_weight": 0.1,
     "ema_decay": 0.999,        # 0 disables generator weight averaging
@@ -267,8 +264,7 @@ def _train(cfg, dataset, model):
         tc = TrainConfig(
             iterations=cfg["iterations"], batch_size=cfg["batch_size"],
             prefix_len=cfg["prefix_len"], seed=cfg["seed"], lr0=cfg["lr0"],
-            momentum=cfg["momentum"], tau=cfg["tau"], tau_end=cfg["tau_end"],
-            d_lr_scale=cfg["d_lr_scale"], d_loss_floor=cfg["d_loss_floor"],
+            tau_end=cfg["tau_end"], d_loss_floor=cfg["d_loss_floor"],
             entropy_weight=cfg["entropy_weight"], ema_decay=cfg["ema_decay"],
             log_every=cfg["log_every"])
         result = train_adversarial(dataset, model, disc, tc)
@@ -281,7 +277,7 @@ def _train(cfg, dataset, model):
             iterations=cfg["iterations"], batch_size=cfg["batch_size"],
             k_cap=cfg["k_cap"], max_paths=cfg["max_paths"],
             prefix_len=cfg["prefix_len"], seed=cfg["seed"], lr0=cfg["lr0"],
-            momentum=cfg["momentum"], log_every=cfg["log_every"])
+            log_every=cfg["log_every"])
         rows = train_grammar_only(dataset, model, gc)
         return (rows, ["iteration", "nll", "lr"],
                 f"trained {cfg['iterations']} iterations; final nll {rows[-1]['nll']:.4f}")

@@ -55,15 +55,17 @@ class Conv1d:
         return [self.w, self.b]
 
 
+MOMENTUM = 0.9
+
+
 class SGD:
     """Momentum SGD with cosine learning-rate decay to zero."""
 
-    def __init__(self, params, lr0=0.1, momentum=0.9, total_steps=5000):
+    def __init__(self, params, lr0=0.1, total_steps=5000):
         if total_steps <= 0:
             raise ParameterError("total_steps must be positive")
         self.params = list(params)
         self.lr0 = lr0
-        self.momentum = momentum
         self.total_steps = total_steps
         self.step_count = 0
         self.velocity = [np.zeros_like(p.value) for p in self.params]
@@ -80,7 +82,7 @@ class SGD:
         lr = self.lr()
         for p, v in zip(self.params, self.velocity):
             g = p.grad_or_zero()
-            v *= self.momentum
+            v *= MOMENTUM
             v += g
             p.assign(p.value - lr * v)
             p.grad = None

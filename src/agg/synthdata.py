@@ -16,7 +16,6 @@ from .errors import ParameterError, ParseError, ResourceError
 
 PROB_TOL = 1e-9
 ORACLE_BUDGET = 10**6           # most strings an exact oracle enumerates
-_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 @dataclass
@@ -275,26 +274,18 @@ def exact_ngram_distribution(grammar, n, horizon, state=None):
 
 @dataclass
 class SequenceDataset:
-    records: list               # (N, length) int array, or N int token-index arrays
+    records: np.ndarray         # (N, length) int64 token indices; (0, 0) when empty
     length: int
     alphabet_size: int | None = None
 
     def __post_init__(self):
-        # the first record at fault names the error: a wrong length, or else
-        # a token outside the alphabet
-        if isinstance(self.records, np.ndarray) and self.records.ndim == 2:
-            lens = np.full(len(self.records), self.records.shape[1])
-        else:
-            lens = np.fromiter(map(len, self.records), dtype=np.int64,
-                               count=len(self.records))
-        bad = np.flatnonzero(lens != self.length)
-        n = bad[0] if bad.size else len(lens)
-        if self.alphabet_size is not None and n and self.length:
-            toks = np.asarray(self.records[:n]).reshape(n, self.length)
-            if (toks.max(axis=1) >= self.alphabet_size).any():
-                raise ParameterError("token index out of alphabet range")
-        if bad.size:
-            raise ParameterError("dataset records must share a uniform length")
+        r = self.records
+        if not (isinstance(r, np.ndarray) and r.dtype == np.int64 and r.ndim == 2
+                and r.shape[1] == self.length):
+            raise ParameterError(
+                f"dataset records must be an (N, {self.length}) int64 array")
+        if self.alphabet_size is not None and r.size and r.max() >= self.alphabet_size:
+            raise ParameterError("token index out of alphabet range")
 
     def __len__(self):
         return len(self.records)
@@ -302,9 +293,7 @@ class SequenceDataset:
     def one_hot(self, num=None, length=None):
         """(N, L, alphabet) one-hot array of the first `num` records' first
         `length` tokens; all of them by default."""
-        records = self.records[:num]
-        toks = np.asarray(records, dtype=np.int64).reshape(len(records), self.length)
-        toks = toks[:, :length]
+        toks = self.records[:num, :length]
         out = np.zeros(toks.shape + (self.alphabet_size,))
         out[np.arange(len(toks))[:, None], np.arange(toks.shape[1]), toks] = 1.0
         return out
@@ -324,7 +313,7 @@ def save_dataset(path, dataset):
     is _HEAD, its L fields joined by _SEP, and _TAIL; one boolean compress
     then drops the 0 bytes to the left of narrower tokens."""
     n, length = len(dataset), dataset.length
-    toks = np.asarray(dataset.records, dtype=np.int64).ravel()
+    toks = dataset.records.ravel()
     neg = toks < 0
     # uint64 magnitudes: -(-2**63) wraps to 2**63, which uint64 holds
     mag = toks.view(np.uint64)
@@ -434,34 +423,18 @@ def _token_row(obj, lineno):
     return row.astype(np.int64, copy=False)
 
 
-# json.loads without its per-call checks; the caller compares the end offset
-_raw_decode = json.JSONDecoder().raw_decode
-
-
 def _line_tokens(line, lineno):
     """The tokens of one stripped, non-blank dataset line as a list of
     int64-sized ints, or ParseError when the line is not a record with a
     non-empty, flat list of integer tokens."""
     try:
-        obj, end = _raw_decode(line)
-    except json.JSONDecodeError:
-        end = None
-    if end != len(line):
-        # what raw_decode rejects, json.loads does too: it raises its own error
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"line {lineno}: invalid JSON ({e})") from e
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"line {lineno}: invalid JSON ({e})") from e
     if not isinstance(obj, dict):
         raise ParseError(f"line {lineno}: record must be a JSON object")
     if "tokens" not in obj:
         raise ParseError(f"line {lineno}: record needs 'tokens'")
-    toks = obj["tokens"]
-    # a non-empty list of int64-sized ints is taken as it is; _token_row
-    # rejects anything else, or converts it as numpy reads it
-    if (type(toks) is list and set(map(type, toks)) == {int}
-            and _INT64_MIN <= min(toks) and max(toks) <= _INT64_MAX):
-        return toks
     return _token_row(obj, lineno).tolist()
 
 
@@ -495,11 +468,9 @@ def load_dataset(path, alphabet_size=None):
     other keys, blank lines, other newlines, a fault) is read line by line,
     with the same checks and errors.
 
-    Lines are parsed and type-checked one at a time up to the first bad one;
-    each is decoded by one raw_decode call that must consume the whole
-    stripped line, which is what json.loads accepts, and a rejected line
-    gets json.loads's own error message. The rows before the first bad line
-    are then checked as one array. The error raised is
+    Lines are parsed and type-checked one at a time, by one json.loads call
+    each, up to the first bad one. The rows before the first bad line are
+    then checked as one array. The error raised is
     that of the first line at fault; per line the checks run in this order:
     JSON, record shape, token types, alphabet bound, negative tokens, and a
     length unlike the first record's.
@@ -514,7 +485,8 @@ def load_dataset(path, alphabet_size=None):
     else:
         toks = _load_lines(path, data, alphabet_size)
     if toks is None:
-        return SequenceDataset(records=[], length=0, alphabet_size=alphabet_size or 0)
+        return SequenceDataset(records=np.zeros((0, 0), dtype=np.int64), length=0,
+                               alphabet_size=alphabet_size or 0)
     if alphabet_size is None:
         alphabet_size = int(toks.max()) + 1
     return SequenceDataset(records=toks, length=toks.shape[1], alphabet_size=alphabet_size)

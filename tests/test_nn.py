@@ -100,7 +100,7 @@ def test_sgd_momentum_hand_recurrence():
     # exact, so drive the update rule directly with momentum 0.9:
     # v1 = 1, p1 = -0.1; v2 = 1.9, p2 = -0.1 - 0.19 = -0.29
     p = ad.Parameter(np.zeros(1), name="p")
-    opt = nn.SGD([p], lr0=0.1, momentum=0.9, total_steps=10**9)
+    opt = nn.SGD([p], lr0=0.1, total_steps=10**9)
     for _ in range(2):
         p.grad = np.ones(1)
         opt.step()
@@ -109,7 +109,7 @@ def test_sgd_momentum_hand_recurrence():
 
 def test_sgd_first_step_no_momentum():
     p = ad.Parameter(np.zeros(1))
-    opt = nn.SGD([p], lr0=0.1, momentum=0.0, total_steps=10**9)
+    opt = nn.SGD([p], lr0=0.1, total_steps=10**9)
     p.grad = np.ones(1)
     opt.step()
     assert abs(p.value[0] + 0.1) < 1e-12

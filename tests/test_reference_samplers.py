@@ -626,11 +626,12 @@ def ref_load_dataset(path, alphabet_size=None):
             raise ParseError(f"line {lineno}: inconsistent sequence length")
         records.append(row)
     if not records:
-        return SequenceDataset(records=[], length=0, alphabet_size=alphabet_size or 0)
+        return SequenceDataset(records=np.zeros((0, 0), dtype=np.int64), length=0,
+                               alphabet_size=alphabet_size or 0)
+    toks = np.stack(records)
     if alphabet_size is None:
-        alphabet_size = max(int(r.max()) for r in records) + 1
-    return SequenceDataset(records=records, length=len(records[0]),
-                           alphabet_size=alphabet_size)
+        alphabet_size = int(toks.max()) + 1
+    return SequenceDataset(records=toks, length=toks.shape[1], alphabet_size=alphabet_size)
 
 
 def _tokens(values, size):
@@ -786,8 +787,7 @@ def test_save_dataset_equals_per_row_writer(tmp_path, n, length):
     tokens = rng.integers(0, 6, (n, length))
     wide = rng.integers(-2**63, 2**63 - 1, (n, length), dtype=np.int64, endpoint=True)
     wide[:1, :1], wide[-1:, -1:] = -2**63, 2**63 - 1
-    for records in (tokens, rng.integers(0, 10**6, (n, length)), wide,
-                    list(tokens)):
+    for records in (tokens, rng.integers(0, 10**6, (n, length)), wide):
         dataset = SequenceDataset(records=records, length=length)
         save_dataset(tmp_path / "got.jsonl", dataset)
         ref_save_dataset(tmp_path / "want.jsonl", dataset)
@@ -820,15 +820,17 @@ def test_save_dataset_equals_per_row_writer_on_random_arrays(tmp_path_factory, r
 
 
 def test_sequence_dataset_reports_the_first_bad_record():
-    short, wide = np.array([0, 1]), np.array([0, 9, 1])
-    good = np.array([0, 1, 2])
-    with pytest.raises(ParameterError, match="uniform length"):
-        SequenceDataset(records=[good, short, wide], length=3, alphabet_size=4)
-    with pytest.raises(ParameterError, match="alphabet"):
-        SequenceDataset(records=[good, wide, short], length=3, alphabet_size=4)
+    good, wide = np.array([0, 1, 2]), np.array([0, 9, 1])
+    # records are one (N, length) int64 array: a list of rows, ragged or not,
+    # a float array (one_hot would read [[0.5, 2.7]] as tokens [0, 2]) and an
+    # array of another width are refused
+    for records, length in (([good, np.array([0, 1])], 3), ([good, good], 3),
+                            (np.array([[0.5, 2.7]]), 2), (np.stack([good, good]), 2)):
+        with pytest.raises(ParameterError, match=r"\(N, \d\) int64 array"):
+            SequenceDataset(records=records, length=length, alphabet_size=3)
     with pytest.raises(ParameterError, match="alphabet"):
         SequenceDataset(records=np.stack([good, wide]), length=3, alphabet_size=4)
-    SequenceDataset(records=[good, wide], length=3)       # no alphabet, no bound
+    SequenceDataset(records=np.stack([good, wide]), length=3)       # no alphabet, no bound
 
 
 # ---------------------------------------------------------------------------
