@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from agg import adversarial
 from agg import autodiff as ad
 from agg.autodiff import Tensor
 from agg.adversarial import (Discriminator, DiscriminatorConfig,
-                             GrammarOnlyConfig, TrainConfig, _pruned_loglik,
+                             GrammarOnlyConfig, TrainConfig, _pruned_loglik, _tau_at,
                              discriminator_loss, generator_loss,
                              teacher_forced_states, train_adversarial,
                              train_grammar_only)
@@ -184,6 +185,27 @@ def run_tiny(seed=0, iterations=30, lr0=0.01, **overrides):
     cfg = TrainConfig(iterations=iterations, batch_size=8, prefix_len=2,
                       seed=seed, lr0=lr0, log_every=10, **overrides)
     return train_adversarial(ds, model, d, cfg), model, d
+
+
+def test_temperature_starts_at_one_and_anneals_to_tau_end():
+    assert all(_tau_at(TrainConfig(iterations=11), it) == 1.0 for it in range(11))
+    cfg = TrainConfig(iterations=11, tau_end=0.5)
+    assert [_tau_at(cfg, it) for it in (0, 5, 10)] == [1.0, 0.75, 0.5]
+    assert _tau_at(TrainConfig(iterations=1, tau_end=0.5), 0) == 1.0
+
+
+def test_both_optimizers_use_lr0(monkeypatch):
+    # the discriminator steps at the generator's learning rate
+    lrs = []
+
+    class RecordingSGD(SGD):
+        def __init__(self, params, lr0, total_steps):
+            lrs.append(lr0)
+            super().__init__(params, lr0=lr0, total_steps=total_steps)
+
+    monkeypatch.setattr(adversarial, "SGD", RecordingSGD)
+    run_tiny(iterations=1, lr0=0.03)
+    assert lrs == [0.03, 0.03]
 
 
 def test_train_metrics_log_schema():

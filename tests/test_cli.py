@@ -647,6 +647,22 @@ def test_removed_train_key_is_config_error(workdir, tmp_path, capsys, key):
     assert not (tmp_path / "run").exists()
 
 
+def test_removed_grammar_only_key_is_config_error(workdir, tmp_path, capsys):
+    # grammar-only runs took momentum too
+    argv = ["train", "--set", f"dataset={workdir / 'data' / 'dataset.jsonl'}",
+            "--set", "mode=grammar_only", "--set", "iterations=1",
+            "--set", "momentum=0.9", "--set", f"out_dir={tmp_path / 'run'}"]
+    err = _main_error(argv, capsys)
+    assert err["error"] == "ConfigError" and "momentum" in err["message"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_config_json_lists_no_removed_key(workdir, trained):
+    config = json.loads((workdir / "fuzz_ckpt" / "config.json").read_text())
+    assert "lr0" in config and "tau_end" in config
+    assert not set(REMOVED_TRAIN_KEYS) & set(config)
+
+
 @pytest.mark.parametrize("key", sorted(REMOVED_EVALUATE_KEYS))
 def test_removed_evaluate_key_is_config_error(workdir, tmp_path, capsys, key):
     data = workdir / "data"

@@ -161,6 +161,15 @@ def test_empty_file_is_empty_dataset(tmp_path):
     assert len(load_dataset(path)) == 0
 
 
+def test_empty_dataset_records_are_an_empty_int64_array(tmp_path):
+    path = tmp_path / "e.jsonl"
+    path.write_text("")
+    for alphabet_size, width in ((None, 0), (3, 3)):
+        ds = load_dataset(path, alphabet_size=alphabet_size)
+        assert ds.records.shape == (0, 0) and ds.records.dtype == np.int64
+        assert ds.one_hot().shape == (0, 0, width)
+
+
 def test_parse_errors_name_lines(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"tokens": [0, 1]}\nnot json\n')
