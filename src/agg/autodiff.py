@@ -167,14 +167,12 @@ def backward(loss):
     order = []
     seen = {id(loss): loss}
     stack = [(loss, iter(loss.parents))]
-    on_stack = {id(loss)}
     while stack:
         node, it = stack[-1]
         advanced = False
         for p in it:
             if id(p) not in seen:
                 seen[id(p)] = p
-                on_stack.add(id(p))
                 stack.append((p, iter(p.parents)))
                 advanced = True
                 break

@@ -1,9 +1,8 @@
 """Command-line interface: synth, train, generate, evaluate, ablate.
 
 Each command takes --config <json> plus repeated --set key=value overrides.
-The AGG_SEED environment variable overrides the configured seed. Every run
-writes its fully resolved config into the artifact directory so it can be
-replayed exactly.
+Every run writes its fully resolved config into the artifact directory so it
+can be replayed exactly.
 """
 from __future__ import annotations
 
@@ -142,7 +141,7 @@ def _coerce(key, value, default):
 
 
 def resolve_config(command, config_path=None, overrides=()):
-    """Defaults <- config file <- --set overrides <- AGG_SEED."""
+    """Defaults <- config file <- --set overrides."""
     defaults = DEFAULTS[command]
     cfg = dict(defaults)
     if config_path:
@@ -158,11 +157,6 @@ def resolve_config(command, config_path=None, overrides=()):
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r} for {command!r}")
         cfg[key] = _coerce(key, value, defaults[key])
-    if os.environ.get("AGG_SEED"):
-        try:
-            cfg["seed"] = int(os.environ["AGG_SEED"])
-        except ValueError:
-            raise ConfigError("AGG_SEED must be an integer")
     _check_seeds(cfg)
     return cfg
 

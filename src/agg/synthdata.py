@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,7 +285,8 @@ class SequenceDataset:
                 and r.shape[1] == self.length):
             raise ParameterError(
                 f"dataset records must be an (N, {self.length}) int64 array")
-        if self.alphabet_size is not None and r.size and r.max() >= self.alphabet_size:
+        if (self.alphabet_size is not None and r.size
+                and (r.min() < 0 or r.max() >= self.alphabet_size)):
             raise ParameterError("token index out of alphabet range")
 
     def __len__(self):
@@ -299,21 +301,28 @@ class SequenceDataset:
         return out
 
 
-# save_dataset's line for a record: _HEAD, the tokens joined by _SEP, _TAIL
+# the dataset file's line for a record: _HEAD, the tokens joined by _SEP, _TAIL
 _HEAD, _SEP, _TAIL = '{"tokens": [', ", ", "]}\n"
 
 
 def save_dataset(path, dataset):
     """Write one {"tokens": [...]} line per record, spaced as json.dumps
-    spaces it, as one byte array.
+    spaces it: the bytes of _dataset_bytes."""
+    with open(path, "wb") as f:
+        f.write(_dataset_bytes(dataset.records))
+
+
+def _dataset_bytes(records):
+    """The dataset file of the (N, L) int64 array `records`: the one
+    definition of the format, built as one byte array.
 
     Every token gets a field W bytes wide, W the width of the widest token
     counting its '-': the digits of its magnitude right-aligned, 0 bytes to
     their left, and a '-' just before the digits of a negative token. A line
     is _HEAD, its L fields joined by _SEP, and _TAIL; one boolean compress
     then drops the 0 bytes to the left of narrower tokens."""
-    n, length = len(dataset), dataset.length
-    toks = dataset.records.ravel()
+    n, length = records.shape
+    toks = records.ravel()
     neg = toks < 0
     # uint64 magnitudes: -(-2**63) wraps to 2**63, which uint64 holds
     mag = toks.view(np.uint64)
@@ -343,65 +352,33 @@ def save_dataset(path, dataset):
         keep = np.ones(out.shape, dtype=bool)
         keep[:, at] = (np.arange(width) >= width - w[:, None]).reshape(n, length * width)
         out = out[keep]
-    with open(path, "wb") as f:
-        f.write(out)
+    return out.tobytes()
 
 
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
-
-
-def _bytes_in(a, chars):
-    """Whether every byte of the uint8 array `a` is one of `chars`."""
-    return np.isin(a, np.frombuffer(chars.encode(), dtype=np.uint8)).all()
+# every byte but a token's digits and '-' becomes a space
+_NOT_NUMERIC = bytes(c if chr(c) in "-0123456789" else ord(" ") for c in range(256))
 
 
 def _saved_tokens(data):
     """The N * L tokens of `data`, row by row, and N, when `data` is exactly
-    what save_dataset writes for some N >= 1, L >= 1 and tokens of at most
-    18 digits, so that each line is a valid record; else None.
-
-    The bytes outside the numeric runs (digits and '-') must be N copies of
-    the line with its tokens taken out, and each of the N * L runs must sit
-    in a token's slot and be a canonical JSON integer."""
+    what save_dataset writes for some N >= 1 records of L >= 1 tokens; else
+    None. numpy reads the numeric runs, and the file passes when
+    _dataset_bytes writes those tokens back to the same bytes. Each token's
+    digits fill its own slot, so no two token arrays share a file, and a file
+    that numpy misreads ('- 3' as -3, saturated past int64, spaces as [0])
+    fails the compare."""
     n = data.count(b"\n")
     if not n or not data.endswith(b"\n"):
         return None
-    b = np.frombuffer(data, dtype=np.uint8)
-    # uint8 arithmetic: bytes below "0" wrap past 9
-    numeric = ((b - ord("0")) < 10) | (b == ord("-"))
-    if numeric[0]:
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 warns on unparsed text and returns what it read
+            warnings.simplefilter("ignore", DeprecationWarning)
+            toks = np.fromstring(data.translate(_NOT_NUMERIC), dtype=np.int64, sep=" ")
+    except ValueError:
         return None
-    # the last byte is not numeric, so the flips alternate run start, run end
-    flips = np.flatnonzero(numeric[1:] != numeric[:-1]) + 1
-    starts, ends = flips[0::2], flips[1::2]
-    length = len(starts) // n
-    if length < 1 or length * n != len(starts):
+    if not toks.size or toks.size % n or _dataset_bytes(toks.reshape(n, -1)) != data:
         return None
-    rest = _HEAD + _SEP * (length - 1) + _TAIL
-    if b.take(np.flatnonzero(~numeric)).tobytes() != rest.encode() * n:
-        return None
-    # a run in a slot follows '[' or the separator's ' ' and precedes the
-    # separator's ',' or ']'
-    if not (_bytes_in(b.take(starts - 1), _HEAD[-1] + _SEP[-1])
-            and _bytes_in(b.take(ends), _SEP[0] + _TAIL[0])):
-        return None
-    # each run: an optional '-', then 1 to 18 digits; a run whose first
-    # digit is 0 must be the one byte '0', so 01 and -0 are not canonical
-    digits = b.take(np.flatnonzero(numeric))
-    lens = ends - starts
-    first = np.cumsum(lens) - lens
-    neg = digits[first] == ord("-")
-    ndig = lens - neg
-    if (ndig.min() < 1 or ndig.max() > 18
-            or np.count_nonzero(digits == ord("-")) != np.count_nonzero(neg)
-            or ((digits[first + neg] == ord("0")) & (lens > 1)).any()):
-        return None
-    # place-value sums: a byte's exponent is its distance to its run's end
-    values = digits.astype(np.int64) - ord("0")
-    values[first[neg]] = 0
-    exps = np.repeat(first + lens - 1, lens) - np.arange(len(digits))
-    toks = np.add.reduceat(values * _POW10[exps], first)
-    np.negative(toks, out=toks, where=neg)
     return toks, n
 
 
@@ -462,11 +439,11 @@ def _token_array(flat, lens, linenos, alphabet_size):
 def load_dataset(path, alphabet_size=None):
     """Read a JSONL dataset, one {"tokens": [...]} record per non-blank line.
 
-    A file in save_dataset's format, with tokens of at most 18 digits, is
-    read as one byte array: every line is then a valid record, and the
-    tokens are checked as one (N, L) array. Any other file (other spacing,
-    other keys, blank lines, other newlines, a fault) is read line by line,
-    with the same checks and errors.
+    A file is read as one byte array exactly when save_dataset would write
+    its tokens back to the same bytes: every line is then a valid record,
+    and the tokens are checked as one (N, L) array. Any other file (other
+    spacing, other keys, blank lines, other newlines, a fault) is read line
+    by line, with the same checks and errors.
 
     Lines are parsed and type-checked one at a time, by one json.loads call
     each, up to the first bad one. The rows before the first bad line are

@@ -130,10 +130,8 @@ def run_cli(args, cwd, env_extra=None):
 
     The directory holding the `agg` package this process imported goes first
     on the child's PYTHONPATH, so the child runs the same code from any
-    working directory, whether or not the package is installed. AGG_SEED is
-    dropped so that only `env_extra` can set it."""
+    working directory, whether or not the package is installed."""
     env = dict(os.environ)
-    env.pop("AGG_SEED", None)
     src = str(Path(agg.__file__).resolve().parents[1])
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join([src, rest]) if rest else src

@@ -69,15 +69,6 @@ def test_resolve_config_file(tmp_path):
             resolve_config("train", str(p), [])
 
 
-def test_agg_seed_env_override(monkeypatch):
-    monkeypatch.setenv("AGG_SEED", "123")
-    assert resolve_config("synth", None, ["seed=5"])["seed"] == 123
-    for bad in ("xyz", "-3"):
-        monkeypatch.setenv("AGG_SEED", bad)
-        with pytest.raises(ConfigError):
-            resolve_config("synth", None, [])
-
-
 def test_help_lists_every_key():
     parser = build_parser()
     for command, defaults in DEFAULTS.items():
@@ -224,13 +215,18 @@ def test_main_no_command_prints_help(capsys):
     assert "synth" in capsys.readouterr().out
 
 
-def test_seed_env_changes_artifacts(workdir):
-    r = run_cli(["synth", "--set", "preset=bimodal", "--set", "num_sequences=10",
-                 "--set", "length=6", "--set", "out_dir=s_env"], workdir,
-                env_extra={"AGG_SEED": "77"})
-    assert r.returncode == 0, r.stderr
-    cfg = json.loads((workdir / "s_env" / "config.json").read_text())
-    assert cfg["seed"] == 77
+def test_seed_env_variable_is_ignored(tmp_path):
+    # AGG_SEED is no override: the configured seed and the artifacts stand
+    argv = ["synth", "--set", "preset=bimodal", "--set", "num_sequences=10",
+            "--set", "length=6", "--set", "seed=5", "--set", "out_dir=s"]
+    for cwd, env in ((tmp_path / "env", {"AGG_SEED": "77"}), (tmp_path / "plain", None)):
+        cwd.mkdir()
+        r = run_cli(argv, cwd, env_extra=env)
+        assert r.returncode == 0, r.stderr
+    assert json.loads((tmp_path / "env/s/config.json").read_text())["seed"] == 5
+    for name in ("config.json", "dataset.jsonl", "grammar.json"):
+        assert ((tmp_path / "env/s" / name).read_bytes()
+                == (tmp_path / "plain/s" / name).read_bytes())
 
 
 def _main_error(argv, capsys):
