@@ -18,47 +18,40 @@ from .grammar import _top_stable
 from .nn import SGD, Conv1d, Dense
 
 LOG_CLAMP = 1e-7
+KERNEL_WIDTH, STRIDE = 5, 4              # of every discriminator conv layer
+HOLDOUT_FRACTION = 0.1                   # share of the rows D is scored on at the end
 
 
 @dataclass
 class DiscriminatorConfig:
-    conv_channels: tuple = (128, 256, 64)
-    kernel_width: int = 5
-    stride: int = 4
+    conv_channels: tuple = (16, 32, 16)
 
     def __post_init__(self):
         if not self.conv_channels or any(c <= 0 for c in self.conv_channels):
             raise ParameterError("conv channels must be a non-empty list of positive sizes")
-        if self.kernel_width < 1 or self.kernel_width % 2 == 0:
-            raise ParameterError("kernel width must be positive and odd")
-        if self.stride < 1:
-            raise ParameterError("stride must be positive")
 
 
 class Discriminator:
     def __init__(self, d_terminal, d_nonterminal, config=None, seed=0):
         self.config = config or DiscriminatorConfig()
         rng = np.random.default_rng(seed)
-        cfg = self.config
         self.t_stack = self._stack(rng, d_terminal, "d.t")
         self.n_stack = self._stack(rng, d_nonterminal, "d.n")
-        self.head = Dense(rng, 2 * cfg.conv_channels[-1], 1, name="d.head")
+        self.head = Dense(rng, 2 * self.config.conv_channels[-1], 1, name="d.head")
 
     def _stack(self, rng, d_in, name):
-        cfg = self.config
         layers = []
         c_prev = d_in
-        for i, c in enumerate(cfg.conv_channels):
-            layers.append(Conv1d(rng, c_prev, c, kernel=cfg.kernel_width,
-                                 stride=cfg.stride, name=f"{name}.conv{i}"))
+        for i, c in enumerate(self.config.conv_channels):
+            layers.append(Conv1d(rng, c_prev, c, kernel=KERNEL_WIDTH,
+                                 stride=STRIDE, name=f"{name}.conv{i}"))
             c_prev = c
         return layers
 
     def __call__(self, t_seq, n_seq):
         """Real/fake probability in (0, 1) for aligned terminal and
         non-terminal streams of shape (B, L, d)."""
-        t_seq = t_seq if isinstance(t_seq, Tensor) else Tensor(np.asarray(t_seq, dtype=np.float64))
-        n_seq = n_seq if isinstance(n_seq, Tensor) else Tensor(np.asarray(n_seq, dtype=np.float64))
+        t_seq, n_seq = ad._as_tensor(t_seq), ad._as_tensor(n_seq)
         if t_seq.value.ndim != 3 or n_seq.value.ndim != 3:
             raise DimensionError("discriminator inputs must be (B, L, d)")
         if t_seq.value.shape[1] == 0:
@@ -84,8 +77,7 @@ class Discriminator:
 
 def discriminator_loss(p_real, p_fake):
     """-mean log p_real - mean log (1 - p_fake), log args clamped at 1e-7."""
-    p_real = p_real if isinstance(p_real, Tensor) else Tensor(p_real)
-    p_fake = p_fake if isinstance(p_fake, Tensor) else Tensor(p_fake)
+    p_real, p_fake = ad._as_tensor(p_real), ad._as_tensor(p_fake)
     real_term = ad.mean(ad.log(ad.clamp_min(p_real, LOG_CLAMP)))
     fake_term = ad.mean(ad.log(ad.clamp_min(1.0 - p_fake, LOG_CLAMP)))
     return -real_term - fake_term
@@ -96,7 +88,6 @@ def generator_loss(p_fake):
     # no 1e-7 clamp here: clamping zeroes the gradient exactly when the
     # discriminator is winning, which is when the generator needs it most;
     # the tiny guard only dodges a literal log(0)
-    p_fake = p_fake if isinstance(p_fake, Tensor) else Tensor(p_fake)
     return -ad.mean(ad.log(ad.clamp_min(p_fake, 1e-300)))
 
 
@@ -122,13 +113,12 @@ class TrainConfig:
     batch_size: int = 32
     prefix_len: int = 4
     seed: int = 0
-    lr0: float = 0.1                     # both G's and D's
+    lr0: float = 0.02                    # both G's and D's
     tau_end: float = 0.0                 # anneal target from 1.0; 0: no anneal
-    d_loss_floor: float = 1.0            # skip D updates below this loss; 0: never
-    entropy_weight: float = 0.0          # bonus on rule-distribution entropy
-    ema_decay: float = 0.0               # Polyak-average generator weights; 0: off
+    d_loss_floor: float = 0.7            # skip D updates below this loss; 0: never
+    entropy_weight: float = 0.1          # bonus on rule-distribution entropy
+    ema_decay: float = 0.999             # Polyak-average generator weights; 0: off
     log_every: int = 100
-    holdout_fraction: float = 0.1
 
     def __post_init__(self):
         _check_positive(self, "iterations", "batch_size", "prefix_len", "log_every")
@@ -228,7 +218,7 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
     L = dataset.length
     _check_prefix_len(config, L)
     X = dataset.one_hot()
-    n_hold = int(len(X) * config.holdout_fraction)
+    n_hold = int(len(X) * HOLDOUT_FRACTION)
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(X))
     X_hold, X_train = X[perm[:n_hold]], X[perm[n_hold:]]
@@ -335,13 +325,13 @@ def _holdout_accuracy(grammar_model, disc_model, X_hold, config, rng):
 
 @dataclass
 class GrammarOnlyConfig:
-    iterations: int = 1000
-    batch_size: int = 16
+    iterations: int = 5000
+    batch_size: int = 32
     k_cap: int = 2
     max_paths: int = 64           # beam-style memory cap on the enumeration
     prefix_len: int = 4
     seed: int = 0
-    lr0: float = 0.1
+    lr0: float = 0.02
     log_every: int = 100
 
     def __post_init__(self):

@@ -11,11 +11,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .adversarial import (Discriminator, DiscriminatorConfig, GrammarOnlyConfig,
-                          TrainConfig, train_adversarial, train_grammar_only)
+                          TrainConfig, _check_prefix_len, train_adversarial,
+                          train_grammar_only)
 from .errors import AggError, ConfigError, InputError
 from .grammar import GrammarModel, activity_config
 from .metrics import EvalReport, ngram_kl, ngram_kl_by_horizon, sample_model_futures
@@ -39,19 +41,10 @@ TRAIN_DEFAULTS = {
     "mode": "adversarial",     # adversarial | grammar_only
     "num_classes": 0,          # 0: infer from the dataset alphabet
     "topk_mask": 4,            # 0 disables the per-state rule mask
-    "iterations": 5000,
-    "batch_size": 32,
-    "prefix_len": 4,
-    "seed": 0,
-    "lr0": 0.02,
-    "tau_end": 0.0,            # 0: no anneal
-    "d_loss_floor": 0.7,       # 0 disables discriminator throttling
-    "entropy_weight": 0.1,
-    "ema_decay": 0.999,        # 0 disables generator weight averaging
-    "d_channels": [16, 32, 16],
-    "k_cap": 2,                # grammar_only: rules kept per step
-    "max_paths": 64,           # grammar_only: enumeration beam cap
-    "log_every": 100,
+    # the trainers' fields, at their dataclass defaults
+    **asdict(TrainConfig()),
+    **asdict(GrammarOnlyConfig()),
+    "d_channels": list(DiscriminatorConfig().conv_channels),
     "out_dir": "runs/train",
 }
 
@@ -200,7 +193,7 @@ def _write_config(cfg, out_dir):
         f.write("\n")
 
 
-def _grammar_config(num_classes, topk_mask):
+def _grammar_config(num_classes, topk_mask=TRAIN_DEFAULTS["topk_mask"]):
     config = activity_config(num_classes, topk_mask=topk_mask or None)
     # a hardened rule emits one token, so a bank of R rules covers at most R
     # classes; checked before anything is allocated with num_classes entries
@@ -247,35 +240,41 @@ def _metrics_csv(path, rows, columns):
                              for c in columns) + "\n")
 
 
-def _train(cfg, dataset, model):
-    """Train model on dataset as the resolved train config cfg says. Returns
+def _fields_of(config_class, cfg):
+    """config_class built from the values that cfg holds for its fields."""
+    return config_class(**{f.name: cfg[f.name] for f in fields(config_class)})
+
+
+def _train_configs(cfg, length):
+    """The trainer configs of the resolved train config cfg, checked against
+    sequences of the given length: (TrainConfig, DiscriminatorConfig) in
+    adversarial mode, (GrammarOnlyConfig,) in grammar_only mode."""
+    if cfg["mode"] == "adversarial":
+        d_config = DiscriminatorConfig(conv_channels=tuple(cfg["d_channels"]))
+        configs = (_fields_of(TrainConfig, cfg), d_config)
+    elif cfg["mode"] == "grammar_only":
+        configs = (_fields_of(GrammarOnlyConfig, cfg),)
+    else:
+        raise ConfigError(f"unknown train mode {cfg['mode']!r}")
+    _check_prefix_len(configs[0], length)
+    return configs
+
+
+def _train(cfg, dataset, model, configs):
+    """Train model on dataset with the configs _train_configs(cfg) built. Returns
     the metrics rows, their columns and a one-line summary."""
     if cfg["mode"] == "adversarial":
-        disc = Discriminator(
-            cfg["num_classes"], model.config.d_nonterminal,
-            DiscriminatorConfig(conv_channels=tuple(cfg["d_channels"])),
-            seed=cfg["seed"] + 1)
-        tc = TrainConfig(
-            iterations=cfg["iterations"], batch_size=cfg["batch_size"],
-            prefix_len=cfg["prefix_len"], seed=cfg["seed"], lr0=cfg["lr0"],
-            tau_end=cfg["tau_end"], d_loss_floor=cfg["d_loss_floor"],
-            entropy_weight=cfg["entropy_weight"], ema_decay=cfg["ema_decay"],
-            log_every=cfg["log_every"])
-        result = train_adversarial(dataset, model, disc, tc)
+        train_config, d_config = configs
+        disc = Discriminator(cfg["num_classes"], model.config.d_nonterminal, d_config,
+                             seed=cfg["seed"] + 1)
+        result = train_adversarial(dataset, model, disc, train_config)
         return (result.metrics, ["iteration", "d_loss", "g_loss", "d_accuracy", "lr"],
                 f"trained {cfg['iterations']} iterations; "
                 f"holdout discriminator accuracy {result.holdout_accuracy:.3f}; "
                 f"parse fallbacks {result.parse_fallback_share:.1%}")
-    if cfg["mode"] == "grammar_only":
-        gc = GrammarOnlyConfig(
-            iterations=cfg["iterations"], batch_size=cfg["batch_size"],
-            k_cap=cfg["k_cap"], max_paths=cfg["max_paths"],
-            prefix_len=cfg["prefix_len"], seed=cfg["seed"], lr0=cfg["lr0"],
-            log_every=cfg["log_every"])
-        rows = train_grammar_only(dataset, model, gc)
-        return (rows, ["iteration", "nll", "lr"],
-                f"trained {cfg['iterations']} iterations; final nll {rows[-1]['nll']:.4f}")
-    raise ConfigError(f"unknown train mode {cfg['mode']!r}")
+    rows = train_grammar_only(dataset, model, *configs)
+    return (rows, ["iteration", "nll", "lr"],
+            f"trained {cfg['iterations']} iterations; final nll {rows[-1]['nll']:.4f}")
 
 
 def cmd_train(cfg):
@@ -288,10 +287,11 @@ def cmd_train(cfg):
     num_classes = dataset.alphabet_size
     grammar_config = _grammar_config(num_classes, cfg["topk_mask"])
     cfg = dict(cfg, num_classes=num_classes)   # resolved config is replayable
+    configs = _train_configs(cfg, dataset.length)   # checked before out_dir is made
     out = cfg["out_dir"]
     _write_config(cfg, out)
     model = GrammarModel(grammar_config, seed=cfg["seed"])
-    rows, columns, summary = _train(cfg, dataset, model)
+    rows, columns, summary = _train(cfg, dataset, model, configs)
     _metrics_csv(os.path.join(out, "metrics.csv"), rows, columns)
     print(summary)
     save_checkpoint(os.path.join(out, "checkpoint.bin"),
@@ -355,7 +355,7 @@ def cmd_evaluate(cfg):
         model, _ = _load_trained(cfg["run_dir"])
         model_id = cfg["run_dir"]
     else:
-        model = GrammarModel(_grammar_config(grammar.num_tokens, 4), seed=cfg["seed"])
+        model = GrammarModel(_grammar_config(grammar.num_tokens), seed=cfg["seed"])
         model_id = "untrained"
     X = _load_prefixes(cfg, model)
     # one sample set at the longest horizon: the draws are step-major, so its
@@ -384,7 +384,7 @@ def _ablate_arm(grammar, dataset, cfg, mode, topk, seed):
                topk_mask=topk, k_cap=topk, seed=seed,
                **{key: cfg[key] for key in ("iterations", "batch_size", "prefix_len", "lr0")})
     model = GrammarModel(_grammar_config(grammar.num_tokens, topk), seed=seed)
-    _train(arm, dataset, model)
+    _train(arm, dataset, model, _train_configs(arm, dataset.length))
     X = dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
     samples = sample_model_futures(model, X, dataset.length,
                                    num_samples_per_prefix=cfg["samples_per_prefix"],

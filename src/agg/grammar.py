@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter
 from .errors import DimensionError, InputError, ParameterError, ParseError, ResourceError
 from .nn import Conv1d, Dense, xavier_uniform
+
+ENCODER_CHANNELS = 64                    # both encoder conv layers' width
 
 
 @dataclass
@@ -25,7 +27,6 @@ class GrammarConfig:
     d_terminal: int = 8
     num_rules: int = 256
     topk_mask: int | None = None
-    encoder_channels: int = 64
 
     def __post_init__(self):
         if self.d_nonterminal <= 0 or self.d_terminal <= 0 or self.num_rules <= 0:
@@ -34,13 +35,10 @@ class GrammarConfig:
             raise ParameterError("topk_mask must be in [1, num_rules]")
 
 
-def activity_config(num_classes, **overrides):
-    """Activity preset: 64-d non-terminals, 256 shared rules, 4-way branching."""
-    cfg = dict(
-        d_nonterminal=64, d_terminal=num_classes, num_rules=256, topk_mask=4,
-    )
-    cfg.update(overrides)
-    return GrammarConfig(**cfg)
+def activity_config(num_classes, topk_mask=4):
+    """Activity preset: GrammarConfig's 64-d non-terminals and 256 shared
+    rules, with 4-way branching."""
+    return GrammarConfig(d_terminal=num_classes, topk_mask=topk_mask)
 
 
 @dataclass
@@ -133,7 +131,7 @@ def gumbel_softmax(logits, tau, noise, hard=False):
     noise = np.asarray(noise, dtype=np.float64)
     if not ((noise > 0) & (noise < 1)).all():        # NaN fails too
         raise ParameterError("gumbel noise must lie in the open interval (0, 1)")
-    logits = logits if isinstance(logits, Tensor) else Tensor(logits)
+    logits = ad._as_tensor(logits)
     lv = logits.value
     inv = 1.0 / tau
     lb, nb = np.broadcast_arrays(lv, noise)
@@ -154,7 +152,7 @@ class _ConvEncoder:
     """Two temporal 1-d conv layers, mean-pool over time, dense head."""
 
     def __init__(self, rng, cfg):
-        ch = cfg.encoder_channels
+        ch = ENCODER_CHANNELS
         self.conv1 = Conv1d(rng, cfg.d_terminal, ch, kernel=3, name="enc.conv1")
         self.conv2 = Conv1d(rng, ch, ch, kernel=3, name="enc.conv2")
         self.head = Dense(rng, ch, cfg.d_nonterminal, name="enc.head")
@@ -202,7 +200,7 @@ class GrammarModel:
     # -- forward pieces -----------------------------------------------------
     def encode_start(self, x):
         """Map an observed prefix (B, L, d_in) to starting non-terminals (B, d_n)."""
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+        x = ad._as_tensor(x)
         if x.value.ndim == 2:
             x = ad.reshape(x, (1,) + x.value.shape)
         if x.value.ndim != 3 or x.value.shape[1] == 0:
@@ -264,7 +262,7 @@ class GrammarModel:
         """
         if length < 1:
             raise ParameterError("unroll length must be >= 1")
-        n0 = n0 if isinstance(n0, Tensor) else Tensor(n0)
+        n0 = ad._as_tensor(n0)
         if tau <= 0:
             raise ParameterError("gumbel temperature must be > 0")
         inv = 1.0 / tau

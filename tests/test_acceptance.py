@@ -110,7 +110,7 @@ def test_gradient_suite_gumbel_soft():
 
 
 def test_gradient_suite_discriminator():
-    cfg = DiscriminatorConfig(conv_channels=(2, 3, 2), kernel_width=3, stride=2)
+    cfg = DiscriminatorConfig(conv_channels=(2, 3, 2))
     for case in range(GRAD_CASES):
         rng = np.random.default_rng(4000 + case)
         disc = Discriminator(2, 3, cfg, seed=case)
@@ -163,7 +163,7 @@ def test_gumbel_hard_sampling_exact():
 
 def test_enumeration_count_and_mass():
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3,
-                                       num_rules=6, encoder_channels=8), seed=0)
+                                       num_rules=6), seed=0)
     n0 = np.ones(8)
     seqs = model.enumerate_all(n0, length=10, k_cap=2)
     assert len(seqs) == 1024

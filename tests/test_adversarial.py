@@ -23,19 +23,15 @@ SMALL_D = DiscriminatorConfig(conv_channels=(4, 6, 4))
 
 
 def tiny_model(**overrides):
-    cfg = dict(d_nonterminal=8, d_terminal=4, num_rules=6, encoder_channels=8)
+    cfg = dict(d_nonterminal=8, d_terminal=4, num_rules=6)
     cfg.update(overrides)
     return GrammarModel(GrammarConfig(**cfg), seed=0)
 
 
 def test_discriminator_config_validation():
-    with pytest.raises(ParameterError):
-        DiscriminatorConfig(conv_channels=(4, 0, 4))
-    with pytest.raises(ParameterError):
-        DiscriminatorConfig(kernel_width=4)
-    for bad in (dict(conv_channels=()), dict(kernel_width=-1), dict(stride=0)):
+    for bad in ((4, 0, 4), ()):
         with pytest.raises(ParameterError):
-            DiscriminatorConfig(**bad)
+            DiscriminatorConfig(conv_channels=bad)
 
 
 def test_discriminator_output_range_and_zero_head():
@@ -179,11 +175,14 @@ def test_train_validation_errors():
 def run_tiny(seed=0, iterations=30, lr0=0.01, **overrides):
     g = build_preset_grammar("bimodal")
     ds = sample_dataset(g, 80, 6, seed=1)
-    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3,
-                                       num_rules=6, encoder_channels=8), seed=seed)
+    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3, num_rules=6),
+                         seed=seed)
     d = Discriminator(3, 8, SMALL_D, seed=seed + 1)
+    # a D throttle at 1.0, no entropy bonus and no averaging, unless a test
+    # asks for other settings
+    stabilizers = dict(d_loss_floor=1.0, entropy_weight=0.0, ema_decay=0.0)
     cfg = TrainConfig(iterations=iterations, batch_size=8, prefix_len=2,
-                      seed=seed, lr0=lr0, log_every=10, **overrides)
+                      seed=seed, lr0=lr0, log_every=10, **{**stabilizers, **overrides})
     return train_adversarial(ds, model, d, cfg), model, d
 
 
@@ -278,20 +277,22 @@ def test_discriminator_pretraining_separable():
     assert acc >= 0.95
 
 
-def test_one_rule_grammar_converges_to_data():
+def test_one_rule_grammar_converges_to_data(monkeypatch):
     # deterministic dataset, topk_mask=1: the generator follows a single
     # frozen rule chain, so the expanders must learn a constant emission;
     # D ends near chance once it matches
     seq = np.array([2, 2, 2, 2, 2, 2], dtype=np.int64)
     ds = SequenceDataset(records=np.tile(seq, (64, 1)), length=6, alphabet_size=3)
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3,
-                                       num_rules=4, topk_mask=1, encoder_channels=8), seed=0)
+                                       num_rules=4, topk_mask=1), seed=0)
     # the (4,6,4) stack can collapse to a constant output here; use a wider D
     d = Discriminator(3, 8, DiscriminatorConfig(conv_channels=(16, 32, 16)),
                       seed=1)
+    # a quarter of the 64 rows held out, so the accuracy below is over 16
+    monkeypatch.setattr(adversarial, "HOLDOUT_FRACTION", 0.25)
     cfg = TrainConfig(iterations=800, batch_size=8, prefix_len=2, seed=0,
-                      lr0=0.01, d_loss_floor=1.0, log_every=200,
-                      holdout_fraction=0.25)
+                      lr0=0.01, d_loss_floor=1.0, entropy_weight=0.0,
+                      ema_decay=0.0, log_every=200)
     result = train_adversarial(ds, model, d, cfg)
     n0 = model.encode_start(ds.one_hot()[:1, :2]).value[0]
     sample = model.enumerate_all(n0, 6, k_cap=1)[0][0]
@@ -304,7 +305,7 @@ def test_grammar_only_training_reduces_nll():
     g = build_preset_grammar("bimodal")
     ds = sample_dataset(g, 100, 6, seed=0)
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3,
-                                       num_rules=6, encoder_channels=8), seed=0)
+                                       num_rules=6), seed=0)
     cfg = GrammarOnlyConfig(iterations=120, batch_size=16, k_cap=2,
                             prefix_len=2, seed=0, lr0=0.05, log_every=20)
     rows = train_grammar_only(ds, model, cfg)

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import agg
 from agg import cli
+from agg.adversarial import DiscriminatorConfig, GrammarOnlyConfig, TrainConfig
 from agg.cli import DEFAULTS, TRAIN_DEFAULTS, build_parser, main, resolve_config
 from agg.errors import ConfigError
 from agg.nn import load_checkpoint
@@ -641,6 +642,60 @@ def test_removed_train_key_is_config_error(workdir, tmp_path, capsys, key):
     err = _main_error(argv + ["--config", str(config)], capsys)
     assert err["error"] == "ConfigError" and key in err["message"]
     assert not (tmp_path / "run").exists()
+
+
+# one bad setting each, with the error it gets; each is refused before the
+# run directory is made
+REFUSED_TRAIN = [
+    (["lr0=-1"], "ParameterError"),
+    (["log_every=0"], "ParameterError"),
+    (["ema_decay=1"], "ParameterError"),
+    (["d_channels=[]"], "ParameterError"),
+    (["mode=bogus"], "ConfigError"),
+    (["prefix_len=20"], "ParameterError"),
+    (["mode=grammar_only", "k_cap=0"], "ParameterError"),
+]
+
+
+@pytest.mark.parametrize("bad, error", REFUSED_TRAIN,
+                         ids=[" ".join(s) for s, _ in REFUSED_TRAIN])
+def test_refused_train_makes_no_run_directory(workdir, tmp_path, capsys, bad, error):
+    argv = ["train", "--set", f"dataset={workdir / 'data' / 'dataset.jsonl'}",
+            "--set", "iterations=1", "--set", f"out_dir={tmp_path / 'run'}"]
+    for item in bad:
+        argv += ["--set", item]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == error, err
+    assert not (tmp_path / "run").exists()
+
+
+class _Built(Exception):
+    """Raised by a stand-in trainer once it holds the configs train built."""
+
+
+def test_train_defaults_are_the_trainer_dataclass_defaults(workdir, tmp_path, monkeypatch):
+    # each trainer setting is declared once, in its dataclass: a train run
+    # that sets no trainer key builds the dataclasses' own defaults
+    built = {}
+
+    def adversarial(dataset, model, disc, config):
+        built["adversarial"] = (config, disc.config)
+        raise _Built
+
+    def grammar_only(dataset, model, config):
+        built["grammar_only"] = config
+        raise _Built
+
+    monkeypatch.setattr(cli, "train_adversarial", adversarial)
+    monkeypatch.setattr(cli, "train_grammar_only", grammar_only)
+    for mode in ("adversarial", "grammar_only"):
+        with pytest.raises(_Built):
+            main(["train", "--set", f"dataset={workdir / 'data' / 'dataset.jsonl'}",
+                  "--set", f"mode={mode}", "--set", f"out_dir={tmp_path / mode}"])
+    assert built == {"adversarial": (TrainConfig(), DiscriminatorConfig()),
+                     "grammar_only": GrammarOnlyConfig()}
 
 
 def test_removed_grammar_only_key_is_config_error(workdir, tmp_path, capsys):

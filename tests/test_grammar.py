@@ -12,7 +12,7 @@ from helpers import expand, numeric_grad, ref_rule_logits, rel_err
 
 
 def tiny_config(**overrides):
-    cfg = dict(d_nonterminal=8, d_terminal=4, num_rules=6, encoder_channels=8)
+    cfg = dict(d_nonterminal=8, d_terminal=4, num_rules=6)
     cfg.update(overrides)
     return GrammarConfig(**cfg)
 
@@ -300,7 +300,7 @@ def test_enumerate_hand_tree():
     # step probs (0.7, 0.3), then the 0.7-branch is deterministic while the
     # 0.3-branch splits (0.4, 0.6): path products {0.7, 0.12, 0.18}
     model = GrammarModel(GrammarConfig(d_nonterminal=3, d_terminal=4,
-                                       num_rules=3, encoder_channels=4), seed=0)
+                                       num_rules=3), seed=0)
     # wire f_n so rule i lands in state e_i, then solve a 1-layer rule head
     # that realizes the desired per-state distributions
     model.w_n.assign(np.eye(3))

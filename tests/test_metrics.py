@@ -113,7 +113,7 @@ def test_empirical_ngram_distribution():
 def test_model_sampler_and_futures_shapes():
     from agg.grammar import GrammarConfig, GrammarModel
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3,
-                                       num_rules=5, encoder_channels=8), seed=0)
+                                       num_rules=5), seed=0)
     X = np.eye(3)[np.zeros((4, 2), dtype=int)]
     futures = sample_model_futures(model, X, 5, num_samples_per_prefix=3, seed=1)
     assert futures.shape == (12, 5)

@@ -182,8 +182,7 @@ def test_sample_rule_paths_equals_gather_reference():
 
 def test_sample_rule_paths_tie_keeps_the_lower_rule():
     # a step-1 uniform equal to a cumulative probability selects that rule
-    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=6,
-                                       encoder_channels=8), seed=8)
+    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=6), seed=8)
     u = np.random.default_rng(0).random(2)[1]
     probs_all = np.zeros((6, 6))
     probs_all[:, 0], probs_all[:, 1] = u, 1.0 - u
@@ -200,8 +199,7 @@ def test_sample_rule_paths_at_cdf_boundaries(monkeypatch):
     # one summing to 0.75, and uniforms exactly on cumulative values, at 0
     # and in (0.75, 1); each step must take searchsorted's "left" answer
     R = 6
-    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=R,
-                                       encoder_channels=8), seed=8)
+    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=R), seed=8)
     probs_all = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
                           [0.0, 0.25, 0.0, 0.0, 0.5, 0.25],
                           [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
@@ -317,8 +315,7 @@ def test_sample_rule_paths_law_equals_enumeration(topk):
     # every path of a 6-rule chain at L = 3: each sampled log_prob is the
     # log of its enumerated probability, and the sampled law is close to it
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=6,
-                                       topk_mask=topk,
-                                       encoder_channels=8), seed=8)
+                                       topk_mask=topk), seed=8)
     n0 = np.random.default_rng(1).normal(size=(1, 8))
     exact = {tuple(s.rule_indices): (s.log_prob, q)
              for s, q in model.enumerate_all(n0, 3, k_cap=6)}
@@ -360,8 +357,7 @@ def _chain_of_width(K, R=11, seed=0):
     row may sum to less than 1. The seed laws are the model's, restricted by
     -inf biases to the two end columns and K - 2 others."""
     rng = np.random.default_rng(seed)
-    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=R,
-                                       encoder_channels=8), seed=seed)
+    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=R), seed=seed)
     inner = np.arange(1, R - 1)
     probs_all = np.zeros((R, R))
     for r in range(R):
@@ -402,8 +398,7 @@ def test_sample_rule_paths_equals_reference_on_small_banks(R, topk):
     # one rule (K = 1: no search step), and an odd bank whose rows are all
     # kept (K = R) or masked to 3 rules
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=R,
-                                       topk_mask=topk,
-                                       encoder_channels=8), seed=R)
+                                       topk_mask=topk), seed=R)
     n0 = np.random.default_rng(R).normal(size=(4, 8))
     assert _table_width(model, n0) == (R if topk is None else 5)
     _assert_paths_match(model, n0, 100, seed=3)
@@ -927,11 +922,9 @@ def _assert_unroll_matches(model, disc, prefix, **kw):
 
 def _unroll_case(topk, d_terminal=6):
     cfg = GrammarConfig(d_nonterminal=12, d_terminal=d_terminal, num_rules=24,
-                        topk_mask=topk, encoder_channels=8)
+                        topk_mask=topk)
     model = GrammarModel(cfg, seed=4)
-    disc = Discriminator(d_terminal, 12, DiscriminatorConfig(conv_channels=(4, 6),
-                                                             kernel_width=3, stride=2),
-                         seed=9)
+    disc = Discriminator(d_terminal, 12, DiscriminatorConfig(conv_channels=(4, 6)), seed=9)
     prefix = np.eye(d_terminal)[np.random.default_rng(2).integers(0, d_terminal, (5, 3))]
     return model, disc, prefix
 
@@ -1082,8 +1075,7 @@ def test_pruned_loglik_equals_per_op_graph_with_ties():
     # the tie fixture of test_adversarial: exact ties between successors and
     # between candidates, also at the max_paths boundary
     R, C = 6, 3
-    model = GrammarModel(GrammarConfig(d_nonterminal=R, d_terminal=C, num_rules=R,
-                                       encoder_channels=8), seed=0)
+    model = GrammarModel(GrammarConfig(d_nonterminal=R, d_terminal=C, num_rules=R), seed=0)
     rng = np.random.default_rng(2)
     logits = rng.integers(0, 3, size=(R, R)).astype(np.float64)
     emissions = 3.0 * np.eye(C)[rng.integers(0, C, size=R)]
@@ -1108,8 +1100,7 @@ def test_pruned_loglik_equals_per_op_graph_with_ties():
 @pytest.mark.parametrize("topk", [None, 2])
 def test_pruned_loglik_equals_per_op_graph_edges(k_cap, max_paths, rows, length, topk):
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=6,
-                                       topk_mask=topk,
-                                       encoder_channels=8), seed=3)
+                                       topk_mask=topk), seed=3)
     rng = np.random.default_rng(k_cap + rows + length)
     tokens = rng.integers(0, 4, size=(rows, length))
     prefix = np.eye(4)[rng.integers(0, 4, size=(rows, 3))]
@@ -1134,8 +1125,7 @@ def test_pruned_loglik_central_differences(monkeypatch):
     whose kept paths (every selection the beam makes) are the same at
     theta + h and theta - h as at theta."""
     model = GrammarModel(GrammarConfig(d_nonterminal=5, d_terminal=3, num_rules=5,
-                                       topk_mask=3,
-                                       encoder_channels=4), seed=0)
+                                       topk_mask=3), seed=0)
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, 3, size=(4, 5))
     prefix = np.eye(3)[rng.integers(0, 3, size=(4, 2))]
