@@ -248,14 +248,14 @@ def _fields_of(config_class, cfg):
 def _train_configs(cfg, length):
     """The trainer configs of the resolved train config cfg, checked against
     sequences of the given length: (TrainConfig, DiscriminatorConfig) in
-    adversarial mode, (GrammarOnlyConfig,) in grammar_only mode."""
-    if cfg["mode"] == "adversarial":
-        d_config = DiscriminatorConfig(conv_channels=tuple(cfg["d_channels"]))
-        configs = (_fields_of(TrainConfig, cfg), d_config)
-    elif cfg["mode"] == "grammar_only":
-        configs = (_fields_of(GrammarOnlyConfig, cfg),)
-    else:
+    adversarial mode, (GrammarOnlyConfig,) in grammar_only mode. All three
+    are built in either mode, so every trainer key that config.json records
+    holds a value both trainers accept."""
+    if cfg["mode"] not in ("adversarial", "grammar_only"):
         raise ConfigError(f"unknown train mode {cfg['mode']!r}")
+    d_config = DiscriminatorConfig(conv_channels=tuple(cfg["d_channels"]))
+    configs = {"adversarial": (_fields_of(TrainConfig, cfg), d_config),
+               "grammar_only": (_fields_of(GrammarOnlyConfig, cfg),)}[cfg["mode"]]
     _check_prefix_len(configs[0], length)
     return configs
 

@@ -187,13 +187,19 @@ def sample_sequences(grammar, num_sequences, length, rng):
     if length < 1:
         raise ParameterError("length must be >= 1")
     u = rng.random((num_sequences, length))
-    out = np.empty((num_sequences, length), dtype=np.int64)
+    K = grammar._cdf.shape[1]
+    cdf = [np.ascontiguousarray(column) for column in grammar._cdf.T]
+    tok, nxt = grammar._tok.ravel(), grammar._next.ravel()
+    # at[j]: the flat index in the (S, K) tables of each row's rule at step j,
+    # state * K plus the count of its cdf entries <= u
+    at = np.empty((length, num_sequences), dtype=np.int64)
     state = np.full(num_sequences, grammar._state_index[grammar.start])
-    for j in range(length):
-        i = (grammar._cdf[state] <= u[:, j, None]).sum(axis=-1)
-        out[:, j] = grammar._tok[state, i]
-        state = grammar._next[state, i]
-    return out
+    for j, uj in enumerate(np.ascontiguousarray(u.T)):
+        np.multiply(state, K, out=at[j])
+        for column in cdf:
+            at[j] += column.take(state) <= uj
+        state = nxt.take(at[j])
+    return tok.take(at.T)
 
 
 def sample_sequence(grammar, length, rng):
@@ -345,14 +351,21 @@ def _dataset_bytes(records):
     fields[sign, width - w[sign]] = ord("-")
     line = _HEAD + _SEP.join(["0" * width] * length) + _TAIL
     out = np.tile(np.frombuffer(line.encode(), dtype=np.uint8), (n, 1))
-    at = (len(_HEAD) + (width + len(_SEP)) * np.arange(length)[:, None]
-          + np.arange(width)).ravel()
-    out[:, at] = fields.reshape(n, length * width)
+    _fields(out, width, length)[...] = fields.reshape(n, length, width)
     if (w != width).any():
         keep = np.ones(out.shape, dtype=bool)
-        keep[:, at] = (np.arange(width) >= width - w[:, None]).reshape(n, length * width)
+        _fields(keep, width, length)[...] = (
+            np.arange(width) >= width - w[:, None]).reshape(n, length, width)
         out = out[keep]
     return out.tobytes()
+
+
+def _fields(lines, width, length):
+    """The (N, length, width) view of the token fields in `lines`, the (N,
+    line) matrix of _dataset_bytes before its compress: each field is width
+    bytes, the first after _HEAD and each next one after a _SEP."""
+    start, step = len(_HEAD), width + len(_SEP)
+    return lines[:, start:start + step * length].reshape(len(lines), length, step)[:, :, :width]
 
 
 # every byte but a token's digits and '-' becomes a space
@@ -362,14 +375,20 @@ _NOT_NUMERIC = bytes(c if chr(c) in "-0123456789" else ord(" ") for c in range(2
 def _saved_tokens(data):
     """The N * L tokens of `data`, row by row, and N, when `data` is exactly
     what save_dataset writes for some N >= 1 records of L >= 1 tokens; else
-    None. numpy reads the numeric runs, and the file passes when
-    _dataset_bytes writes those tokens back to the same bytes. Each token's
-    digits fill its own slot, so no two token arrays share a file, and a file
-    that numpy misreads ('- 3' as -3, saturated past int64, spaces as [0])
-    fails the compare."""
-    n = data.count(b"\n")
-    if not n or not data.endswith(b"\n"):
+    None. Two readers propose the tokens: _field_tokens, for the file of
+    tokens of one width, and numpy's read of the numeric runs. The file
+    passes only when _dataset_bytes writes the proposed tokens back to the
+    same bytes. Each token's digits fill its own slot, so no two token arrays
+    share a file, and a file that either reader misreads ('- 3' as -3,
+    saturated past int64, spaces as [0], digits in other columns) fails the
+    compare."""
+    if not data.endswith(b"\n"):
         return None
+    n = len(data) // (data.index(b"\n") + 1)      # lines as long as the first
+    toks = _field_tokens(data, n)
+    if toks is not None and _dataset_bytes(toks.reshape(n, -1)) == data:
+        return toks, n
+    n = data.count(b"\n")
     try:
         with warnings.catch_warnings():
             # numpy < 2 warns on unparsed text and returns what it read
@@ -380,6 +399,34 @@ def _saved_tokens(data):
     if not toks.size or toks.size % n or _dataset_bytes(toks.reshape(n, -1)) != data:
         return None
     return toks, n
+
+
+def _field_tokens(data, n):
+    """The tokens of `data`, read as the (n, line) byte matrix that
+    _dataset_bytes writes for tokens of one width W: each token's W digits
+    at its _fields columns, W and the tokens per line L read off the first
+    line. None when the lines differ in length, the first line has no such
+    layout, or a byte at those columns is not a digit."""
+    size = len(data) // n
+    if size * n != len(data):
+        return None
+    stop = data.find(b",", len(_HEAD), size)
+    width = (stop if stop >= 0 else size - len(_TAIL)) - len(_HEAD)
+    # 20 digits pass int64; a 19-digit overflow fails the compare
+    if not 0 < width < 20:
+        return None
+    length, rest = divmod(size - len(_HEAD) - len(_TAIL) + len(_SEP), width + len(_SEP))
+    if rest:
+        return None
+    lines = np.frombuffer(data, dtype=np.uint8).reshape(n, size)
+    digits = _fields(lines, width, length) - np.uint8(ord("0"))
+    if digits.max() > 9:                    # a byte below '0' wraps past 9
+        return None
+    toks = digits[:, :, 0].astype(np.int64)
+    for i in range(1, width):               # Horner over the field's columns
+        toks *= 10
+        toks += digits[:, :, i]
+    return toks.ravel()
 
 
 def _token_row(obj, lineno):
@@ -419,8 +466,12 @@ def _token_array(flat, lens, linenos, alphabet_size):
     """The rows, given as their concatenated tokens and their lengths, as one
     (N, L) int64 array; or the ParseError of the first row at fault, whose
     checks run in load_dataset's order: alphabet bound, negative tokens,
-    then a length unlike the first row's."""
-    flat, lens = np.array(flat, dtype=np.int64), np.asarray(lens)
+    then a length unlike the first row's. The rows are checked as one array
+    first; only an array at fault is checked row by row."""
+    flat, lens = np.asarray(flat, dtype=np.int64), np.asarray(lens)
+    if ((alphabet_size is None or flat.max() < alphabet_size) and flat.min() >= 0
+            and (lens == lens[0]).all()):
+        return flat.reshape(len(lens), lens[0])
     starts = np.cumsum(lens) - lens             # rows are non-empty
     lo, hi = np.minimum.reduceat(flat, starts), np.maximum.reduceat(flat, starts)
     over = hi >= alphabet_size if alphabet_size is not None else np.zeros(len(lens), bool)
@@ -439,11 +490,12 @@ def _token_array(flat, lens, linenos, alphabet_size):
 def load_dataset(path, alphabet_size=None):
     """Read a JSONL dataset, one {"tokens": [...]} record per non-blank line.
 
-    A file is read as one byte array exactly when save_dataset would write
-    its tokens back to the same bytes: every line is then a valid record,
-    and the tokens are checked as one (N, L) array. Any other file (other
-    spacing, other keys, blank lines, other newlines, a fault) is read line
-    by line, with the same checks and errors.
+    A file is read as one byte array, as a field matrix or as numeric runs
+    (_saved_tokens), exactly when save_dataset would write its tokens back
+    to the same bytes: every line is then a valid record, and the tokens are
+    checked as one (N, L) array. Any other file (other spacing, other keys,
+    blank lines, other newlines, a fault) is read line by line, with the
+    same checks and errors.
 
     Lines are parsed and type-checked one at a time, by one json.loads call
     each, up to the first bad one. The rows before the first bad line are

@@ -671,6 +671,21 @@ def test_refused_train_makes_no_run_directory(workdir, tmp_path, capsys, bad, er
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("bad", ["ema_decay=5", "d_channels=[]"])
+def test_grammar_only_refuses_bad_adversarial_keys(workdir, tmp_path, capsys, bad):
+    # config.json records every trainer key, so both modes check them all
+    errors = {}
+    for mode in ("adversarial", "grammar_only"):
+        out = tmp_path / mode
+        errors[mode] = _main_error(
+            ["train", "--set", f"dataset={workdir / 'data' / 'dataset.jsonl'}",
+             "--set", "iterations=1", "--set", f"mode={mode}", "--set", bad,
+             "--set", f"out_dir={out}"], capsys)
+        assert not out.exists()
+    assert errors["grammar_only"] == errors["adversarial"]
+    assert errors["adversarial"]["error"] == "ParameterError"
+
+
 class _Built(Exception):
     """Raised by a stand-in trainer once it holds the configs train built."""
 

@@ -137,6 +137,36 @@ def test_sample_dataset_equals_choice_loop():
                 assert rng.random() == rest
 
 
+def uneven_grammar(seed=0):
+    """State S{i} has i + 1 rules, so the cdf rows of S0..S2 are padded with
+    inf out to the four of S3; every state stays reachable through S0."""
+    rng = np.random.default_rng(seed)
+    states, tokens = [f"S{i}" for i in range(4)], [f"t{i}" for i in range(3)]
+    rules = []
+    for i, state in enumerate(states):
+        probs = rng.dirichlet(np.ones(i + 1))
+        for r, p in enumerate(probs):
+            rules.append((state, tokens[(i + r) % 3], states[(i + 1 + r) % 4], float(p)))
+    return GroundTruthGrammar(states, tokens, "S0", rules)
+
+
+@pytest.mark.parametrize("grammar", [
+    *(fan_grammar(np.random.default_rng(k).dirichlet(np.ones(k))) for k in range(1, 6)),
+    uneven_grammar(0), uneven_grammar(1)],
+    ids=[f"fan{k}" for k in range(1, 6)] + ["uneven0", "uneven1"])
+def test_sample_dataset_equals_choice_loop_beyond_presets(grammar):
+    # the column sampler at every out-degree, and with padded cdf rows
+    for seed in SEEDS:
+        for length in LENGTHS:
+            rng = np.random.default_rng(seed)
+            want = np.stack([ref_sample_sequence(grammar, length, rng) for _ in range(40)])
+            got = sample_dataset(grammar, 40, length, seed=seed)
+            assert np.array_equal(got.records, want)
+            # both consumed the same stretch of the stream
+            rest = np.random.default_rng(seed).random(40 * length + 1)[-1]
+            assert rng.random() == rest
+
+
 def test_sample_sequence_equals_choice_loop():
     for g in presets():
         for seed in SEEDS:
@@ -767,6 +797,55 @@ def test_load_dataset_reads_a_saved_file_as_one_array(tmp_path, monkeypatch):
     first = np.flatnonzero((dataset.records >= 5).any(axis=1))[0] + 1
     with pytest.raises(ParseError, match=f"^line {first}: token 5 >= alphabet size 5$"):
         load_dataset(path, 5)
+
+
+def _refuse(name):
+    return mock.Mock(side_effect=AssertionError(f"read by {name}"))
+
+
+@pytest.mark.parametrize("width", range(1, 20))
+def test_load_dataset_reads_one_width_files_as_fields(tmp_path, monkeypatch, width):
+    # tokens of one width are read off their columns, with neither numpy's
+    # numeric runs nor the line reader
+    lo, hi = (10 ** (width - 1) if width > 1 else 0), min(10**width - 1, 2**63 - 2)
+    records = np.random.default_rng(width).integers(lo, hi, (7, 5), endpoint=True)
+    records[0, 0], records[-1, -1] = lo, hi
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(path, SequenceDataset(records=records, length=5))
+    monkeypatch.setattr(np, "fromstring", _refuse("numeric runs"))
+    monkeypatch.setattr("agg.synthdata._line_tokens", _refuse("lines"))
+    got = load_dataset(path)
+    assert np.array_equal(got.records, records) and got.alphabet_size == hi + 1
+
+
+@pytest.mark.parametrize("records", [[[10, 1], [1, 10]], [[-3, -4]], [[-3, -4], [-50, 6]],
+                                     [[10, 1, 100], [1, 100, 10]]])
+def test_load_dataset_reads_other_layouts_as_numeric_runs(tmp_path, monkeypatch, records):
+    # rows of one byte length whose tokens differ in width or carry a '-':
+    # the field read refuses them, and numpy's numeric runs read them
+    records = np.array(records)
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(path, SequenceDataset(records=records, length=records.shape[1]))
+    assert len({len(line) for line in path.read_bytes().splitlines()}) == 1
+    fromstring = mock.Mock(wraps=np.fromstring)
+    monkeypatch.setattr(np, "fromstring", fromstring)
+    monkeypatch.setattr("agg.synthdata._line_tokens", _refuse("lines"))
+    flat, n = _saved_tokens(path.read_bytes())
+    assert fromstring.call_count == 1
+    assert n == len(records) and np.array_equal(flat, records.ravel())
+
+
+@pytest.mark.parametrize("text", ['{"tokens": [01, 02]}\n',
+                                  '{"tokens": [9999999999999999999]}\n',
+                                  '{"tokens": [1, 2]}\n{"tokens":[11, 2]}\n'])
+def test_load_dataset_field_misreads_fall_through(tmp_path, text):
+    # digits at every field column that _dataset_bytes does not write back:
+    # leading zeros, a 19-digit overflow, a line shifted by a missing space
+    path = tmp_path / "dataset.jsonl"
+    path.write_text(text)
+    for alphabet_size in (None, 6):
+        assert (_load_outcome(load_dataset, path, alphabet_size)
+                == _load_outcome(ref_load_dataset, path, alphabet_size))
 
 
 def ref_save_dataset(path, dataset):
