@@ -27,6 +27,9 @@ class GroundTruthGrammar:
     rules: list  # (state, token, next_state, probability)
 
     def __post_init__(self):
+        for kind, names in (("state", self.states), ("token", self.tokens)):
+            if len(set(names)) < len(names):
+                raise ParameterError(f"repeated {kind} name")
         sset = set(self.states)
         if self.start not in sset:
             raise ParameterError(f"start state {self.start!r} not in states")
@@ -429,10 +432,18 @@ def _field_tokens(data, n):
     return toks.ravel()
 
 
-def _token_row(obj, lineno):
-    """obj["tokens"] as a non-empty 1-d int64 array, or ParseError when it has
-    another shape or an element is not an integer. JSON booleans are not
-    integers."""
+def _line_tokens(line, lineno):
+    """The tokens of one stripped, non-blank dataset line as a list of
+    int64-sized ints, or ParseError when the line is not a record with a
+    non-empty, flat list of integer tokens. JSON booleans are not integers."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"line {lineno}: invalid JSON ({e})") from e
+    if not isinstance(obj, dict):
+        raise ParseError(f"line {lineno}: record must be a JSON object")
+    if "tokens" not in obj:
+        raise ParseError(f"line {lineno}: record needs 'tokens'")
     try:
         row = np.asarray(obj["tokens"])
     except ValueError as e:                 # ragged nesting
@@ -444,73 +455,45 @@ def _token_row(obj, lineno):
     # numpy turns JSON true/false mixed with numbers into 1/0; reject them
     if row.dtype.kind not in "iu" or bool in set(map(type, obj["tokens"])):
         raise ParseError(f"line {lineno}: tokens must hold only integers")
-    return row.astype(np.int64, copy=False)
+    return row.astype(np.int64, copy=False).tolist()
 
 
-def _line_tokens(line, lineno):
-    """The tokens of one stripped, non-blank dataset line as a list of
-    int64-sized ints, or ParseError when the line is not a record with a
-    non-empty, flat list of integer tokens."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {lineno}: invalid JSON ({e})") from e
-    if not isinstance(obj, dict):
-        raise ParseError(f"line {lineno}: record must be a JSON object")
-    if "tokens" not in obj:
-        raise ParseError(f"line {lineno}: record needs 'tokens'")
-    return _token_row(obj, lineno).tolist()
-
-
-def _token_array(flat, lens, linenos, alphabet_size):
-    """The rows, given as their concatenated tokens and their lengths, as one
-    (N, L) int64 array; or the ParseError of the first row at fault, whose
-    checks run in load_dataset's order: alphabet bound, negative tokens,
-    then a length unlike the first row's. The rows are checked as one array
-    first; only an array at fault is checked row by row."""
-    flat, lens = np.asarray(flat, dtype=np.int64), np.asarray(lens)
-    if ((alphabet_size is None or flat.max() < alphabet_size) and flat.min() >= 0
-            and (lens == lens[0]).all()):
-        return flat.reshape(len(lens), lens[0])
-    starts = np.cumsum(lens) - lens             # rows are non-empty
-    lo, hi = np.minimum.reduceat(flat, starts), np.maximum.reduceat(flat, starts)
-    over = hi >= alphabet_size if alphabet_size is not None else np.zeros(len(lens), bool)
-    at_fault = np.flatnonzero(over | (lo < 0) | (lens != lens[0]))
-    if at_fault.size:
-        i = at_fault[0]
-        if over[i]:
-            raise ParseError(
-                f"line {linenos[i]}: token {int(hi[i])} >= alphabet size {alphabet_size}")
-        if lo[i] < 0:
-            raise ParseError(f"line {linenos[i]}: negative token index")
-        raise ParseError(f"line {linenos[i]}: inconsistent sequence length")
-    return flat.reshape(len(lens), lens[0])
+def _check_row(toks, lineno, alphabet_size, length):
+    """ParseError for the first fault of the record `toks` on line `lineno`,
+    in this order: a token past the alphabet, a negative token, a length
+    other than `length`, the first record's."""
+    if alphabet_size is not None and max(toks) >= alphabet_size:
+        raise ParseError(
+            f"line {lineno}: token {int(max(toks))} >= alphabet size {alphabet_size}")
+    if min(toks) < 0:
+        raise ParseError(f"line {lineno}: negative token index")
+    if len(toks) != length:
+        raise ParseError(f"line {lineno}: inconsistent sequence length")
 
 
 def load_dataset(path, alphabet_size=None):
     """Read a JSONL dataset, one {"tokens": [...]} record per non-blank line.
 
-    A file is read as one byte array, as a field matrix or as numeric runs
-    (_saved_tokens), exactly when save_dataset would write its tokens back
-    to the same bytes: every line is then a valid record, and the tokens are
-    checked as one (N, L) array. Any other file (other spacing, other keys,
-    blank lines, other newlines, a fault) is read line by line, with the
-    same checks and errors.
-
-    Lines are parsed and type-checked one at a time, by one json.loads call
-    each, up to the first bad one. The rows before the first bad line are
-    then checked as one array. The error raised is
-    that of the first line at fault; per line the checks run in this order:
-    JSON, record shape, token types, alphabet bound, negative tokens, and a
-    length unlike the first record's.
+    A file that save_dataset would write back from its tokens is read as one
+    byte array, as a field matrix or as numeric runs (_saved_tokens). Its
+    tokens pass as one array when none is negative or past the alphabet;
+    else numpy finds the first row at fault, and _check_row names its line.
+    Any other file (other spacing, other keys, blank lines, other newlines, a
+    fault) is read line by line, and each line is checked as it is read.
+    Either way the error is that of the first line at fault; per line the
+    checks run in this order: JSON, record shape, token types, alphabet
+    bound, negative tokens, and a length unlike the first record's.
     """
     with open(path, "rb") as f:
         data = f.read()
     saved = _saved_tokens(data)
     if saved is not None:
         flat, n = saved
-        toks = _token_array(flat, np.full(n, len(flat) // n), np.arange(1, n + 1),
-                            alphabet_size)
+        toks = flat.reshape(n, -1)
+        limit = np.inf if alphabet_size is None else alphabet_size   # no alphabet, no bound
+        if flat.min() < 0 or flat.max() >= limit:
+            row = int(((toks < 0) | (toks >= limit)).any(axis=1).argmax())
+            _check_row(toks[row], row + 1, alphabet_size, toks.shape[1])
     else:
         toks = _load_lines(path, data, alphabet_size)
     if toks is None:
@@ -524,26 +507,17 @@ def load_dataset(path, alphabet_size=None):
 def _load_lines(path, data, alphabet_size):
     """load_dataset's line-by-line reader of the file's bytes `data`, decoded
     as text mode decodes them (UTF-8, universal newlines): the (N, L) token
-    array, or None when no line holds a record."""
+    array, or None when no line holds a record. Each line is checked as it
+    is read, and the first line at fault raises."""
     try:
         lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read().split("\n")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e})") from e
-    flat, lens, linenos, fault = [], [], [], None
+    rows = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
-        if not line:
-            continue
-        try:
+        if line:
             toks = _line_tokens(line, lineno)
-        except ParseError as e:
-            fault = e
-            break
-        flat.extend(toks)
-        lens.append(len(toks))
-        linenos.append(lineno)
-    del lines                   # the text goes before the array is built
-    toks = _token_array(flat, lens, linenos, alphabet_size) if lens else None
-    if fault is not None:
-        raise fault
-    return toks
+            _check_row(toks, lineno, alphabet_size, len(rows[0]) if rows else len(toks))
+            rows.append(toks)
+    return np.array(rows, dtype=np.int64) if rows else None

@@ -198,6 +198,18 @@ def test_non_numeric_dataset_row_is_json_error(workdir):
     assert err["error"] == "ParseError" and "line 2" in err["message"]
 
 
+def test_grammar_with_a_repeated_state_is_json_error(workdir):
+    # the oracles would count the state twice and score against that
+    spec = json.loads((workdir / "data" / "grammar.json").read_text())
+    spec["states"].append(spec["states"][0])
+    (workdir / "twice.json").write_text(json.dumps(spec))
+    r = run_cli(["evaluate", "--set", "dataset=data/dataset.jsonl",
+                 "--set", "grammar=twice.json", "--set", "out_dir=ev_twice"], workdir)
+    assert _json_error(r)["error"] == "ParseError"
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert not (workdir / "ev_twice").exists()
+
+
 def test_truncated_checkpoint_is_json_error(workdir):
     r = run_cli(["train", "--set", "dataset=data/dataset.jsonl",
                  "--set", "mode=grammar_only", "--set", "iterations=2",

@@ -708,20 +708,21 @@ BLANK = st.sampled_from(["", "   ", "\t"])
          alphabet_size=6)
 def test_load_dataset_equals_per_line_loader(tmp_path_factory, lines, alphabet_size):
     path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    try:
-        want = ref_load_dataset(path, alphabet_size)
-    except ParseError as e:
-        with pytest.raises(ParseError) as got:
-            load_dataset(path, alphabet_size)
-        assert str(got.value) == str(e)
-        return
-    got = load_dataset(path, alphabet_size)
-    assert (got.length, got.alphabet_size, len(got)) == (want.length, want.alphabet_size,
-                                                         len(want))
-    shape = (len(want), want.length)
-    assert np.array_equal(np.asarray(got.records, dtype=np.int64).reshape(shape),
-                          np.asarray(want.records, dtype=np.int64).reshape(shape))
+    for newline in ("\n", "\r\n"):
+        path.write_text("\n".join(lines) + "\n", newline=newline)
+        try:
+            want = ref_load_dataset(path, alphabet_size)
+        except ParseError as e:
+            with pytest.raises(ParseError) as got:
+                load_dataset(path, alphabet_size)
+            assert str(got.value) == str(e)
+            continue
+        got = load_dataset(path, alphabet_size)
+        assert (got.length, got.alphabet_size, len(got)) == (want.length,
+                                                             want.alphabet_size, len(want))
+        shape = (len(want), want.length)
+        assert np.array_equal(np.asarray(got.records, dtype=np.int64).reshape(shape),
+                              np.asarray(want.records, dtype=np.int64).reshape(shape))
 
 
 # token values of every width the fast reader sees: small, wide, negative, 18
@@ -777,10 +778,12 @@ def test_load_dataset_equals_per_line_loader_on_edited_files(tmp_path_factory, r
                                                               edits):
     path = tmp_path_factory.getbasetemp() / "edited.jsonl"
     save_dataset(path, SequenceDataset(records=records, length=records.shape[1]))
-    path.write_bytes(_edit(path.read_bytes(), edits))
-    for alphabet_size in (None, 3, 6, 40):
-        assert (_load_outcome(load_dataset, path, alphabet_size)
-                == _load_outcome(ref_load_dataset, path, alphabet_size))
+    data = _edit(path.read_bytes(), edits)
+    for newlines in (data, data.replace(b"\n", b"\r\n")):
+        path.write_bytes(newlines)
+        for alphabet_size in (None, 3, 6, 40):
+            assert (_load_outcome(load_dataset, path, alphabet_size)
+                    == _load_outcome(ref_load_dataset, path, alphabet_size))
 
 
 def test_load_dataset_reads_a_saved_file_as_one_array(tmp_path, monkeypatch):
@@ -797,6 +800,20 @@ def test_load_dataset_reads_a_saved_file_as_one_array(tmp_path, monkeypatch):
     first = np.flatnonzero((dataset.records >= 5).any(axis=1))[0] + 1
     with pytest.raises(ParseError, match=f"^line {first}: token 5 >= alphabet size 5$"):
         load_dataset(path, 5)
+    # a negative token on a late row, read as numeric runs; a row with both a
+    # negative token and one past the alphabet gets the alphabet error
+    records = dataset.records.copy()
+    records[9000, 3] = -1
+    save_dataset(path, SequenceDataset(records=records, length=12))
+    for alphabet_size in (None, 6):
+        with pytest.raises(ParseError, match="^line 9001: negative token index$"):
+            load_dataset(path, alphabet_size)
+    records[8000, [2, 7]] = -4, 9
+    save_dataset(path, SequenceDataset(records=records, length=12))
+    with pytest.raises(ParseError, match="^line 8001: token 9 >= alphabet size 6$"):
+        load_dataset(path, 6)
+    with pytest.raises(ParseError, match="^line 8001: negative token index$"):
+        load_dataset(path)
 
 
 def _refuse(name):

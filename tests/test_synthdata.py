@@ -55,6 +55,12 @@ def test_grammar_validation():
     with pytest.raises(ParameterError):   # NaN probability
         GroundTruthGrammar(["A"], ["a", "b"], "A",
                            [("A", "a", "A", 1.0), ("A", "b", "A", float("nan"))])
+    # a repeated state is counted twice by the oracles, and a repeated token
+    # adds a token that no rule emits
+    with pytest.raises(ParameterError, match="^repeated state name$"):
+        GroundTruthGrammar(["A", "A"], ["a"], "A", [("A", "a", "A", 1.0)])
+    with pytest.raises(ParameterError, match="^repeated token name$"):
+        GroundTruthGrammar(["A"], ["a", "a"], "A", [("A", "a", "A", 1.0)])
 
 
 def test_sample_deterministic_grammar():
