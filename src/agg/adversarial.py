@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError, InputError, ParameterError
-from .grammar import _top_stable
+from .grammar import _softmax_kept, _top_stable
 from .nn import SGD, Conv1d, Dense
 
 LOG_CLAMP = 1e-7
@@ -102,8 +102,8 @@ def _check_sgd(config):
         raise ParameterError("lr0 must be >= 0")
 
 
-def _check_prefix_len(config, length):
-    if config.prefix_len > length:
+def _check_prefix_len(prefix_len, length):
+    if prefix_len > length:
         raise ParameterError("prefix_len exceeds sequence length")
 
 
@@ -139,7 +139,7 @@ class TrainResult:
     parse_fallback_share: float = 0.0
 
 
-def teacher_forced_states(model, batch, n0, rng):
+def teacher_forced_states(model, batch, n0, rng, tables=None):
     """Non-terminal stream for real data, built by a teacher-forced parse.
 
     From the seed states n0, each step *samples* a rule from the
@@ -160,27 +160,51 @@ def teacher_forced_states(model, batch, n0, rng):
     token. A row in which no rule with nonzero probability emits the token
     falls back to the soft weight t_all[r, token] for that step. Returns
     (states, number of (row, step) pairs that fell back). Forward-only; no
-    gradients flow to the generator here."""
-    n_all, t_all, probs_all = model.rule_tables()
+    gradients flow to the generator here. tables is the model's
+    rule_tables() at its current weights, built here when None.
+
+    Step 0 reads the rule head at n0, a later step row idx of the chain's
+    table, idx the rule the step before parsed. A rule the top-k mask drops
+    has probability 0 and so weight 0, so a step weighs only the k kept
+    rules of each row. It normalizes by the row's full-width sum, formed
+    from the k weights scattered into a zeroed row, and draws one uniform u
+    per row: the first kept rule whose running sum is at least u, rule 0
+    when u is 0, and rule R - 1 when u is above the last running sum. That
+    is what a cumsum over the full row, its last entry set to 1, would
+    select, bit for bit: a dropped rule adds an exact 0 to the running
+    sum."""
+    n_all, t_all, probs_all, kept, _ = model.rule_tables() if tables is None else tables
     B, L, _ = batch.shape
+    R = len(probs_all)
+    rows = np.arange(B)
+    base = rows[:, None] * R            # flat offset of each row of a (B, R) array
     tokens = np.argmax(batch, axis=2)                   # (B, L)
-    emis = t_all.T                                      # (C, R) emission weight
     emits = np.argmax(t_all, axis=1)                    # (R,) hardened emission
-    p = model.rule_probs(np.asarray(n0, dtype=np.float64))
+    kept_probs = np.take_along_axis(probs_all, kept, axis=1)     # (R, k)
+    s, at = model._head(np.asarray(n0, dtype=np.float64))
+    at = at.reshape(B, -1)
+    p = _softmax_kept(s, at).take(at)                   # (B, k) step 0's law
+    cols = at - base                                    # (B, k) its kept rules
+    k = cols.shape[1]
     out = np.empty((B, L, n_all.shape[1]))
     fallbacks = 0
     for j in range(L):
-        w = p * np.maximum(emis[tokens[:, j]], 1e-12)
-        w_hard = p * (emits[None, :] == tokens[:, j, None])
-        hit = w_hard.sum(axis=1, keepdims=True) > 0
-        fallbacks += B - int(hit.sum())
-        w = np.where(hit, w_hard, w)
-        w /= w.sum(axis=1, keepdims=True)
-        cum = np.cumsum(w, axis=-1)
-        cum[:, -1] = 1.0
-        idx = (cum < rng.random((B, 1))).sum(axis=-1)
+        tok = tokens[:, j, None]
+        w = p * (emits[cols] == tok)
+        miss = np.flatnonzero(~(w > 0).any(axis=1))
+        fallbacks += len(miss)
+        if len(miss):
+            w[miss] = p[miss] * np.maximum(t_all[cols[miss], tok[miss]], 1e-12)
+        row = np.zeros((B, R))
+        row.put(cols + base, w)
+        w /= row.sum(axis=1, keepdims=True)
+        cum = np.cumsum(w, axis=1)
+        u = rng.random((B, 1))
+        first = (cum < u).sum(axis=1)
+        idx = np.where(first < k, cols[rows, np.minimum(first, k - 1)], R - 1)
+        idx[u[:, 0] == 0] = 0
         out[:, j, :] = n_all[idx]
-        p = probs_all[idx]
+        cols, p = kept[idx], kept_probs[idx]
     return out, fallbacks
 
 
@@ -216,7 +240,7 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
     if len(dataset) == 0:
         raise InputError("empty dataset")
     L = dataset.length
-    _check_prefix_len(config, L)
+    _check_prefix_len(config.prefix_len, L)
     X = dataset.one_hot()
     n_hold = int(len(X) * HOLDOUT_FRACTION)
     rng = np.random.default_rng(config.seed)
@@ -241,11 +265,15 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
         take = rng.integers(0, len(X_train), size=config.batch_size)
         batch = X_train[take]
         n0 = grammar_model.encode_start(Tensor(batch[:, :config.prefix_len]))
+        # one rule table for the iteration, read by the unroll's later steps
+        # and by the parse, and freed once the parse has read it
+        tables = grammar_model.rule_tables()
         unrolled = grammar_model.unroll_batch(
             n0, L, rng, tau=_tau_at(config, it),
-            return_entropy=bool(config.entropy_weight))
+            return_entropy=bool(config.entropy_weight), tables=tables)
         t_fake, n_fake = _harden(unrolled[0]), unrolled[1]
-        n_real, fell = teacher_forced_states(grammar_model, batch, n0.value, rng)
+        n_real, fell = teacher_forced_states(grammar_model, batch, n0.value, rng, tables)
+        del tables
         parsed += batch.shape[0] * L
         fallbacks += fell
         p_real = disc_model(Tensor(batch), Tensor(n_real))
@@ -305,12 +333,15 @@ def _holdout_accuracy(grammar_model, disc_model, X_hold, config, rng):
         return float("nan")
     with ad.no_grad():
         n0 = grammar_model.encode_start(Tensor(X_hold[:, :config.prefix_len]))
+        tables = grammar_model.rule_tables()
         # the parsed states are freed once D has read them, before the unroll;
         # held through it, they raised a train request's peak RSS by 7 to 11 MB
         p_real = disc_model(Tensor(X_hold), Tensor(
-            teacher_forced_states(grammar_model, X_hold, n0.value, rng)[0])).value
+            teacher_forced_states(grammar_model, X_hold, n0.value, rng, tables)[0])).value
         t_fake, n_fake, _, _ = grammar_model.unroll_batch(
-            n0, X_hold.shape[1], rng, tau=_tau_at(config, config.iterations - 1))
+            n0, X_hold.shape[1], rng, tau=_tau_at(config, config.iterations - 1),
+            tables=tables)
+        del tables
         # rebinding frees the soft terminals before D's forward; holding them
         # through it raised a train request's peak RSS by 7.5 MB (heap growth:
         # the traced allocations peak at the same size either way)
@@ -425,7 +456,7 @@ def train_grammar_only(dataset, grammar_model, config, on_log=None):
     """Maximize data likelihood over the pruned enumeration of futures."""
     if len(dataset) == 0:
         raise InputError("empty dataset")
-    _check_prefix_len(config, dataset.length)
+    _check_prefix_len(config.prefix_len, dataset.length)
     X = dataset.one_hot()
     rng = np.random.default_rng(config.seed)
     opt = SGD(grammar_model.parameters(), lr0=config.lr0, total_steps=config.iterations)

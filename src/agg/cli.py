@@ -256,7 +256,7 @@ def _train_configs(cfg, length):
     d_config = DiscriminatorConfig(conv_channels=tuple(cfg["d_channels"]))
     configs = {"adversarial": (_fields_of(TrainConfig, cfg), d_config),
                "grammar_only": (_fields_of(GrammarOnlyConfig, cfg),)}[cfg["mode"]]
-    _check_prefix_len(configs[0], length)
+    _check_prefix_len(configs[0].prefix_len, length)
     return configs
 
 
@@ -305,8 +305,7 @@ def _load_prefixes(cfg, model):
     dataset = load_dataset(cfg["dataset"], alphabet_size=model.config.d_terminal)
     if len(dataset) == 0:
         raise InputError("empty dataset")
-    if cfg["prefix_len"] > dataset.length:
-        raise ConfigError("prefix_len exceeds dataset length")
+    _check_prefix_len(cfg["prefix_len"], dataset.length)
     return dataset.one_hot(cfg["num_prefixes"], cfg["prefix_len"])
 
 

@@ -10,6 +10,7 @@ Unrolling repeats this, so every sequence is a path through the rule bank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,17 @@ def activity_config(num_classes, topk_mask=4):
     return GrammarConfig(d_terminal=num_classes, topk_mask=topk_mask)
 
 
+class RuleTables(NamedTuple):
+    """The generator after its first step: a finite chain over its R rules.
+    Row r of each table is the expansion of a one-hot selection of rule r,
+    and k is the number of rules the top-k mask keeps (R without a mask)."""
+    n_all: np.ndarray             # (R, d) next state: row r of W_n
+    t_all: np.ndarray             # (R, C) terminal: softmax of row r of W_t
+    probs_all: np.ndarray         # (R, R) next-step rule law at n_all
+    kept: np.ndarray              # (R, k) the columns the mask keeps, ascending
+    kept_logits: np.ndarray       # (R, k) the logits n_all @ W_r + b_r there
+
+
 @dataclass
 class SequenceSample:
     nonterminals: list            # L+1 vectors, starting at the seed state
@@ -50,17 +62,26 @@ class SequenceSample:
     length: int
 
 
+def _softmax_at(v, kept, shape, mx):
+    """The `shape` array that holds exp(v - mx) at the flat indices `kept`
+    and exact zeros elsewhere, each kept entry divided by its row's sum over
+    the last axis. The sum runs over the full row, so it adds the same terms
+    in the same order as a full-width softmax with exp(-inf) = 0 outside
+    `kept`; the division runs at the kept entries only, whose quotients are
+    the full-width division's (0 / sum is 0 for a finite, nonzero sum)."""
+    e = np.zeros(shape)
+    e.put(kept, np.exp(v - mx))
+    e.put(kept, e.take(kept) / e.sum(axis=-1).take(kept // shape[-1]))
+    return e
+
+
 def _softmax_kept(s, kept):
     """Softmax over the last axis of s with the entries outside the flat
     indices `kept` taken as -inf; each row's largest entry must be kept (a
-    top-k mask keeps it). exp runs on the kept entries only; the others are
-    exactly 0, as exp(-inf) would make them, so each row sum adds the same
-    terms in the same order as a full-width softmax."""
-    mx = s.max(axis=-1)
-    e = np.zeros(s.shape)
-    e.put(kept, np.exp(s.take(kept) - mx.take(kept // s.shape[-1])))
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    top-k mask keeps it). exp and the division run on the kept entries only
+    (see _softmax_at)."""
+    return _softmax_at(s.take(kept), kept, s.shape,
+                       s.max(axis=-1).take(kept // s.shape[-1]))
 
 
 def _top_mask(x, m):
@@ -97,23 +118,6 @@ def _sum(a, b):
     return a if b is None else a + b
 
 
-def _kept(logits):
-    """Flat indices of the entries of logits that are not -inf."""
-    return (logits != -np.inf).ravel().nonzero()[0]
-
-
-def _gumbel_probs(logits, kept, noise, inv):
-    """softmax((logits + g) * inv) over the last axis, with Gumbel noise
-    g = -log(-log(noise)) drawn only at the flat indices `kept`; the other
-    entries count as -inf. logits and noise have one shape. The forward of
-    gumbel_softmax and of the unroll, so both pick the same argmax bit for
-    bit."""
-    g = -np.log(-np.log(noise.take(kept)))
-    s = np.full(logits.shape, -np.inf)
-    s.put(kept, (logits.take(kept) + g) * inv)
-    return _softmax_kept(s, kept)
-
-
 def gumbel_softmax(logits, tau, noise, hard=False):
     """Relaxed categorical draw from unnormalized logits.
 
@@ -135,7 +139,11 @@ def gumbel_softmax(logits, tau, noise, hard=False):
     lv = logits.value
     inv = 1.0 / tau
     lb, nb = np.broadcast_arrays(lv, noise)
-    y = _gumbel_probs(lb, _kept(lb), nb, inv)
+    kept = (lb != -np.inf).ravel().nonzero()[0]
+    g = -np.log(-np.log(nb.take(kept)))
+    s = np.full(lb.shape, -np.inf)
+    s.put(kept, (lb.take(kept) + g) * inv)
+    y = _softmax_kept(s, kept)
     if hard:
         out_v = (np.arange(y.shape[-1]) == y.argmax(axis=-1)[..., None]).astype(np.float64)
     else:
@@ -240,35 +248,47 @@ class GrammarModel:
         return _softmax_kept(*self._head(n))
 
     # -- unrolling ----------------------------------------------------------
-    def unroll_batch(self, n0, length, rng, tau=1.0, return_entropy=False):
+    def unroll_batch(self, n0, length, rng, tau=1.0, return_entropy=False, tables=None):
         """Differentiable batched unroll, each step drawing one hard rule from
         the generator rng.
 
         Returns (terminals (B,L,C) Tensor, nonterminals N_1..N_L (B,L,d) Tensor,
         rule_indices (B,L) int array, log_prob (B,) array). With
         return_entropy=True a fifth element is appended: the mean per-step
-        rule-distribution entropy as a differentiable scalar.
+        rule-distribution entropy as a differentiable scalar. tables is this
+        model's rule_tables() at its current weights, built here when None.
 
         The L steps are one autodiff node over n0, W_r, b_r, W_n and W_t; the
         terminal softmax is one more node over all steps. A step computes
         what the primitive ops would: masked rule logits n @ W_r + b_r, the
         straight-through Gumbel-softmax selection, then sel @ W_n and
         sel @ W_t, which the one-hot selection reads as gathered rows (a
-        one-hot row times W adds only exact zeros). The backward is
-        backpropagation through time from step L down to step 1, with the
-        primitive ops' backward expressions in their order, so every
-        gradient is theirs bit for bit: each weight sums its per-step gemms
-        from step L down to step 1.
+        one-hot row times W adds only exact zeros). Step 0 computes its rule
+        head at n0. A later step starts from row idx of W_n, the rule idx the
+        step before chose, so it reads row idx of the chain's table: the
+        kept columns, their logits and the rule law. It still draws a full
+        (B, R) block of uniforms, so the rng stream is the per-op graph's;
+        the Gumbel noise is formed at the kept entries only. The table's
+        gemm rounds row r as a batch of two or more states rounds it, so the
+        steps are the per-op graph's bit for bit; a batch of one state,
+        which numpy multiplies by gemv, reads the table's rounding instead,
+        as sample_rule_paths does. The backward is backpropagation through
+        time from step L down to step 1, with the primitive ops' backward
+        expressions in their order, so every gradient is theirs bit for
+        bit: each weight sums its per-step gemms from step L down to step 1.
         """
         if length < 1:
             raise ParameterError("unroll length must be >= 1")
         n0 = ad._as_tensor(n0)
         if tau <= 0:
             raise ParameterError("gumbel temperature must be > 0")
+        if tables is None:
+            tables = self.rule_tables()
         inv = 1.0 / tau
         Wn, Wt = self.w_n.value, self.w_t.value
         B, R = n0.value.shape[0], self.config.num_rules
         rows = np.arange(B)
+        base = rows[:, None] * R  # flat offset of each row of a (B, R) array
         ns = [n0.value]           # N_0..N_L
         ts, indices, logp, entropies = [], [], np.zeros(B), []
         # what the backward reads beyond ns and indices, kept only when it
@@ -276,16 +296,26 @@ class GrammarModel:
         # of the dataset at once, holds none of it
         record = ad.grad_enabled()
         ys, ps = [], []           # soft samples; probs when entropy is returned
-        for _ in range(length):
-            s, kept = self._head(ns[-1])
-            probs = _softmax_kept(s, kept)
+        s, at = self._head(n0.value)
+        probs = _softmax_kept(s, at)
+        at = at.reshape(B, -1)    # the kept entries' flat indices, row by row
+        s = s.take(at)            # the logits there
+        for j in range(length):
+            if j:
+                prev = idx
+                at, s = tables.kept[prev] + base, tables.kept_logits[prev]
+                if return_entropy:
+                    probs = tables.probs_all[prev]
             if return_entropy:
                 plogp = probs * np.log(np.maximum(probs, 1e-12))
                 entropies.append(plogp.sum(axis=-1).mean())
-            u = np.clip(rng.random((B, R)), 1e-12, 1.0 - 1e-12)
-            y = _gumbel_probs(s, kept, u, inv)
+            u = np.clip(rng.random((B, R)).take(at), 1e-12, 1.0 - 1e-12)
+            g = -np.log(-np.log(u))
+            z = (s + g) * inv
+            y = _softmax_at(z, at, (B, R), z.max(axis=-1, keepdims=True))
             idx = np.argmax(y, axis=-1)
-            logp += np.log(np.maximum(probs[rows, idx], 1e-300))
+            p = tables.probs_all[prev, idx] if j else probs[rows, idx]
+            logp += np.log(np.maximum(p, 1e-300))
             ns.append(Wn[idx])
             ts.append(Wt[idx])
             indices.append(idx)
@@ -357,14 +387,20 @@ class GrammarModel:
 
     # -- table form: rule i fully determines its successor state ------------
     def rule_tables(self):
-        """Per-rule expansion tables (next state, terminal, next-step probs).
+        """The RuleTables of the chain: per-rule next state, terminal and
+        next-step rule head (its law, and its kept columns and their logits).
 
         Because the next non-terminal is a function of the selected rule alone,
         hard unrolls after the first step reduce to table lookups. Row r is
         the expansion of the one-hot selection of rule r, which is row r of
-        the expander weights. The arrays are the caller's own.
+        the expander weights; its head is the (R, R) gemm's row r, which
+        numpy's gemm rounds as it rounds that row in a batch of two or more
+        states. The arrays are the caller's own.
         """
-        return self.w_n.value.copy(), self.rule_terminals(), self.rule_probs(self.w_n.value)
+        s, at = self._head(self.w_n.value)
+        at = at.reshape(len(s), -1)
+        return RuleTables(self.w_n.value.copy(), self.rule_terminals(), _softmax_kept(s, at),
+                          at % len(s), s.take(at))
 
     def rule_terminals(self):
         """(R, C) terminal of each rule, rule_tables' t_all: the softmax of
@@ -396,7 +432,7 @@ class GrammarModel:
         if length < 1 or num_samples < 1:
             raise ParameterError("path length and num_samples must be >= 1")
         rng = np.random.default_rng(seed)
-        _, _, probs_all = self.rule_tables()
+        probs_all = self.rule_tables().probs_all
         p0 = self.rule_probs(np.asarray(n0, dtype=np.float64))
         probs = np.concatenate([probs_all, p0])
         keep = probs > 0
@@ -478,7 +514,7 @@ class GrammarModel:
                 f"enumeration needs k^L = {k_cap}^{length} = {k_cap ** length} "
                 f"sequences, over budget {budget}")
         n0 = np.asarray(n0, dtype=np.float64).reshape(-1)
-        n_all, t_all, probs_all = self.rule_tables()
+        n_all, t_all, probs_all = self.rule_tables()[:3]
         p0 = self.rule_probs(n0.reshape(1, -1))[0]
 
         results = []

@@ -116,7 +116,7 @@ def test_teacher_forced_posterior_tracks_emissions():
     w_t = np.zeros((6, 4))
     w_t[np.arange(6), emit] = 2.0
     model.w_t.assign(w_t)
-    n_all, t_all, _ = model.rule_tables()
+    n_all, t_all = model.rule_tables()[:2]
     assert np.array_equal(np.argmax(t_all, axis=1), emit)
 
     def parsed_rules(out):
@@ -352,7 +352,7 @@ def test_grammar_only_prefix_len_check():
 def _tables(model, n0):
     """(p0, t_all, probs_all) as numpy arrays, the tables _pruned_loglik
     reads (softmax terminals)."""
-    _, t_all, probs_all = model.rule_tables()
+    _, t_all, probs_all = model.rule_tables()[:3]
     return model.rule_probs(n0), t_all, probs_all
 
 

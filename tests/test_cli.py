@@ -509,7 +509,6 @@ BAD_SIZES = st.one_of(
 @example(case=("ablate", "num_seeds=0"))
 @example(case=("generate", "prefix_len=-1"))
 @example(case=("evaluate", "prefix_len=-1"))
-@example(case=("evaluate", "prefix_len=99"))      # the dataset's length is 8
 def test_fuzz_bad_set_value_is_json_error(workdir, trained, tmp_path_factory, capsys,
                                           case):
     command, *items = case
@@ -615,6 +614,23 @@ def test_prefixes_are_read_with_the_model_alphabet(workdir, trained, tmp_path, c
     low = tmp_path / "low.jsonl"
     low.write_text('{"tokens": [0, 0, 1, 1, 0, 0, 1, 1]}\n' * 12)
     assert main(argv(low)) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "generate", "evaluate"])
+def test_prefix_longer_than_the_data_is_one_error(workdir, trained, tmp_path, capsys,
+                                                  command):
+    # a prefix_len past the dataset's length 8 gets train's error in every
+    # command, and nothing is written
+    data = workdir / "data"
+    argv = [command, "--set", f"dataset={data / 'dataset.jsonl'}", "--set", "prefix_len=9",
+            "--set", f"out_dir={tmp_path / 'out'}"]
+    argv += {"train": ["--set", "iterations=1"],
+             "generate": ["--set", f"run_dir={workdir / 'fuzz_ckpt'}"],
+             "evaluate": ["--set", f"run_dir={workdir / 'fuzz_ckpt'}",
+                          "--set", f"grammar={data / 'grammar.json'}"]}[command]
+    err = _main_error(argv, capsys)
+    assert err == {"error": "ParameterError", "message": "prefix_len exceeds sequence length"}
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate", "evaluate-untrained"])

@@ -329,7 +329,7 @@ def test_load_state_missing_parameter():
 
 def test_rule_tables_consistency():
     model = GrammarModel(tiny_config(), seed=7)
-    n_all, t_all, probs_all = model.rule_tables()
+    n_all, t_all, probs_all = model.rule_tables()[:3]
     assert n_all.shape == (6, 8) and t_all.shape == (6, 4)
     assert np.allclose(probs_all.sum(axis=1), 1.0, atol=1e-9)
     n_new, t_new = expand(model, np.eye(6)[2:3])

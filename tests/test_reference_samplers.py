@@ -57,7 +57,7 @@ def ref_rule_probs(model, n):
 def ref_sample_rule_paths(model, n0, length, num_samples, seed=0):
     """Gather each path's probability row, cumsum it and compare every step."""
     rng = np.random.default_rng(seed)
-    _, _, probs_all = model.rule_tables()
+    probs_all = model.rule_tables().probs_all
     p0 = ref_rule_probs(model, np.asarray(n0, dtype=np.float64))
     p0 = np.repeat(p0, num_samples, axis=0)
     N = p0.shape[0]
@@ -216,8 +216,8 @@ def test_sample_rule_paths_tie_keeps_the_lower_rule():
     u = np.random.default_rng(0).random(2)[1]
     probs_all = np.zeros((6, 6))
     probs_all[:, 0], probs_all[:, 1] = u, 1.0 - u
-    n_all, t_all, _ = model.rule_tables()
-    model.rule_tables = lambda: (n_all, t_all, probs_all)
+    tables = model.rule_tables()._replace(probs_all=probs_all)
+    model.rule_tables = lambda: tables
     n0 = np.ones((1, 8))
     want = ref_sample_rule_paths(model, n0, 2, 1, seed=0)
     assert want[0, 1] == 0
@@ -236,8 +236,8 @@ def test_sample_rule_paths_at_cdf_boundaries(monkeypatch):
                           [0.5, 0.0, 0.0, 0.25, 0.0, 0.0],
                           [0.25, 0.0, 0.25, 0.0, 0.25, 0.25],
                           [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
-    n_all, t_all, _ = model.rule_tables()
-    model.rule_tables = lambda: (n_all, t_all, probs_all)
+    tables = model.rule_tables()._replace(probs_all=probs_all)
+    model.rule_tables = lambda: tables
     # every seed state's rule law is exactly [0, 0.5, 0, 0.5, 0, 0]
     model.w_r.value[...] = 0.0
     model.b_r.value[...] = -np.inf
@@ -302,7 +302,7 @@ def trained_runs(tmp_path_factory):
 def ref_path_log_probs(model, n0, paths, num_samples):
     """Each path's log_prob, summed step by step over the probabilities of
     its rules: the seed state's rule law at step 0, then probs_all rows."""
-    _, _, probs_all = model.rule_tables()
+    probs_all = model.rule_tables().probs_all
     p0 = ref_rule_probs(model, n0)
     p = np.empty(paths.shape)
     p[:, 0] = np.repeat(p0, num_samples, axis=0)[np.arange(len(paths)), paths[:, 0]]
@@ -331,7 +331,7 @@ def test_generate_equals_gather_reference(trained_runs, tmp_path, topk, horizon,
     k = cfg["k"]
     paths = ref_sample_rule_paths(model, n0, horizon, k, seed=seed)
     logp = ref_path_log_probs(model, n0, paths, k)
-    _, t_all, _ = model.rule_tables()
+    t_all = model.rule_tables().t_all
     want = "".join(json.dumps({
         "prefix_index": n // k, "sample_index": n % k, "rule_indices": path.tolist(),
         "log_prob": lp, "terminals": t_all[path].tolist()}) + "\n"
@@ -373,7 +373,7 @@ def test_sample_rule_paths_checks_its_sizes():
 def _table_width(model, n0):
     """K of sample_rule_paths' compact table: the widest row of probs_all
     and the seed laws, counting column 0, the nonzero columns and the last."""
-    _, _, probs_all = model.rule_tables()
+    probs_all = model.rule_tables().probs_all
     p0 = ref_rule_probs(model, n0)
     keep = np.concatenate([probs_all, p0]) > 0
     keep[:, [0, -1]] = True
@@ -398,8 +398,8 @@ def _chain_of_width(K, R=11, seed=0):
         if p.sum():
             p *= rng.choice([1.0, 0.75]) / p.sum()
         probs_all[r, cols] = p
-    n_all, t_all, _ = model.rule_tables()
-    model.rule_tables = lambda: (n_all, t_all, probs_all)
+    tables = model.rule_tables()._replace(probs_all=probs_all)
+    model.rule_tables = lambda: tables
     model.b_r.value[...] = -np.inf
     model.b_r.value[np.r_[0, rng.choice(inner, K - 2, replace=False), R - 1]] = 0.0
     return model
@@ -525,7 +525,7 @@ def ref_sample_model_futures(model, prefixes, horizon, num_samples_per_prefix=1,
     with ad.no_grad():
         n0 = model.encode_start(prefixes).value
     paths = ref_sample_rule_paths(model, n0, horizon, num_samples_per_prefix, seed=seed)
-    _, t_all, _ = model.rule_tables()
+    t_all = model.rule_tables().t_all
     return np.argmax(t_all[paths], axis=-1)
 
 
@@ -1016,12 +1016,12 @@ def _assert_unroll_matches(model, disc, prefix, **kw):
     assert got[3] == want[3]
 
 
-def _unroll_case(topk, d_terminal=6):
+def _unroll_case(topk, d_terminal=6, rows=5):
     cfg = GrammarConfig(d_nonterminal=12, d_terminal=d_terminal, num_rules=24,
                         topk_mask=topk)
     model = GrammarModel(cfg, seed=4)
     disc = Discriminator(d_terminal, 12, DiscriminatorConfig(conv_channels=(4, 6)), seed=9)
-    prefix = np.eye(d_terminal)[np.random.default_rng(2).integers(0, d_terminal, (5, 3))]
+    prefix = np.eye(d_terminal)[np.random.default_rng(2).integers(0, d_terminal, (rows, 3))]
     return model, disc, prefix
 
 
@@ -1066,6 +1066,165 @@ def test_unroll_batch_equals_per_op_graph_without_grad():
         for a, b in zip(got, want, strict=True):
             a, b = (x.value if isinstance(x, Tensor) else x for x in (a, b))
             assert np.array_equal(a, b)
+
+
+# steps >= 1 read the rule table, whose (R, R) gemm rounds row r as a batch
+# of two or more states rounds it: at the smallest gemm batch, and at one
+# larger than the R = 24 rules
+@pytest.mark.parametrize("rows", [2, 30])
+@pytest.mark.parametrize("topk", [None, 4])
+def test_unroll_batch_reads_the_table_at_other_batch_sizes(topk, rows):
+    model, disc, prefix = _unroll_case(topk, rows=rows)
+    for return_entropy in (False, True):
+        _assert_unroll_matches(model, disc, prefix, tau=0.7,
+                               return_entropy=return_entropy, consume="both")
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("topk", [None, 4, 1])
+def test_unroll_batch_log_prob_adds_the_table_law(topk, rows):
+    # the paths of a shorter unroll are the first steps of a longer one, and
+    # each step from 1 on adds log max(probs_all[prev, idx], 1e-300), bit for
+    # bit; also for one row, which reads the table's rounding. The longer
+    # unrolls are handed the table the unroll otherwise builds itself
+    model, _, prefix = _unroll_case(topk, rows=rows)
+    tables = model.rule_tables()
+    probs_all = tables.probs_all
+    with ad.no_grad():
+        n0 = model.encode_start(Tensor(prefix))
+        _, _, prev_idx, prev_logp = model.unroll_batch(n0, 1, np.random.default_rng(3))
+        for length in range(2, 9):
+            _, _, idx, logp = model.unroll_batch(n0, length, np.random.default_rng(3),
+                                                 tables=tables)
+            assert np.array_equal(idx[:, :-1], prev_idx)
+            step = np.log(np.maximum(probs_all[idx[:, -2], idx[:, -1]], 1e-300))
+            assert (logp == prev_logp + step).all()
+            prev_idx, prev_logp = idx, logp
+
+
+# ---------------------------------------------------------------------------
+# teacher_forced_states: the parse over the kept rules against the dense one
+# ---------------------------------------------------------------------------
+
+def ref_teacher_forced_states(model, batch, n0, rng):
+    """adversarial.teacher_forced_states as it weighed all R rules of each
+    row, verbatim but for reading the first three of the rule tables."""
+    n_all, t_all, probs_all = model.rule_tables()[:3]
+    B, L, _ = batch.shape
+    tokens = np.argmax(batch, axis=2)                   # (B, L)
+    emis = t_all.T                                      # (C, R) emission weight
+    emits = np.argmax(t_all, axis=1)                    # (R,) hardened emission
+    p = model.rule_probs(np.asarray(n0, dtype=np.float64))
+    out = np.empty((B, L, n_all.shape[1]))
+    fallbacks = 0
+    for j in range(L):
+        w = p * np.maximum(emis[tokens[:, j]], 1e-12)
+        w_hard = p * (emits[None, :] == tokens[:, j, None])
+        hit = w_hard.sum(axis=1, keepdims=True) > 0
+        fallbacks += B - int(hit.sum())
+        w = np.where(hit, w_hard, w)
+        w /= w.sum(axis=1, keepdims=True)
+        cum = np.cumsum(w, axis=-1)
+        cum[:, -1] = 1.0
+        idx = (cum < rng.random((B, 1))).sum(axis=-1)
+        out[:, j, :] = n_all[idx]
+        p = probs_all[idx]
+    return out, fallbacks
+
+
+def _parse_case(topk, rows, seed=0):
+    """A 256-rule activity model none of whose rules emits token 5, so a
+    row reading it falls back to the soft weight; tokens and seed states."""
+    model = GrammarModel(activity_config(6, topk_mask=topk), seed=3)
+    model.w_t.value[:, 5] = -1.0
+    rng = np.random.default_rng(seed)
+    return model, np.eye(6)[rng.integers(0, 6, (rows, 12))], rng.normal(size=(rows, 64))
+
+
+def _parsed_rules(model, out):
+    """The rule of each parsed state: the row of W_n it is."""
+    rule = {row.tobytes(): r for r, row in enumerate(model.w_n.value)}
+    return np.array([rule[x.tobytes()] for x in out.reshape(-1, out.shape[-1])]
+                    ).reshape(out.shape[:2])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 32, 1000])
+@pytest.mark.parametrize("topk", [4, None, 1])
+def test_teacher_forced_states_equals_dense_parse(topk, rows):
+    model, batch, n0 = _parse_case(topk, rows)
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = adversarial.teacher_forced_states(model, batch, n0, got_rng)
+    want = ref_teacher_forced_states(model, batch, n0, want_rng)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    assert got_rng.random() == want_rng.random()
+    if rows >= 32:
+        assert want[1] > 0
+    # a table passed in is read as the one built inside
+    tables_rng = np.random.default_rng(7)
+    passed = adversarial.teacher_forced_states(model, batch, n0, tables_rng,
+                                               model.rule_tables())
+    assert np.array_equal(passed[0], got[0]) and passed[1] == got[1]
+
+
+@pytest.mark.parametrize("topk", [4, None, 1])
+def test_teacher_forced_states_at_uniform_boundaries(topk):
+    # step 0 draws u = 0, which takes rule 0 even where it has weight 0;
+    # step 1 the largest double below 1, which lies above the last running
+    # sum of some rows and then takes rule R - 1; then a mix of both with
+    # seeded draws
+    rows, R = 1000, 256
+    model, batch, n0 = _parse_case(topk, rows, seed=1)
+    top = np.nextafter(1.0, 0.0)
+    u = np.random.default_rng(4).random((12, rows))
+    u[0], u[1] = 0.0, top
+    u[2:, ::3], u[2:, 1::3] = 0.0, top
+    got_u, want_u = _Uniforms(u), _Uniforms(u)
+    got = adversarial.teacher_forced_states(model, batch, n0, got_u)
+    want = ref_teacher_forced_states(model, batch, n0, want_u)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    assert got_u.at == want_u.at == u.size
+    rules = _parsed_rules(model, want[0])
+    p0 = model.rule_probs(n0)
+    probs_all = model.rule_tables().probs_all
+    assert (rules[:, 0] == 0).all()
+    if topk == 4:
+        # the cases are met: rule 0 taken at weight 0, and rule R - 1 taken
+        # at weight 0 because u passed the last running sum
+        assert (p0[:, 0] == 0).any()
+        past = (u[1:].T == top) & (rules[:, 1:] == R - 1)
+        assert (past & (probs_all[rules[:, :-1], R - 1] == 0)).any()
+
+
+# ---------------------------------------------------------------------------
+# _softmax_kept: division at the kept entries against full-width division
+# ---------------------------------------------------------------------------
+
+def ref_softmax_kept(s, kept):
+    """_softmax_kept as it divided the full width, verbatim."""
+    mx = s.max(axis=-1)
+    e = np.zeros(s.shape)
+    e.put(kept, np.exp(s.take(kept) - mx.take(kept // s.shape[-1])))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+@pytest.mark.parametrize("shape", [(40, 24), (3, 5, 24), (24,)])
+@pytest.mark.parametrize("m", [1, 4, 23, 24])
+def test_softmax_kept_equals_full_width_division(shape, m):
+    s = np.random.default_rng(0).normal(size=shape) * 30
+    rows = s.reshape(-1, shape[-1])
+    # in row 0, the kept entry -800 lies so far below the row's largest
+    # that its exp underflows to 0
+    rows[0] = -1000.0
+    rows[0, :4] = [-5.0, -800.0, 0.0, -900.0]
+    keep = np.ones(rows.shape, dtype=bool) if m == shape[-1] else _top_mask(rows, m)
+    kept = keep.ravel().nonzero()[0]
+    got, want = _softmax_kept(s, kept), ref_softmax_kept(s, kept)
+    assert got.tobytes() == want.tobytes()
+    if m == 4:
+        assert got.reshape(rows.shape)[0, 1] == 0.0 and keep[0, 1]
 
 
 # ---------------------------------------------------------------------------
