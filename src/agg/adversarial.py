@@ -14,12 +14,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError, InputError, ParameterError
-from .grammar import _softmax_kept, _top_stable
+from .grammar import _row_blocks, _top_stable
 from .nn import SGD, Conv1d, Dense
+from .synthdata import one_hot
 
 LOG_CLAMP = 1e-7
 KERNEL_WIDTH, STRIDE = 5, 4              # of every discriminator conv layer
 HOLDOUT_FRACTION = 0.1                   # share of the rows D is scored on at the end
+HOLDOUT_BLOCK = 256                      # rows the holdout encodes, draws and scores at once
 
 
 @dataclass
@@ -139,7 +141,7 @@ class TrainResult:
     parse_fallback_share: float = 0.0
 
 
-def teacher_forced_states(model, batch, n0, rng, tables=None):
+def teacher_forced_states(model, batch, n0, rng, tables=None, head=None):
     """Non-terminal stream for real data, built by a teacher-forced parse.
 
     From the seed states n0, each step *samples* a rule from the
@@ -159,53 +161,66 @@ def teacher_forced_states(model, batch, n0, rng, tables=None):
     argmax t_all[r] == token, so a parsed rule always emits the observed
     token. A row in which no rule with nonzero probability emits the token
     falls back to the soft weight t_all[r, token] for that step. Returns
-    (states, number of (row, step) pairs that fell back). Forward-only; no
-    gradients flow to the generator here. tables is the model's
-    rule_tables() at its current weights, built here when None.
+    (states, number of (row, step) pairs that fell back): the rows of n_all
+    at the rules _parse_rules draws over one block of all B rows.
+    Forward-only; no gradients flow to the generator here. tables is the
+    model's rule_tables() and head its start_head(n0) at its current weights,
+    each built here when None."""
+    if tables is None:
+        tables = model.rule_tables()
+    if head is None:
+        head = model.start_head(np.asarray(n0, dtype=np.float64))
+    rules, fallbacks = _parse_rules(tables, np.argmax(batch, axis=2), [head], rng)
+    return tables.n_all[rules], fallbacks
 
-    Step 0 reads the rule head at n0, a later step row idx of the chain's
-    table, idx the rule the step before parsed. A rule the top-k mask drops
-    has probability 0 and so weight 0, so a step weighs only the k kept
-    rules of each row. It normalizes by the row's full-width sum, formed
-    from the k weights scattered into a zeroed row, and draws one uniform u
-    per row: the first kept rule whose running sum is at least u, rule 0
-    when u is 0, and rule R - 1 when u is above the last running sum. That
-    is what a cumsum over the full row, its last entry set to 1, would
-    select, bit for bit: a dropped rule adds an exact 0 to the running
-    sum."""
-    n_all, t_all, probs_all, kept, _ = model.rule_tables() if tables is None else tables
-    B, L, _ = batch.shape
+
+def _parse_rules(tables, tokens, heads, rng):
+    """The parse's step loop: rule indices (N, L) for the tokens (N, L) of
+    the rows of `heads`, StartHeads of consecutive blocks of rows, and the
+    number of (row, step) pairs that fell back (see teacher_forced_states).
+
+    Step 0 reads a block's head, a later step row idx of the chain's table,
+    idx the rule the step before parsed. A rule the top-k mask drops has
+    probability 0 and so weight 0, so a step weighs only the k kept rules of
+    each row. It normalizes by the row's full-width sum, formed from the k
+    weights scattered into a zeroed row, and draws one uniform u per row:
+    the first kept rule whose running sum is at least u, rule 0 when u is 0,
+    and rule R - 1 when u is above the last running sum. That is what a
+    cumsum over the full row, its last entry set to 1, would select, bit for
+    bit: a dropped rule adds an exact 0 to the running sum. The steps run
+    step-major, each block drawing its (b, 1) uniforms in turn, which is one
+    (N, 1) draw bit for bit; every op works row by row."""
+    n_all, t_all, probs_all, kept, _ = tables
     R = len(probs_all)
-    rows = np.arange(B)
-    base = rows[:, None] * R            # flat offset of each row of a (B, R) array
-    tokens = np.argmax(batch, axis=2)                   # (B, L)
     emits = np.argmax(t_all, axis=1)                    # (R,) hardened emission
     kept_probs = np.take_along_axis(probs_all, kept, axis=1)     # (R, k)
-    s, at = model._head(np.asarray(n0, dtype=np.float64))
-    at = at.reshape(B, -1)
-    p = _softmax_kept(s, at).take(at)                   # (B, k) step 0's law
-    cols = at - base                                    # (B, k) its kept rules
-    k = cols.shape[1]
-    out = np.empty((B, L, n_all.shape[1]))
+    blocks = _row_blocks(heads)
+    # each block's kept rules at the step and their law
+    state = [(h.at - np.arange(len(h.at))[:, None] * R, h.probs) for h in heads]
+    rules = np.empty(tokens.shape, dtype=np.intp)
     fallbacks = 0
-    for j in range(L):
-        tok = tokens[:, j, None]
-        w = p * (emits[cols] == tok)
-        miss = np.flatnonzero(~(w > 0).any(axis=1))
-        fallbacks += len(miss)
-        if len(miss):
-            w[miss] = p[miss] * np.maximum(t_all[cols[miss], tok[miss]], 1e-12)
-        row = np.zeros((B, R))
-        row.put(cols + base, w)
-        w /= row.sum(axis=1, keepdims=True)
-        cum = np.cumsum(w, axis=1)
-        u = rng.random((B, 1))
-        first = (cum < u).sum(axis=1)
-        idx = np.where(first < k, cols[rows, np.minimum(first, k - 1)], R - 1)
-        idx[u[:, 0] == 0] = 0
-        out[:, j, :] = n_all[idx]
-        cols, p = kept[idx], kept_probs[idx]
-    return out, fallbacks
+    for j in range(tokens.shape[1]):
+        for b, blk in enumerate(blocks):
+            cols, p = state[b]
+            B, k = cols.shape
+            base = np.arange(B)[:, None] * R    # flat offset of each row of a (B, R) array
+            tok = tokens[blk, j, None]
+            w = p * (emits[cols] == tok)
+            miss = np.flatnonzero(~(w > 0).any(axis=1))
+            fallbacks += len(miss)
+            if len(miss):
+                w[miss] = p[miss] * np.maximum(t_all[cols[miss], tok[miss]], 1e-12)
+            row = np.zeros((B, R))
+            row.put(cols + base, w)
+            w /= row.sum(axis=1, keepdims=True)
+            cum = np.cumsum(w, axis=1)
+            u = rng.random((B, 1))
+            first = (cum < u).sum(axis=1)
+            idx = np.where(first < k, cols[np.arange(B), np.minimum(first, k - 1)], R - 1)
+            idx[u[:, 0] == 0] = 0
+            rules[blk, j] = idx
+            state[b] = (kept[idx], kept_probs[idx])
+    return rules, fallbacks
 
 
 def _harden(t_seq):
@@ -233,25 +248,24 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
                       on_log=None, checkpoint_fn=None):
     """Alternating GAN loop; no supervised loss on the generator.
 
-    Each iteration takes one discriminator step and one generator step.
-    on_log(row) is called for each metrics row; checkpoint_fn(iteration)
-    after each iteration.
+    Each iteration takes one discriminator step and one generator step on a
+    batch one-hot encoded from its own rows of dataset.records; the dataset
+    as a whole stays token rows. on_log(row) is called for each metrics row;
+    checkpoint_fn(iteration) after each iteration.
     """
     if len(dataset) == 0:
         raise InputError("empty dataset")
     L = dataset.length
     _check_prefix_len(config.prefix_len, L)
-    X = dataset.one_hot()
-    n_hold = int(len(X) * HOLDOUT_FRACTION)
+    n_hold = int(len(dataset) * HOLDOUT_FRACTION)
     rng = np.random.default_rng(config.seed)
-    perm = rng.permutation(len(X))
-    X_hold, X_train = X[perm[:n_hold]], X[perm[n_hold:]]
-    if len(X_train) == 0:
+    perm = rng.permutation(len(dataset))
+    hold_rows, train_rows = perm[:n_hold], perm[n_hold:]
+    if len(train_rows) == 0:
         raise InputError("no training data left after holdout split")
 
     g_opt = SGD(grammar_model.parameters(), lr0=config.lr0, total_steps=config.iterations)
     d_opt = SGD(disc_model.parameters(), lr0=config.lr0, total_steps=config.iterations)
-    d_params = disc_model.parameters()
     g_params = grammar_model.parameters()
     # Polyak average damps the limit cycling of the adversarial game; the
     # averaged weights become the trained generator
@@ -262,51 +276,17 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
     metrics = []
     parsed = fallbacks = 0
     for it in range(config.iterations):
-        take = rng.integers(0, len(X_train), size=config.batch_size)
-        batch = X_train[take]
-        n0 = grammar_model.encode_start(Tensor(batch[:, :config.prefix_len]))
-        # one rule table for the iteration, read by the unroll's later steps
-        # and by the parse, and freed once the parse has read it
-        tables = grammar_model.rule_tables()
-        unrolled = grammar_model.unroll_batch(
-            n0, L, rng, tau=_tau_at(config, it),
-            return_entropy=bool(config.entropy_weight), tables=tables)
-        t_fake, n_fake = _harden(unrolled[0]), unrolled[1]
-        n_real, fell = teacher_forced_states(grammar_model, batch, n0.value, rng, tables)
-        del tables
+        take = rng.integers(0, len(train_rows), size=config.batch_size)
+        batch = one_hot(dataset.records[train_rows[take]], dataset.alphabet_size)
+        d_loss_v, g_loss_v, acc_v, fell = _adversarial_step(
+            grammar_model, disc_model, batch, config, it, rng, d_opt, g_opt)
         parsed += batch.shape[0] * L
         fallbacks += fell
-        p_real = disc_model(Tensor(batch), Tensor(n_real))
-        p_fake = disc_model(t_fake.detach(), n_fake.detach())
-        d_loss = discriminator_loss(p_real, p_fake)
-        d_loss_v = float(d_loss.value)
-        acc_v = _accuracy(p_real.value, p_fake.value)
-        # throttle D near the decision boundary: a saturated D pushes
-        # p_fake under the log clamp and the generator goes gradient-dead;
-        # the loss is >= 0, so a floor of 0 never throttles
-        if d_loss_v >= config.d_loss_floor:
-            ad.backward(d_loss)
-            d_opt.step()
-        else:
-            d_opt.skip()
-        # generator step reuses the recorded fake-batch graph
-        p_fake_g = disc_model(t_fake, n_fake)
-        g_loss = generator_loss(p_fake_g)
-        g_obj = g_loss
-        if config.entropy_weight:
-            # data-free entropy bonus; keeps rule selection from sharpening
-            # into a deterministic basin whose softmax gradient vanishes
-            g_obj = ad.add(g_loss, ad.mul(unrolled[4], -config.entropy_weight))
-        ad.backward(g_obj)
-        for p in d_params:          # generator backward also reaches D weights
-            p.grad = None
-        g_opt.step()
         if ema is not None:
             d = config.ema_decay
             for avg, p in zip(ema, g_params):
                 avg *= d
                 avg += (1.0 - d) * p.value
-        g_loss_v = float(g_loss.value)
         if not (np.isfinite(d_loss_v) and np.isfinite(g_loss_v)):
             raise ParameterError(f"non-finite loss at iteration {it}")
 
@@ -322,32 +302,97 @@ def train_adversarial(dataset, grammar_model, disc_model, config,
     if ema is not None:
         for avg, p in zip(ema, g_params):
             p.assign(avg)
-    holdout = _holdout_accuracy(grammar_model, disc_model, X_hold, config, rng)
+    holdout = float("nan")
+    if n_hold:
+        holdout = _accuracy(*_holdout_scores(grammar_model, disc_model, dataset, hold_rows,
+                                             config, rng))
     return TrainResult(metrics=metrics, holdout_accuracy=holdout,
                        iterations=config.iterations,
                        parse_fallback_share=fallbacks / max(parsed, 1))
 
 
-def _holdout_accuracy(grammar_model, disc_model, X_hold, config, rng):
-    if len(X_hold) == 0:
-        return float("nan")
+def _adversarial_step(grammar_model, disc_model, batch, config, it, rng, d_opt, g_opt):
+    """Iteration `it` of train_adversarial on the one-hot batch (B, L, C):
+    one discriminator step, then one generator step. Returns (d_loss, g_loss,
+    D's accuracy, parse fallbacks); the iteration's autodiff graph is freed
+    on return, so no two iterations' graphs are alive together."""
+    n0 = grammar_model.encode_start(Tensor(batch[:, :config.prefix_len]))
+    # one rule table and one step-0 rule head for the iteration, read by the
+    # unroll and by the parse, and freed once the parse has read them
+    tables = grammar_model.rule_tables()
+    head = grammar_model.start_head(n0.value)
+    unrolled = grammar_model.unroll_batch(
+        n0, batch.shape[1], rng, tau=_tau_at(config, it),
+        return_entropy=bool(config.entropy_weight), tables=tables, head=head)
+    t_fake, n_fake = _harden(unrolled[0]), unrolled[1]
+    n_real, fell = teacher_forced_states(grammar_model, batch, n0.value, rng, tables, head)
+    del tables, head
+    p_real = disc_model(Tensor(batch), Tensor(n_real))
+    p_fake = disc_model(t_fake.detach(), n_fake.detach())
+    d_loss = discriminator_loss(p_real, p_fake)
+    d_loss_v = float(d_loss.value)
+    acc_v = _accuracy(p_real.value, p_fake.value)
+    # throttle D near the decision boundary: a saturated D pushes
+    # p_fake under the log clamp and the generator goes gradient-dead;
+    # the loss is >= 0, so a floor of 0 never throttles
+    if d_loss_v >= config.d_loss_floor:
+        ad.backward(d_loss)
+        d_opt.step()
+    else:
+        d_opt.skip()
+    # generator step reuses the recorded fake-batch graph
+    g_loss = generator_loss(disc_model(t_fake, n_fake))
+    g_obj = g_loss
+    if config.entropy_weight:
+        # data-free entropy bonus; keeps rule selection from sharpening
+        # into a deterministic basin whose softmax gradient vanishes
+        g_obj = ad.add(g_loss, ad.mul(unrolled[4], -config.entropy_weight))
+    ad.backward(g_obj)
+    for p in d_opt.params:          # generator backward also reaches D weights
+        p.grad = None
+    g_opt.step()
+    return d_loss_v, float(g_loss.value), acc_v, fell
+
+
+def _holdout_scores(grammar_model, disc_model, dataset, rows, config, rng):
+    """D's scores (p_real, p_fake) of the held-out `rows` of dataset, their
+    parse giving the real non-terminal streams, and of as many fakes the
+    generator unrolls from the same prefixes at the last iteration's tau.
+
+    The N rows run in ceil(N / HOLDOUT_BLOCK) near-equal blocks, so memory
+    grows with the block and not with N. Each block is encoded and its
+    step-0 rule head formed on its own; the parse and then the unroll draw
+    step-major over all blocks (see _parse_rules and draw_rules), so the rng
+    stream is that of one batch of all N rows; D scores one block at a
+    time. The fake terminals are one-hot at each rule's hardened emission,
+    the one _harden gives. Every op works row by row, so the scores are
+    those of one batch of all N rows bit for bit, as far as numpy's matrix
+    products round a row alike in a block: its gemms do in any block of four
+    rows or more, and its gemv, which multiplies D's one-column head, does
+    when the block starts at a multiple of 4 rows, as OpenBLAS groups them.
+    So every block but the last holds a multiple of 4 rows, the last the
+    N % 4 rows over, and no block holds fewer than HOLDOUT_BLOCK / 2 rows
+    unless N fits in one block."""
+    tokens = dataset.records[rows]
+    N, L = tokens.shape
+    width = dataset.alphabet_size
+    m = -(-N // HOLDOUT_BLOCK)
+    bounds = 4 * (np.arange(1, m) * (N // 4) // m)
     with ad.no_grad():
-        n0 = grammar_model.encode_start(Tensor(X_hold[:, :config.prefix_len]))
         tables = grammar_model.rule_tables()
-        # the parsed states are freed once D has read them, before the unroll;
-        # held through it, they raised a train request's peak RSS by 7 to 11 MB
-        p_real = disc_model(Tensor(X_hold), Tensor(
-            teacher_forced_states(grammar_model, X_hold, n0.value, rng, tables)[0])).value
-        t_fake, n_fake, _, _ = grammar_model.unroll_batch(
-            n0, X_hold.shape[1], rng, tau=_tau_at(config, config.iterations - 1),
-            tables=tables)
-        del tables
-        # rebinding frees the soft terminals before D's forward; holding them
-        # through it raised a train request's peak RSS by 7.5 MB (heap growth:
-        # the traced allocations peak at the same size either way)
-        t_fake = _harden(t_fake)
-        p_fake = disc_model(t_fake, n_fake).value
-    return _accuracy(p_real, p_fake)
+        heads = [grammar_model.start_head(grammar_model.encode_start(
+                     Tensor(one_hot(part[:, :config.prefix_len], width))).value)
+                 for part in np.split(tokens, bounds)]
+        real, _ = _parse_rules(tables, tokens, heads, rng)
+        fake = grammar_model.draw_rules(heads, L, rng, tables,
+                                        tau=_tau_at(config, config.iterations - 1))[0]
+        emits = np.argmax(tables.t_all, axis=1)
+        p_real, p_fake = [], []
+        for blk in _row_blocks(heads):
+            p_real.append(disc_model(one_hot(tokens[blk], width), tables.n_all[real[blk]]).value)
+            p_fake.append(disc_model(one_hot(emits[fake[blk]], tables.t_all.shape[1]),
+                                     tables.n_all[fake[blk]]).value)
+    return np.concatenate(p_real), np.concatenate(p_fake)
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +498,19 @@ def _pruned_loglik(model, batch, n0, k_cap, max_paths):
 
 
 def train_grammar_only(dataset, grammar_model, config, on_log=None):
-    """Maximize data likelihood over the pruned enumeration of futures."""
+    """Maximize data likelihood over the pruned enumeration of futures, each
+    batch one-hot encoded from its own rows of dataset.records."""
     if len(dataset) == 0:
         raise InputError("empty dataset")
     _check_prefix_len(config.prefix_len, dataset.length)
-    X = dataset.one_hot()
     rng = np.random.default_rng(config.seed)
     opt = SGD(grammar_model.parameters(), lr0=config.lr0, total_steps=config.iterations)
     metrics = []
     for it in range(config.iterations):
-        take = rng.integers(0, len(X), size=config.batch_size)
-        n0 = grammar_model.encode_start(Tensor(X[take][:, :config.prefix_len]))
-        loglik = _pruned_loglik(grammar_model, dataset.records[take], n0,
-                                config.k_cap, config.max_paths)
+        tokens = dataset.records[rng.integers(0, len(dataset), size=config.batch_size)]
+        n0 = grammar_model.encode_start(
+            Tensor(one_hot(tokens[:, :config.prefix_len], dataset.alphabet_size)))
+        loglik = _pruned_loglik(grammar_model, tokens, n0, config.k_cap, config.max_paths)
         loss = -loglik
         ad.backward(loss)
         opt.step()

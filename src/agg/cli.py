@@ -394,9 +394,9 @@ def _ablate_arm(grammar, dataset, cfg, mode, topk, seed):
 def cmd_ablate(cfg):
     _check_at_least_one(cfg, "ngram", "num_seeds", "num_prefixes", "samples_per_prefix")
     # checked before the first arm trains, not when it is scored
-    for key in ("ngram", "prefix_len"):
-        if cfg[key] > cfg["length"]:
-            raise ConfigError(f"{key} {cfg[key]} exceeds length {cfg['length']}")
+    if cfg["ngram"] > cfg["length"]:
+        raise ConfigError(f"ngram {cfg['ngram']} exceeds length {cfg['length']}")
+    _check_prefix_len(cfg["prefix_len"], cfg["length"])
     grammar = build_preset_grammar(cfg["preset"])
     check_oracle_budget(grammar, cfg["ngram"])
     dataset = sample_dataset(grammar, cfg["num_sequences"], cfg["length"],

@@ -53,6 +53,20 @@ class RuleTables(NamedTuple):
     kept_logits: np.ndarray       # (R, k) the logits n_all @ W_r + b_r there
 
 
+class StartHead(NamedTuple):
+    """Step 0's rule head at B seed states, in the kept form both the unroll
+    and the parse read: k entries a row, in ascending column order."""
+    at: np.ndarray                # (B, k) flat indices of the kept entries of a (B, R) array
+    logits: np.ndarray            # (B, k) the logits n0 @ W_r + b_r there
+    probs: np.ndarray             # (B, k) the rule law there; 0 at every other rule
+
+
+def _row_blocks(heads):
+    """The row slice of each StartHead of consecutive blocks of rows."""
+    ends = np.cumsum([len(h.at) for h in heads])
+    return [slice(end - len(h.at), end) for h, end in zip(heads, ends)]
+
+
 @dataclass
 class SequenceSample:
     nonterminals: list            # L+1 vectors, starting at the seed state
@@ -247,8 +261,16 @@ class GrammarModel:
         softmax of the masked logits. Forward-only."""
         return _softmax_kept(*self._head(n))
 
+    def start_head(self, n0):
+        """StartHead of the rule head at the seed states n0 (B, d), an array.
+        Its law is rule_probs(n0) at the kept entries, bit for bit."""
+        s, at = self._head(n0)
+        at = at.reshape(len(s), -1)
+        return StartHead(at, s.take(at), _softmax_kept(s, at).take(at))
+
     # -- unrolling ----------------------------------------------------------
-    def unroll_batch(self, n0, length, rng, tau=1.0, return_entropy=False, tables=None):
+    def unroll_batch(self, n0, length, rng, tau=1.0, return_entropy=False, tables=None,
+                     head=None):
         """Differentiable batched unroll, each step drawing one hard rule from
         the generator rng.
 
@@ -256,26 +278,20 @@ class GrammarModel:
         rule_indices (B,L) int array, log_prob (B,) array). With
         return_entropy=True a fifth element is appended: the mean per-step
         rule-distribution entropy as a differentiable scalar. tables is this
-        model's rule_tables() at its current weights, built here when None.
+        model's rule_tables() and head its start_head(n0) at its current
+        weights, each built here when None.
 
-        The L steps are one autodiff node over n0, W_r, b_r, W_n and W_t; the
-        terminal softmax is one more node over all steps. A step computes
-        what the primitive ops would: masked rule logits n @ W_r + b_r, the
-        straight-through Gumbel-softmax selection, then sel @ W_n and
-        sel @ W_t, which the one-hot selection reads as gathered rows (a
-        one-hot row times W adds only exact zeros). Step 0 computes its rule
-        head at n0. A later step starts from row idx of W_n, the rule idx the
-        step before chose, so it reads row idx of the chain's table: the
-        kept columns, their logits and the rule law. It still draws a full
-        (B, R) block of uniforms, so the rng stream is the per-op graph's;
-        the Gumbel noise is formed at the kept entries only. The table's
-        gemm rounds row r as a batch of two or more states rounds it, so the
-        steps are the per-op graph's bit for bit; a batch of one state,
-        which numpy multiplies by gemv, reads the table's rounding instead,
-        as sample_rule_paths does. The backward is backpropagation through
-        time from step L down to step 1, with the primitive ops' backward
-        expressions in their order, so every gradient is theirs bit for
-        bit: each weight sums its per-step gemms from step L down to step 1.
+        The rules are draw_rules' over one block of all B rows, and the
+        outputs are rows of W_t and W_n gathered at them. The L steps are one
+        autodiff node over n0, W_r, b_r, W_n and W_t; the terminal softmax is
+        one more node over all steps. A step computes what the primitive ops
+        would: masked rule logits n @ W_r + b_r, the straight-through
+        Gumbel-softmax selection, then sel @ W_n and sel @ W_t, which the
+        one-hot selection reads as gathered rows (a one-hot row times W adds
+        only exact zeros). The backward is backpropagation through time from
+        step L down to step 1, with the primitive ops' backward expressions
+        in their order, so every gradient is theirs bit for bit: each weight
+        sums its per-step gemms from step L down to step 1.
         """
         if length < 1:
             raise ParameterError("unroll length must be >= 1")
@@ -284,47 +300,23 @@ class GrammarModel:
             raise ParameterError("gumbel temperature must be > 0")
         if tables is None:
             tables = self.rule_tables()
+        if head is None:
+            head = self.start_head(n0.value)
         inv = 1.0 / tau
         Wn, Wt = self.w_n.value, self.w_t.value
         B, R = n0.value.shape[0], self.config.num_rules
         rows = np.arange(B)
-        base = rows[:, None] * R  # flat offset of each row of a (B, R) array
-        ns = [n0.value]           # N_0..N_L
-        ts, indices, logp, entropies = [], [], np.zeros(B), []
-        # what the backward reads beyond ns and indices, kept only when it
-        # can run: a forward-only unroll, such as the holdout's over a tenth
-        # of the dataset at once, holds none of it
+        # the soft samples the backward reads are kept only when it can run
         record = ad.grad_enabled()
-        ys, ps = [], []           # soft samples; probs when entropy is returned
-        s, at = self._head(n0.value)
-        probs = _softmax_kept(s, at)
-        at = at.reshape(B, -1)    # the kept entries' flat indices, row by row
-        s = s.take(at)            # the logits there
-        for j in range(length):
-            if j:
-                prev = idx
-                at, s = tables.kept[prev] + base, tables.kept_logits[prev]
-                if return_entropy:
-                    probs = tables.probs_all[prev]
-            if return_entropy:
-                plogp = probs * np.log(np.maximum(probs, 1e-12))
-                entropies.append(plogp.sum(axis=-1).mean())
-            u = np.clip(rng.random((B, R)).take(at), 1e-12, 1.0 - 1e-12)
-            g = -np.log(-np.log(u))
-            z = (s + g) * inv
-            y = _softmax_at(z, at, (B, R), z.max(axis=-1, keepdims=True))
-            idx = np.argmax(y, axis=-1)
-            p = tables.probs_all[prev, idx] if j else probs[rows, idx]
-            logp += np.log(np.maximum(p, 1e-300))
-            ns.append(Wn[idx])
-            ts.append(Wt[idx])
-            indices.append(idx)
-            if record:
-                ys.append(y)
-            if record and return_entropy:
-                ps.append(probs)
-        values = [np.stack(ts, axis=1), np.stack(ns[1:], axis=1)]
+        rules, logp, ys = self.draw_rules([head], length, rng, tables, tau, record)
+        values = [Wt[rules], Wn[rules]]
         if return_entropy:
+            # each step's full-width rule law: step 0's scattered from the
+            # kept entries, as the softmax leaves it, then the table's rows
+            p0 = np.zeros((B, R))
+            p0.put(head.at, head.probs)
+            ps = [p0] + [tables.probs_all[rules[:, j]] for j in range(length - 1)]
+            entropies = [(p * np.log(np.maximum(p, 1e-12))).sum(axis=-1).mean() for p in ps]
             values.append(np.asarray(np.mean(entropies) * -1.0))
 
         def bwd(grads):
@@ -337,7 +329,7 @@ class GrammarModel:
             for j in range(length - 1, -1, -1):
                 y = ys[j]
                 sel = np.zeros((B, R))
-                sel[rows, indices[j]] = 1.0
+                sel[rows, rules[:, j]] = 1.0
                 gn = _sum(None if g_n is None else g_n[:, j, :], gn)
                 gt = None if g_t is None else g_t[:, j, :]
                 gsel = gl = None
@@ -361,15 +353,65 @@ class GrammarModel:
                     continue
                 # gl is already +-0 wherever the top-k mask dropped a rule
                 # (p and y are exactly 0 there), so the mask's backward,
-                # gl * keep, would return gl bit for bit
-                gn = self._head_backward(ns[j], gl)
+                # gl * keep, would return gl bit for bit. N_j is n0 or row
+                # rules[:, j - 1] of W_n
+                gn = self._head_backward(Wn[rules[:, j - 1]] if j else n0.value, gl)
             if gn is not None:
                 ad._acc(n0, gn)
 
         t_pre, nonterminals, *ent = ad._multi_node(
             values, (n0, self.w_r, self.b_r, self.w_n, self.w_t), bwd)
         terminals = ad.softmax(t_pre)
-        return (terminals, nonterminals, np.stack(indices, axis=1), logp, *ent)
+        return (terminals, nonterminals, rules, logp, *ent)
+
+    def draw_rules(self, heads, length, rng, tables, tau, record=False):
+        """The unroll's draw loop: rule indices (N, length) and log_prob (N,)
+        of the N rows of `heads`, StartHeads of consecutive blocks of rows,
+        and, when record is true, the soft sample y (b, R) of each step and
+        block in draw order (one block: ys[j] is step j's).
+
+        Step 0 reads a block's head. A later step starts from row idx of W_n,
+        the rule idx the step before chose, so it reads row idx of the
+        chain's table: the kept columns, their logits and the rule law. A
+        step still draws a full (b, R) block of uniforms, so the rng stream
+        is the per-op graph's; the Gumbel noise is formed at the kept entries
+        only. The steps run step-major, and within a step each block draws
+        its uniforms in turn: consecutive (b1, R) and (b2, R) draws are one
+        (b1 + b2, R) draw bit for bit, so every block draws what one block
+        of all N rows would. Every op works row by row. The table's gemm
+        rounds row r as a batch of two or more states rounds it, so the
+        steps are the per-op graph's bit for bit; a batch of one state,
+        which numpy multiplies by gemv, reads the table's rounding instead,
+        as sample_rule_paths does.
+        """
+        inv = 1.0 / tau
+        R = self.config.num_rules
+        blocks = _row_blocks(heads)
+        rules = np.empty((blocks[-1].stop, length), dtype=np.intp)
+        logp = np.zeros(len(rules))
+        ys = []
+        for j in range(length):
+            for head, blk in zip(heads, blocks):
+                B = len(head.at)
+                if j:
+                    prev = rules[blk, j - 1]
+                    at = tables.kept[prev] + np.arange(B)[:, None] * R
+                    s = tables.kept_logits[prev]
+                else:
+                    at, s = head.at, head.logits
+                u = np.clip(rng.random((B, R)).take(at), 1e-12, 1.0 - 1e-12)
+                g = -np.log(-np.log(u))
+                z = (s + g) * inv
+                y = _softmax_at(z, at, (B, R), z.max(axis=-1, keepdims=True))
+                idx = np.argmax(y, axis=-1)
+                rules[blk, j] = idx
+                # the drawn rule is the first kept entry where y peaks
+                p = (tables.probs_all[prev, idx] if j else
+                     head.probs[np.arange(B), y.take(at).argmax(axis=-1)])
+                logp[blk] += np.log(np.maximum(p, 1e-300))
+                if record:
+                    ys.append(y)
+        return rules, logp, ys
 
     def unroll(self, n0, length, rng_seed=0):
         """Single-sequence unroll (inference only)."""

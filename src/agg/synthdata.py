@@ -304,10 +304,15 @@ class SequenceDataset:
     def one_hot(self, num=None, length=None):
         """(N, L, alphabet) one-hot array of the first `num` records' first
         `length` tokens; all of them by default."""
-        toks = self.records[:num, :length]
-        out = np.zeros(toks.shape + (self.alphabet_size,))
-        out[np.arange(len(toks))[:, None], np.arange(toks.shape[1]), toks] = 1.0
-        return out
+        return one_hot(self.records[:num, :length], self.alphabet_size)
+
+
+def one_hot(tokens, width):
+    """(..., width) float64 array that is 1.0 at each token index of the
+    integer array tokens and 0.0 elsewhere."""
+    out = np.zeros(tokens.shape + (width,))
+    out.reshape(tokens.size, width)[np.arange(tokens.size), tokens.ravel()] = 1.0
+    return out
 
 
 # the dataset file's line for a record: _HEAD, the tokens joined by _SEP, _TAIL

@@ -261,10 +261,13 @@ def test_synth_rejects_bad_sizes(tmp_path, capsys, bad):
     assert not (tmp_path / "s").exists()
 
 
-@pytest.mark.parametrize("bad", ["ngram=13", "prefix_len=13"])
-def test_ablate_checks_lengths_before_training(tmp_path, capsys, monkeypatch, bad):
+@pytest.mark.parametrize("bad,error", [
+    pytest.param("ngram=13", "ConfigError", id="ngram=13"),
+    pytest.param("prefix_len=13", "ParameterError", id="prefix_len=13")])
+def test_ablate_checks_lengths_before_training(tmp_path, capsys, monkeypatch, bad, error):
     # an n-gram longer than the sequences used to fail only when the first
-    # arm was scored, after a whole adversarial training
+    # arm was scored, after a whole adversarial training; a prefix longer
+    # than the sequences is refused as train, generate and evaluate refuse it
     def refuse(*args, **kwargs):
         raise AssertionError("ablate trained before checking its lengths")
 
@@ -273,7 +276,7 @@ def test_ablate_checks_lengths_before_training(tmp_path, capsys, monkeypatch, ba
     argv = ["ablate", "--set", "length=12", "--set", bad,
             "--set", f"out_dir={tmp_path / 'ablate'}"]
     err = _main_error(argv, capsys)
-    assert err["error"] == "ConfigError" and bad.split("=")[0] in err["message"]
+    assert err["error"] == error and bad.split("=")[0] in err["message"]
     assert not (tmp_path / "ablate").exists()
 
 

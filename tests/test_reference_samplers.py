@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,8 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 from agg import adversarial, cli, metrics
 from agg import autodiff as ad
 from agg.autodiff import Tensor
-from agg.adversarial import (Discriminator, DiscriminatorConfig, GrammarOnlyConfig, _harden,
-                             generator_loss, train_grammar_only)
+from agg.adversarial import (Discriminator, DiscriminatorConfig, GrammarOnlyConfig, TrainConfig,
+                             _harden, generator_loss, train_adversarial, train_grammar_only)
 from agg.errors import ParameterError, ParseError
 from agg.grammar import (GrammarConfig, GrammarModel, _softmax_kept, _top_mask,
                          activity_config, gumbel_softmax)
@@ -1195,6 +1196,87 @@ def test_teacher_forced_states_at_uniform_boundaries(topk):
         assert (p0[:, 0] == 0).any()
         past = (u[1:].T == top) & (rules[:, 1:] == R - 1)
         assert (past & (probs_all[rules[:, :-1], R - 1] == 0)).any()
+
+
+# ---------------------------------------------------------------------------
+# the holdout: row blocks against one batch of every held-out row
+# ---------------------------------------------------------------------------
+
+def ref_holdout_accuracy(grammar_model, disc_model, X_hold, config, rng):
+    """adversarial._holdout_accuracy as it scored the one-hot held-out rows
+    X_hold in one batch, verbatim but for returning D's scores (p_real,
+    p_fake) instead of their accuracy."""
+    if len(X_hold) == 0:
+        return float("nan")
+    with ad.no_grad():
+        n0 = grammar_model.encode_start(Tensor(X_hold[:, :config.prefix_len]))
+        tables = grammar_model.rule_tables()
+        p_real = disc_model(Tensor(X_hold), Tensor(
+            adversarial.teacher_forced_states(grammar_model, X_hold, n0.value, rng,
+                                              tables)[0])).value
+        t_fake, n_fake, _, _ = grammar_model.unroll_batch(
+            n0, X_hold.shape[1], rng, tau=adversarial._tau_at(config, config.iterations - 1),
+            tables=tables)
+        del tables
+        t_fake = _harden(t_fake)
+        p_fake = disc_model(t_fake, n_fake).value
+    return p_real, p_fake
+
+
+@pytest.mark.parametrize("topk", [4, 1, None])
+def test_holdout_scores_equal_one_batch(topk):
+    # token 5 is emitted by no rule, so some parsed rows fall back; the sizes
+    # give one block below and at the block size, then two, three, four and
+    # five near-equal blocks, the last with 1, 1, 0 and 3 rows over a
+    # multiple of 4
+    model, _, _ = _parse_case(topk, 1)
+    disc = Discriminator(6, 64, DiscriminatorConfig(conv_channels=(16, 32, 16)), seed=4)
+    config = TrainConfig(iterations=10, tau_end=0.5)
+    ds = SequenceDataset(records=np.random.default_rng(2).integers(0, 6, (1100, 12)),
+                         length=12, alphabet_size=6)
+    block = adversarial.HOLDOUT_BLOCK
+    for n in (1, 2, 3, block - 1, block, block + 1, 2 * block + 1, 1000, 4 * block + 3):
+        rows = np.random.default_rng(n).permutation(len(ds))[:n]
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = adversarial._holdout_scores(model, disc, ds, rows, config, got_rng)
+        want = ref_holdout_accuracy(model, disc, ds.one_hot()[rows], config, want_rng)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b), n
+        assert got_rng.random() == want_rng.random(), n
+
+
+@pytest.mark.parametrize("width", [1, 256])
+def test_consecutive_draws_are_one_draw(width):
+    # the blocked parse and unroll rest on this: a (b1, R) draw and then a
+    # (b2, R) draw are one (b1 + b2, R) draw bit for bit, and the stream
+    # goes on alike after them
+    for sizes in ([1, 2], [3, 1, 5], [129, 128], [171, 171, 171]):
+        split, whole = np.random.default_rng(11), np.random.default_rng(11)
+        got = np.concatenate([split.random((b, width)) for b in sizes])
+        assert np.array_equal(got, whole.random((sum(sizes), width)))
+        assert split.random() == whole.random()
+
+
+def _traced_training_peak(num_sequences):
+    """tracemalloc's peak over a 2-iteration train_adversarial of the
+    recipe gate's model on num_sequences recipe rows, above its start."""
+    ds = sample_dataset(build_preset_grammar("recipe"), num_sequences, 12, seed=0)
+    model = GrammarModel(activity_config(6), seed=0)
+    disc = Discriminator(6, 64, DiscriminatorConfig(conv_channels=(16, 32, 16)), seed=1)
+    tracemalloc.start()
+    try:
+        train_adversarial(ds, model, disc, TrainConfig(iterations=2))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_memory_grows_with_the_block_not_the_dataset():
+    # the batches are one-hot encoded from their own rows and the holdout
+    # runs in row blocks: four times the rows add the row indices, the token
+    # rows and the parsed and drawn rules, not a whole-dataset array
+    growth = _traced_training_peak(4 * 10**4) - _traced_training_peak(10**4)
+    assert growth < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
