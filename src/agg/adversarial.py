@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError, InputError, ParameterError
-from .grammar import _row_blocks, _top_stable
+from .grammar import _row_blocks, _softmax_kept, _top_stable
 from .nn import SGD, Conv1d, Dense
 from .synthdata import one_hot
 
@@ -22,6 +22,9 @@ LOG_CLAMP = 1e-7
 KERNEL_WIDTH, STRIDE = 5, 4              # of every discriminator conv layer
 HOLDOUT_FRACTION = 0.1                   # share of the rows D is scored on at the end
 HOLDOUT_BLOCK = 256                      # rows the holdout encodes, draws and scores at once
+# the likelihood beam's weight of a rule at a token it does not emit; with 0,
+# a row that no kept path emits would have no weight and pass no gradient
+EMISSION_FLOOR = np.exp(-50.0)
 
 
 @dataclass
@@ -136,8 +139,8 @@ class TrainResult:
     metrics: list                 # rows of (iteration, d_loss, g_loss, d_acc, lr)
     holdout_accuracy: float
     iterations: int
-    # share of the real steps parsed in training whose hardened parse fell
-    # back to the soft emission weight (see teacher_forced_states)
+    # share of the real steps parsed in training at which no kept rule
+    # emits the observed token (see teacher_forced_states)
     parse_fallback_share: float = 0.0
 
 
@@ -145,10 +148,10 @@ def teacher_forced_states(model, batch, n0, rng, tables=None, head=None):
     """Non-terminal stream for real data, built by a teacher-forced parse.
 
     From the seed states n0, each step *samples* a rule from the
-    forward-filtering posterior: rule probability at the current state times
-    the rule's emission weight at the observed token, given the tokens up to
-    this step only. This is not the smoothing posterior, which also conditions
-    on later tokens. The real stream has the same conditional law as a
+    forward-filtering posterior: the rule law at the current state restricted
+    to the rules that emit the observed token, given the tokens up to this
+    step only. This is not the smoothing posterior, which also conditions on
+    later tokens. The real stream has the same conditional law as a
     generator path that happens to emit the data only when the tokens
     determine the rules; otherwise a parsed rule can emit the observed token
     yet have no successor that emits the next one, and the next step falls
@@ -156,13 +159,11 @@ def teacher_forced_states(model, batch, n0, rng, tables=None, head=None):
     deterministic argmax here would hand the discriminator an artifact that
     persists at convergence.
 
-    The emission weight follows the generator's hardened terminals (a rule
-    always emits the argmax of its terminal row): it is the indicator
-    argmax t_all[r] == token, so a parsed rule always emits the observed
-    token. A row in which no rule with nonzero probability emits the token
-    falls back to the soft weight t_all[r, token] for that step. Returns
-    (states, number of (row, step) pairs that fell back): the rows of n_all
-    at the rules _parse_rules draws over one block of all B rows.
+    A parsed rule always emits the observed token, except in a row where no
+    rule with nonzero probability emits it: that step falls back to the
+    rule law alone. Returns (states, number of (row, step) pairs that fell
+    back): the rows of n_all at the rules _parse_rules draws over one block
+    of all B rows.
     Forward-only; no gradients flow to the generator here. tables is the
     model's rule_tables() and head its start_head(n0) at its current weights,
     each built here when None."""
@@ -190,9 +191,8 @@ def _parse_rules(tables, tokens, heads, rng):
     bit: a dropped rule adds an exact 0 to the running sum. The steps run
     step-major, each block drawing its (b, 1) uniforms in turn, which is one
     (N, 1) draw bit for bit; every op works row by row."""
-    n_all, t_all, probs_all, kept, _ = tables
+    n_all, emit, probs_all, kept, _ = tables
     R = len(probs_all)
-    emits = np.argmax(t_all, axis=1)                    # (R,) hardened emission
     kept_probs = np.take_along_axis(probs_all, kept, axis=1)     # (R, k)
     blocks = _row_blocks(heads)
     # each block's kept rules at the step and their law
@@ -205,11 +205,10 @@ def _parse_rules(tables, tokens, heads, rng):
             B, k = cols.shape
             base = np.arange(B)[:, None] * R    # flat offset of each row of a (B, R) array
             tok = tokens[blk, j, None]
-            w = p * (emits[cols] == tok)
+            w = p * (emit[cols] == tok)
             miss = np.flatnonzero(~(w > 0).any(axis=1))
             fallbacks += len(miss)
-            if len(miss):
-                w[miss] = p[miss] * np.maximum(t_all[cols[miss], tok[miss]], 1e-12)
+            w[miss] = p[miss]
             row = np.zeros((B, R))
             row.put(cols + base, w)
             w /= row.sum(axis=1, keepdims=True)
@@ -221,16 +220,6 @@ def _parse_rules(tables, tokens, heads, rng):
             rules[blk, j] = idx
             state[b] = (kept[idx], kept_probs[idx])
     return rules, fallbacks
-
-
-def _harden(t_seq):
-    """Straight-through one-hot of each fake terminal, so the discriminator
-    sees the same vector space as the one-hot real data."""
-    v = t_seq.value
-    idx = np.argmax(v, axis=-1)
-    hard = np.zeros_like(v)
-    np.put_along_axis(hard, idx[..., None], 1.0, axis=-1)
-    return ad.straight_through(t_seq, hard)
 
 
 def _tau_at(cfg, it):
@@ -324,7 +313,7 @@ def _adversarial_step(grammar_model, disc_model, batch, config, it, rng, d_opt, 
     unrolled = grammar_model.unroll_batch(
         n0, batch.shape[1], rng, tau=_tau_at(config, it),
         return_entropy=bool(config.entropy_weight), tables=tables, head=head)
-    t_fake, n_fake = _harden(unrolled[0]), unrolled[1]
+    t_fake, n_fake = unrolled[:2]
     n_real, fell = teacher_forced_states(grammar_model, batch, n0.value, rng, tables, head)
     del tables, head
     p_real = disc_model(Tensor(batch), Tensor(n_real))
@@ -364,8 +353,8 @@ def _holdout_scores(grammar_model, disc_model, dataset, rows, config, rng):
     step-0 rule head formed on its own; the parse and then the unroll draw
     step-major over all blocks (see _parse_rules and draw_rules), so the rng
     stream is that of one batch of all N rows; D scores one block at a
-    time. The fake terminals are one-hot at each rule's hardened emission,
-    the one _harden gives. Every op works row by row, so the scores are
+    time. The fake terminals are one-hot at each rule's token, as the
+    unroll gives them. Every op works row by row, so the scores are
     those of one batch of all N rows bit for bit, as far as numpy's matrix
     products round a row alike in a block: its gemms do in any block of four
     rows or more, and its gemv, which multiplies D's one-column head, does
@@ -386,11 +375,11 @@ def _holdout_scores(grammar_model, disc_model, dataset, rows, config, rng):
         real, _ = _parse_rules(tables, tokens, heads, rng)
         fake = grammar_model.draw_rules(heads, L, rng, tables,
                                         tau=_tau_at(config, config.iterations - 1))[0]
-        emits = np.argmax(tables.t_all, axis=1)
         p_real, p_fake = [], []
         for blk in _row_blocks(heads):
             p_real.append(disc_model(one_hot(tokens[blk], width), tables.n_all[real[blk]]).value)
-            p_fake.append(disc_model(one_hot(emits[fake[blk]], tables.t_all.shape[1]),
+            p_fake.append(disc_model(one_hot(tables.emit[fake[blk]],
+                                             grammar_model.config.d_terminal),
                                      tables.n_all[fake[blk]]).value)
     return np.concatenate(p_real), np.concatenate(p_fake)
 
@@ -420,53 +409,64 @@ def _pruned_loglik(model, batch, n0, k_cap, max_paths):
     """Differentiable log-likelihood of token batches under the grammar,
     summed over a pruned enumeration of rule paths.
 
-    With k = min(k_cap, R), the pruning rule is:
-    - step 0: keep the k rules of largest p0, ties to the lower rule index;
-    - each later step: every kept path (the parent) proposes the k successor
-      rules r' of largest probs_all[parent rule, r'], ties to the lower rule
-      index. A candidate's weight is (w_parent * probs_all[r, r']) *
-      t_all[r', token], multiplied in that order. Of the candidates, listed
-      parent by parent and within a parent in successor rank order, keep the
-      max_paths heaviest, ties to the earlier candidate.
+    A rule's emission weight e at a token is 1 if the rule emits it, else
+    EMISSION_FLOOR. With k = min(k_cap, m), m the rules the top-k mask keeps
+    a row (R without a mask), the pruning rule is:
+    - step 0: keep the k rules of largest p0 * e, ties to the lower rule;
+    - each later step: every kept path (the parent) proposes, of the m
+      successors the mask keeps for its rule r, the k rules r' of largest
+      probs_all[r, r'] * e(r'), ties to the lower rule. (Ranked by
+      probability alone, a parent none of whose k successors emits the
+      token is stuck: the floor is common to them all, so their gradient
+      only reinforces them.) A candidate's weight is (w_parent *
+      probs_all[r, r']) * e(r'), multiplied in that order. Of the
+      candidates, listed parent by parent and within a parent in successor
+      rank order, keep the max_paths heaviest, ties to the earlier one.
     The result is the batch mean of log(sum of kept path weights).
 
-    The (R, R) table is ranked once per call, and candidates are weighed
-    only at the kept (parent, successor) pairs. The beam and both rule heads,
-    the rule table's probs_all = softmax(mask(W_n @ W_r + b_r)) and the seed
-    states' p0 = softmax(mask(n0 @ W_r + b_r)), are one autodiff node, whose
-    backward repeats the primitive-op graph's backward expressions in that
-    graph's order, so every gradient is the same bit for bit: mean, log,
-    clamp, sum; then from step L-1 down to step 0 a step's products and
-    gathers (each scatter-add one bincount), its sums into t_all and
-    probs_all added in that order; then each head's softmax, bias and
-    matmul, probs_all's before p0's."""
+    The kept successors are ranked once per token and call, and candidates
+    are weighed only at the kept (parent, successor) pairs. The beam and
+    both rule heads, the rule table's probs_all = softmax(mask(W_n @ W_r +
+    b_r)) and the seed states' p0 = softmax(mask(n0 @ W_r + b_r)), are one
+    autodiff node, whose backward repeats the primitive-op graph's backward
+    expressions in that graph's order, so every gradient is the same bit for
+    bit: mean, log, clamp, sum; then from step L-1 down to step 0 a step's
+    products and gathers (each scatter-add one bincount) and its sum into
+    probs_all; then each head's softmax, bias and matmul, probs_all's before
+    p0's."""
     (B, L), R = batch.shape, model.config.num_rules
-    w_n = model.w_n                              # f_n(I) is W_n, f_t(I) is W_t
-    t_all = ad.softmax(model.w_t)
-    P0, T = model.rule_probs(n0.value), t_all.value   # p0, (B, R)
-    P = model.rule_probs(w_n.value)                   # probs_all, (R, R)
-    C, rows = T.shape[1], np.arange(B)[:, None]
+    C = model.config.d_terminal
+    w_n = model.w_n                              # f_n(I) is W_n
+    P0 = model.rule_probs(n0.value)              # p0, (B, R)
+    s, kept = model._head(w_n.value)
+    P = _softmax_kept(s, kept)                   # probs_all, (R, R): rule_probs(W_n)
+    cols = kept.reshape(R, -1) % R               # (R, m) each rule's kept successors
+    E = np.where(model.emit == np.arange(C)[:, None], 1.0, EMISSION_FLOOR)   # (C, R)
+    rows = np.arange(B)[:, None]
 
     # level 0: top-k rules per example. A step holds flat indices and factors
     # (parent, trans, emis); step 0's parent is p0, its trans 1.0 (x * 1.0 is x)
-    k = min(k_cap, R)
-    cur = _top_stable(P0, k)                                          # (B, k)
-    at, emis_at = cur + R * rows, cur * C + batch[:, [0]]
-    steps = [(at, B * R, None, emis_at, P0.take(at), 1.0, T.take(emis_at))]
-    w = P0.take(at) * T.take(emis_at)
-    succ = _top_stable(P, k)                                          # (R, k)
+    k = min(k_cap, cols.shape[1])
+    cur = _top_stable(P0 * E[batch[:, 0]], k)                         # (B, k)
+    at, emis = cur + R * rows, E[batch[:, [0]], cur]
+    steps = [(at, B * R, None, P0.take(at), 1.0, emis)]
+    w = P0.take(at) * emis
+    # succ[c, r]: the k kept successors of rule r ranked by probs_all * e at
+    # token c; cols is ascending along each row, so ties go to the lower rule
+    rank = _top_stable((P.take(kept).reshape(R, -1) * E[:, cols]).reshape(C * R, -1), k)
+    succ = np.take_along_axis(np.tile(cols, (C, 1)), rank, axis=1).reshape(C, R, k)
     for j in range(1, L):
         W = cur.shape[1]
         # per parent keep top-k rules, then cap total paths
-        keep_r = succ[cur]                                            # (B, W, k)
+        keep_r = succ[batch[:, j, None], cur]                         # (B, W, k)
         trans_at = keep_r + R * cur[:, :, None]
-        emis_at = keep_r * C + batch[:, j, None, None]
-        trans_sel, emis_sel = P.take(trans_at), T.take(emis_at)
+        trans_sel = P.take(trans_at)
+        emis_sel = E[batch[:, j, None, None], keep_r]
         cand_sel = w[:, :, None] * trans_sel * emis_sel
         order = _top_stable(cand_sel.reshape(B, W * k), max_paths)
         at, parent = order + W * k * rows, order // k + W * rows
-        steps.append((parent, B * W, trans_at.take(at), emis_at.take(at),
-                      w.take(parent), trans_sel.take(at), emis_sel.take(at)))
+        steps.append((parent, B * W, trans_at.take(at), w.take(parent),
+                      trans_sel.take(at), emis_sel.take(at)))
         w = cand_sel.take(at)
         cur = keep_r.take(at)
     tot = w.sum(axis=1)
@@ -475,11 +475,9 @@ def _pruned_loglik(model, batch, n0, k_cap, max_paths):
     def bwd(g):
         g = np.full_like(clamped, 1.0 / B) * g / clamped * (tot > 1e-300)  # mean, log, clamp
         gw = np.expand_dims(g, 1) * np.ones_like(w)       # sum along paths
-        gP = gT = None
-        for parent, size, trans_at, emis_at, wp, tr, em in reversed(steps):
-            # (w_parent * trans) * emis; emis's gather first, the parent's last
-            dT = np.bincount(emis_at.ravel(), (gw * (wp * tr)).ravel(), R * C)
-            gT = dT if gT is None else gT + dT
+        gP = None
+        for parent, size, trans_at, wp, tr, em in reversed(steps):
+            # (w_parent * trans) * emis; the parent's gather last
             gm = gw * em
             if trans_at is not None:
                 dP = np.bincount(trans_at.ravel(), (gm * wp).ravel(), R * R).reshape(R, R)
@@ -490,11 +488,10 @@ def _pruned_loglik(model, batch, n0, k_cap, max_paths):
         if gP is not None:
             gl = P * (gP - (gP * P).sum(axis=-1, keepdims=True))
             ad._acc(w_n, model._head_backward(w_n.value, gl))
-        ad._acc(t_all, gT.reshape(R, C))
         gl = P0 * (gw - (gw * P0).sum(axis=-1, keepdims=True))
         ad._acc(n0, model._head_backward(n0.value, gl))
 
-    return ad._node(np.log(clamped).mean(), (n0, t_all, w_n, model.w_r, model.b_r), bwd)
+    return ad._node(np.log(clamped).mean(), (n0, w_n, model.w_r, model.b_r), bwd)
 
 
 def train_grammar_only(dataset, grammar_model, config, on_log=None):

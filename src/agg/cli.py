@@ -195,8 +195,9 @@ def _write_config(cfg, out_dir):
 
 def _grammar_config(num_classes, topk_mask=TRAIN_DEFAULTS["topk_mask"]):
     config = activity_config(num_classes, topk_mask=topk_mask or None)
-    # a hardened rule emits one token, so a bank of R rules covers at most R
-    # classes; checked before anything is allocated with num_classes entries
+    # the model deals its R rules' fixed tokens out evenly, so with
+    # num_classes <= R every class has a rule that emits it; checked before
+    # anything is allocated with num_classes entries
     if num_classes > config.num_rules:
         raise ConfigError(f"num_classes {num_classes} exceeds the model's "
                           f"{config.num_rules} rules")
@@ -319,20 +320,17 @@ def cmd_generate(cfg):
     _write_config(cfg, out)
     k = cfg["k"]
     paths, logp = model.sample_prefix_paths(prefixes, cfg["horizon"], k, seed=cfg["seed"])
-    # every line from one template; the JSON of each log_prob and of each
-    # rule's terminal comes from one json.dumps call of the whole table, split
-    # at the separators between its items (no number's JSON holds ", " or "]")
+    # every line from one template; the JSON of each log_prob comes from one
+    # json.dumps call of the array, split at the separators between its items
     N, L = paths.shape
     line = ('{"prefix_index": %d, "sample_index": %d, "rule_indices": ['
             + ", ".join(["%d"] * L) + '], "log_prob": %s, "terminals": ['
-            + ", ".join(["%s"] * L) + "]}\n")
-    rows = json.dumps(model.rule_terminals().tolist())[2:-2].split("], [")
-    terminals = np.array(["[%s]" % row for row in rows], dtype=object)
+            + ", ".join(["%d"] * L) + "]}\n")
     values = np.empty((N, 3 + 2 * L), dtype=object)
     values[:, 0], values[:, 1] = np.divmod(np.arange(N), k)
     values[:, 2:2 + L] = paths
     values[:, 2 + L] = json.dumps(logp.tolist())[1:-1].split(", ")
-    values[:, 3 + L:] = terminals[paths]
+    values[:, 3 + L:] = model.emit[paths]
     with open(os.path.join(out, "futures.jsonl"), "w") as f:
         f.write((line * N) % tuple(values.ravel().tolist()))
     print(f"wrote {len(prefixes) * k} futures to {out}")

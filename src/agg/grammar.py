@@ -3,9 +3,9 @@
 The generator keeps a bank of `num_rules` production rules of the form
 A -> aB. A rule head maps the current non-terminal vector to a probability
 distribution over the bank; a straight-through Gumbel-softmax draw selects
-one rule; two expanders, weight matrices read at the selected rule's row,
-map the selection to the next non-terminal and the emitted terminal.
-Unrolling repeats this, so every sequence is a path through the rule bank.
+one rule. The selected rule emits its one fixed token a, and its row of the
+expander W_n is the next non-terminal B. Unrolling repeats this, so every
+sequence is a path through the rule bank.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ class RuleTables(NamedTuple):
     Row r of each table is the expansion of a one-hot selection of rule r,
     and k is the number of rules the top-k mask keeps (R without a mask)."""
     n_all: np.ndarray             # (R, d) next state: row r of W_n
-    t_all: np.ndarray             # (R, C) terminal: softmax of row r of W_t
+    emit: np.ndarray              # (R,) the token rule r emits
     probs_all: np.ndarray         # (R, R) next-step rule law at n_all
     kept: np.ndarray              # (R, k) the columns the mask keeps, ascending
     kept_logits: np.ndarray       # (R, k) the logits n_all @ W_r + b_r there
@@ -188,7 +188,7 @@ class _ConvEncoder:
 
 
 class GrammarModel:
-    """Encoder s, rule head f_R, expanders f_N / f_T, and unrolling."""
+    """Encoder s, rule head f_R, expander f_N, each rule's token, and unrolling."""
 
     def __init__(self, config, seed=0):
         self.config = config
@@ -199,24 +199,29 @@ class GrammarModel:
         # rule head f_R: logits n @ W_r + b_r over the bank
         self.w_r = Parameter(xavier_uniform(rng, (d, R)), name="f_r.0.w")
         self.b_r = Parameter(np.zeros(R), name="f_r.0.b")
-        # expanders f_N, f_T: a one-hot selection of rule r reads row r of
-        # W_n and of W_t. They are bias-free: a shared bias is a common-mode
-        # channel that lets adversarial gradients drag every rule's expansion
-        # to the same output, collapsing the rule bank
+        # expander f_N: a one-hot selection of rule r reads row r of W_n. It
+        # is bias-free: a shared bias is a common-mode channel that lets
+        # adversarial gradients drag every rule's expansion to the same
+        # output, collapsing the rule bank
         self.w_n = Parameter(xavier_uniform(rng, (R, d)), name="f_n.0.w")
-        self.w_t = Parameter(xavier_uniform(rng, (R, cfg.d_terminal)), name="f_t.0.w")
+        # f_T is fixed: rule r always emits token emit[r], and each class has
+        # floor(R / C) or ceil(R / C) rules
+        self.emit = rng.permutation(R) % cfg.d_terminal
 
     # -- parameter plumbing -------------------------------------------------
     def parameters(self):
-        return self.encoder.parameters() + [self.w_r, self.b_r, self.w_n, self.w_t]
+        return self.encoder.parameters() + [self.w_r, self.b_r, self.w_n]
 
     def named_parameters(self):
         return {p.name: p for p in self.parameters()}
 
     def load_state(self, state):
-        for name, p in self.named_parameters().items():
-            if name not in state:
-                raise ParseError(f"checkpoint missing parameter {name!r}")
+        params = self.named_parameters()
+        odd = sorted(set(params) ^ set(state))      # in one of the two only
+        if odd:
+            what = "missing" if odd[0] in params else "holds unknown"
+            raise ParseError(f"checkpoint {what} parameter {odd[0]!r}")
+        for name, p in params.items():
             p.assign(state[name])
 
     # -- forward pieces -----------------------------------------------------
@@ -274,24 +279,25 @@ class GrammarModel:
         """Differentiable batched unroll, each step drawing one hard rule from
         the generator rng.
 
-        Returns (terminals (B,L,C) Tensor, nonterminals N_1..N_L (B,L,d) Tensor,
-        rule_indices (B,L) int array, log_prob (B,) array). With
+        Returns (terminals (B,L,C) one-hot Tensor, nonterminals N_1..N_L
+        (B,L,d) Tensor, rule_indices (B,L) int array, log_prob (B,) array). With
         return_entropy=True a fifth element is appended: the mean per-step
         rule-distribution entropy as a differentiable scalar. tables is this
         model's rule_tables() and head its start_head(n0) at its current
         weights, each built here when None.
 
         The rules are draw_rules' over one block of all B rows, and the
-        outputs are rows of W_t and W_n gathered at them. The L steps are one
-        autodiff node over n0, W_r, b_r, W_n and W_t; the terminal softmax is
-        one more node over all steps. A step computes what the primitive ops
-        would: masked rule logits n @ W_r + b_r, the straight-through
-        Gumbel-softmax selection, then sel @ W_n and sel @ W_t, which the
+        outputs are rows of E and W_n gathered at them, E the (R, C) one-hot
+        table of the rules' tokens. The L steps are one autodiff node over
+        n0, W_r, b_r and W_n. A step computes what the primitive ops would:
+        masked rule logits n @ W_r + b_r, the straight-through
+        Gumbel-softmax selection, then sel @ W_n and sel @ E, which the
         one-hot selection reads as gathered rows (a one-hot row times W adds
         only exact zeros). The backward is backpropagation through time from
         step L down to step 1, with the primitive ops' backward expressions
         in their order, so every gradient is theirs bit for bit: each weight
-        sums its per-step gemms from step L down to step 1.
+        sums its per-step gemms from step L down to step 1. A terminal's
+        gradient g reaches the selection as g @ E.T, the gather g[:, emit].
         """
         if length < 1:
             raise ParameterError("unroll length must be >= 1")
@@ -303,13 +309,13 @@ class GrammarModel:
         if head is None:
             head = self.start_head(n0.value)
         inv = 1.0 / tau
-        Wn, Wt = self.w_n.value, self.w_t.value
+        Wn, emit = self.w_n.value, tables.emit
         B, R = n0.value.shape[0], self.config.num_rules
         rows = np.arange(B)
         # the soft samples the backward reads are kept only when it can run
         record = ad.grad_enabled()
         rules, logp, ys = self.draw_rules([head], length, rng, tables, tau, record)
-        values = [Wt[rules], Wn[rules]]
+        values = [np.eye(self.config.d_terminal)[emit[rules]], Wn[rules]]
         if return_entropy:
             # each step's full-width rule law: step 0's scattered from the
             # kept entries, as the softmax leaves it, then the table's rows
@@ -337,8 +343,7 @@ class GrammarModel:
                     ad._acc(self.w_n, sel.T @ gn)
                     gsel = gn @ Wn.T
                 if gt is not None:
-                    ad._acc(self.w_t, sel.T @ gt)
-                    gsel = _sum(gsel, gt @ Wt.T)
+                    gsel = _sum(gsel, gt[:, emit])
                 if g_e is not None:
                     # p log max(p, 1e-12): product rule, then the softmax
                     p = ps[j]
@@ -359,9 +364,8 @@ class GrammarModel:
             if gn is not None:
                 ad._acc(n0, gn)
 
-        t_pre, nonterminals, *ent = ad._multi_node(
-            values, (n0, self.w_r, self.b_r, self.w_n, self.w_t), bwd)
-        terminals = ad.softmax(t_pre)
+        terminals, nonterminals, *ent = ad._multi_node(
+            values, (n0, self.w_r, self.b_r, self.w_n), bwd)
         return (terminals, nonterminals, rules, logp, *ent)
 
     def draw_rules(self, heads, length, rng, tables, tau, record=False):
@@ -429,7 +433,7 @@ class GrammarModel:
 
     # -- table form: rule i fully determines its successor state ------------
     def rule_tables(self):
-        """The RuleTables of the chain: per-rule next state, terminal and
+        """The RuleTables of the chain: per-rule next state, token and
         next-step rule head (its law, and its kept columns and their logits).
 
         Because the next non-terminal is a function of the selected rule alone,
@@ -441,14 +445,8 @@ class GrammarModel:
         """
         s, at = self._head(self.w_n.value)
         at = at.reshape(len(s), -1)
-        return RuleTables(self.w_n.value.copy(), self.rule_terminals(), _softmax_kept(s, at),
+        return RuleTables(self.w_n.value.copy(), self.emit.copy(), _softmax_kept(s, at),
                           at % len(s), s.take(at))
-
-    def rule_terminals(self):
-        """(R, C) terminal of each rule, rule_tables' t_all: the softmax of
-        row r of W_t, without the (R, R) rule head."""
-        with ad.no_grad():
-            return np.array(ad.softmax(self.w_t).value)
 
     def sample_rule_paths(self, n0, length, num_samples, seed=0, start=None):
         """Hard-sampled rule-index paths (N, L) and their log_prob (N,), for
@@ -556,7 +554,7 @@ class GrammarModel:
                 f"enumeration needs k^L = {k_cap}^{length} = {k_cap ** length} "
                 f"sequences, over budget {budget}")
         n0 = np.asarray(n0, dtype=np.float64).reshape(-1)
-        n_all, t_all, probs_all = self.rule_tables()[:3]
+        n_all, emit, probs_all = self.rule_tables()[:3]
         p0 = self.rule_probs(n0.reshape(1, -1))[0]
 
         results = []
@@ -577,7 +575,7 @@ class GrammarModel:
             idx = np.asarray(path)
             sample = SequenceSample(
                 nonterminals=[n0] + [n_all[i] for i in idx],
-                terminals=[t_all[i] for i in idx],
+                terminals=list(np.eye(self.config.d_terminal)[emit[idx]]),
                 rule_indices=list(path),
                 log_prob=float(np.log(max(q, 1e-300))),
                 length=length,

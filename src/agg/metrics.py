@@ -129,7 +129,7 @@ def sample_model_futures(model, prefixes, horizon, num_samples_per_prefix=1, see
     encoding each distinct one-hot prefix."""
     paths, _ = model.sample_prefix_paths(prefixes, horizon, num_samples_per_prefix,
                                          seed=seed)
-    return np.argmax(model.rule_terminals(), axis=-1)[paths]
+    return model.emit[paths]
 
 
 @dataclass

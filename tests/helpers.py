@@ -120,9 +120,11 @@ def ref_rule_logits(model, n):
 def expand(model, selection):
     """GrammarModel.expand, which the one-node unroll replaced: map a
     (relaxed) one-hot rule selection to (next non-terminal, terminal), the
-    selection times W_n and the softmax of the selection times W_t."""
+    selection times W_n and the selection times the constant one-hot table
+    E of the rules' tokens."""
     selection = selection if isinstance(selection, ad.Tensor) else ad.Tensor(selection)
-    return ad.matmul(selection, model.w_n), ad.softmax(ad.matmul(selection, model.w_t))
+    E = np.eye(model.config.d_terminal)[model.emit]
+    return ad.matmul(selection, model.w_n), ad.matmul(selection, E)
 
 
 def run_cli(args, cwd, env_extra=None):

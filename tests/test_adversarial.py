@@ -1,4 +1,5 @@
 """Discriminator, GAN losses, teacher forcing, and small end-to-end runs."""
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from agg import adversarial
 from agg import autodiff as ad
 from agg.autodiff import Tensor
-from agg.adversarial import (Discriminator, DiscriminatorConfig,
+from agg.adversarial import (EMISSION_FLOOR, Discriminator, DiscriminatorConfig,
                              GrammarOnlyConfig, TrainConfig, _pruned_loglik, _tau_at,
                              discriminator_loss, generator_loss,
                              teacher_forced_states, train_adversarial,
@@ -106,18 +107,15 @@ def test_loss_gradients_finite_difference():
 
 
 def test_teacher_forced_posterior_tracks_emissions():
-    # posterior sampling weights each rule by its probability times its
-    # emission at the observed token: with hardened terminals the emission is
-    # the indicator that the rule's argmax terminal is the token, so a parsed
-    # rule always emits the observed token unless no supported rule does, and
-    # a fallback to the soft weight is counted
+    # posterior sampling weights each rule by its probability times the
+    # indicator that the rule's token is the observed one, so a parsed rule
+    # always emits the observed token unless no supported rule does, and a
+    # fallback to the rule law is counted
     model = tiny_model()
     emit = np.array([0, 0, 1, 1, 2, 2])           # no rule emits token 3
-    w_t = np.zeros((6, 4))
-    w_t[np.arange(6), emit] = 2.0
-    model.w_t.assign(w_t)
-    n_all, t_all = model.rule_tables()[:2]
-    assert np.array_equal(np.argmax(t_all, axis=1), emit)
+    model.emit = emit
+    n_all, emits = model.rule_tables()[:2]
+    assert np.array_equal(emits, emit)
 
     def parsed_rules(out):
         # every produced state is a row of the rule table
@@ -229,7 +227,7 @@ def test_train_deterministic():
 
 def test_train_gradient_reaches_all_generator_params():
     # one iteration with lr > 0 must move (or at least grad-touch) every
-    # generator parameter family: encoder, rule head, both expanders
+    # generator parameter family: encoder, rule head, expander
     _, model, _ = run_tiny(iterations=1, lr0=0.0)
     g = build_preset_grammar("bimodal")
     ds = sample_dataset(g, 40, 6, seed=1)
@@ -242,8 +240,7 @@ def test_train_gradient_reaches_all_generator_params():
     ad.backward(generator_loss(p_fake))
     for group, params in (("encoder", model.encoder.parameters()),
                           ("f_r", [model.w_r, model.b_r]),
-                          ("f_n", [model.w_n]),
-                          ("f_t", [model.w_t])):
+                          ("f_n", [model.w_n])):
         mx = max(np.abs(p.grad_or_zero()).max() for p in params)
         assert mx > 0, group
 
@@ -278,13 +275,15 @@ def test_discriminator_pretraining_separable():
 
 
 def test_one_rule_grammar_converges_to_data(monkeypatch):
-    # deterministic dataset, topk_mask=1: the generator follows a single
-    # frozen rule chain, so the expanders must learn a constant emission;
-    # D ends near chance once it matches
+    # deterministic dataset: each rule's token is fixed, so the rule head
+    # must learn to select only rules that emit the data's token; D ends
+    # near chance once it matches. No top-k mask: under a top-1 mask no
+    # gradient reaches the rule head (the straight-through gradient of a
+    # one-entry softmax is 0), so nothing steers the chain to the token
     seq = np.array([2, 2, 2, 2, 2, 2], dtype=np.int64)
     ds = SequenceDataset(records=np.tile(seq, (64, 1)), length=6, alphabet_size=3)
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3,
-                                       num_rules=4, topk_mask=1), seed=0)
+                                       num_rules=4), seed=0)
     # the (4,6,4) stack can collapse to a constant output here; use a wider D
     d = Discriminator(3, 8, DiscriminatorConfig(conv_channels=(16, 32, 16)),
                       seed=1)
@@ -351,9 +350,10 @@ def test_grammar_only_prefix_len_check():
 
 def _tables(model, n0):
     """(p0, t_all, probs_all) as numpy arrays, the tables _pruned_loglik
-    reads (softmax terminals)."""
-    _, t_all, probs_all = model.rule_tables()[:3]
-    return model.rule_probs(n0), t_all, probs_all
+    reads: t_all[r, c] is 1 when rule r emits token c, else EMISSION_FLOOR."""
+    t_all = np.where(model.emit[:, None] == np.arange(model.config.d_terminal),
+                     1.0, EMISSION_FLOOR)
+    return model.rule_probs(n0), t_all, model.rule_tables().probs_all
 
 
 def _forward_loglik(p0, t_all, probs_all, tokens):
@@ -366,22 +366,27 @@ def _forward_loglik(p0, t_all, probs_all, tokens):
 
 def _pruned_loglik_loop(p0, t_all, probs_all, tokens, k, max_paths,
                         lower_first=True):
-    """The pruning rule, stated literally: per parent keep the k most probable
-    successors, ties to the lower rule index; then keep the max_paths heaviest
-    candidates, ties to the earlier candidate. lower_first=False breaks both
-    kinds of tie the other way."""
+    """The pruning rule, stated literally: per parent keep the k successors
+    of largest probability times emission weight at the token, ties to the
+    lower rule index; then keep the max_paths heaviest candidates, ties to
+    the earlier candidate. k is at most the number of rules the mask keeps.
+    lower_first=False breaks both kinds of tie the other way."""
     p0, t_all, probs_all = p0.tolist(), t_all.tolist(), probs_all.tolist()
     tie = 1 if lower_first else -1
+    R = len(probs_all)
 
     def top(weights, n):
         return sorted(range(len(weights)), key=lambda i: (-weights[i], tie * i))[:n]
 
+    def weighed(probs, tok):
+        return [probs[r] * t_all[r][tok] for r in range(R)]
+
     total = 0.0
     for b, x in enumerate(tokens.tolist()):
-        paths = [(r, p0[b][r] * t_all[r][x[0]]) for r in top(p0[b], k)]
+        paths = [(r, p0[b][r] * t_all[r][x[0]]) for r in top(weighed(p0[b], x[0]), k)]
         for tok in x[1:]:
             cands = [(s, w * probs_all[r][s] * t_all[s][tok])
-                     for r, w in paths for s in top(probs_all[r], k)]
+                     for r, w in paths for s in top(weighed(probs_all[r], tok), k)]
             paths = [cands[i] for i in top([w for _, w in cands], max_paths)]
         total += math.log(max(sum(w for _, w in paths), 1e-300))
     return total / len(tokens)
@@ -403,30 +408,60 @@ def test_pruned_loglik_unpruned_equals_forward_recursion():
     assert _loglik(model, tokens, n0, 2, 3) < exact
 
 
+@pytest.mark.parametrize("covered", [True, False])
+def test_pruned_loglik_is_the_path_sum_by_brute_force(covered):
+    # k_cap = R and max_paths >= R^L keep every path; a path weighs its rule
+    # probabilities times 1 at each step whose rule emits the token, and
+    # EMISSION_FLOOR at each other step. Uncovered: no rule emits token 3,
+    # so every path of a row that reads it is floored there
+    R, L = 6, 3
+    model = tiny_model(num_rules=R)
+    if not covered:
+        model.emit[model.emit == 3] = 0
+    rng = np.random.default_rng(4)
+    tokens = rng.integers(0, 4, size=(5, L))
+    n0 = rng.normal(size=(5, 8))
+    p0, probs_all = model.rule_probs(n0), model.rule_tables().probs_all
+    want = 0.0
+    for b, row in enumerate(tokens):
+        total = 0.0
+        for path in itertools.product(range(R), repeat=L):
+            w = p0[b, path[0]]
+            for prev, r in zip(path, path[1:]):
+                w *= probs_all[prev, r]
+            for r, tok in zip(path, row):
+                w *= 1.0 if model.emit[r] == tok else EMISSION_FLOOR
+            total += w
+        want += math.log(total)
+    want /= len(tokens)
+    assert abs(_loglik(model, tokens, n0, R, R ** L) - want) < 1e-12
+    assert covered or (tokens == 3).any()
+
+
 def test_pruned_loglik_matches_literal_pruning_rule_topk_mask():
     model = tiny_model(d_terminal=3, topk_mask=1)
     rng = np.random.default_rng(1)
     tokens = rng.integers(0, 3, size=(6, 5))
     n0 = rng.normal(size=(6, 8))
     tables = _tables(model, n0)
-    want = _pruned_loglik_loop(*tables, tokens, 2, 3)
+    # k_cap 2 over a mask that keeps one rule: one successor a parent
+    want = _pruned_loglik_loop(*tables, tokens, 1, 3)
     assert abs(_loglik(model, tokens, n0, 2, 3) - want) < 1e-12
 
 
 def test_pruned_loglik_matches_literal_pruning_rule_with_ties():
     # Small-integer rule logits give exact ties between successors, and rules
-    # that share an emission row give exact ties between candidates. The
+    # that share a token give exact ties between candidates. The
     # successor logits differ per rule, so which tied rule survives changes
     # the likelihood (checked below by breaking ties the other way).
     R, C = 6, 3
     model = tiny_model(num_rules=R, d_nonterminal=R, d_terminal=C)
     rng = np.random.default_rng(2)
     logits = rng.integers(0, 3, size=(R, R)).astype(np.float64)
-    emissions = 3.0 * np.eye(C)[rng.integers(0, C, size=R)]
+    model.emit = rng.integers(0, C, size=R)
     model.w_n.assign(np.eye(R))                  # n_all = one-hot rule rows
     model.w_r.assign(logits)
     model.b_r.assign(np.zeros(R))
-    model.w_t.assign(emissions)
     tokens = rng.integers(0, C, size=(8, 6))
     n0 = np.eye(R)[rng.integers(0, R, size=8)]
     tables = _tables(model, n0)

@@ -16,7 +16,7 @@ from agg import cli
 from agg.adversarial import DiscriminatorConfig, GrammarOnlyConfig, TrainConfig
 from agg.cli import DEFAULTS, TRAIN_DEFAULTS, build_parser, main, resolve_config
 from agg.errors import ConfigError
-from agg.nn import load_checkpoint
+from agg.nn import load_checkpoint, save_checkpoint
 
 from helpers import run_cli
 
@@ -223,6 +223,28 @@ def test_truncated_checkpoint_is_json_error(workdir):
     assert _json_error(r)["error"] == "ParseError"
 
 
+def test_checkpoint_with_an_unknown_parameter_is_json_error(workdir):
+    # a run written while each rule still learned its terminal row holds
+    # f_t.0.w; it would load with other tokens, so it is refused
+    r = run_cli(["train", "--set", "dataset=data/dataset.jsonl",
+                 "--set", "mode=grammar_only", "--set", "iterations=2",
+                 "--set", "out_dir=old_run"], workdir)
+    assert r.returncode == 0, r.stderr
+    ckpt = workdir / "old_run" / "checkpoint.bin"
+    state = load_checkpoint(str(ckpt))
+    state["f_t.0.w"] = np.zeros((256, 3))
+    save_checkpoint(str(ckpt), state)
+    for argv in (["generate", "--set", "out_dir=old_gen"],
+                 ["evaluate", "--set", "grammar=data/grammar.json",
+                  "--set", "out_dir=old_eval"]):
+        r = run_cli(argv + ["--set", "run_dir=old_run",
+                            "--set", "dataset=data/dataset.jsonl"], workdir)
+        err = _json_error(r)
+        assert err["error"] == "ParseError" and "f_t.0.w" in err["message"]
+        assert len(r.stderr.strip().splitlines()) == 1
+    assert not (workdir / "old_gen").exists() and not (workdir / "old_eval").exists()
+
+
 def test_main_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "synth" in capsys.readouterr().out
@@ -377,7 +399,7 @@ def test_train_reads_dataset_at_num_classes(workdir, tmp_path, capsys):
                  "--set", "iterations=2", "--set", "d_channels=[4,6,4]",
                  "--set", f"out_dir={tmp_path / 'wide'}"]) == 0
     state = load_checkpoint(str(tmp_path / "wide" / "checkpoint.bin"))
-    assert state["f_t.0.w"].shape[1] == 8
+    assert state["enc.conv1.w"].shape[1] == 8       # the encoder reads 8 classes
     assert json.loads((tmp_path / "wide" / "config.json").read_text())["num_classes"] == 8
     err = _main_error(["train", "--set", f"dataset={data}", "--set", "num_classes=2",
                        "--set", f"out_dir={tmp_path / 'narrow'}"], capsys)

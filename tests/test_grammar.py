@@ -327,14 +327,36 @@ def test_load_state_missing_parameter():
         model.load_state(state)
 
 
+def test_load_state_refuses_a_parameter_the_model_lacks():
+    model = GrammarModel(tiny_config(), seed=0)
+    state = {n: p.value for n, p in model.named_parameters().items()}
+    state["f_t.0.w"] = np.zeros((6, 4))
+    before = model.w_r.value.copy()
+    with pytest.raises(ParseError, match="f_t.0.w"):
+        model.load_state(state)
+    assert np.array_equal(model.w_r.value, before)
+
+
+@pytest.mark.parametrize("R", [7, 256])
+def test_rule_tokens_are_balanced_over_the_classes(R):
+    # each class has floor(R / C) or ceil(R / C) rules, so with C <= R every
+    # class can be emitted
+    for C in (1, 3, 6, R):
+        model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=C, num_rules=R),
+                             seed=C)
+        counts = np.bincount(model.emit, minlength=C)
+        assert len(counts) == C and model.emit.shape == (R,)
+        assert set(counts) <= {R // C, -(-R // C)}
+
+
 def test_rule_tables_consistency():
     model = GrammarModel(tiny_config(), seed=7)
-    n_all, t_all, probs_all = model.rule_tables()[:3]
-    assert n_all.shape == (6, 8) and t_all.shape == (6, 4)
+    n_all, emit, probs_all = model.rule_tables()[:3]
+    assert n_all.shape == (6, 8) and emit.shape == (6,)
     assert np.allclose(probs_all.sum(axis=1), 1.0, atol=1e-9)
     n_new, t_new = expand(model, np.eye(6)[2:3])
     assert np.allclose(n_new.value[0], n_all[2])
-    assert np.allclose(t_new.value[0], t_all[2])
+    assert np.array_equal(t_new.value[0], np.eye(4)[emit[2]])
 
 
 def test_sample_rule_paths_matches_unroll_distribution():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from agg.errors import ParameterError, ResourceError
+from agg.grammar import GrammarConfig, GrammarModel
 from agg.metrics import (EvalReport, best_of_k, empirical_ngram_distribution,
                          grammar_sampler, kl_divergence, ngram_kl,
                          sample_model_futures)
@@ -129,3 +130,12 @@ def test_eval_report_contracts(tmp_path):
         EvalReport(per_horizon={2: 0.5, 1: 0.25})
     with pytest.raises(ParameterError):
         EvalReport(per_horizon={1: float("nan")})
+
+
+def test_sample_model_futures_are_the_tokens_of_the_sampled_rules():
+    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=6), seed=2)
+    prefixes = np.eye(4)[np.random.default_rng(0).integers(0, 4, (5, 3))]
+    got = sample_model_futures(model, prefixes, 7, num_samples_per_prefix=3, seed=1)
+    paths, _ = model.sample_prefix_paths(prefixes, 7, 3, seed=1)
+    assert got.shape == (15, 7)
+    assert np.array_equal(got, model.emit[paths])

@@ -62,8 +62,8 @@ INITIAL_GRAMMAR = ([("enc.conv1.w", (3, 6, 64)), ("enc.conv1.b", (64,)),
                     ("enc.conv2.w", (3, 64, 64)), ("enc.conv2.b", (64,)),
                     ("enc.head.w", (64, 64)), ("enc.head.b", (64,)),
                     ("f_r.0.w", (64, 256)), ("f_r.0.b", (256,)),
-                    ("f_n.0.w", (256, 64)), ("f_t.0.w", (256, 6))],
-                   "14b110e23f8182b979ef3050c2844826ac6954911b2f613d755309c19f63b8e3")
+                    ("f_n.0.w", (256, 64))],
+                   "f2813b91235c695cf15589f44a503fe1a84b2f503415b787c55ffc9cbede5f04")
 INITIAL_DISCRIMINATOR = (
     [(f"d.{s}.conv{i}.{p}", shape) for s, d_in in (("t", 6), ("n", 64))
      for i, (c_in, c_out) in enumerate(((d_in, 16), (16, 32), (32, 16)))

@@ -19,8 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 from agg import adversarial, cli, metrics
 from agg import autodiff as ad
 from agg.autodiff import Tensor
-from agg.adversarial import (Discriminator, DiscriminatorConfig, GrammarOnlyConfig, TrainConfig,
-                             _harden, generator_loss, train_adversarial, train_grammar_only)
+from agg.adversarial import (EMISSION_FLOOR, Discriminator, DiscriminatorConfig,
+                             GrammarOnlyConfig, TrainConfig, generator_loss, train_adversarial,
+                             train_grammar_only)
 from agg.errors import ParameterError, ParseError
 from agg.grammar import (GrammarConfig, GrammarModel, _softmax_kept, _top_mask,
                          activity_config, gumbel_softmax)
@@ -332,10 +333,9 @@ def test_generate_equals_gather_reference(trained_runs, tmp_path, topk, horizon,
     k = cfg["k"]
     paths = ref_sample_rule_paths(model, n0, horizon, k, seed=seed)
     logp = ref_path_log_probs(model, n0, paths, k)
-    t_all = model.rule_tables().t_all
     want = "".join(json.dumps({
         "prefix_index": n // k, "sample_index": n % k, "rule_indices": path.tolist(),
-        "log_prob": lp, "terminals": t_all[path].tolist()}) + "\n"
+        "log_prob": lp, "terminals": model.emit[path].tolist()}) + "\n"
         for n, (path, lp) in enumerate(zip(paths, logp.tolist())))
     got = (tmp_path / "futures.jsonl").read_text()
     assert got == want and got.count("\n") == 21
@@ -435,30 +435,26 @@ def test_sample_rule_paths_equals_reference_on_small_banks(R, topk):
     _assert_paths_match(model, n0, 100, seed=3)
 
 
-def ref_write_futures(out_path, paths, logp, t_all, k):
+def ref_write_futures(out_path, paths, logp, emit, k):
     """generate's futures.jsonl writer, one line at a time."""
-    terminals = [json.dumps(t) for t in t_all.tolist()]
     with open(out_path, "w") as f:
         for n, (path, lp) in enumerate(zip(paths.tolist(), logp.tolist())):
             f.write('{"prefix_index": %d, "sample_index": %d, "rule_indices": %s, '
-                    '"log_prob": %s, "terminals": [%s]}\n'
-                    % (n // k, n % k, path, json.dumps(lp),
-                       ", ".join(terminals[r] for r in path)))
+                    '"log_prob": %s, "terminals": %s}\n'
+                    % (n // k, n % k, path, json.dumps(lp), emit[path].tolist()))
 
 
 @pytest.mark.parametrize("horizon", [1, 5])
 def test_generate_writer_equals_per_line_writer(trained_runs, tmp_path, monkeypatch,
                                                 horizon):
-    # terminals and log_prob whose reprs take exponent form, and -0.0
+    # log_prob whose reprs take exponent form, and -0.0
     dataset, runs = trained_runs
     rng = np.random.default_rng(horizon)
-    t_all = rng.choice([1e-05, 5e-324, 0.1, 1.0, 0.0, 1e+16, 123456.789, 2.5e-08, 1 / 3],
-                       size=(256, 6))
     k, num_prefixes = 3, 7
     paths = rng.integers(0, 256, (num_prefixes * k, horizon))
     logp = rng.choice([-1e-05, -5e-324, -0.0, -1e+16, -12.5, -1 / 3, -7e-300],
                       size=len(paths))
-    monkeypatch.setattr(GrammarModel, "rule_terminals", lambda self: t_all)
+    logp[:2] = -1e-05, -5e-324           # each exponent form at least once
     monkeypatch.setattr(GrammarModel, "sample_rule_paths",
                         lambda self, n0, length, num_samples, seed=0, start=None:
                         (paths, logp))
@@ -466,7 +462,8 @@ def test_generate_writer_equals_per_line_writer(trained_runs, tmp_path, monkeypa
                         f"--set=k={k}", f"--set=horizon={horizon}",
                         f"--set=num_prefixes={num_prefixes}",
                         f"--set=out_dir={tmp_path / 'gen'}"]) == 0
-    ref_write_futures(tmp_path / "want.jsonl", paths, logp, t_all, k)
+    ref_write_futures(tmp_path / "want.jsonl", paths, logp,
+                      cli._load_trained(str(runs[4]))[0].emit, k)
     got = (tmp_path / "gen" / "futures.jsonl").read_text()
     assert got == (tmp_path / "want.jsonl").read_text()
     assert got.count("\n") == len(paths) and "e-05" in got and "5e-324" in got
@@ -521,13 +518,12 @@ def test_sample_prefix_paths_equals_sampling_every_prefix(monkeypatch, topk, cas
 
 def ref_sample_model_futures(model, prefixes, horizon, num_samples_per_prefix=1, seed=0):
     """Encode, sample with the gather reference, then take each sampled
-    rule's terminal argmax."""
+    rule's token."""
     prefixes = np.asarray(prefixes, dtype=np.float64)
     with ad.no_grad():
         n0 = model.encode_start(prefixes).value
     paths = ref_sample_rule_paths(model, n0, horizon, num_samples_per_prefix, seed=seed)
-    t_all = model.rule_tables().t_all
-    return np.argmax(t_all[paths], axis=-1)
+    return model.emit[paths]
 
 
 def ref_evaluate(cfg, path):
@@ -987,7 +983,7 @@ def _unroll_and_grads(unroll, model, disc, prefix, tau, return_entropy, consume,
     out = unroll(model, n0, length, rng, tau=tau, return_entropy=return_entropy)
     t, n = out[:2]
     if consume == "both":
-        loss = generator_loss(disc(_harden(t), n))      # the generator step's shape
+        loss = generator_loss(disc(t, n))      # the generator step's shape
     elif consume == "terminals":
         loss = ad.total(ad.mul(t, np.linspace(-1.0, 2.0, t.value.size).reshape(t.shape)))
     else:
@@ -1027,7 +1023,7 @@ def _unroll_case(topk, d_terminal=6, rows=5):
 
 
 # the case ids name the unroll's one selection policy (hard straight-through
-# samples) and its one terminal activation (the softmax)
+# samples) and its one terminal activation (the rule's one-hot token)
 @pytest.mark.parametrize("topk", [None, 4, 1])
 @pytest.mark.parametrize("return_entropy", [False, True])
 @pytest.mark.parametrize("policy", ["sample_hard"])
@@ -1047,8 +1043,8 @@ def test_unroll_batch_equals_per_op_graph_one_stream(policy, return_entropy, con
                            return_entropy=return_entropy, consume=consume)
 
 
-@pytest.mark.parametrize("activation,d_terminal", [("softmax", 11), ("softmax", 6),
-                                                   ("softmax", 9)])
+@pytest.mark.parametrize("activation,d_terminal", [("one_hot", 11), ("one_hot", 6),
+                                                   ("one_hot", 9)])
 @pytest.mark.parametrize("policy", ["sample_hard"])
 def test_unroll_batch_equals_per_op_graph_activations(policy, activation, d_terminal):
     model, disc, prefix = _unroll_case(4, d_terminal)
@@ -1110,20 +1106,17 @@ def test_unroll_batch_log_prob_adds_the_table_law(topk, rows):
 def ref_teacher_forced_states(model, batch, n0, rng):
     """adversarial.teacher_forced_states as it weighed all R rules of each
     row, verbatim but for reading the first three of the rule tables."""
-    n_all, t_all, probs_all = model.rule_tables()[:3]
+    n_all, emit, probs_all = model.rule_tables()[:3]
     B, L, _ = batch.shape
     tokens = np.argmax(batch, axis=2)                   # (B, L)
-    emis = t_all.T                                      # (C, R) emission weight
-    emits = np.argmax(t_all, axis=1)                    # (R,) hardened emission
     p = model.rule_probs(np.asarray(n0, dtype=np.float64))
     out = np.empty((B, L, n_all.shape[1]))
     fallbacks = 0
     for j in range(L):
-        w = p * np.maximum(emis[tokens[:, j]], 1e-12)
-        w_hard = p * (emits[None, :] == tokens[:, j, None])
+        w_hard = p * (emit[None, :] == tokens[:, j, None])
         hit = w_hard.sum(axis=1, keepdims=True) > 0
         fallbacks += B - int(hit.sum())
-        w = np.where(hit, w_hard, w)
+        w = np.where(hit, w_hard, p)
         w /= w.sum(axis=1, keepdims=True)
         cum = np.cumsum(w, axis=-1)
         cum[:, -1] = 1.0
@@ -1135,9 +1128,9 @@ def ref_teacher_forced_states(model, batch, n0, rng):
 
 def _parse_case(topk, rows, seed=0):
     """A 256-rule activity model none of whose rules emits token 5, so a
-    row reading it falls back to the soft weight; tokens and seed states."""
+    row reading it falls back to the rule law; tokens and seed states."""
     model = GrammarModel(activity_config(6, topk_mask=topk), seed=3)
-    model.w_t.value[:, 5] = -1.0
+    model.emit[model.emit == 5] = 4
     rng = np.random.default_rng(seed)
     return model, np.eye(6)[rng.integers(0, 6, (rows, 12))], rng.normal(size=(rows, 64))
 
@@ -1218,7 +1211,6 @@ def ref_holdout_accuracy(grammar_model, disc_model, X_hold, config, rng):
             n0, X_hold.shape[1], rng, tau=adversarial._tau_at(config, config.iterations - 1),
             tables=tables)
         del tables
-        t_fake = _harden(t_fake)
         p_fake = disc_model(t_fake, n_fake).value
     return p_real, p_fake
 
@@ -1314,31 +1306,34 @@ def test_softmax_kept_equals_full_width_division(shape, m):
 # ---------------------------------------------------------------------------
 
 def ref_pruned_loglik(model, batch, n0, k_cap, max_paths):
-    """adversarial._pruned_loglik as a graph of primitive ops, three gathers
+    """adversarial._pruned_loglik as a graph of primitive ops, two gathers
     and two products a step, verbatim but for ref_rule_logits, gather_nd and
     sum_along, which come from the test helpers; both rule heads are the
-    per-op softmax of ref_rule_logits, as rule_probs was."""
+    per-op softmax of ref_rule_logits, as rule_probs was. The emission
+    weights are a constant (R, C) table."""
     R = model.config.num_rules
     n_all = model.w_n                            # f_n(I)
-    t_all = ad.softmax(model.w_t)                # f_t(I)
+    t_all = np.where(model.emit[:, None] == np.arange(model.config.d_terminal),
+                     1.0, EMISSION_FLOOR)        # emission weight of each rule
     probs_all = ad.softmax(ref_rule_logits(model, n_all))   # (R, R)
     B, L = batch.shape
     p0 = ad.softmax(ref_rule_logits(model, n0))  # (B, R)
 
-    # level 0: top-k rules per example
-    k = min(k_cap, R)
-    idx0 = np.argsort(-p0.value, axis=1, kind="stable")[:, :k]        # (B, k)
+    # level 0: top-k rules per example, by probability times emission
+    # weight; k is at most the number of rules the mask keeps
+    k = min(k_cap, R, model.config.topk_mask or R)
+    idx0 = np.argsort(-(p0.value * t_all[:, batch[:, 0]].T), axis=1, kind="stable")[:, :k]
     rows = np.repeat(np.arange(B)[:, None], k, axis=1)
-    w = ad.mul(gather_nd(p0, (rows, idx0)),
-               gather_nd(t_all, (idx0, batch[:, [0]])))               # (B, k)
-    succ = np.argsort(-probs_all.value, axis=1, kind="stable")[:, :k]  # (R, k)
+    w = ad.mul(gather_nd(p0, (rows, idx0)), t_all[idx0, batch[:, [0]]])  # (B, k)
+    succ = np.stack([np.argsort(-(probs_all.value * t_all[:, c]), axis=1, kind="stable")[:, :k]
+                     for c in range(t_all.shape[1])])                 # (C, R, k)
     cur = idx0
     for j in range(1, L):
         W = cur.shape[1]
         # per parent keep top-k rules, then cap total paths
-        keep_r = succ[cur]                                            # (B, W, k)
+        keep_r = succ[batch[:, j, None], cur]                         # (B, W, k)
         trans_sel = probs_all.value[cur[:, :, None], keep_r]
-        emis_sel = t_all.value[keep_r, batch[:, j, None, None]]
+        emis_sel = t_all[keep_r, batch[:, j, None, None]]
         cand_sel = (w.value[:, :, None] * trans_sel * emis_sel).reshape(B, W * k)
         order = np.argsort(-cand_sel, axis=1, kind="stable")[:, :max_paths]
         parent = order // k                                           # (B, W')
@@ -1347,7 +1342,7 @@ def ref_pruned_loglik(model, batch, n0, k_cap, max_paths):
         rowsB = np.repeat(np.arange(B)[:, None], Wn, axis=1)
         w_parent = gather_nd(w, (rowsB, parent))
         trans = gather_nd(probs_all, (np.take_along_axis(cur, parent, axis=1), rule))
-        emis = gather_nd(t_all, (rule, batch[:, [j]]))
+        emis = t_all[rule, batch[:, [j]]]
         w = ad.mul(ad.mul(w_parent, trans), emis)
         cur = rule
     tot = sum_along(w, axis=1)
@@ -1402,10 +1397,10 @@ def test_pruned_loglik_equals_per_op_graph_bimodal(topk):
     model, tokens, prefix = _bimodal_case(topk)
     nodes, ref_nodes = _assert_beam_matches(model, tokens, prefix, 4, 64)
     # one node in place of the two rule heads' three nodes each (four with a
-    # mask), the rule table's and p0's, step 0's three, five a step after it,
+    # mask), the rule table's and p0's, step 0's two, four a step after it,
     # and sum, clamp, log and mean
     head = 3 + (topk is not None)
-    assert ref_nodes - nodes == 2 * head + 3 + 5 * (tokens.shape[1] - 1) + 4 - 1
+    assert ref_nodes - nodes == 2 * head + 2 + 4 * (tokens.shape[1] - 1) + 4 - 1
 
 
 def test_pruned_loglik_equals_per_op_graph_with_ties():
@@ -1415,11 +1410,10 @@ def test_pruned_loglik_equals_per_op_graph_with_ties():
     model = GrammarModel(GrammarConfig(d_nonterminal=R, d_terminal=C, num_rules=R), seed=0)
     rng = np.random.default_rng(2)
     logits = rng.integers(0, 3, size=(R, R)).astype(np.float64)
-    emissions = 3.0 * np.eye(C)[rng.integers(0, C, size=R)]
+    model.emit = rng.integers(0, C, size=R)
     model.w_n.assign(np.eye(R))
     model.w_r.assign(logits)
     model.b_r.assign(np.zeros(R))
-    model.w_t.assign(emissions)
     tokens = rng.integers(0, C, size=(8, 6))
     prefix = np.eye(C)[rng.integers(0, C, size=(8, 2))]
     for k_cap, max_paths in ((2, 3), (3, 2), (2, 5), (1, 1), (4, 7)):
