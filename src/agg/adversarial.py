@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError, InputError, ParameterError
-from .grammar import _row_blocks, _softmax_kept, _top_stable
+from .grammar import _row_blocks, _softmax_rows, _top_stable
 from .nn import SGD, Conv1d, Dense
 from .synthdata import one_hot
 
@@ -139,8 +139,7 @@ class TrainResult:
     metrics: list                 # rows of (iteration, d_loss, g_loss, d_acc, lr)
     holdout_accuracy: float
     iterations: int
-    # share of the real steps parsed in training at which no kept rule
-    # emits the observed token (see teacher_forced_states)
+    # share of the parsed real steps where no kept rule emits the token
     parse_fallback_share: float = 0.0
 
 
@@ -149,24 +148,17 @@ def teacher_forced_states(model, batch, n0, rng, tables=None, head=None):
 
     From the seed states n0, each step *samples* a rule from the
     forward-filtering posterior: the rule law at the current state restricted
-    to the rules that emit the observed token, given the tokens up to this
-    step only. This is not the smoothing posterior, which also conditions on
-    later tokens. The real stream has the same conditional law as a
-    generator path that happens to emit the data only when the tokens
-    determine the rules; otherwise a parsed rule can emit the observed token
-    yet have no successor that emits the next one, and the next step falls
-    back (below) even though the generator can produce the string. A
-    deterministic argmax here would hand the discriminator an artifact that
-    persists at convergence.
+    to the rules that emit the observed token, given the tokens so far (not
+    the smoothing posterior, which also conditions on later tokens). So a
+    parsed rule can emit the observed token yet have no successor that emits
+    the next one; a step where no kept rule emits the token falls back to
+    the rule law alone. A deterministic argmax here would hand the
+    discriminator an artifact that persists at convergence.
 
-    A parsed rule always emits the observed token, except in a row where no
-    rule with nonzero probability emits it: that step falls back to the
-    rule law alone. Returns (states, number of (row, step) pairs that fell
-    back): the rows of n_all at the rules _parse_rules draws over one block
-    of all B rows.
-    Forward-only; no gradients flow to the generator here. tables is the
-    model's rule_tables() and head its start_head(n0) at its current weights,
-    each built here when None."""
+    Returns (the rows of n_all at the rules _parse_rules draws over one block
+    of all B rows, the number of (row, step) pairs that fell back).
+    Forward-only. tables is the model's rule_tables() and head its
+    start_head(n0) at its current weights, each built here when None."""
     if tables is None:
         tables = model.rule_tables()
     if head is None:
@@ -181,16 +173,14 @@ def _parse_rules(tables, tokens, heads, rng):
     number of (row, step) pairs that fell back (see teacher_forced_states).
 
     Step 0 reads a block's head, a later step row idx of the chain's table,
-    idx the rule the step before parsed. A rule the top-k mask drops has
-    probability 0 and so weight 0, so a step weighs only the k kept rules of
-    each row. It normalizes by the row's full-width sum, formed from the k
-    weights scattered into a zeroed row, and draws one uniform u per row:
-    the first kept rule whose running sum is at least u, rule 0 when u is 0,
-    and rule R - 1 when u is above the last running sum. That is what a
-    cumsum over the full row, its last entry set to 1, would select, bit for
-    bit: a dropped rule adds an exact 0 to the running sum. The steps run
-    step-major, each block drawing its (b, 1) uniforms in turn, which is one
-    (N, 1) draw bit for bit; every op works row by row."""
+    idx the rule the step before parsed. A step weighs the k kept rules of
+    each row (a dropped rule has probability 0), normalizes by the row's sum
+    over the k weights scattered into a zeroed row, and draws one uniform u
+    per row: the first kept rule whose running sum is at least u, rule 0 when
+    u is 0, and rule R - 1 when u is above the last running sum. That is what
+    a cumsum over the full row, its last entry set to 1, selects bit for bit.
+    The steps run step-major, each block drawing its (b, 1) uniforms in turn,
+    which is one (N, 1) draw bit for bit; every op works row by row."""
     n_all, emit, probs_all, kept, _ = tables
     R = len(probs_all)
     kept_probs = np.take_along_axis(probs_all, kept, axis=1)     # (R, k)
@@ -353,15 +343,14 @@ def _holdout_scores(grammar_model, disc_model, dataset, rows, config, rng):
     step-0 rule head formed on its own; the parse and then the unroll draw
     step-major over all blocks (see _parse_rules and draw_rules), so the rng
     stream is that of one batch of all N rows; D scores one block at a
-    time. The fake terminals are one-hot at each rule's token, as the
-    unroll gives them. Every op works row by row, so the scores are
-    those of one batch of all N rows bit for bit, as far as numpy's matrix
-    products round a row alike in a block: its gemms do in any block of four
-    rows or more, and its gemv, which multiplies D's one-column head, does
-    when the block starts at a multiple of 4 rows, as OpenBLAS groups them.
-    So every block but the last holds a multiple of 4 rows, the last the
-    N % 4 rows over, and no block holds fewer than HOLDOUT_BLOCK / 2 rows
-    unless N fits in one block."""
+    time, the fakes one-hot at each rule's token. Every op works row by
+    row, so the scores are those of one batch of all N rows bit for bit, as
+    far as numpy's matrix products round a row alike in a block: its gemms
+    do in any block of four rows or more, and its gemv, which multiplies D's
+    one-column head, does when the block starts at a multiple of 4 rows, as
+    OpenBLAS groups them. So every block but the last holds a multiple of 4
+    rows, the last the N % 4 rows over, and no block holds fewer than
+    HOLDOUT_BLOCK / 2 rows unless N fits in one block."""
     tokens = dataset.records[rows]
     N, L = tokens.shape
     width = dataset.alphabet_size
@@ -405,56 +394,61 @@ class GrammarOnlyConfig:
         _check_sgd(self)
 
 
+def _successors(P, e, own, k):
+    """np.argsort(-(P * e), axis=1, kind="stable")[:, :k], e the weights at a
+    token that the rules of the mask `own` emit. A law is at most 1, so where
+    the k-th best rule of own outweighs EMISSION_FLOOR, own's k best lead."""
+    own = np.flatnonzero(own)
+    if len(own) < k:
+        return _top_stable(P * e, k)
+    top = own[_top_stable(P[:, own], k)]
+    other = np.flatnonzero(~(P[np.arange(len(P)), top[:, -1]] > EMISSION_FLOOR))
+    if len(other):
+        top[other] = _top_stable(P[other] * e, k)
+    return top
+
+
 def _pruned_loglik(model, batch, n0, k_cap, max_paths):
-    """Differentiable log-likelihood of token batches under the grammar,
-    summed over a pruned enumeration of rule paths.
+    """Differentiable log-likelihood of token batches under the grammar's
+    unmasked rule law, summed over a pruned enumeration of rule paths.
 
-    A rule's emission weight e at a token is 1 if the rule emits it, else
-    EMISSION_FLOOR. With k = min(k_cap, m), m the rules the top-k mask keeps
-    a row (R without a mask), the pruning rule is:
-    - step 0: keep the k rules of largest p0 * e, ties to the lower rule;
-    - each later step: every kept path (the parent) proposes, of the m
-      successors the mask keeps for its rule r, the k rules r' of largest
-      probs_all[r, r'] * e(r'), ties to the lower rule. (Ranked by
-      probability alone, a parent none of whose k successors emits the
-      token is stuck: the floor is common to them all, so their gradient
-      only reinforces them.) A candidate's weight is (w_parent *
-      probs_all[r, r']) * e(r'), multiplied in that order. Of the
-      candidates, listed parent by parent and within a parent in successor
-      rank order, keep the max_paths heaviest, ties to the earlier one.
-    The result is the batch mean of log(sum of kept path weights).
+    The beam ignores the top-k mask, so every rule gets gradient. A rule's
+    emission weight e at a token is 1 if it emits the token, else
+    EMISSION_FLOOR. With k = min(k_cap, R), step 0 keeps the k rules of
+    largest p0 * e, and each later step every kept path (the parent, at rule
+    r) proposes the k rules r' of largest probs_all[r, r'] * e(r'), ties to
+    the lower rule, each weighing (w_parent * probs_all[r, r']) * e(r')
+    (ranked by probability alone, a parent none of whose successors emits
+    the token is stuck). Of the candidates, parent by parent and within a
+    parent in rank order, the max_paths heaviest are kept, ties to the
+    earlier one. The result is the batch mean of log(sum of path weights).
 
-    The kept successors are ranked once per token and call, and candidates
-    are weighed only at the kept (parent, successor) pairs. The beam and
-    both rule heads, the rule table's probs_all = softmax(mask(W_n @ W_r +
-    b_r)) and the seed states' p0 = softmax(mask(n0 @ W_r + b_r)), are one
-    autodiff node, whose backward repeats the primitive-op graph's backward
-    expressions in that graph's order, so every gradient is the same bit for
-    bit: mean, log, clamp, sum; then from step L-1 down to step 0 a step's
-    products and gathers (each scatter-add one bincount) and its sum into
-    probs_all; then each head's softmax, bias and matmul, probs_all's before
-    p0's."""
+    The beam and both rule heads, probs_all = softmax(W_n @ W_r + b_r) and
+    p0 = softmax(n0 @ W_r + b_r), are one autodiff node, whose backward
+    repeats the primitive-op graph's backward expressions in its order, so
+    every gradient is the same bit for bit: mean, log, clamp, sum; then from
+    step L-1 down to step 0 a step's products and gathers (each scatter-add
+    one bincount) and its sum into probs_all; then each head's softmax, bias
+    and matmul, probs_all's before p0's."""
     (B, L), R = batch.shape, model.config.num_rules
-    C = model.config.d_terminal
     w_n = model.w_n                              # f_n(I) is W_n
-    P0 = model.rule_probs(n0.value)              # p0, (B, R)
-    s, kept = model._head(w_n.value)
-    P = _softmax_kept(s, kept)                   # probs_all, (R, R): rule_probs(W_n)
-    cols = kept.reshape(R, -1) % R               # (R, m) each rule's kept successors
-    E = np.where(model.emit == np.arange(C)[:, None], 1.0, EMISSION_FLOOR)   # (C, R)
+    P0 = _softmax_rows(model._logits(n0.value))         # p0, (B, R)
+    P = _softmax_rows(model._logits(w_n.value))         # probs_all, (R, R)
+    E = np.where(model.emit == np.arange(model.config.d_terminal)[:, None], 1.0, EMISSION_FLOOR)
     rows = np.arange(B)[:, None]
 
     # level 0: top-k rules per example. A step holds flat indices and factors
     # (parent, trans, emis); step 0's parent is p0, its trans 1.0 (x * 1.0 is x)
-    k = min(k_cap, cols.shape[1])
+    k = min(k_cap, R)
     cur = _top_stable(P0 * E[batch[:, 0]], k)                         # (B, k)
     at, emis = cur + R * rows, E[batch[:, [0]], cur]
     steps = [(at, B * R, None, P0.take(at), 1.0, emis)]
     w = P0.take(at) * emis
-    # succ[c, r]: the k kept successors of rule r ranked by probs_all * e at
-    # token c; cols is ascending along each row, so ties go to the lower rule
-    rank = _top_stable((P.take(kept).reshape(R, -1) * E[:, cols]).reshape(C * R, -1), k)
-    succ = np.take_along_axis(np.tile(cols, (C, 1)), rank, axis=1).reshape(C, R, k)
+    # succ[c, r]: the k successors of rule r ranked by probs_all * e at a
+    # token c that the batch reads after step 0
+    succ = np.zeros((len(E), R, k), dtype=np.intp)
+    for c in np.unique(batch[:, 1:]):
+        succ[c] = _successors(P, E[c], model.emit == c, k)
     for j in range(1, L):
         W = cur.shape[1]
         # per parent keep top-k rules, then cap total paths
@@ -483,8 +477,7 @@ def _pruned_loglik(model, batch, n0, k_cap, max_paths):
                 dP = np.bincount(trans_at.ravel(), (gm * wp).ravel(), R * R).reshape(R, R)
                 gP = dP if gP is None else gP + dP
             gw = np.bincount(parent.ravel(), (gm * tr).ravel(), size).reshape(B, -1)
-        # a head's softmax (its +-0 where the mask dropped a rule is
-        # gl * keep's), then its logits' bias and matmul
+        # a head's softmax, then its logits' bias and matmul
         if gP is not None:
             gl = P * (gP - (gP * P).sum(axis=-1, keepdims=True))
             ad._acc(w_n, model._head_backward(w_n.value, gl))

@@ -295,8 +295,7 @@ def cmd_train(cfg):
     rows, columns, summary = _train(cfg, dataset, model, configs)
     _metrics_csv(os.path.join(out, "metrics.csv"), rows, columns)
     print(summary)
-    save_checkpoint(os.path.join(out, "checkpoint.bin"),
-                    {n: p.value for n, p in model.named_parameters().items()})
+    save_checkpoint(os.path.join(out, "checkpoint.bin"), model.state())
     return 0
 
 

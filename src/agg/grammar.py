@@ -50,7 +50,7 @@ class RuleTables(NamedTuple):
     emit: np.ndarray              # (R,) the token rule r emits
     probs_all: np.ndarray         # (R, R) next-step rule law at n_all
     kept: np.ndarray              # (R, k) the columns the mask keeps, ascending
-    kept_logits: np.ndarray       # (R, k) the logits n_all @ W_r + b_r there
+    logits: np.ndarray            # (R, R) the unmasked logits n_all @ W_r + b_r
 
 
 class StartHead(NamedTuple):
@@ -96,6 +96,13 @@ def _softmax_kept(s, kept):
     (see _softmax_at)."""
     return _softmax_at(s.take(kept), kept, s.shape,
                        s.max(axis=-1).take(kept // s.shape[-1]))
+
+
+def _softmax_rows(s):
+    """Softmax over the last axis of s, in place; bit for bit _softmax_kept's."""
+    np.exp(s - s.max(axis=-1, keepdims=True), out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 def _top_mask(x, m):
@@ -215,14 +222,24 @@ class GrammarModel:
     def named_parameters(self):
         return {p.name: p for p in self.parameters()}
 
+    def state(self):
+        """The arrays a checkpoint holds: each parameter by name, and emit."""
+        return {"emit": self.emit, **{n: p.value for n, p in self.named_parameters().items()}}
+
     def load_state(self, state):
+        """Assign state()'s arrays; ParseError on other names or a bad emit."""
         params = self.named_parameters()
-        odd = sorted(set(params) ^ set(state))      # in one of the two only
+        names = set(params) | {"emit"}
+        odd = sorted(names ^ set(state))            # in one of the two only
         if odd:
-            what = "missing" if odd[0] in params else "holds unknown"
-            raise ParseError(f"checkpoint {what} parameter {odd[0]!r}")
+            what = "missing" if odd[0] in names else "holds unknown"
+            raise ParseError(f"checkpoint {what} array {odd[0]!r}")
+        emit = np.asarray(state["emit"])
+        if emit.shape != self.emit.shape or not np.isin(emit, range(self.config.d_terminal)).all():
+            raise ParseError("checkpoint emit is not one token per rule")
         for name, p in params.items():
             p.assign(state[name])
+        self.emit = emit.astype(np.int64)
 
     # -- forward pieces -----------------------------------------------------
     def encode_start(self, x):
@@ -245,12 +262,15 @@ class GrammarModel:
             return None
         return _top_mask(v, m)
 
+    def _logits(self, n):
+        """The unmasked rule logits n @ W_r + b_r at states n (B, d)."""
+        return n @ self.w_r.value + self.b_r.value
+
     def _head(self, n):
         """(s, kept) of the rule head at states n (B, d): the logits
         s = n @ W_r + b_r, unmasked, and the flat indices of the entries the
         top-k mask keeps; the masked logits are s with the others -inf."""
-        s = n @ self.w_r.value
-        s += self.b_r.value
+        s = self._logits(n)
         keep = self._topk_keep(s)
         return s, np.arange(s.size) if keep is None else keep.ravel().nonzero()[0]
 
@@ -286,18 +306,16 @@ class GrammarModel:
         model's rule_tables() and head its start_head(n0) at its current
         weights, each built here when None.
 
-        The rules are draw_rules' over one block of all B rows, and the
-        outputs are rows of E and W_n gathered at them, E the (R, C) one-hot
-        table of the rules' tokens. The L steps are one autodiff node over
-        n0, W_r, b_r and W_n. A step computes what the primitive ops would:
-        masked rule logits n @ W_r + b_r, the straight-through
-        Gumbel-softmax selection, then sel @ W_n and sel @ E, which the
-        one-hot selection reads as gathered rows (a one-hot row times W adds
-        only exact zeros). The backward is backpropagation through time from
-        step L down to step 1, with the primitive ops' backward expressions
-        in their order, so every gradient is theirs bit for bit: each weight
-        sums its per-step gemms from step L down to step 1. A terminal's
-        gradient g reaches the selection as g @ E.T, the gather g[:, emit].
+        The rules are draw_rules' over one block of all B rows; the outputs
+        are the rows of E, the (R, C) one-hot table of the rules' tokens, and
+        of W_n at them. The L steps are one autodiff node over n0, W_r, b_r
+        and W_n, whose backward is backpropagation through time with the
+        primitive ops' backward expressions in their order, bit for bit. The
+        selection is one-hot where the Gumbel-softmax of the masked logits
+        peaks, with that softmax's straight-through gradient; under a top-1
+        mask, whose one-entry softmax has none, the gradient is that of the
+        Gumbel-softmax of the unmasked logits under the same noise. A
+        terminal's gradient g reaches the selection as g @ E.T, g[:, emit].
         """
         if length < 1:
             raise ParameterError("unroll length must be >= 1")
@@ -314,7 +332,8 @@ class GrammarModel:
         rows = np.arange(B)
         # the soft samples the backward reads are kept only when it can run
         record = ad.grad_enabled()
-        rules, logp, ys = self.draw_rules([head], length, rng, tables, tau, record)
+        logits0 = self._logits(n0.value) if record and self.config.topk_mask == 1 else None
+        rules, logp, ys = self.draw_rules([head], length, rng, tables, tau, record, logits0)
         values = [np.eye(self.config.d_terminal)[emit[rules]], Wn[rules]]
         if return_entropy:
             # each step's full-width rule law: step 0's scattered from the
@@ -356,10 +375,8 @@ class GrammarModel:
                 if gl is None:
                     gn = None
                     continue
-                # gl is already +-0 wherever the top-k mask dropped a rule
-                # (p and y are exactly 0 there), so the mask's backward,
-                # gl * keep, would return gl bit for bit. N_j is n0 or row
-                # rules[:, j - 1] of W_n
+                # a masked y is 0 at a dropped rule, so gl is +-0 there, as the
+                # mask's backward gl * keep leaves it. N_j is n0 or W_n's row
                 gn = self._head_backward(Wn[rules[:, j - 1]] if j else n0.value, gl)
             if gn is not None:
                 ad._acc(n0, gn)
@@ -368,25 +385,23 @@ class GrammarModel:
             values, (n0, self.w_r, self.b_r, self.w_n), bwd)
         return (terminals, nonterminals, rules, logp, *ent)
 
-    def draw_rules(self, heads, length, rng, tables, tau, record=False):
+    def draw_rules(self, heads, length, rng, tables, tau, record=False, logits0=None):
         """The unroll's draw loop: rule indices (N, length) and log_prob (N,)
         of the N rows of `heads`, StartHeads of consecutive blocks of rows,
-        and, when record is true, the soft sample y (b, R) of each step and
-        block in draw order (one block: ys[j] is step j's).
+        and, when record is true, each step's Gumbel-softmax y (N, R) of the
+        masked logits, or of the unmasked ones given logits0, the unmasked
+        step-0 logits of one block.
 
-        Step 0 reads a block's head. A later step starts from row idx of W_n,
-        the rule idx the step before chose, so it reads row idx of the
-        chain's table: the kept columns, their logits and the rule law. A
-        step still draws a full (b, R) block of uniforms, so the rng stream
-        is the per-op graph's; the Gumbel noise is formed at the kept entries
-        only. The steps run step-major, and within a step each block draws
-        its uniforms in turn: consecutive (b1, R) and (b2, R) draws are one
-        (b1 + b2, R) draw bit for bit, so every block draws what one block
-        of all N rows would. Every op works row by row. The table's gemm
-        rounds row r as a batch of two or more states rounds it, so the
-        steps are the per-op graph's bit for bit; a batch of one state,
-        which numpy multiplies by gemv, reads the table's rounding instead,
-        as sample_rule_paths does.
+        Step 0 reads a block's head, a later step row idx of the chain's
+        table, idx the rule the step before chose. A step draws a (b, R)
+        block of uniforms and takes the first kept rule where the
+        Gumbel-softmax of the masked logits peaks; it forms the noise at the
+        kept entries only unless logits0 is given. The steps run step-major, each
+        block drawing its uniforms in turn, which is one draw of all N rows
+        bit for bit. Every op works row by row, and the table's gemm rounds
+        row r as a batch of two or more states does, so the steps are the
+        per-op graph's bit for bit; a batch of one state (numpy's gemv) reads
+        the table's rounding instead, as sample_rule_paths does.
         """
         inv = 1.0 / tau
         R = self.config.num_rules
@@ -400,13 +415,16 @@ class GrammarModel:
                 if j:
                     prev = rules[blk, j - 1]
                     at = tables.kept[prev] + np.arange(B)[:, None] * R
-                    s = tables.kept_logits[prev]
+                    s = tables.logits[prev]
                 else:
-                    at, s = head.at, head.logits
-                u = np.clip(rng.random((B, R)).take(at), 1e-12, 1.0 - 1e-12)
-                g = -np.log(-np.log(u))
-                z = (s + g) * inv
-                y = _softmax_at(z, at, (B, R), z.max(axis=-1, keepdims=True))
+                    at, s = head.at, logits0
+                # the perturbed logits z = (s + g) / tau, g = -log(-log(u))
+                u = np.clip(rng.random((B, R)), 1e-12, 1.0 - 1e-12)
+                if logits0 is None:
+                    u, s = u.take(at), s.take(at) if j else head.logits
+                z = (s - np.log(-np.log(u))) * inv
+                zk = z if logits0 is None else z.take(at)
+                y = _softmax_at(zk, at, (B, R), zk.max(axis=-1, keepdims=True))
                 idx = np.argmax(y, axis=-1)
                 rules[blk, j] = idx
                 # the drawn rule is the first kept entry where y peaks
@@ -414,7 +432,7 @@ class GrammarModel:
                      head.probs[np.arange(B), y.take(at).argmax(axis=-1)])
                 logp[blk] += np.log(np.maximum(p, 1e-300))
                 if record:
-                    ys.append(y)
+                    ys.append(y if logits0 is None else _softmax_rows(z))
         return rules, logp, ys
 
     def unroll(self, n0, length, rng_seed=0):
@@ -433,20 +451,16 @@ class GrammarModel:
 
     # -- table form: rule i fully determines its successor state ------------
     def rule_tables(self):
-        """The RuleTables of the chain: per-rule next state, token and
-        next-step rule head (its law, and its kept columns and their logits).
-
-        Because the next non-terminal is a function of the selected rule alone,
-        hard unrolls after the first step reduce to table lookups. Row r is
-        the expansion of the one-hot selection of rule r, which is row r of
-        the expander weights; its head is the (R, R) gemm's row r, which
-        numpy's gemm rounds as it rounds that row in a batch of two or more
-        states. The arrays are the caller's own.
-        """
+        """The RuleTables of the chain. The next non-terminal is a function
+        of the selected rule alone, so hard unrolls after the first step are
+        table lookups: row r is the expansion of the one-hot selection of
+        rule r, row r of W_n, and its head is the (R, R) gemm's row r, which
+        numpy rounds as it rounds that row in a batch of two or more states.
+        The arrays are the caller's own."""
         s, at = self._head(self.w_n.value)
         at = at.reshape(len(s), -1)
         return RuleTables(self.w_n.value.copy(), self.emit.copy(), _softmax_kept(s, at),
-                          at % len(s), s.take(at))
+                          at % len(s), s)
 
     def sample_rule_paths(self, n0, length, num_samples, seed=0, start=None):
         """Hard-sampled rule-index paths (N, L) and their log_prob (N,), for

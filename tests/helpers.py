@@ -108,6 +108,13 @@ def mask_logits(x, keep):
     return ad._node(out_v, (x,), bwd)
 
 
+def straight_through(value, x):
+    """A node whose value is the array `value` and whose gradient passes to
+    x unchanged: the straight-through estimator's backward."""
+    x = ad._as_tensor(x)
+    return ad._node(np.asarray(value), (x,), lambda g: ad._acc(x, g))
+
+
 def ref_rule_logits(model, n):
     """GrammarModel.rule_logits, which the numpy rule head replaced: the
     masked rule logits mask(add(matmul(n, W_r), b_r)) as primitive ops."""

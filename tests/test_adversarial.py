@@ -9,8 +9,8 @@ from agg import adversarial
 from agg import autodiff as ad
 from agg.autodiff import Tensor
 from agg.adversarial import (EMISSION_FLOOR, Discriminator, DiscriminatorConfig,
-                             GrammarOnlyConfig, TrainConfig, _pruned_loglik, _tau_at,
-                             discriminator_loss, generator_loss,
+                             GrammarOnlyConfig, TrainConfig, _pruned_loglik, _successors,
+                             _tau_at, discriminator_loss, generator_loss,
                              teacher_forced_states, train_adversarial,
                              train_grammar_only)
 from agg.errors import DimensionError, InputError, ParameterError
@@ -275,15 +275,15 @@ def test_discriminator_pretraining_separable():
 
 
 def test_one_rule_grammar_converges_to_data(monkeypatch):
-    # deterministic dataset: each rule's token is fixed, so the rule head
-    # must learn to select only rules that emit the data's token; D ends
-    # near chance once it matches. No top-k mask: under a top-1 mask no
-    # gradient reaches the rule head (the straight-through gradient of a
-    # one-entry softmax is 0), so nothing steers the chain to the token
+    # deterministic dataset, topk_mask=1: the generator follows a single
+    # rule chain, and each rule's token is fixed, so the rule head must
+    # learn to move the chain onto rules that emit the data's token (the
+    # mask is straight-through, so a dropped rule gets gradient); D ends
+    # near chance once it matches
     seq = np.array([2, 2, 2, 2, 2, 2], dtype=np.int64)
     ds = SequenceDataset(records=np.tile(seq, (64, 1)), length=6, alphabet_size=3)
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3,
-                                       num_rules=4), seed=0)
+                                       num_rules=4, topk_mask=1), seed=0)
     # the (4,6,4) stack can collapse to a constant output here; use a wider D
     d = Discriminator(3, 8, DiscriminatorConfig(conv_channels=(16, 32, 16)),
                       seed=1)
@@ -348,12 +348,20 @@ def test_grammar_only_prefix_len_check():
 # _pruned_loglik against plain-numpy and plain-Python oracles
 # ---------------------------------------------------------------------------
 
+def _unmasked_probs(model, n):
+    """The rule law at states n with no top-k mask."""
+    s = np.asarray(n, dtype=np.float64) @ model.w_r.value + model.b_r.value
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _tables(model, n0):
     """(p0, t_all, probs_all) as numpy arrays, the tables _pruned_loglik
-    reads: t_all[r, c] is 1 when rule r emits token c, else EMISSION_FLOOR."""
+    reads: the unmasked rule laws at n0 and at the rows of W_n, and t_all,
+    whose [r, c] is 1 when rule r emits token c, else EMISSION_FLOOR."""
     t_all = np.where(model.emit[:, None] == np.arange(model.config.d_terminal),
                      1.0, EMISSION_FLOOR)
-    return model.rule_probs(n0), t_all, model.rule_tables().probs_all
+    return _unmasked_probs(model, n0), t_all, _unmasked_probs(model, model.w_n.value)
 
 
 def _forward_loglik(p0, t_all, probs_all, tokens):
@@ -369,8 +377,8 @@ def _pruned_loglik_loop(p0, t_all, probs_all, tokens, k, max_paths,
     """The pruning rule, stated literally: per parent keep the k successors
     of largest probability times emission weight at the token, ties to the
     lower rule index; then keep the max_paths heaviest candidates, ties to
-    the earlier candidate. k is at most the number of rules the mask keeps.
-    lower_first=False breaks both kinds of tie the other way."""
+    the earlier candidate. lower_first=False breaks both kinds of tie the
+    other way."""
     p0, t_all, probs_all = p0.tolist(), t_all.tolist(), probs_all.tolist()
     tie = 1 if lower_first else -1
     R = len(probs_all)
@@ -439,14 +447,55 @@ def test_pruned_loglik_is_the_path_sum_by_brute_force(covered):
 
 
 def test_pruned_loglik_matches_literal_pruning_rule_topk_mask():
+    # the beam fits the unmasked law: a top-1 mask changes nothing in it
     model = tiny_model(d_terminal=3, topk_mask=1)
     rng = np.random.default_rng(1)
     tokens = rng.integers(0, 3, size=(6, 5))
     n0 = rng.normal(size=(6, 8))
     tables = _tables(model, n0)
-    # k_cap 2 over a mask that keeps one rule: one successor a parent
-    want = _pruned_loglik_loop(*tables, tokens, 1, 3)
+    want = _pruned_loglik_loop(*tables, tokens, 2, 3)
     assert abs(_loglik(model, tokens, n0, 2, 3) - want) < 1e-12
+    model.config.topk_mask = None
+    assert abs(_loglik(model, tokens, n0, 2, 3) - want) < 1e-12
+
+
+def test_pruned_loglik_ranks_a_floored_rule_above_a_rarer_emitter():
+    # rules 0-2 emit token 0, rules 3-5 other tokens. From rule 5, rules 0-2
+    # are about e^-100 as likely as rules 3 and 4, so at token 0 rules 3 and
+    # 4 (weighed e^-50) outrank every rule that emits the token; the two
+    # kept successors are not the two best emitters there
+    R, C = 6, 3
+    model = tiny_model(num_rules=R, d_nonterminal=R, d_terminal=C)
+    model.emit = np.array([0, 0, 0, 1, 1, 2])
+    logits = np.zeros((R, R))
+    logits[5, :3] = [-100.0, -101.0, -102.0]
+    model.w_n.assign(np.eye(R))                  # n_all = one-hot rule rows
+    model.w_r.assign(logits)
+    model.b_r.assign(np.zeros(R))
+    tokens = np.array([[2, 0, 0], [2, 2, 0]])
+    n0 = np.eye(R)[[5, 5]]
+    want = _pruned_loglik_loop(*_tables(model, n0), tokens, 2, 4)
+    assert abs(_loglik(model, tokens, n0, 2, 4) - want) < 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("C", [1, 3, 6, 16])
+def test_successors_are_the_stable_argsort_of_the_weighted_law(C):
+    # the k best rules of P * e in each row, ties to the lower rule: in rows
+    # where the k best emitters of the token come first, where the emitters
+    # of token 0 weigh less than the floor, where every rule ties, and where
+    # a law holds a NaN; with C = R fewer than k rules emit each token
+    R, k = 16, 4
+    rng = np.random.default_rng(C)
+    emit = rng.permutation(R) % C
+    P = rng.random((R, R))
+    P[1] = np.where(emit == 0, 1e-30, 1.0)
+    P[2] = 1.0
+    P /= P.sum(axis=1, keepdims=True)
+    P[3, 5] = np.nan
+    for c in range(C):
+        e = np.where(emit == c, 1.0, EMISSION_FLOOR)
+        want = np.argsort(-(P * e), axis=1, kind="stable")[:, :k]
+        assert np.array_equal(_successors(P, e, emit == c, k), want)
 
 
 def test_pruned_loglik_matches_literal_pruning_rule_with_ties():

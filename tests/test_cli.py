@@ -245,6 +245,26 @@ def test_checkpoint_with_an_unknown_parameter_is_json_error(workdir):
     assert not (workdir / "old_gen").exists() and not (workdir / "old_eval").exists()
 
 
+def test_generate_reads_each_rules_token_from_the_checkpoint(workdir):
+    # a run directory holds its tokens: generate emits the checkpoint's, not
+    # those the model seed would deal out
+    r = run_cli(["train", "--set", "dataset=data/dataset.jsonl",
+                 "--set", "mode=grammar_only", "--set", "iterations=2",
+                 "--set", "out_dir=dealt_run"], workdir)
+    assert r.returncode == 0, r.stderr
+    ckpt = workdir / "dealt_run" / "checkpoint.bin"
+    state = load_checkpoint(str(ckpt))
+    state["emit"] = (state["emit"] + 1) % 3
+    save_checkpoint(str(ckpt), state)
+    r = run_cli(["generate", "--set", "run_dir=dealt_run", "--set", "dataset=data/dataset.jsonl",
+                 "--set", "num_prefixes=3", "--set", "out_dir=dealt_gen"], workdir)
+    assert r.returncode == 0, r.stderr
+    rows = [json.loads(l) for l in
+            (workdir / "dealt_gen" / "futures.jsonl").read_text().splitlines()]
+    emit = state["emit"].astype(np.int64)
+    assert all(row["terminals"] == emit[row["rule_indices"]].tolist() for row in rows)
+
+
 def test_main_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "synth" in capsys.readouterr().out

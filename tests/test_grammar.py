@@ -321,7 +321,7 @@ def test_enumerate_hand_tree():
 
 def test_load_state_missing_parameter():
     model = GrammarModel(tiny_config(), seed=0)
-    state = {n: p.value for n, p in model.named_parameters().items()}
+    state = model.state()
     del state["f_r.0.b"]
     with pytest.raises(ParseError, match="f_r.0.b"):
         model.load_state(state)
@@ -329,12 +329,28 @@ def test_load_state_missing_parameter():
 
 def test_load_state_refuses_a_parameter_the_model_lacks():
     model = GrammarModel(tiny_config(), seed=0)
-    state = {n: p.value for n, p in model.named_parameters().items()}
+    state = model.state()
     state["f_t.0.w"] = np.zeros((6, 4))
     before = model.w_r.value.copy()
     with pytest.raises(ParseError, match="f_t.0.w"):
         model.load_state(state)
     assert np.array_equal(model.w_r.value, before)
+
+
+def test_load_state_restores_each_rules_token():
+    # the tokens come from the state, not from the model's seed
+    saved, model = GrammarModel(tiny_config(), seed=0), GrammarModel(tiny_config(), seed=1)
+    assert not np.array_equal(saved.emit, model.emit)
+    model.load_state({n: np.asarray(v, dtype="<f8") for n, v in saved.state().items()})
+    assert np.array_equal(model.emit, saved.emit) and model.emit.dtype == np.int64
+    for bad in (None, saved.emit[:-1], saved.emit + 0.5, np.full(6, 4), np.full(6, -1)):
+        state = saved.state()
+        if bad is None:
+            del state["emit"]
+        else:
+            state["emit"] = bad
+        with pytest.raises(ParseError, match="emit"):
+            model.load_state(state)
 
 
 @pytest.mark.parametrize("R", [7, 256])

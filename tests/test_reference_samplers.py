@@ -31,7 +31,8 @@ from agg.synthdata import (GroundTruthGrammar, SequenceDataset, _saved_tokens,
                            load_grammar, sample_dataset, sample_sequence, sample_sequences,
                            save_dataset)
 
-from helpers import expand, gather_nd, ref_rule_logits, rel_err, stack_time, sum_along
+from helpers import (expand, gather_nd, mask_logits, ref_rule_logits, rel_err, stack_time,
+                     straight_through, sum_along)
 
 SEEDS = (0, 1, 7, 123)
 LENGTHS = (1, 2, 5, 12)
@@ -934,10 +935,13 @@ def test_sequence_dataset_refuses_negative_tokens_with_an_alphabet():
 # ---------------------------------------------------------------------------
 
 def ref_unroll_batch(self, n0, length, rng, tau=1.0, return_entropy=False):
-    """GrammarModel.unroll_batch as a graph of primitive ops, seven nodes a
+    """GrammarModel.unroll_batch as a graph of primitive ops, eight nodes a
     step, verbatim but for `self`, which is the model, and for
-    ref_rule_logits, expand, sum_along and stack_time, which are the copies
-    in the test helpers. Every step draws a hard straight-through sample."""
+    mask_logits, straight_through, expand, sum_along and stack_time, which
+    are the copies in the test helpers. Every step draws a hard
+    straight-through sample: one-hot where the Gumbel-softmax of the masked
+    logits peaks, with that softmax's gradient, or under a top-1 mask the
+    gradient of the Gumbel-softmax of the unmasked logits."""
     if length < 1:
         raise ParameterError("unroll length must be >= 1")
     n0 = n0 if isinstance(n0, Tensor) else Tensor(n0)
@@ -947,14 +951,18 @@ def ref_unroll_batch(self, n0, length, rng, tau=1.0, return_entropy=False):
     terminals, nonterminals, indices, logp = [], [], [], np.zeros(B)
     entropies = []
     for _ in range(length):
-        logits = ref_rule_logits(self, n)
+        unmasked = ad.add(ad.matmul(n, self.w_r), self.b_r)
+        keep = self._topk_keep(unmasked.value)
+        logits = unmasked if keep is None else mask_logits(unmasked, keep)
         if return_entropy:
             p_t = ad.softmax(logits)
             plogp = ad.mul(p_t, ad.log(ad.clamp_min(p_t, 1e-12)))
             entropies.append(ad.mean(sum_along(plogp, axis=-1)))
         probs = _softmax_kept(logits.value, (logits.value != -np.inf).ravel().nonzero()[0])
         u = np.clip(rng.random((B, R)), 1e-12, 1.0 - 1e-12)
-        sel = gumbel_softmax(logits, tau, u, hard=True)
+        hard = gumbel_softmax(logits.value, tau, u, hard=True).value
+        soft = unmasked if self.config.topk_mask == 1 else logits
+        sel = straight_through(hard, gumbel_softmax(soft, tau, u))
         idx = np.argmax(sel.value, axis=-1)
         logp += np.log(np.maximum(probs[np.arange(B), idx], 1e-300))
         n, t = expand(self, sel)
@@ -1307,21 +1315,20 @@ def test_softmax_kept_equals_full_width_division(shape, m):
 
 def ref_pruned_loglik(model, batch, n0, k_cap, max_paths):
     """adversarial._pruned_loglik as a graph of primitive ops, two gathers
-    and two products a step, verbatim but for ref_rule_logits, gather_nd and
-    sum_along, which come from the test helpers; both rule heads are the
-    per-op softmax of ref_rule_logits, as rule_probs was. The emission
-    weights are a constant (R, C) table."""
+    and two products a step, verbatim but for gather_nd and sum_along, which
+    come from the test helpers; both rule heads are the per-op softmax of
+    the unmasked logits add(matmul(n, W_r), b_r), whatever the model's
+    top-k mask. The emission weights are a constant (R, C) table."""
     R = model.config.num_rules
     n_all = model.w_n                            # f_n(I)
     t_all = np.where(model.emit[:, None] == np.arange(model.config.d_terminal),
                      1.0, EMISSION_FLOOR)        # emission weight of each rule
-    probs_all = ad.softmax(ref_rule_logits(model, n_all))   # (R, R)
+    probs_all = ad.softmax(ad.add(ad.matmul(n_all, model.w_r), model.b_r))   # (R, R)
     B, L = batch.shape
-    p0 = ad.softmax(ref_rule_logits(model, n0))  # (B, R)
+    p0 = ad.softmax(ad.add(ad.matmul(n0, model.w_r), model.b_r))            # (B, R)
 
-    # level 0: top-k rules per example, by probability times emission
-    # weight; k is at most the number of rules the mask keeps
-    k = min(k_cap, R, model.config.topk_mask or R)
+    # level 0: top-k rules per example, by probability times emission weight
+    k = min(k_cap, R)
     idx0 = np.argsort(-(p0.value * t_all[:, batch[:, 0]].T), axis=1, kind="stable")[:, :k]
     rows = np.repeat(np.arange(B)[:, None], k, axis=1)
     w = ad.mul(gather_nd(p0, (rows, idx0)), t_all[idx0, batch[:, [0]]])  # (B, k)
@@ -1396,11 +1403,10 @@ def _bimodal_case(topk=4, num_rows=32, length=12, seed=0):
 def test_pruned_loglik_equals_per_op_graph_bimodal(topk):
     model, tokens, prefix = _bimodal_case(topk)
     nodes, ref_nodes = _assert_beam_matches(model, tokens, prefix, 4, 64)
-    # one node in place of the two rule heads' three nodes each (four with a
-    # mask), the rule table's and p0's, step 0's two, four a step after it,
-    # and sum, clamp, log and mean
-    head = 3 + (topk is not None)
-    assert ref_nodes - nodes == 2 * head + 2 + 4 * (tokens.shape[1] - 1) + 4 - 1
+    # one node in place of the two rule heads' three nodes each, the rule
+    # table's and p0's (the beam reads no mask), step 0's two, four a step
+    # after it, and sum, clamp, log and mean
+    assert ref_nodes - nodes == 2 * 3 + 2 + 4 * (tokens.shape[1] - 1) + 4 - 1
 
 
 def test_pruned_loglik_equals_per_op_graph_with_ties():
