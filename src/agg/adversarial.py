@@ -14,14 +14,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError, InputError, ParameterError
-from .grammar import _row_blocks, _softmax_rows, _top_stable
+from .grammar import _softmax_rows, _top_stable
 from .nn import SGD, Conv1d, Dense
 from .synthdata import one_hot
 
 LOG_CLAMP = 1e-7
 KERNEL_WIDTH, STRIDE = 5, 4              # of every discriminator conv layer
 HOLDOUT_FRACTION = 0.1                   # share of the rows D is scored on at the end
-HOLDOUT_BLOCK = 256                      # rows the holdout encodes, draws and scores at once
+HOLDOUT_BLOCK = 256                      # most rows the holdout runs through at once
 # the likelihood beam's weight of a rule at a token it does not emit; with 0,
 # a row that no kept path emits would have no weight and pass no gradient
 EMISSION_FLOOR = np.exp(-50.0)
@@ -155,61 +155,49 @@ def teacher_forced_states(model, batch, n0, rng, tables=None, head=None):
     the rule law alone. A deterministic argmax here would hand the
     discriminator an artifact that persists at convergence.
 
-    Returns (the rows of n_all at the rules _parse_rules draws over one block
-    of all B rows, the number of (row, step) pairs that fell back).
-    Forward-only. tables is the model's rule_tables() and head its
-    start_head(n0) at its current weights, each built here when None."""
+    Returns (the rows of n_all at the parsed rules, (B, L, d), the number of
+    (row, step) pairs that fell back). Forward-only. tables is the model's
+    rule_tables() and head its start_head(n0) at its current weights, each
+    built here when None.
+
+    Step 0 reads the head, a later step row idx of the chain's table, idx the
+    rule the step before parsed. A step weighs the k kept rules of each row
+    (a dropped rule has probability 0), normalizes by the row's sum over the
+    k weights scattered into a zeroed row, and draws one uniform u per row:
+    the first kept rule whose running sum is at least u, rule 0 when u is 0,
+    and rule R - 1 when u is above the last running sum. That is what a
+    cumsum over the full row, its last entry set to 1, selects bit for bit."""
     if tables is None:
         tables = model.rule_tables()
     if head is None:
         head = model.start_head(np.asarray(n0, dtype=np.float64))
-    rules, fallbacks = _parse_rules(tables, np.argmax(batch, axis=2), [head], rng)
-    return tables.n_all[rules], fallbacks
-
-
-def _parse_rules(tables, tokens, heads, rng):
-    """The parse's step loop: rule indices (N, L) for the tokens (N, L) of
-    the rows of `heads`, StartHeads of consecutive blocks of rows, and the
-    number of (row, step) pairs that fell back (see teacher_forced_states).
-
-    Step 0 reads a block's head, a later step row idx of the chain's table,
-    idx the rule the step before parsed. A step weighs the k kept rules of
-    each row (a dropped rule has probability 0), normalizes by the row's sum
-    over the k weights scattered into a zeroed row, and draws one uniform u
-    per row: the first kept rule whose running sum is at least u, rule 0 when
-    u is 0, and rule R - 1 when u is above the last running sum. That is what
-    a cumsum over the full row, its last entry set to 1, selects bit for bit.
-    The steps run step-major, each block drawing its (b, 1) uniforms in turn,
-    which is one (N, 1) draw bit for bit; every op works row by row."""
     n_all, emit, probs_all, kept, _ = tables
-    R = len(probs_all)
+    tokens = np.argmax(batch, axis=2)
+    (B, L), R = tokens.shape, len(probs_all)
+    rows = np.arange(B)
+    base = rows[:, None] * R                # flat offset of each row of a (B, R) array
     kept_probs = np.take_along_axis(probs_all, kept, axis=1)     # (R, k)
-    blocks = _row_blocks(heads)
-    # each block's kept rules at the step and their law
-    state = [(h.at - np.arange(len(h.at))[:, None] * R, h.probs) for h in heads]
-    rules = np.empty(tokens.shape, dtype=np.intp)
+    # each row's kept rules at the step and their law
+    cols, p = head.at - base, head.probs
+    k = cols.shape[1]
+    rules = np.empty((B, L), dtype=np.intp)
     fallbacks = 0
-    for j in range(tokens.shape[1]):
-        for b, blk in enumerate(blocks):
-            cols, p = state[b]
-            B, k = cols.shape
-            base = np.arange(B)[:, None] * R    # flat offset of each row of a (B, R) array
-            tok = tokens[blk, j, None]
-            w = p * (emit[cols] == tok)
-            miss = np.flatnonzero(~(w > 0).any(axis=1))
-            fallbacks += len(miss)
-            w[miss] = p[miss]
-            row = np.zeros((B, R))
-            row.put(cols + base, w)
-            w /= row.sum(axis=1, keepdims=True)
-            cum = np.cumsum(w, axis=1)
-            u = rng.random((B, 1))
-            first = (cum < u).sum(axis=1)
-            idx = np.where(first < k, cols[np.arange(B), np.minimum(first, k - 1)], R - 1)
-            idx[u[:, 0] == 0] = 0
-            rules[blk, j] = idx
-            state[b] = (kept[idx], kept_probs[idx])
-    return rules, fallbacks
+    for j in range(L):
+        w = p * (emit[cols] == tokens[:, j, None])
+        miss = np.flatnonzero(~(w > 0).any(axis=1))
+        fallbacks += len(miss)
+        w[miss] = p[miss]
+        row = np.zeros((B, R))
+        row.put(cols + base, w)
+        w /= row.sum(axis=1, keepdims=True)
+        cum = np.cumsum(w, axis=1)
+        u = rng.random((B, 1))
+        first = (cum < u).sum(axis=1)
+        idx = np.where(first < k, cols[rows, np.minimum(first, k - 1)], R - 1)
+        idx[u[:, 0] == 0] = 0
+        rules[:, j] = idx
+        cols, p = kept[idx], kept_probs[idx]
+    return n_all[rules], fallbacks
 
 
 def _tau_at(cfg, it):
@@ -338,38 +326,23 @@ def _holdout_scores(grammar_model, disc_model, dataset, rows, config, rng):
     parse giving the real non-terminal streams, and of as many fakes the
     generator unrolls from the same prefixes at the last iteration's tau.
 
-    The N rows run in ceil(N / HOLDOUT_BLOCK) near-equal blocks, so memory
-    grows with the block and not with N. Each block is encoded and its
-    step-0 rule head formed on its own; the parse and then the unroll draw
-    step-major over all blocks (see _parse_rules and draw_rules), so the rng
-    stream is that of one batch of all N rows; D scores one block at a
-    time, the fakes one-hot at each rule's token. Every op works row by
-    row, so the scores are those of one batch of all N rows bit for bit, as
-    far as numpy's matrix products round a row alike in a block: its gemms
-    do in any block of four rows or more, and its gemv, which multiplies D's
-    one-column head, does when the block starts at a multiple of 4 rows, as
-    OpenBLAS groups them. So every block but the last holds a multiple of 4
-    rows, the last the N % 4 rows over, and no block holds fewer than
-    HOLDOUT_BLOCK / 2 rows unless N fits in one block."""
-    tokens = dataset.records[rows]
-    N, L = tokens.shape
-    width = dataset.alphabet_size
-    m = -(-N // HOLDOUT_BLOCK)
-    bounds = 4 * (np.arange(1, m) * (N // 4) // m)
+    The N rows run one block after another, in the ceil(N / HOLDOUT_BLOCK)
+    near-equal blocks of np.array_split, so memory grows with the block and
+    not with N. Each block runs a training iteration's forward pieces under
+    no_grad, all blocks reading one rule table: encode, step-0 rule head,
+    parse, then unroll; D scores each stream as soon as it is built."""
+    tau = _tau_at(config, config.iterations - 1)
+    p_real, p_fake = [], []
     with ad.no_grad():
         tables = grammar_model.rule_tables()
-        heads = [grammar_model.start_head(grammar_model.encode_start(
-                     Tensor(one_hot(part[:, :config.prefix_len], width))).value)
-                 for part in np.split(tokens, bounds)]
-        real, _ = _parse_rules(tables, tokens, heads, rng)
-        fake = grammar_model.draw_rules(heads, L, rng, tables,
-                                        tau=_tau_at(config, config.iterations - 1))[0]
-        p_real, p_fake = [], []
-        for blk in _row_blocks(heads):
-            p_real.append(disc_model(one_hot(tokens[blk], width), tables.n_all[real[blk]]).value)
-            p_fake.append(disc_model(one_hot(tables.emit[fake[blk]],
-                                             grammar_model.config.d_terminal),
-                                     tables.n_all[fake[blk]]).value)
+        for part in np.array_split(rows, -(-len(rows) // HOLDOUT_BLOCK)):
+            batch = one_hot(dataset.records[part], dataset.alphabet_size)
+            n0 = grammar_model.encode_start(Tensor(batch[:, :config.prefix_len]))
+            head = grammar_model.start_head(n0.value)
+            p_real.append(disc_model(batch, teacher_forced_states(
+                grammar_model, batch, n0.value, rng, tables, head)[0]).value)
+            p_fake.append(disc_model(*grammar_model.unroll_batch(
+                n0, batch.shape[1], rng, tau=tau, tables=tables, head=head)[:2]).value)
     return np.concatenate(p_real), np.concatenate(p_fake)
 
 

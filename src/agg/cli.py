@@ -150,7 +150,7 @@ def resolve_config(command, config_path=None, overrides=()):
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r} for {command!r}")
         cfg[key] = _coerce(key, value, defaults[key])
-    _check_seeds(cfg)
+    _check_nonnegative(cfg)
     return cfg
 
 
@@ -169,8 +169,8 @@ def _read_config(path, missing):
     return loaded
 
 
-def _check_seeds(cfg):
-    for key in ("seed", "grammar_seed"):
+def _check_nonnegative(cfg):
+    for key in ("seed", "grammar_seed", "num_classes"):
         if cfg.get(key, 0) < 0:
             raise ConfigError(f"{key} must be >= 0")
 
@@ -212,7 +212,7 @@ def _load_trained(run_dir):
         if key not in train_cfg:
             raise ConfigError(f"{cfg_path} lacks the train key {key!r}")
         _check_value(key, train_cfg[key], default)
-    _check_seeds(train_cfg)
+    _check_nonnegative(train_cfg)
     model = GrammarModel(_grammar_config(train_cfg["num_classes"], train_cfg["topk_mask"]),
                          seed=train_cfg["seed"])
     state = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))

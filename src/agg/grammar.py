@@ -61,12 +61,6 @@ class StartHead(NamedTuple):
     probs: np.ndarray             # (B, k) the rule law there; 0 at every other rule
 
 
-def _row_blocks(heads):
-    """The row slice of each StartHead of consecutive blocks of rows."""
-    ends = np.cumsum([len(h.at) for h in heads])
-    return [slice(end - len(h.at), end) for h, end in zip(heads, ends)]
-
-
 @dataclass
 class SequenceSample:
     nonterminals: list            # L+1 vectors, starting at the seed state
@@ -306,16 +300,16 @@ class GrammarModel:
         model's rule_tables() and head its start_head(n0) at its current
         weights, each built here when None.
 
-        The rules are draw_rules' over one block of all B rows; the outputs
-        are the rows of E, the (R, C) one-hot table of the rules' tokens, and
-        of W_n at them. The L steps are one autodiff node over n0, W_r, b_r
-        and W_n, whose backward is backpropagation through time with the
-        primitive ops' backward expressions in their order, bit for bit. The
-        selection is one-hot where the Gumbel-softmax of the masked logits
-        peaks, with that softmax's straight-through gradient; under a top-1
-        mask, whose one-entry softmax has none, the gradient is that of the
-        Gumbel-softmax of the unmasked logits under the same noise. A
-        terminal's gradient g reaches the selection as g @ E.T, g[:, emit].
+        The rules are draw_rules' from the head; the outputs are the rows of
+        E, the (R, C) one-hot table of the rules' tokens, and of W_n at them.
+        The L steps are one autodiff node over n0, W_r, b_r and W_n, whose
+        backward is backpropagation through time with the primitive ops'
+        backward expressions in their order, bit for bit. The selection is
+        one-hot where the Gumbel-softmax of the masked logits peaks, with that
+        softmax's straight-through gradient; under a top-1 mask, whose
+        one-entry softmax has none, the gradient is that of the Gumbel-softmax
+        of the unmasked logits under the same noise. A terminal's gradient g
+        reaches the selection as g @ E.T, g[:, emit].
         """
         if length < 1:
             raise ParameterError("unroll length must be >= 1")
@@ -333,7 +327,7 @@ class GrammarModel:
         # the soft samples the backward reads are kept only when it can run
         record = ad.grad_enabled()
         logits0 = self._logits(n0.value) if record and self.config.topk_mask == 1 else None
-        rules, logp, ys = self.draw_rules([head], length, rng, tables, tau, record, logits0)
+        rules, logp, ys = self.draw_rules(head, length, rng, tables, tau, record, logits0)
         values = [np.eye(self.config.d_terminal)[emit[rules]], Wn[rules]]
         if return_entropy:
             # each step's full-width rule law: step 0's scattered from the
@@ -385,54 +379,49 @@ class GrammarModel:
             values, (n0, self.w_r, self.b_r, self.w_n), bwd)
         return (terminals, nonterminals, rules, logp, *ent)
 
-    def draw_rules(self, heads, length, rng, tables, tau, record=False, logits0=None):
-        """The unroll's draw loop: rule indices (N, length) and log_prob (N,)
-        of the N rows of `heads`, StartHeads of consecutive blocks of rows,
-        and, when record is true, each step's Gumbel-softmax y (N, R) of the
-        masked logits, or of the unmasked ones given logits0, the unmasked
-        step-0 logits of one block.
+    def draw_rules(self, head, length, rng, tables, tau, record=False, logits0=None):
+        """The unroll's draw loop: rule indices (B, length) and log_prob (B,)
+        from the StartHead `head` of B seed states, and, when record is true,
+        each step's Gumbel-softmax y (B, R) of the masked logits, or of the
+        unmasked ones given logits0, the unmasked step-0 logits.
 
-        Step 0 reads a block's head, a later step row idx of the chain's
-        table, idx the rule the step before chose. A step draws a (b, R)
-        block of uniforms and takes the first kept rule where the
-        Gumbel-softmax of the masked logits peaks; it forms the noise at the
-        kept entries only unless logits0 is given. The steps run step-major, each
-        block drawing its uniforms in turn, which is one draw of all N rows
-        bit for bit. Every op works row by row, and the table's gemm rounds
-        row r as a batch of two or more states does, so the steps are the
-        per-op graph's bit for bit; a batch of one state (numpy's gemv) reads
-        the table's rounding instead, as sample_rule_paths does.
+        Step 0 reads the head, a later step row idx of the chain's table, idx
+        the rule the step before chose. A step draws a (B, R) array of
+        uniforms and takes the first kept rule where the Gumbel-softmax of
+        the masked logits peaks; it forms the noise at the kept entries only
+        unless logits0 is given. Every op works row by row, and the table's
+        gemm rounds row r as a batch of two or more states does, so the steps
+        are the per-op graph's bit for bit; a batch of one state (numpy's
+        gemv) reads the table's rounding instead, as sample_rule_paths does.
         """
         inv = 1.0 / tau
         R = self.config.num_rules
-        blocks = _row_blocks(heads)
-        rules = np.empty((blocks[-1].stop, length), dtype=np.intp)
-        logp = np.zeros(len(rules))
+        B = len(head.at)
+        rows = np.arange(B)
+        rules = np.empty((B, length), dtype=np.intp)
+        logp = np.zeros(B)
         ys = []
         for j in range(length):
-            for head, blk in zip(heads, blocks):
-                B = len(head.at)
-                if j:
-                    prev = rules[blk, j - 1]
-                    at = tables.kept[prev] + np.arange(B)[:, None] * R
-                    s = tables.logits[prev]
-                else:
-                    at, s = head.at, logits0
-                # the perturbed logits z = (s + g) / tau, g = -log(-log(u))
-                u = np.clip(rng.random((B, R)), 1e-12, 1.0 - 1e-12)
-                if logits0 is None:
-                    u, s = u.take(at), s.take(at) if j else head.logits
-                z = (s - np.log(-np.log(u))) * inv
-                zk = z if logits0 is None else z.take(at)
-                y = _softmax_at(zk, at, (B, R), zk.max(axis=-1, keepdims=True))
-                idx = np.argmax(y, axis=-1)
-                rules[blk, j] = idx
-                # the drawn rule is the first kept entry where y peaks
-                p = (tables.probs_all[prev, idx] if j else
-                     head.probs[np.arange(B), y.take(at).argmax(axis=-1)])
-                logp[blk] += np.log(np.maximum(p, 1e-300))
-                if record:
-                    ys.append(y if logits0 is None else _softmax_rows(z))
+            if j:
+                prev = rules[:, j - 1]
+                at = tables.kept[prev] + rows[:, None] * R
+                s = tables.logits[prev]
+            else:
+                at, s = head.at, logits0
+            # the perturbed logits z = (s + g) / tau, g = -log(-log(u))
+            u = np.clip(rng.random((B, R)), 1e-12, 1.0 - 1e-12)
+            if logits0 is None:
+                u, s = u.take(at), s.take(at) if j else head.logits
+            z = (s - np.log(-np.log(u))) * inv
+            zk = z if logits0 is None else z.take(at)
+            y = _softmax_at(zk, at, (B, R), zk.max(axis=-1, keepdims=True))
+            idx = rules[:, j] = np.argmax(y, axis=-1)
+            # the drawn rule is the first kept entry where y peaks
+            p = (tables.probs_all[prev, idx] if j else
+                 head.probs[rows, y.take(at).argmax(axis=-1)])
+            logp += np.log(np.maximum(p, 1e-300))
+            if record:
+                ys.append(y if logits0 is None else _softmax_rows(z))
         return rules, logp, ys
 
     def unroll(self, n0, length, rng_seed=0):

@@ -589,6 +589,17 @@ def test_num_classes_beyond_rule_bank_is_json_error(workdir, argv):
     assert not (workdir / "big_run").exists()
 
 
+def test_negative_num_classes_is_config_error(workdir):
+    # refused before the dataset is read at that width, which would blame
+    # the dataset, and before the run directory is made
+    r = run_cli(["train", "--set", "dataset=data/dataset.jsonl", "--set", "iterations=1",
+                 "--set", "num_classes=-1", "--set", "out_dir=negative_run"], workdir)
+    err = _json_error(r)
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert err["error"] == "ConfigError" and "num_classes" in err["message"]
+    assert not (workdir / "negative_run").exists()
+
+
 # ---------------------------------------------------------------------------
 # a run directory's config.json, and out-of-range train values
 # ---------------------------------------------------------------------------
