@@ -589,11 +589,19 @@ def test_num_classes_beyond_rule_bank_is_json_error(workdir, argv):
     assert not (workdir / "big_run").exists()
 
 
-def test_negative_num_classes_is_config_error(workdir):
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_negative_num_classes_is_config_error(workdir, tmp_path, source):
     # refused before the dataset is read at that width, which would blame
     # the dataset, and before the run directory is made
-    r = run_cli(["train", "--set", "dataset=data/dataset.jsonl", "--set", "iterations=1",
-                 "--set", "num_classes=-1", "--set", "out_dir=negative_run"], workdir)
+    argv = ["train", "--set", "dataset=data/dataset.jsonl", "--set", "iterations=1",
+            "--set", "out_dir=negative_run"]
+    if source == "set":
+        argv += ["--set", "num_classes=-1"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"num_classes": -1}))
+        argv += ["--config", str(config)]
+    r = run_cli(argv, workdir)
     err = _json_error(r)
     assert len(r.stderr.strip().splitlines()) == 1
     assert err["error"] == "ConfigError" and "num_classes" in err["message"]
@@ -609,7 +617,9 @@ def test_negative_num_classes_is_config_error(workdir):
     json.dumps({"seed": 0}),
     json.dumps(dict(TRAIN_DEFAULTS, num_classes="x")),
     json.dumps(dict(TRAIN_DEFAULTS, num_classes=3, topk_mask=True)),
-], ids=["not-json", "missing-keys", "string-num_classes", "boolean-topk_mask"])
+    json.dumps(dict(TRAIN_DEFAULTS, num_classes=-1)),
+], ids=["not-json", "missing-keys", "string-num_classes", "boolean-topk_mask",
+        "negative-num_classes"])
 def test_bad_run_config_is_json_error(workdir, trained, tmp_path, text):
     full, _ = trained
     (tmp_path / "config.json").write_text(text)
