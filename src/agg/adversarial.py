@@ -143,7 +143,7 @@ class TrainResult:
     parse_fallback_share: float = 0.0
 
 
-def teacher_forced_states(model, batch, n0, rng, tables=None, head=None):
+def teacher_forced_states(model, batch, n0, rng, tables=None):
     """Non-terminal stream for real data, built by a teacher-forced parse.
 
     From the seed states n0, each step *samples* a rule from the
@@ -157,32 +157,33 @@ def teacher_forced_states(model, batch, n0, rng, tables=None, head=None):
 
     Returns (the rows of n_all at the parsed rules, (B, L, d), the number of
     (row, step) pairs that fell back). Forward-only. tables is the model's
-    rule_tables() and head its start_head(n0) at its current weights, each
-    built here when None.
+    rule_tables(n0) at its current weights, row b of n0 its seed state
+    R + b, built here when None; other seed rows are a DimensionError.
 
-    Step 0 reads the head, a later step row idx of the chain's table, idx the
-    rule the step before parsed. A step weighs the k kept rules of each row
-    (a dropped rule has probability 0), normalizes by the row's sum over the
-    k weights scattered into a zeroed row, and draws one uniform u per row:
-    the first kept rule whose running sum is at least u, rule 0 when u is 0,
-    and rule R - 1 when u is above the last running sum. That is what a
-    cumsum over the full row, its last entry set to 1, selects bit for bit."""
+    A row starts at its seed state and reads its state's row of the table at
+    every step, the state then moving to the parsed rule. A step weighs the
+    k kept rules of each row (a dropped rule has probability 0), normalizes
+    by the row's sum over the k weights scattered into a zeroed row, and
+    draws one uniform u per row: the first kept rule whose running sum is at
+    least u, rule 0 when u is 0, and rule R - 1 when u is above the last
+    running sum. That is what a cumsum over the full row, its last entry set
+    to 1, selects bit for bit."""
     if tables is None:
-        tables = model.rule_tables()
-    if head is None:
-        head = model.start_head(np.asarray(n0, dtype=np.float64))
+        tables = model.rule_tables(np.asarray(n0, dtype=np.float64))
     n_all, emit, probs_all, kept, _ = tables
     tokens = np.argmax(batch, axis=2)
-    (B, L), R = tokens.shape, len(probs_all)
+    (B, L), R, k = tokens.shape, len(n_all), kept.shape[1]
+    if len(kept) != R + B:
+        raise DimensionError("the rule tables need one seed row per row of the batch")
     rows = np.arange(B)
     base = rows[:, None] * R                # flat offset of each row of a (B, R) array
-    kept_probs = np.take_along_axis(probs_all, kept, axis=1)     # (R, k)
-    # each row's kept rules at the step and their law
-    cols, p = head.at - base, head.probs
-    k = cols.shape[1]
+    kept_probs = np.take_along_axis(probs_all, kept, axis=1)     # (R + B, k)
+    state = R + rows
     rules = np.empty((B, L), dtype=np.intp)
     fallbacks = 0
     for j in range(L):
+        # each row's kept rules at its state and their law
+        cols, p = kept[state], kept_probs[state]
         w = p * (emit[cols] == tokens[:, j, None])
         miss = np.flatnonzero(~(w > 0).any(axis=1))
         fallbacks += len(miss)
@@ -195,8 +196,7 @@ def teacher_forced_states(model, batch, n0, rng, tables=None, head=None):
         first = (cum < u).sum(axis=1)
         idx = np.where(first < k, cols[rows, np.minimum(first, k - 1)], R - 1)
         idx[u[:, 0] == 0] = 0
-        rules[:, j] = idx
-        cols, p = kept[idx], kept_probs[idx]
+        rules[:, j] = state = idx
     return n_all[rules], fallbacks
 
 
@@ -284,16 +284,15 @@ def _adversarial_step(grammar_model, disc_model, batch, config, it, rng, d_opt, 
     D's accuracy, parse fallbacks); the iteration's autodiff graph is freed
     on return, so no two iterations' graphs are alive together."""
     n0 = grammar_model.encode_start(Tensor(batch[:, :config.prefix_len]))
-    # one rule table and one step-0 rule head for the iteration, read by the
-    # unroll and by the parse, and freed once the parse has read them
-    tables = grammar_model.rule_tables()
-    head = grammar_model.start_head(n0.value)
+    # one rule table for the iteration, its seed rows the encoded prefixes,
+    # read by the unroll and by the parse, and freed once the parse has read it
+    tables = grammar_model.rule_tables(n0.value)
     unrolled = grammar_model.unroll_batch(
         n0, batch.shape[1], rng, tau=_tau_at(config, it),
-        return_entropy=bool(config.entropy_weight), tables=tables, head=head)
+        return_entropy=bool(config.entropy_weight), tables=tables)
     t_fake, n_fake = unrolled[:2]
-    n_real, fell = teacher_forced_states(grammar_model, batch, n0.value, rng, tables, head)
-    del tables, head
+    n_real, fell = teacher_forced_states(grammar_model, batch, n0.value, rng, tables)
+    del tables
     p_real = disc_model(Tensor(batch), Tensor(n_real))
     p_fake = disc_model(t_fake.detach(), n_fake.detach())
     d_loss = discriminator_loss(p_real, p_fake)
@@ -329,20 +328,23 @@ def _holdout_scores(grammar_model, disc_model, dataset, rows, config, rng):
     The N rows run one block after another, in the ceil(N / HOLDOUT_BLOCK)
     near-equal blocks of np.array_split, so memory grows with the block and
     not with N. Each block runs a training iteration's forward pieces under
-    no_grad, all blocks reading one rule table: encode, step-0 rule head,
-    parse, then unroll; D scores each stream as soon as it is built."""
+    no_grad: encode, the rule table with the block's encoded prefixes as its
+    seed rows, parse, then unroll. D scores the two streams once the table
+    is freed, and no stream outlives its block."""
     tau = _tau_at(config, config.iterations - 1)
     p_real, p_fake = [], []
     with ad.no_grad():
-        tables = grammar_model.rule_tables()
         for part in np.array_split(rows, -(-len(rows) // HOLDOUT_BLOCK)):
             batch = one_hot(dataset.records[part], dataset.alphabet_size)
             n0 = grammar_model.encode_start(Tensor(batch[:, :config.prefix_len]))
-            head = grammar_model.start_head(n0.value)
-            p_real.append(disc_model(batch, teacher_forced_states(
-                grammar_model, batch, n0.value, rng, tables, head)[0]).value)
-            p_fake.append(disc_model(*grammar_model.unroll_batch(
-                n0, batch.shape[1], rng, tau=tau, tables=tables, head=head)[:2]).value)
+            tables = grammar_model.rule_tables(n0.value)
+            n_real = teacher_forced_states(grammar_model, batch, n0.value, rng, tables)[0]
+            fake = grammar_model.unroll_batch(n0, batch.shape[1], rng, tau=tau,
+                                              tables=tables)[:2]
+            del tables
+            p_real.append(disc_model(batch, n_real).value)
+            p_fake.append(disc_model(*fake).value)
+            del n_real, fake
     return np.concatenate(p_real), np.concatenate(p_fake)
 
 

@@ -329,19 +329,6 @@ def concat(tensors, axis=-1):
     return _node(out_v, tuple(tensors), bwd)
 
 
-def straight_through(soft, hard_value):
-    """Forward the hard value, route gradients to the soft sample unchanged."""
-    soft = _as_tensor(soft)
-    hard_value = np.asarray(hard_value, dtype=np.float64)
-    if hard_value.shape != soft.value.shape:
-        raise DimensionError("straight_through: shape mismatch")
-
-    def bwd(g):
-        _acc(soft, g)
-
-    return _node(hard_value, (soft,), bwd)
-
-
 def reshape(x, shape):
     x = _as_tensor(x)
     out_v = x.value.reshape(shape)

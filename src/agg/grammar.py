@@ -43,22 +43,16 @@ def activity_config(num_classes, topk_mask=4):
 
 
 class RuleTables(NamedTuple):
-    """The generator after its first step: a finite chain over its R rules.
-    Row r of each table is the expansion of a one-hot selection of rule r,
-    and k is the number of rules the top-k mask keeps (R without a mask)."""
+    """The generator as a finite chain over its R rules, with U seed states
+    appended. State r < R is the expansion of a one-hot selection of rule r,
+    state R + u the seed state n0[u]; a path starts at a seed state and then
+    moves to the rule it draws. k is the number of rules the top-k mask keeps
+    (R without a mask)."""
     n_all: np.ndarray             # (R, d) next state: row r of W_n
     emit: np.ndarray              # (R,) the token rule r emits
-    probs_all: np.ndarray         # (R, R) next-step rule law at n_all
-    kept: np.ndarray              # (R, k) the columns the mask keeps, ascending
-    logits: np.ndarray            # (R, R) the unmasked logits n_all @ W_r + b_r
-
-
-class StartHead(NamedTuple):
-    """Step 0's rule head at B seed states, in the kept form both the unroll
-    and the parse read: k entries a row, in ascending column order."""
-    at: np.ndarray                # (B, k) flat indices of the kept entries of a (B, R) array
-    logits: np.ndarray            # (B, k) the logits n0 @ W_r + b_r there
-    probs: np.ndarray             # (B, k) the rule law there; 0 at every other rule
+    probs_all: np.ndarray         # (R + U, R) next-step rule law at each state
+    kept: np.ndarray              # (R + U, k) the columns the mask keeps, ascending
+    logits: np.ndarray            # (R + U, R) the unmasked logits (n_all; n0) @ W_r + b_r
 
 
 @dataclass
@@ -260,14 +254,6 @@ class GrammarModel:
         """The unmasked rule logits n @ W_r + b_r at states n (B, d)."""
         return n @ self.w_r.value + self.b_r.value
 
-    def _head(self, n):
-        """(s, kept) of the rule head at states n (B, d): the logits
-        s = n @ W_r + b_r, unmasked, and the flat indices of the entries the
-        top-k mask keeps; the masked logits are s with the others -inf."""
-        s = self._logits(n)
-        keep = self._topk_keep(s)
-        return s, np.arange(s.size) if keep is None else keep.ravel().nonzero()[0]
-
     def _head_backward(self, n, gl):
         """Backward of the logits n @ W_r + b_r for their gradient gl: adds
         into b_r and W_r, and returns the gradient into the states n."""
@@ -275,21 +261,8 @@ class GrammarModel:
         ad._acc(self.w_r, n.T @ gl)
         return gl @ self.w_r.value.T
 
-    def rule_probs(self, n):
-        """(B, R) rule distributions at the states n (B, d), an array: the
-        softmax of the masked logits. Forward-only."""
-        return _softmax_kept(*self._head(n))
-
-    def start_head(self, n0):
-        """StartHead of the rule head at the seed states n0 (B, d), an array.
-        Its law is rule_probs(n0) at the kept entries, bit for bit."""
-        s, at = self._head(n0)
-        at = at.reshape(len(s), -1)
-        return StartHead(at, s.take(at), _softmax_kept(s, at).take(at))
-
     # -- unrolling ----------------------------------------------------------
-    def unroll_batch(self, n0, length, rng, tau=1.0, return_entropy=False, tables=None,
-                     head=None):
+    def unroll_batch(self, n0, length, rng, tau=1.0, return_entropy=False, tables=None):
         """Differentiable batched unroll, each step drawing one hard rule from
         the generator rng.
 
@@ -297,16 +270,17 @@ class GrammarModel:
         (B,L,d) Tensor, rule_indices (B,L) int array, log_prob (B,) array). With
         return_entropy=True a fifth element is appended: the mean per-step
         rule-distribution entropy as a differentiable scalar. tables is this
-        model's rule_tables() and head its start_head(n0) at its current
-        weights, each built here when None.
+        model's rule_tables(n0) at its current weights, row b of n0 its seed
+        state R + b, built here when None; other seed rows are a
+        DimensionError.
 
-        The rules are draw_rules' from the head; the outputs are the rows of
-        E, the (R, C) one-hot table of the rules' tokens, and of W_n at them.
-        The L steps are one autodiff node over n0, W_r, b_r and W_n, whose
-        backward is backpropagation through time with the primitive ops'
-        backward expressions in their order, bit for bit. The selection is
-        one-hot where the Gumbel-softmax of the masked logits peaks, with that
-        softmax's straight-through gradient; under a top-1 mask, whose
+        The rules are draw_rules' from the seed rows; the outputs are the rows
+        of E, the (R, C) one-hot table of the rules' tokens, and of W_n at
+        them. The L steps are one autodiff node over n0, W_r, b_r and W_n,
+        whose backward is backpropagation through time with the primitive
+        ops' backward expressions in their order, bit for bit. The selection
+        is one-hot where the Gumbel-softmax of the masked logits peaks, with
+        that softmax's straight-through gradient; under a top-1 mask, whose
         one-entry softmax has none, the gradient is that of the Gumbel-softmax
         of the unmasked logits under the same noise. A terminal's gradient g
         reaches the selection as g @ E.T, g[:, emit].
@@ -316,25 +290,24 @@ class GrammarModel:
         n0 = ad._as_tensor(n0)
         if tau <= 0:
             raise ParameterError("gumbel temperature must be > 0")
+        B, R = n0.value.shape[0], self.config.num_rules
         if tables is None:
-            tables = self.rule_tables()
-        if head is None:
-            head = self.start_head(n0.value)
+            tables = self.rule_tables(n0.value)
+        if len(tables.kept) != R + B:
+            raise DimensionError("the rule tables need one seed row per state of n0")
         inv = 1.0 / tau
         Wn, emit = self.w_n.value, tables.emit
-        B, R = n0.value.shape[0], self.config.num_rules
         rows = np.arange(B)
         # the soft samples the backward reads are kept only when it can run
         record = ad.grad_enabled()
-        logits0 = self._logits(n0.value) if record and self.config.topk_mask == 1 else None
-        rules, logp, ys = self.draw_rules(head, length, rng, tables, tau, record, logits0)
+        rules, logp, ys = self.draw_rules(tables, length, rng, tau, record,
+                                          record and self.config.topk_mask == 1)
         values = [np.eye(self.config.d_terminal)[emit[rules]], Wn[rules]]
         if return_entropy:
-            # each step's full-width rule law: step 0's scattered from the
-            # kept entries, as the softmax leaves it, then the table's rows
-            p0 = np.zeros((B, R))
-            p0.put(head.at, head.probs)
-            ps = [p0] + [tables.probs_all[rules[:, j]] for j in range(length - 1)]
+            # each step's full-width rule law: the row of its state, the seed
+            # row R + b at step 0 and the rule drawn before it later
+            ps = [tables.probs_all[R + rows]] + [tables.probs_all[rules[:, j]]
+                                                 for j in range(length - 1)]
             entropies = [(p * np.log(np.maximum(p, 1e-12))).sum(axis=-1).mean() for p in ps]
             values.append(np.asarray(np.mean(entropies) * -1.0))
 
@@ -379,49 +352,46 @@ class GrammarModel:
             values, (n0, self.w_r, self.b_r, self.w_n), bwd)
         return (terminals, nonterminals, rules, logp, *ent)
 
-    def draw_rules(self, head, length, rng, tables, tau, record=False, logits0=None):
-        """The unroll's draw loop: rule indices (B, length) and log_prob (B,)
-        from the StartHead `head` of B seed states, and, when record is true,
-        each step's Gumbel-softmax y (B, R) of the masked logits, or of the
-        unmasked ones given logits0, the unmasked step-0 logits.
+    def draw_rules(self, tables, length, rng, tau, record=False, full=False):
+        """The unroll's draw loop over the B seed rows of the RuleTables
+        `tables`: rule indices (B, length) and log_prob (B,), and, when record
+        is true, each step's Gumbel-softmax y (B, R) of the masked logits, or
+        of the unmasked ones when full is true.
 
-        Step 0 reads the head, a later step row idx of the chain's table, idx
-        the rule the step before chose. A step draws a (B, R) array of
-        uniforms and takes the first kept rule where the Gumbel-softmax of
-        the masked logits peaks; it forms the noise at the kept entries only
-        unless logits0 is given. Every op works row by row, and the table's
-        gemm rounds row r as a batch of two or more states does, so the steps
-        are the per-op graph's bit for bit; a batch of one state (numpy's
-        gemv) reads the table's rounding instead, as sample_rule_paths does.
+        A path starts at its seed state R + b and reads its state's row of the
+        table at every step, the state then moving to the drawn rule. A step
+        draws a (B, R) array of uniforms and takes the first kept rule where
+        the Gumbel-softmax of the masked logits peaks; it forms the noise at
+        the kept entries only unless full is true. Every op works row by row,
+        and the table's gemm rounds each row as any batch of two or more
+        states does, so the steps are the per-op graph's bit for bit; a lone
+        seed row, whose per-op head numpy would multiply by gemv, reads the
+        table's rounding instead, as sample_rule_paths does.
         """
         inv = 1.0 / tau
         R = self.config.num_rules
-        B = len(head.at)
+        B = len(tables.logits) - R
         rows = np.arange(B)
+        state = R + rows
         rules = np.empty((B, length), dtype=np.intp)
         logp = np.zeros(B)
         ys = []
         for j in range(length):
-            if j:
-                prev = rules[:, j - 1]
-                at = tables.kept[prev] + rows[:, None] * R
-                s = tables.logits[prev]
-            else:
-                at, s = head.at, logits0
+            at = tables.kept[state] + rows[:, None] * R
+            s = tables.logits[state]
             # the perturbed logits z = (s + g) / tau, g = -log(-log(u))
             u = np.clip(rng.random((B, R)), 1e-12, 1.0 - 1e-12)
-            if logits0 is None:
-                u, s = u.take(at), s.take(at) if j else head.logits
+            if not full:
+                u, s = u.take(at), s.take(at)
             z = (s - np.log(-np.log(u))) * inv
-            zk = z if logits0 is None else z.take(at)
+            zk = z.take(at) if full else z
             y = _softmax_at(zk, at, (B, R), zk.max(axis=-1, keepdims=True))
-            idx = rules[:, j] = np.argmax(y, axis=-1)
             # the drawn rule is the first kept entry where y peaks
-            p = (tables.probs_all[prev, idx] if j else
-                 head.probs[rows, y.take(at).argmax(axis=-1)])
-            logp += np.log(np.maximum(p, 1e-300))
+            idx = rules[:, j] = np.argmax(y, axis=-1)
+            logp += np.log(np.maximum(tables.probs_all[state, idx], 1e-300))
             if record:
-                ys.append(y if logits0 is None else _softmax_rows(z))
+                ys.append(_softmax_rows(z) if full else y)
+            state = idx
         return rules, logp, ys
 
     def unroll(self, n0, length, rng_seed=0):
@@ -439,17 +409,22 @@ class GrammarModel:
         )
 
     # -- table form: rule i fully determines its successor state ------------
-    def rule_tables(self):
-        """The RuleTables of the chain. The next non-terminal is a function
-        of the selected rule alone, so hard unrolls after the first step are
-        table lookups: row r is the expansion of the one-hot selection of
-        rule r, row r of W_n, and its head is the (R, R) gemm's row r, which
-        numpy rounds as it rounds that row in a batch of two or more states.
-        The arrays are the caller's own."""
-        s, at = self._head(self.w_n.value)
+    def rule_tables(self, n0=None):
+        """The RuleTables of the chain, with one seed row per state of the
+        array n0 (U, d), none when n0 is None. The next non-terminal is a
+        function of the selected rule alone, so hard unrolls are table
+        lookups: row r is the expansion of the one-hot selection of rule r,
+        row r of W_n, and row R + u that of the seed state n0[u]. The heads
+        are one gemm over the R + U states, which numpy rounds row by row as
+        it rounds that row in any batch of two or more states. The arrays are
+        the caller's own."""
+        n = self.w_n.value if n0 is None else np.concatenate([self.w_n.value, n0])
+        s = self._logits(n)
+        keep = self._topk_keep(s)
+        at = np.arange(s.size) if keep is None else keep.ravel().nonzero()[0]
         at = at.reshape(len(s), -1)
         return RuleTables(self.w_n.value.copy(), self.emit.copy(), _softmax_kept(s, at),
-                          at % len(s), s)
+                          at % s.shape[1], s)
 
     def sample_rule_paths(self, n0, length, num_samples, seed=0, start=None):
         """Hard-sampled rule-index paths (N, L) and their log_prob (N,), for
@@ -464,20 +439,20 @@ class GrammarModel:
         of those of a longer one. log_prob adds log(max(p, 1e-300)) of each
         chosen rule, step by step.
 
-        The states are the R rules (rows of probs_all) and the U seeds (rows
-        R + u). Of each state's cumulative row only column 0, the columns of
-        nonzero probability and the last column are kept, in K slots padded
-        with +inf: the first entry not below u is always one of them, because
-        a zero adds nothing to the running sum and column 0 covers u = 0. The
-        tables are flat, state s owning slots s * K to s * K + K - 1, and a
-        step binary-searches the slots of all paths at once.
+        The states are the rows of rule_tables(n0).probs_all: the R rules,
+        then the U seeds (rows R + u). Of each state's cumulative row only
+        column 0, the columns of nonzero probability and the last column are
+        kept, in K slots padded with +inf: the first entry not below u is
+        always one of them, because a zero adds nothing to the running sum
+        and column 0 covers u = 0. The tables are flat, state s owning slots
+        s * K to s * K + K - 1, and a step binary-searches the slots of all
+        paths at once.
         """
         if length < 1 or num_samples < 1:
             raise ParameterError("path length and num_samples must be >= 1")
         rng = np.random.default_rng(seed)
-        probs_all = self.rule_tables().probs_all
-        p0 = self.rule_probs(np.asarray(n0, dtype=np.float64))
-        probs = np.concatenate([probs_all, p0])
+        probs = self.rule_tables(np.asarray(n0, dtype=np.float64)).probs_all
+        R = self.config.num_rules
         keep = probs > 0
         keep[:, [0, -1]] = True
         kept = np.flatnonzero(keep)               # row by row, columns ascending
@@ -498,8 +473,8 @@ class GrammarModel:
         rule = np.zeros(len(probs) * K, dtype=np.int64)
         rule[slot] = cols
         if start is None:
-            start = np.arange(len(p0))
-        state = len(probs_all) + np.repeat(start, num_samples)
+            start = np.arange(len(probs) - R)
+        state = R + np.repeat(start, num_samples)
         paths = np.empty((len(state), length), dtype=np.int64)
         logp = np.zeros(len(state))
         u = rng.random((length, len(state)))     # step-major: one (N,) draw per step
@@ -557,12 +532,12 @@ class GrammarModel:
                 f"enumeration needs k^L = {k_cap}^{length} = {k_cap ** length} "
                 f"sequences, over budget {budget}")
         n0 = np.asarray(n0, dtype=np.float64).reshape(-1)
-        n_all, emit, probs_all = self.rule_tables()[:3]
-        p0 = self.rule_probs(n0.reshape(1, -1))[0]
+        n_all, emit, probs_all = self.rule_tables(n0[None])[:3]
 
         results = []
-        # DFS over (depth, prefix indices, prefix prob, step distribution)
-        stack = [((), 1.0, p0)]
+        # DFS over (depth, prefix indices, prefix prob, step distribution),
+        # from the seed row
+        stack = [((), 1.0, probs_all[-1])]
         while stack:
             prefix, prob, p = stack.pop()
             for i in _top_stable(p[None], k_cap)[0]:

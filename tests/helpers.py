@@ -1,6 +1,7 @@
 """Shared test helpers: the finite-difference oracle for the gradient tests,
-the primitive ops and the rule head that only the per-op reference graphs
-still use, and the runner for `python -m agg.cli` child processes."""
+the rule law at seed states, the primitive ops and the rule head that only
+the per-op reference graphs still use, and the runner for `python -m agg.cli`
+child processes."""
 import os
 import subprocess
 import sys
@@ -55,6 +56,12 @@ def check_op(build_loss, shapes, seed, tol=1e-4, h=H):
         num = numeric_grad(scalar, v, h=h)
         ana = tensors[k].grad_or_zero()
         assert rel_err(ana, num) < tol, f"input {k}: {rel_err(ana, num)}"
+
+
+def seed_probs(model, n0):
+    """The rule law at each state of n0 (U, d): the seed rows of
+    model.rule_tables(n0).probs_all."""
+    return model.rule_tables(np.asarray(n0, dtype=np.float64)).probs_all[model.config.num_rules:]
 
 
 # Primitive ops of the per-op graphs that the one-node unroll and likelihood

@@ -18,7 +18,7 @@ from agg.grammar import GrammarConfig, GrammarModel
 from agg.nn import SGD
 from agg.synthdata import SequenceDataset, build_preset_grammar, sample_dataset
 
-from helpers import numeric_grad, rel_err
+from helpers import numeric_grad, rel_err, seed_probs
 
 SMALL_D = DiscriminatorConfig(conv_channels=(4, 6, 4))
 
@@ -137,13 +137,21 @@ def test_teacher_forced_posterior_tracks_emissions():
 
     # first-step law over many rows matches the posterior weight
     n = 4000
-    p0 = model.rule_probs(np.zeros((1, 8)))[0]
+    p0 = seed_probs(model, np.zeros((1, 8)))[0]
     one_token = np.eye(4)[np.zeros((n, 1), dtype=np.int64)]
     weight = p0 * (emit == 0)
     out, _ = teacher_forced_states(model, one_token, np.zeros((n, 8)),
                                    np.random.default_rng(2))
     freq = np.bincount(parsed_rules(out)[:, 0], minlength=6) / n
     assert np.abs(freq - weight / weight.sum()).max() < 0.03
+
+
+def test_teacher_forced_states_needs_a_seed_row_per_row():
+    model = tiny_model()
+    batch, n0 = np.eye(4)[np.zeros((3, 5), dtype=np.int64)], np.zeros((3, 8))
+    for tables in (model.rule_tables(), model.rule_tables(n0[:2])):
+        with pytest.raises(DimensionError):
+            teacher_forced_states(model, batch, n0, np.random.default_rng(0), tables)
 
 
 def test_train_validation_errors():
@@ -429,7 +437,7 @@ def test_pruned_loglik_is_the_path_sum_by_brute_force(covered):
     rng = np.random.default_rng(4)
     tokens = rng.integers(0, 4, size=(5, L))
     n0 = rng.normal(size=(5, 8))
-    p0, probs_all = model.rule_probs(n0), model.rule_tables().probs_all
+    p0, probs_all = seed_probs(model, n0), model.rule_tables().probs_all
     want = 0.0
     for b, row in enumerate(tokens):
         total = 0.0

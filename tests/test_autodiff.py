@@ -137,16 +137,6 @@ def test_mask_logits(seed):
              [(3, 5), (3, 5)], seed)
 
 
-def test_straight_through_forward_and_grad():
-    soft = ad.Tensor(np.array([0.2, 0.5, 0.3]))
-    hard = np.array([0.0, 1.0, 0.0])
-    out = ad.straight_through(soft, hard)
-    assert np.array_equal(out.value, hard)
-    loss = ad.total(ad.mul(out, np.array([1.0, 2.0, 3.0])))
-    ad.backward(loss)
-    assert np.array_equal(soft.grad, np.array([1.0, 2.0, 3.0]))
-
-
 @pytest.mark.parametrize("seed", seeds())
 @pytest.mark.parametrize("stride", [1, 4], ids=["1-same", "4-same"])   # "same" padding
 def test_conv1d(seed, stride):

@@ -5,10 +5,11 @@ import pytest
 
 from agg import autodiff as ad
 from agg.autodiff import Tensor
-from agg.errors import ParameterError, ParseError, ResourceError
+from agg.errors import DimensionError, ParameterError, ParseError, ResourceError
 from agg.grammar import GrammarConfig, GrammarModel, activity_config, gumbel_softmax
 
-from helpers import expand, numeric_grad, ref_rule_logits, rel_err
+from helpers import (expand, numeric_grad, ref_rule_logits, rel_err, seed_probs,
+                     straight_through)
 
 
 def tiny_config(**overrides):
@@ -30,20 +31,20 @@ def test_presets():
     assert a.d_terminal == 10
 
 
-def test_rule_probs_distribution():
+def test_seed_rows_are_distributions():
     model = GrammarModel(tiny_config(), seed=0)
     rng = np.random.default_rng(1)
     n = rng.normal(size=(1000, 8))
-    p = model.rule_probs(n)
+    p = seed_probs(model, n)
     assert np.all(p >= 0)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
 
-def test_rule_probs_zero_weights_uniform():
+def test_seed_rows_zero_weights_uniform():
     model = GrammarModel(tiny_config(), seed=0)
     for p in (model.w_r, model.b_r):
         p.assign(np.zeros_like(p.value))
-    probs = model.rule_probs(np.ones((1, 8)))
+    probs = seed_probs(model, np.ones((1, 8)))
     assert np.allclose(probs, 1.0 / 6)
 
 
@@ -52,12 +53,12 @@ def test_topk_mask_behaviors():
     full = GrammarModel(tiny_config(topk_mask=6), seed=2)
     one = GrammarModel(tiny_config(topk_mask=1), seed=2)
     n = np.random.default_rng(0).normal(size=(5, 8))
-    assert np.allclose(base.rule_probs(n), full.rule_probs(n))
-    p1 = one.rule_probs(n)
+    assert np.allclose(seed_probs(base, n), seed_probs(full, n))
+    p1 = seed_probs(one, n)
     assert np.all(p1.max(axis=1) == 1.0)
     assert np.all((p1 > 0).sum(axis=1) == 1)
     two = GrammarModel(tiny_config(topk_mask=2), seed=2)
-    p2 = two.rule_probs(n)
+    p2 = seed_probs(two, n)
     assert np.all((p2 > 0).sum(axis=1) == 2)
 
 
@@ -115,7 +116,7 @@ def _gumbel_chain(logits, tau, noise, hard):
         return y
     one_hot = np.zeros_like(y.value)
     np.put_along_axis(one_hot, np.argmax(y.value, axis=-1)[..., None], 1.0, axis=-1)
-    return ad.straight_through(y, one_hot)
+    return straight_through(one_hot, y)
 
 
 @pytest.mark.parametrize("hard", [False, True])
@@ -249,6 +250,11 @@ def test_unroll_batch_policy_validation():
         model.unroll_batch(np.zeros((1, 8)), 0, np.random.default_rng(0))
     with pytest.raises(ParameterError):
         model.unroll_batch(np.zeros((1, 8)), 3, np.random.default_rng(0), tau=0.0)
+    # a table's seed rows are the states the unroll starts from, one per row
+    n0 = np.zeros((3, 8))
+    for tables in (model.rule_tables(), model.rule_tables(n0[:2])):
+        with pytest.raises(DimensionError):
+            model.unroll_batch(n0, 3, np.random.default_rng(0), tables=tables)
 
 
 def test_unroll_batch_entropy_gradient():
@@ -375,11 +381,29 @@ def test_rule_tables_consistency():
     assert np.array_equal(t_new.value[0], np.eye(4)[emit[2]])
 
 
+@pytest.mark.parametrize("U", [1, 2, 256])
+@pytest.mark.parametrize("topk", [4, None, 1])
+def test_seed_rows_round_as_in_any_batch(topk, U):
+    # rule_tables(n0) runs one gemm over the R rules and the U seed states:
+    # its first R rows are the seedless table's, and the seed row of state i
+    # is the one that state gets alone, bit for bit
+    model = GrammarModel(activity_config(6, topk_mask=topk), seed=3)
+    R = model.config.num_rules
+    n0 = np.random.default_rng(U).normal(size=(U, 64))
+    seeded = model.rule_tables(n0)
+    for a, b in zip(model.rule_tables(), seeded, strict=True):
+        assert a.tobytes() == b[:R].tobytes()
+    for i in range(U):
+        alone = model.rule_tables(n0[i:i + 1])
+        for a, b in zip(alone[2:], seeded[2:], strict=True):
+            assert a[R].tobytes() == b[R + i].tobytes()
+
+
 def test_sample_rule_paths_matches_unroll_distribution():
     model = GrammarModel(tiny_config(), seed=8)
     n0 = np.ones((1, 8))
     paths, _ = model.sample_rule_paths(n0, 4, 4000, seed=0)
     assert paths.shape == (4000, 4)
-    p0 = model.rule_probs(n0)[0]
+    p0 = seed_probs(model, n0)[0]
     freq = np.bincount(paths[:, 0], minlength=6) / 4000
     assert np.abs(freq - p0).max() < 0.05

@@ -31,8 +31,8 @@ from agg.synthdata import (GroundTruthGrammar, SequenceDataset, _saved_tokens,
                            load_grammar, sample_dataset, sample_sequence, sample_sequences,
                            save_dataset)
 
-from helpers import (expand, gather_nd, mask_logits, ref_rule_logits, rel_err, stack_time,
-                     straight_through, sum_along)
+from helpers import (expand, gather_nd, mask_logits, ref_rule_logits, rel_err, seed_probs,
+                     stack_time, straight_through, sum_along)
 
 SEEDS = (0, 1, 7, 123)
 LENGTHS = (1, 2, 5, 12)
@@ -89,6 +89,19 @@ class _Uniforms:
         n = int(np.prod(shape))
         self.at += n
         return self.values[self.at - n:self.at].reshape(shape)
+
+
+def _doctor_chain(model, probs_all):
+    """Make model.rule_tables read the (R, R) law probs_all as its chain's;
+    the seed rows it appends stay the model's own."""
+    own = model.rule_tables
+
+    def rule_tables(n0=None):
+        tables = own(n0)
+        return tables._replace(probs_all=np.concatenate(
+            [probs_all, tables.probs_all[len(probs_all):]]))
+
+    model.rule_tables = rule_tables
 
 
 def ref_empirical_ngram_distribution(samples, n, num_tokens):
@@ -219,8 +232,7 @@ def test_sample_rule_paths_tie_keeps_the_lower_rule():
     u = np.random.default_rng(0).random(2)[1]
     probs_all = np.zeros((6, 6))
     probs_all[:, 0], probs_all[:, 1] = u, 1.0 - u
-    tables = model.rule_tables()._replace(probs_all=probs_all)
-    model.rule_tables = lambda: tables
+    _doctor_chain(model, probs_all)
     n0 = np.ones((1, 8))
     want = ref_sample_rule_paths(model, n0, 2, 1, seed=0)
     assert want[0, 1] == 0
@@ -239,8 +251,7 @@ def test_sample_rule_paths_at_cdf_boundaries(monkeypatch):
                           [0.5, 0.0, 0.0, 0.25, 0.0, 0.0],
                           [0.25, 0.0, 0.25, 0.0, 0.25, 0.25],
                           [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
-    tables = model.rule_tables()._replace(probs_all=probs_all)
-    model.rule_tables = lambda: tables
+    _doctor_chain(model, probs_all)
     # every seed state's rule law is exactly [0, 0.5, 0, 0.5, 0, 0]
     model.w_r.value[...] = 0.0
     model.b_r.value[...] = -np.inf
@@ -252,7 +263,7 @@ def test_sample_rule_paths_at_cdf_boundaries(monkeypatch):
     want = [[0, 0], [0, 5], [1, 0], [1, 1], [1, 1], [1, 4], [1, 4], [1, 5], [3, 0],
             [3, 3], [3, 3], [3, 5], [3, 5], [1, 0], [3, 0]]
     # the same answers from searchsorted over each full cumulative row
-    p0 = model.rule_probs(np.zeros((1, 8)))[0]
+    p0 = seed_probs(model, np.zeros((1, 8)))[0]
     for (u0, u1), (r0, r1) in zip(u, want):
         cum0, cum1 = np.cumsum(p0), np.cumsum(probs_all[r0])
         cum0[-1] = cum1[-1] = 1.0
@@ -400,8 +411,7 @@ def _chain_of_width(K, R=11, seed=0):
         if p.sum():
             p *= rng.choice([1.0, 0.75]) / p.sum()
         probs_all[r, cols] = p
-    tables = model.rule_tables()._replace(probs_all=probs_all)
-    model.rule_tables = lambda: tables
+    _doctor_chain(model, probs_all)
     model.b_r.value[...] = -np.inf
     model.b_r.value[np.r_[0, rng.choice(inner, K - 2, replace=False), R - 1]] = 0.0
     return model
@@ -1093,10 +1103,10 @@ def test_unroll_batch_log_prob_adds_the_table_law(topk, rows):
     # bit; also for one row, which reads the table's rounding. The longer
     # unrolls are handed the table the unroll otherwise builds itself
     model, _, prefix = _unroll_case(topk, rows=rows)
-    tables = model.rule_tables()
-    probs_all = tables.probs_all
     with ad.no_grad():
         n0 = model.encode_start(Tensor(prefix))
+        tables = model.rule_tables(n0.value)
+        probs_all = tables.probs_all
         _, _, prev_idx, prev_logp = model.unroll_batch(n0, 1, np.random.default_rng(3))
         for length in range(2, 9):
             _, _, idx, logp = model.unroll_batch(n0, length, np.random.default_rng(3),
@@ -1113,11 +1123,12 @@ def test_unroll_batch_log_prob_adds_the_table_law(topk, rows):
 
 def ref_teacher_forced_states(model, batch, n0, rng):
     """adversarial.teacher_forced_states as it weighed all R rules of each
-    row, verbatim but for reading the first three of the rule tables."""
-    n_all, emit, probs_all = model.rule_tables()[:3]
+    row, verbatim but for reading the first three of the rule tables, whose
+    seed rows are step 0's law."""
+    n_all, emit, probs_all = model.rule_tables(np.asarray(n0, dtype=np.float64))[:3]
     B, L, _ = batch.shape
     tokens = np.argmax(batch, axis=2)                   # (B, L)
-    p = model.rule_probs(np.asarray(n0, dtype=np.float64))
+    p = probs_all[len(n_all):]
     out = np.empty((B, L, n_all.shape[1]))
     fallbacks = 0
     for j in range(L):
@@ -1165,7 +1176,7 @@ def test_teacher_forced_states_equals_dense_parse(topk, rows):
     # a table passed in is read as the one built inside
     tables_rng = np.random.default_rng(7)
     passed = adversarial.teacher_forced_states(model, batch, n0, tables_rng,
-                                               model.rule_tables())
+                                               model.rule_tables(n0))
     assert np.array_equal(passed[0], got[0]) and passed[1] == got[1]
 
 
@@ -1188,7 +1199,7 @@ def test_teacher_forced_states_at_uniform_boundaries(topk):
     assert got[1] == want[1]
     assert got_u.at == want_u.at == u.size
     rules = _parsed_rules(model, want[0])
-    p0 = model.rule_probs(n0)
+    p0 = seed_probs(model, n0)
     probs_all = model.rule_tables().probs_all
     assert (rules[:, 0] == 0).all()
     if topk == 4:
@@ -1214,7 +1225,7 @@ def ref_holdout_accuracy(grammar_model, disc_model, X_hold, config, rng):
     for X in np.array_split(X_hold, -(-len(X_hold) // adversarial.HOLDOUT_BLOCK)):
         with ad.no_grad():
             n0 = grammar_model.encode_start(Tensor(X[:, :config.prefix_len]))
-            tables = grammar_model.rule_tables()
+            tables = grammar_model.rule_tables(n0.value)
             p_real.append(disc_model(Tensor(X), Tensor(
                 adversarial.teacher_forced_states(grammar_model, X, n0.value, rng,
                                                   tables)[0])).value)
