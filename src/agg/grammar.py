@@ -432,64 +432,49 @@ class GrammarModel:
 
         start (B,) names the seed row of each prefix, every row of n0 in
         order by default; path i starts from n0[start[i // num_samples]]. A
-        step draws one uniform u per path and takes the first rule whose
-        cumulative probability (last entry set to 1) is not below u, as
-        searchsorted(side="left") would. The draws are step-major, one (N,)
+        step draws one uniform u per path and takes the first kept rule whose
+        cumulative probability (the last kept entry set to 1) is not below u,
+        as searchsorted(side="left") would. The draws are step-major, one (N,)
         row per step, so the paths of a shorter length are the first columns
         of those of a longer one. log_prob adds log(max(p, 1e-300)) of each
         chosen rule, step by step.
 
-        The states are the rows of rule_tables(n0).probs_all: the R rules,
-        then the U seeds (rows R + u). Of each state's cumulative row only
-        column 0, the columns of nonzero probability and the last column are
-        kept, in K slots padded with +inf: the first entry not below u is
-        always one of them, because a zero adds nothing to the running sum
-        and column 0 covers u = 0. The tables are flat, state s owning slots
-        s * K to s * K + K - 1, and a step binary-searches the slots of all
-        paths at once.
+        The states are the rows of rule_tables(n0): the R rules, then the U
+        seeds (rows R + u). A state draws only among its k kept columns
+        (RuleTables.kept, all R without a mask), so a draw never lands on a rule
+        the mask dropped: u = 0 takes the first kept rule, and u above the
+        kept total takes the last. The cumulative, log and rule arrays are
+        read flat, state s owning slots s * k to s * k + k - 1, and a step
+        binary-searches the slots of all paths at once.
         """
         if length < 1 or num_samples < 1:
             raise ParameterError("path length and num_samples must be >= 1")
         rng = np.random.default_rng(seed)
-        probs = self.rule_tables(np.asarray(n0, dtype=np.float64)).probs_all
-        R = self.config.num_rules
-        keep = probs > 0
-        keep[:, [0, -1]] = True
-        kept = np.flatnonzero(keep)               # row by row, columns ascending
-        rows = kept // probs.shape[1]
-        cols = kept - rows * probs.shape[1]
-        width = np.bincount(rows, minlength=len(probs))
-        K = int(width.max())
-        # a kept entry's slot: its row's first slot plus its place in the row
-        slot = rows * K + np.arange(len(kept)) - np.repeat(np.cumsum(width) - width, width)
-        p = np.zeros(len(probs) * K)
-        p[slot] = probs.take(kept)
-        # x + 0.0 is x, so the running sum of a row's kept entries is its
-        # full cumsum at those columns, bit for bit
-        vals = np.cumsum(p.reshape(-1, K), axis=-1).ravel()
-        vals[np.arange(len(probs)) * K + width - 1] = 1.0      # the last column
-        vals[(np.arange(K) >= width[:, None]).ravel()] = np.inf
+        tables = self.rule_tables(np.asarray(n0, dtype=np.float64))
+        kept, R, k = tables.kept, self.config.num_rules, tables.kept.shape[1]
+        p = np.take_along_axis(tables.probs_all, kept, axis=1)
+        del tables                               # the walk reads kept and p only
+        vals = np.cumsum(p, axis=1)
+        vals[:, -1] = 1.0                        # above every u
         logs = np.log(np.maximum(p, 1e-300))
-        rule = np.zeros(len(probs) * K, dtype=np.int64)
-        rule[slot] = cols
         if start is None:
-            start = np.arange(len(probs) - R)
+            start = np.arange(len(p) - R)
         state = R + np.repeat(start, num_samples)
         paths = np.empty((len(state), length), dtype=np.int64)
         logp = np.zeros(len(state))
         u = rng.random((length, len(state)))     # step-major: one (N,) draw per step
-        # the kept entries of a row never decrease before its last one, which
+        # a row's cumulative entries never decrease before its last one, which
         # is 1 > u, so those below u come first; a branch-free binary search
-        # counts them, each probe clamped to the row's last slot (1 or +inf)
-        steps = [1 << i for i in range((K - 1).bit_length() - 1, -1, -1)]
+        # counts them, each probe clamped to the row's last slot
+        steps = [1 << i for i in range((k - 1).bit_length() - 1, -1, -1)]
         for j in range(length):
-            at = state * K
-            last = at + (K - 1)
+            at = state * k
+            last = at + (k - 1)
             for s in steps:
                 probe = np.minimum(at + (s - 1), last)
                 at += (vals.take(probe) < u[j]) * s
             logp += logs.take(at)
-            state = paths[:, j] = rule.take(at)
+            state = paths[:, j] = kept.take(at)
         return paths, logp
 
     def sample_prefix_paths(self, prefixes, length, num_samples, seed=0):

@@ -121,18 +121,14 @@ def load_grammar(path):
 # presets
 # ---------------------------------------------------------------------------
 
-def build_preset_grammar(name, seed=0, n_states=4, n_tokens=4,
-                         branch_probs=(0.8, 0.1, 0.1)):
+def build_preset_grammar(name, seed=0, n_states=4, n_tokens=4):
     """walk_stop_run | bimodal | recipe | random."""
     if name == "walk_stop_run":
-        pw, ps, pr = branch_probs
-        if abs(pw + ps + pr - 1.0) > PROB_TOL:
-            raise ParameterError("branch probabilities must sum to 1")
         return GroundTruthGrammar(
             states=["W", "U", "V"], tokens=["walking", "stopping", "running"],
             start="W",
-            rules=[("W", "walking", "W", pw), ("W", "stopping", "U", ps),
-                   ("W", "running", "V", pr), ("U", "stopping", "U", 1.0),
+            rules=[("W", "walking", "W", 0.8), ("W", "stopping", "U", 0.1),
+                   ("W", "running", "V", 0.1), ("U", "stopping", "U", 1.0),
                    ("V", "running", "V", 1.0)])
     if name == "bimodal":
         # shared two-step prefix, then two equiprobable absorbing suffixes

@@ -58,22 +58,26 @@ def ref_rule_probs(model, n):
 
 
 def ref_sample_rule_paths(model, n0, length, num_samples, seed=0):
-    """Gather each path's probability row, cumsum it and compare every step."""
+    """Gather each path's kept columns of its probability row, cumsum them
+    and compare every step."""
     rng = np.random.default_rng(seed)
-    probs_all = model.rule_tables().probs_all
-    p0 = ref_rule_probs(model, np.asarray(n0, dtype=np.float64))
-    p0 = np.repeat(p0, num_samples, axis=0)
+    n0 = np.asarray(n0, dtype=np.float64)
+    tables = model.rule_tables()
+    kept0 = model.rule_tables(n0).kept[model.config.num_rules:]
+    kept0 = np.repeat(kept0, num_samples, axis=0)
+    p0 = np.repeat(ref_rule_probs(model, n0), num_samples, axis=0)
     N = p0.shape[0]
+    rows = np.arange(N)
     paths = np.empty((N, length), dtype=np.int64)
-    cum = np.cumsum(p0, axis=-1)
+    cum = np.cumsum(np.take_along_axis(p0, kept0, axis=-1), axis=-1)
     cum[:, -1] = 1.0
-    idx = (cum < rng.random((N, 1))).sum(axis=-1)
+    idx = kept0[rows, (cum < rng.random((N, 1))).sum(axis=-1)]
     paths[:, 0] = idx
     for j in range(1, length):
-        p = probs_all[idx]
-        cum = np.cumsum(p, axis=-1)
+        kept = tables.kept[idx]
+        cum = np.cumsum(np.take_along_axis(tables.probs_all[idx], kept, axis=-1), axis=-1)
         cum[:, -1] = 1.0
-        idx = (cum < rng.random((N, 1))).sum(axis=-1)
+        idx = kept[rows, (cum < rng.random((N, 1))).sum(axis=-1)]
         paths[:, j] = idx
     return paths
 
@@ -126,7 +130,10 @@ def ref_ngram_kl(samples, oracle, n, horizon):
 
 
 def presets():
-    yield build_preset_grammar("walk_stop_run", branch_probs=(0.5, 0.3, 0.2))
+    yield GroundTruthGrammar(["W", "U", "V"], ["walking", "stopping", "running"], "W",
+                             [("W", "walking", "W", 0.5), ("W", "stopping", "U", 0.3),
+                              ("W", "running", "V", 0.2), ("U", "stopping", "U", 1.0),
+                              ("V", "running", "V", 1.0)])
     yield build_preset_grammar("bimodal")
     yield build_preset_grammar("recipe")
     for seed in range(4):
@@ -274,6 +281,26 @@ def test_sample_rule_paths_at_cdf_boundaries(monkeypatch):
     assert ref_sample_rule_paths(model, n0, 2, 1).tolist() == want
 
 
+def test_sample_rule_paths_draws_only_kept_rules(monkeypatch):
+    # under a top-2 mask: u = 0 at seed rows whose column 0 is dropped, and
+    # u = 0.9 above chain rows' kept totals, doctored to 0.75, whose last
+    # kept column is not the last rule; every draw must be a kept rule
+    R = 6
+    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=R,
+                                       topk_mask=2), seed=0)
+    n0 = np.random.default_rng(0).normal(size=(6, 8))
+    kept = model.rule_tables(n0).kept
+    _doctor_chain(model, 0.75 * model.rule_tables().probs_all)
+    u = np.array(list(itertools.product([0.0, 0.5], [0.0, 0.9])) * len(n0))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Uniforms(u.T))
+    paths, logp = model.sample_rule_paths(n0, 2, 4)
+    assert (kept[R:, 0] > 0).any() and (kept[paths[:, 0], -1] < R - 1).any()
+    states = np.c_[R + np.repeat(np.arange(len(n0)), 4), paths[:, 0]]
+    assert (kept[states] == paths[..., None]).any(axis=-1).all()
+    assert (logp > np.log(1e-300)).all()
+    assert ref_sample_rule_paths(model, n0, 2, 4).tolist() == paths.tolist()
+
+
 def test_empirical_ngram_equals_tuple_counter():
     rng = np.random.default_rng(0)
     cases = [rng.integers(0, a, size=(200, h)) for a in (1, 2, 6) for h in (3, 12)]
@@ -383,37 +410,23 @@ def test_sample_rule_paths_checks_its_sizes():
     assert paths.shape == (6, 1) and logp.shape == (6,)
 
 
-def _table_width(model, n0):
-    """K of sample_rule_paths' compact table: the widest row of probs_all
-    and the seed laws, counting column 0, the nonzero columns and the last."""
-    probs_all = model.rule_tables().probs_all
-    p0 = ref_rule_probs(model, n0)
-    keep = np.concatenate([probs_all, p0]) > 0
-    keep[:, [0, -1]] = True
-    return int(keep.sum(axis=1).max())
-
-
-def _chain_of_width(K, R=11, seed=0):
-    """An R-rule model whose compact table is K wide. Its probs_all row r
-    keeps column 0, the last column and w - 2 nonzero columns between them,
-    w = K for row 0 and 2..K for the others; an end column may be 0 and a
-    row may sum to less than 1. The seed laws are the model's, restricted by
-    -inf biases to the two end columns and K - 2 others."""
+def _masked_chain(k, R=11, seed=0):
+    """An R-rule model under a top-k mask whose chain rows are doctored:
+    row r holds random weights at its own k kept columns, its first or last
+    kept entry may be 0, and it sums to 1 or 0.75. The seed rows stay the
+    model's."""
     rng = np.random.default_rng(seed)
-    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=R), seed=seed)
-    inner = np.arange(1, R - 1)
+    model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=R,
+                                       topk_mask=k), seed=seed)
+    kept = model.rule_tables().kept
+    p = rng.random(kept.shape) + 0.01
+    p[:, [0, -1]] *= rng.random((R, 2)) < 0.5
+    for row in p:
+        if row.sum():
+            row *= rng.choice([1.0, 0.75]) / row.sum()
     probs_all = np.zeros((R, R))
-    for r in range(R):
-        w = K if r == 0 else int(rng.integers(2, K + 1))
-        cols = np.r_[0, rng.choice(inner, w - 2, replace=False), R - 1]
-        p = rng.random(w) + 0.01
-        p[[0, -1]] *= rng.random(2) < 0.5
-        if p.sum():
-            p *= rng.choice([1.0, 0.75]) / p.sum()
-        probs_all[r, cols] = p
+    np.put_along_axis(probs_all, kept, p, axis=1)
     _doctor_chain(model, probs_all)
-    model.b_r.value[...] = -np.inf
-    model.b_r.value[np.r_[0, rng.choice(inner, K - 2, replace=False), R - 1]] = 0.0
     return model
 
 
@@ -425,24 +438,24 @@ def _assert_paths_match(model, n0, num_samples, seed):
         assert logp.tobytes() == ref_path_log_probs(model, n0, want, num_samples).tobytes()
 
 
-@pytest.mark.parametrize("K", [2, 3, 4, 5, 6, 8, 9, 11])
-def test_sample_rule_paths_equals_reference_at_every_width(K):
-    # every depth of the binary search, and probes past a row's last slot,
-    # which the clamp sends back to it
-    model = _chain_of_width(K)
-    n0 = np.random.default_rng(K).normal(size=(5, 8))
-    assert _table_width(model, n0) == K
-    _assert_paths_match(model, n0, 200, seed=K)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 8, 9, 11])
+def test_sample_rule_paths_equals_reference_at_every_width(k):
+    # every depth of the binary search over a state's k kept rules, and
+    # probes past a row's last slot, which the clamp sends back to it
+    model = _masked_chain(k)
+    n0 = np.random.default_rng(k).normal(size=(5, 8))
+    assert model.rule_tables(n0).kept.shape == (16, k)
+    _assert_paths_match(model, n0, 200, seed=k)
 
 
 @pytest.mark.parametrize("R,topk", [(1, None), (7, None), (7, 3)])
 def test_sample_rule_paths_equals_reference_on_small_banks(R, topk):
-    # one rule (K = 1: no search step), and an odd bank whose rows are all
-    # kept (K = R) or masked to 3 rules
+    # one rule (k = 1: no search step), and an odd bank whose rows are all
+    # kept (k = R) or masked to 3 rules
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=R,
                                        topk_mask=topk), seed=R)
     n0 = np.random.default_rng(R).normal(size=(4, 8))
-    assert _table_width(model, n0) == (R if topk is None else 5)
+    assert model.rule_tables(n0).kept.shape[1] == (R if topk is None else 3)
     _assert_paths_match(model, n0, 100, seed=3)
 
 

@@ -26,11 +26,9 @@ def test_presets_well_formed():
 
 
 def test_walk_stop_run_probs():
-    g = build_preset_grammar("walk_stop_run", branch_probs=(0.8, 0.1, 0.1))
+    g = build_preset_grammar("walk_stop_run")
     start_rules = [(tok, p) for st, tok, _, p in g.rules if st == "W"]
     assert dict(start_rules) == {"walking": 0.8, "stopping": 0.1, "running": 0.1}
-    with pytest.raises(ParameterError):
-        build_preset_grammar("walk_stop_run", branch_probs=(0.8, 0.3, 0.1))
 
 
 def test_random_preset_trivial_and_deterministic():
@@ -71,7 +69,7 @@ def test_sample_deterministic_grammar():
 
 
 def test_sample_first_token_frequencies():
-    g = build_preset_grammar("walk_stop_run", branch_probs=(0.8, 0.1, 0.1))
+    g = build_preset_grammar("walk_stop_run")
     rng = np.random.default_rng(0)
     n = 10**4
     firsts = np.array([sample_sequence(g, 1, rng)[0] for _ in range(n)])
