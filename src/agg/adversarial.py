@@ -404,7 +404,12 @@ def _pruned_loglik(model, batch, n0, k_cap, max_paths):
     every gradient is the same bit for bit: mean, log, clamp, sum; then from
     step L-1 down to step 0 a step's products and gathers (each scatter-add
     one bincount) and its sum into probs_all; then each head's softmax, bias
-    and matmul, probs_all's before p0's."""
+    and matmul, probs_all's before p0's. The sums into probs_all and its
+    softmax run over the m rows that steps 1..L-1 visit, in ascending order,
+    which gives each entry the dense (R, R) table's bits; the softmax rows
+    are then scattered into a zero (R, R) gradient, because the head's
+    matmuls keep their full shape: a gemm over the m rows alone takes
+    another BLAS kernel (gemv for one row) and rounds differently."""
     (B, L), R = batch.shape, model.config.num_rules
     w_n = model.w_n                              # f_n(I) is W_n
     P0 = _softmax_rows(model._logits(n0.value))         # p0, (B, R)
@@ -424,13 +429,15 @@ def _pruned_loglik(model, batch, n0, k_cap, max_paths):
     succ = np.zeros((len(E), R, k), dtype=np.intp)
     for c in np.unique(batch[:, 1:]):
         succ[c] = _successors(P, E[c], model.emit == c, k)
+    succ = succ.reshape(-1, k)                                        # row c * R + r
     for j in range(1, L):
         W = cur.shape[1]
         # per parent keep top-k rules, then cap total paths
-        keep_r = succ[batch[:, j, None], cur]                         # (B, W, k)
+        cR = R * batch[:, j, None]
+        keep_r = succ.take(cR + cur, axis=0)                          # (B, W, k)
         trans_at = keep_r + R * cur[:, :, None]
         trans_sel = P.take(trans_at)
-        emis_sel = E[batch[:, j, None, None], keep_r]
+        emis_sel = E.take(keep_r + cR[:, :, None])
         cand_sel = w[:, :, None] * trans_sel * emis_sel
         order = _top_stable(cand_sel.reshape(B, W * k), max_paths)
         at, parent = order + W * k * rows, order // k + W * rows
@@ -444,17 +451,27 @@ def _pruned_loglik(model, batch, n0, k_cap, max_paths):
     def bwd(g):
         g = np.full_like(clamped, 1.0 / B) * g / clamped * (tot > 1e-300)  # mean, log, clamp
         gw = np.expand_dims(g, 1) * np.ones_like(w)       # sum along paths
+        # the m rows of probs_all that steps 1..L-1 read, ascending, and each
+        # step's flat index into them
+        seen = np.zeros(R, dtype=bool)
+        for _, _, trans_at, *_ in steps[1:]:
+            seen[trans_at // R] = True
+        visited = np.flatnonzero(seen)
+        shift = R * (np.cumsum(seen) - 1 - np.arange(R))
         gP = None
         for parent, size, trans_at, wp, tr, em in reversed(steps):
             # (w_parent * trans) * emis; the parent's gather last
             gm = gw * em
             if trans_at is not None:
-                dP = np.bincount(trans_at.ravel(), (gm * wp).ravel(), R * R).reshape(R, R)
+                bins = trans_at + shift.take(trans_at // R)
+                dP = np.bincount(bins.ravel(), (gm * wp).ravel(), len(visited) * R)
                 gP = dP if gP is None else gP + dP
             gw = np.bincount(parent.ravel(), (gm * tr).ravel(), size).reshape(B, -1)
         # a head's softmax, then its logits' bias and matmul
         if gP is not None:
-            gl = P * (gP - (gP * P).sum(axis=-1, keepdims=True))
+            Pv, gP = P[visited], gP.reshape(-1, R)
+            gl = np.zeros_like(P)
+            gl[visited] = Pv * (gP - (gP * Pv).sum(axis=-1, keepdims=True))
             ad._acc(w_n, model._head_backward(w_n.value, gl))
         gl = P0 * (gw - (gw * P0).sum(axis=-1, keepdims=True))
         ad._acc(n0, model._head_backward(n0.value, gl))

@@ -1413,10 +1413,14 @@ def _bimodal_case(topk=4, num_rows=32, length=12, seed=0):
     return model, tokens, data.one_hot()[:, :2]
 
 
-@pytest.mark.parametrize("topk", [4, None])
-def test_pruned_loglik_equals_per_op_graph_bimodal(topk):
+@pytest.mark.parametrize("topk,k_cap", [
+    (4, 4),
+    (None, 4),
+    (1, 1),               # the ablation's no-branching arm: one path a step
+])
+def test_pruned_loglik_equals_per_op_graph_bimodal(topk, k_cap):
     model, tokens, prefix = _bimodal_case(topk)
-    nodes, ref_nodes = _assert_beam_matches(model, tokens, prefix, 4, 64)
+    nodes, ref_nodes = _assert_beam_matches(model, tokens, prefix, k_cap, 64)
     # one node in place of the two rule heads' three nodes each, the rule
     # table's and p0's (the beam reads no mask), step 0's two, four a step
     # after it, and sum, clamp, log and mean
@@ -1447,6 +1451,9 @@ def test_pruned_loglik_equals_per_op_graph_with_ties():
     (3, 4, 5, 1),         # L = 1: no step after the first
     (2, 3, 1, 6),         # B = 1
     (6, 1000, 1, 1),
+    (1, 1, 1, 2),         # one path: the table backward reads one visited row
+    (1, 1, 2, 2),
+    (1, 1, 1, 3),
 ])
 @pytest.mark.parametrize("topk", [None, 2])
 def test_pruned_loglik_equals_per_op_graph_edges(k_cap, max_paths, rows, length, topk):
