@@ -10,7 +10,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from . import autodiff, adversarial, grammar, metrics, nn, synthdata  # noqa: E402,F401
-from .grammar import GrammarConfig, GrammarModel, SequenceSample, gumbel_softmax  # noqa: E402,F401
+from .grammar import GrammarConfig, GrammarModel, gumbel_softmax  # noqa: E402,F401
 from .synthdata import GroundTruthGrammar, SequenceDataset, build_preset_grammar  # noqa: E402,F401
 
 __version__ = "0.1.0"

@@ -155,10 +155,11 @@ def teacher_forced_states(model, batch, n0, rng, tables=None):
     the rule law alone. A deterministic argmax here would hand the
     discriminator an artifact that persists at convergence.
 
-    Returns (the rows of n_all at the parsed rules, (B, L, d), the number of
+    Returns (the rows of W_n at the parsed rules, (B, L, d), the number of
     (row, step) pairs that fell back). Forward-only. tables is the model's
     rule_tables(n0) at its current weights, row b of n0 its seed state
-    R + b, built here when None; other seed rows are a DimensionError.
+    R + b, built here when None; other seed rows are a DimensionError. W_n
+    and the rules' tokens are read from the model.
 
     A row starts at its seed state and reads its state's row of the table at
     every step, the state then moving to the parsed rule. A step weighs the
@@ -170,9 +171,9 @@ def teacher_forced_states(model, batch, n0, rng, tables=None):
     to 1, selects bit for bit."""
     if tables is None:
         tables = model.rule_tables(np.asarray(n0, dtype=np.float64))
-    n_all, emit, probs_all, kept, _ = tables
+    probs_all, kept, emit = tables.probs_all, tables.kept, model.emit
     tokens = np.argmax(batch, axis=2)
-    (B, L), R, k = tokens.shape, len(n_all), kept.shape[1]
+    (B, L), R, k = tokens.shape, model.config.num_rules, kept.shape[1]
     if len(kept) != R + B:
         raise DimensionError("the rule tables need one seed row per row of the batch")
     rows = np.arange(B)
@@ -197,7 +198,7 @@ def teacher_forced_states(model, batch, n0, rng, tables=None):
         idx = np.where(first < k, cols[rows, np.minimum(first, k - 1)], R - 1)
         idx[u[:, 0] == 0] = 0
         rules[:, j] = state = idx
-    return n_all[rules], fallbacks
+    return model.w_n.value[rules], fallbacks
 
 
 def _tau_at(cfg, it):

@@ -30,8 +30,6 @@ SYNTH_DEFAULTS = {
     "num_sequences": 10000,
     "length": 12,
     "seed": 0,
-    "grammar_seed": 0,         # random preset: structure seed
-    "n_states": 4,             # random preset: state count
     "n_tokens": 4,             # random preset: token count
     "out_dir": "runs/synth",
 }
@@ -170,7 +168,7 @@ def _read_config(path, missing):
 
 
 def _check_nonnegative(cfg):
-    for key in ("seed", "grammar_seed", "num_classes"):
+    for key in ("seed", "num_classes"):
         if cfg.get(key, 0) < 0:
             raise ConfigError(f"{key} must be >= 0")
 
@@ -221,8 +219,7 @@ def _load_trained(run_dir):
 
 
 def cmd_synth(cfg):
-    grammar = build_preset_grammar(cfg["preset"], seed=cfg["grammar_seed"],
-                                   n_states=cfg["n_states"], n_tokens=cfg["n_tokens"])
+    grammar = build_preset_grammar(cfg["preset"], n_tokens=cfg["n_tokens"])
     dataset = sample_dataset(grammar, cfg["num_sequences"], cfg["length"],
                              seed=cfg["seed"])
     out = cfg["out_dir"]

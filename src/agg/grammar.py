@@ -45,23 +45,13 @@ def activity_config(num_classes, topk_mask=4):
 class RuleTables(NamedTuple):
     """The generator as a finite chain over its R rules, with U seed states
     appended. State r < R is the expansion of a one-hot selection of rule r,
-    state R + u the seed state n0[u]; a path starts at a seed state and then
-    moves to the rule it draws. k is the number of rules the top-k mask keeps
-    (R without a mask)."""
-    n_all: np.ndarray             # (R, d) next state: row r of W_n
-    emit: np.ndarray              # (R,) the token rule r emits
+    row r of the model's W_n, state R + u the seed state n0[u]; a path starts
+    at a seed state and then moves to the rule it draws. The table holds
+    neither W_n nor the rules' tokens: its readers take both from the model.
+    k is the number of rules the top-k mask keeps (R without a mask)."""
     probs_all: np.ndarray         # (R + U, R) next-step rule law at each state
     kept: np.ndarray              # (R + U, k) the columns the mask keeps, ascending
-    logits: np.ndarray            # (R + U, R) the unmasked logits (n_all; n0) @ W_r + b_r
-
-
-@dataclass
-class SequenceSample:
-    nonterminals: list            # L+1 vectors, starting at the seed state
-    terminals: list               # L vectors
-    rule_indices: list            # L ints
-    log_prob: float
-    length: int
+    logits: np.ndarray            # (R + U, R) the unmasked logits (W_n; n0) @ W_r + b_r
 
 
 def _softmax_at(v, kept, shape, mx):
@@ -275,10 +265,10 @@ class GrammarModel:
         DimensionError.
 
         The rules are draw_rules' from the seed rows; the outputs are the rows
-        of E, the (R, C) one-hot table of the rules' tokens, and of W_n at
-        them. The L steps are one autodiff node over n0, W_r, b_r and W_n,
-        whose backward is backpropagation through time with the primitive
-        ops' backward expressions in their order, bit for bit. The selection
+        of E, the (R, C) one-hot table of the model's emit, and of the
+        model's W_n at them. The L steps are one autodiff node over n0, W_r,
+        b_r and W_n, whose backward is backpropagation through time with the
+        primitive ops' backward expressions in their order, bit for bit. The selection
         is one-hot where the Gumbel-softmax of the masked logits peaks, with
         that softmax's straight-through gradient; under a top-1 mask, whose
         one-entry softmax has none, the gradient is that of the Gumbel-softmax
@@ -296,7 +286,7 @@ class GrammarModel:
         if len(tables.kept) != R + B:
             raise DimensionError("the rule tables need one seed row per state of n0")
         inv = 1.0 / tau
-        Wn, emit = self.w_n.value, tables.emit
+        Wn, emit = self.w_n.value, self.emit
         rows = np.arange(B)
         # the soft samples the backward reads are kept only when it can run
         record = ad.grad_enabled()
@@ -395,36 +385,30 @@ class GrammarModel:
         return rules, logp, ys
 
     def unroll(self, n0, length, rng_seed=0):
-        """Single-sequence unroll (inference only)."""
+        """unroll_batch's single row from the seed state n0 (d,), forward
+        only, drawing from default_rng(rng_seed): rule indices (length,) and
+        log_prob."""
         n0 = np.asarray(n0, dtype=np.float64).reshape(1, -1)
-        rng = np.random.default_rng(rng_seed)
         with ad.no_grad():
-            t, n, idx, logp = self.unroll_batch(n0, length, rng)
-        return SequenceSample(
-            nonterminals=[n0[0]] + [n.value[0, j] for j in range(length)],
-            terminals=[t.value[0, j] for j in range(length)],
-            rule_indices=list(idx[0]),
-            log_prob=float(logp[0]),
-            length=length,
-        )
+            _, _, idx, logp = self.unroll_batch(n0, length, np.random.default_rng(rng_seed))
+        return idx[0], float(logp[0])
 
     # -- table form: rule i fully determines its successor state ------------
     def rule_tables(self, n0=None):
         """The RuleTables of the chain, with one seed row per state of the
         array n0 (U, d), none when n0 is None. The next non-terminal is a
         function of the selected rule alone, so hard unrolls are table
-        lookups: row r is the expansion of the one-hot selection of rule r,
-        row r of W_n, and row R + u that of the seed state n0[u]. The heads
-        are one gemm over the R + U states, which numpy rounds row by row as
-        it rounds that row in any batch of two or more states. The arrays are
-        the caller's own."""
+        lookups: row r is the law after the one-hot selection of rule r,
+        whose state is row r of W_n, and row R + u the law at the seed state
+        n0[u]. The heads are one gemm over the R + U states, which numpy
+        rounds row by row as it rounds that row in any batch of two or more
+        states."""
         n = self.w_n.value if n0 is None else np.concatenate([self.w_n.value, n0])
         s = self._logits(n)
         keep = self._topk_keep(s)
         at = np.arange(s.size) if keep is None else keep.ravel().nonzero()[0]
         at = at.reshape(len(s), -1)
-        return RuleTables(self.w_n.value.copy(), self.emit.copy(), _softmax_kept(s, at),
-                          at % s.shape[1], s)
+        return RuleTables(_softmax_kept(s, at), at % s.shape[1], s)
 
     def sample_rule_paths(self, n0, length, num_samples, seed=0, start=None):
         """Hard-sampled rule-index paths (N, L) and their log_prob (N,), for
@@ -502,11 +486,16 @@ class GrammarModel:
         return self.sample_rule_paths(n0, length, num_samples, seed=seed, start=start)
 
     def enumerate_all(self, n0, length, k_cap, budget=10**6):
-        """Exhaustively expand the k_cap most probable rules per step.
+        """Every path that takes one of the k_cap most probable rules at each
+        step from the seed state n0 (d,): rule-index paths (M, length), M =
+        k_cap ** length, and their probabilities (M,), sorted by descending
+        probability, then ascending path.
 
-        Returns [(SequenceSample, probability)] sorted by descending path
-        probability. Probabilities are raw products of the per-step rule
-        probabilities (no renormalization over the pruned tree).
+        A probability is the raw product of the per-step rule probabilities,
+        left to right (no renormalization over the pruned tree). A state's
+        k_cap rules are _top_stable's of its row of rule_tables(n0), ties to
+        the lower rule; the tree grows a level at a time, each path followed
+        by its k_cap children in that order.
         """
         if length < 1:
             raise ParameterError("length must be >= 1")
@@ -516,32 +505,13 @@ class GrammarModel:
             raise ResourceError(
                 f"enumeration needs k^L = {k_cap}^{length} = {k_cap ** length} "
                 f"sequences, over budget {budget}")
-        n0 = np.asarray(n0, dtype=np.float64).reshape(-1)
-        n_all, emit, probs_all = self.rule_tables(n0[None])[:3]
-
-        results = []
-        # DFS over (depth, prefix indices, prefix prob, step distribution),
-        # from the seed row
-        stack = [((), 1.0, probs_all[-1])]
-        while stack:
-            prefix, prob, p = stack.pop()
-            for i in _top_stable(p[None], k_cap)[0]:
-                q = prob * p[i]
-                path = prefix + (int(i),)
-                if len(path) == length:
-                    results.append((path, q))
-                else:
-                    stack.append((path, q, probs_all[i]))
-        results.sort(key=lambda r: (-r[1], r[0]))
-        out = []
-        for path, q in results:
-            idx = np.asarray(path)
-            sample = SequenceSample(
-                nonterminals=[n0] + [n_all[i] for i in idx],
-                terminals=list(np.eye(self.config.d_terminal)[emit[idx]]),
-                rule_indices=list(path),
-                log_prob=float(np.log(max(q, 1e-300))),
-                length=length,
-            )
-            out.append((sample, float(q)))
-        return out
+        probs_all = self.rule_tables(np.asarray(n0, dtype=np.float64).reshape(1, -1)).probs_all
+        top = _top_stable(probs_all, k_cap)                  # (R + 1, k_cap)
+        top_p = np.take_along_axis(probs_all, top, axis=1)
+        paths, probs = top[-1:].T, top_p[-1]                 # from the seed row R
+        for _ in range(length - 1):
+            last = paths[:, -1]
+            paths = np.column_stack([np.repeat(paths, k_cap, axis=0), top[last].ravel()])
+            probs = np.repeat(probs, k_cap) * top_p[last].ravel()
+        order = np.lexsort((*paths.T[::-1], -probs))
+        return paths[order], probs[order]

@@ -9,16 +9,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .synthdata import GroundTruthGrammar, exact_ngram_distribution, sample_sequence
+from .synthdata import exact_ngram_distribution, sample_sequence
 
 
-def grammar_sampler(grammar, state=None):
-    """Sampler over the ground-truth grammar from `state` (default: start)."""
-    g = grammar if state is None else GroundTruthGrammar(
-        grammar.states, grammar.tokens, state, grammar.rules)
+def grammar_sampler(grammar):
+    """Sampler over the ground-truth grammar from its start state."""
 
     def sample(horizon, rng):
-        return sample_sequence(g, horizon, rng)
+        return sample_sequence(grammar, horizon, rng)
 
     return sample
 

@@ -244,18 +244,18 @@ def exact_future_distribution(grammar, state=None, horizon=1, budget=ORACLE_BUDG
     return out
 
 
-def exact_ngram_distribution(grammar, n, horizon, state=None):
+def exact_ngram_distribution(grammar, n, horizon):
     """Distribution over n-grams averaged across window starts in a length-
-    `horizon` sequence, computed exactly from the state DP."""
+    `horizon` sequence from the start state, computed exactly from the state
+    DP."""
     if n < 1:
         raise ParameterError("n-gram order must be >= 1")
     if n > horizon:
         raise ParameterError("n must be <= horizon")
-    state = grammar.start if state is None else state
     S = len(grammar.states)
     T = grammar.transition_matrices()
     dist = np.zeros(S)
-    dist[grammar._state_index[state]] = 1.0
+    dist[grammar._state_index[grammar.start]] = 1.0
     # per-state distribution over n-grams emitted from that state
     grams = {}
     for s in grammar.states:

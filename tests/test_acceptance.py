@@ -165,12 +165,12 @@ def test_enumeration_count_and_mass():
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=3,
                                        num_rules=6), seed=0)
     n0 = np.ones(8)
-    seqs = model.enumerate_all(n0, length=10, k_cap=2)
-    assert len(seqs) == 1024
-    full = model.enumerate_all(n0, length=4, k_cap=model.config.num_rules,
-                               budget=10**7)
-    assert len(full) == 6**4
-    mass = sum(prob for _, prob in full)
+    paths, _ = model.enumerate_all(n0, length=10, k_cap=2)
+    assert len(paths) == 1024
+    paths, probs = model.enumerate_all(n0, length=4, k_cap=model.config.num_rules,
+                                       budget=10**7)
+    assert len(paths) == len(probs) == 6**4
+    mass = sum(probs)
     assert abs(mass - 1.0) < 1e-9
 
 

@@ -86,6 +86,7 @@ def test_synth_artifacts(workdir):
     assert (workdir / "data" / "grammar.json").exists()
     cfg = json.loads((workdir / "data" / "config.json").read_text())
     assert cfg["preset"] == "bimodal" and cfg["num_sequences"] == 60
+    assert not {"grammar_seed", "n_states"} & set(cfg)
 
 
 def test_train_generate_evaluate_pipeline(workdir):
@@ -168,6 +169,11 @@ def test_error_json_and_exit_codes(workdir):
     assert json.loads(r.stderr.strip().splitlines()[-1])["error"] == "ConfigError"
     r = run_cli(["synth", "--set", "preset=unknown"], workdir)
     assert r.returncode == 1
+    # the random preset's structure seed is no longer a synth key
+    r = run_cli(["synth", "--set", "grammar_seed=1"], workdir)
+    assert r.returncode == 1
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
 
 
 def _json_error(r):

@@ -23,7 +23,7 @@ from agg.adversarial import (EMISSION_FLOOR, Discriminator, DiscriminatorConfig,
                              GrammarOnlyConfig, TrainConfig, generator_loss, train_adversarial,
                              train_grammar_only)
 from agg.errors import ParameterError, ParseError
-from agg.grammar import (GrammarConfig, GrammarModel, _softmax_kept, _top_mask,
+from agg.grammar import (GrammarConfig, GrammarModel, _softmax_kept, _top_mask, _top_stable,
                          activity_config, gumbel_softmax)
 from agg.metrics import EvalReport, empirical_ngram_distribution, kl_divergence
 from agg.synthdata import (GroundTruthGrammar, SequenceDataset, _saved_tokens,
@@ -387,8 +387,9 @@ def test_sample_rule_paths_law_equals_enumeration(topk):
     model = GrammarModel(GrammarConfig(d_nonterminal=8, d_terminal=4, num_rules=6,
                                        topk_mask=topk), seed=8)
     n0 = np.random.default_rng(1).normal(size=(1, 8))
-    exact = {tuple(s.rule_indices): (s.log_prob, q)
-             for s, q in model.enumerate_all(n0, 3, k_cap=6)}
+    paths, probs = model.enumerate_all(n0, 3, k_cap=6)
+    exact = dict(zip(map(tuple, paths.tolist()),
+                     zip(np.log(np.maximum(probs, 1e-300)).tolist(), probs.tolist())))
     assert len(exact) == 6 ** 3 and abs(sum(q for _, q in exact.values()) - 1.0) < 1e-12
     N = 10 ** 5
     paths, logp = model.sample_rule_paths(n0, 3, N, seed=0)
@@ -398,6 +399,50 @@ def test_sample_rule_paths_law_equals_enumeration(topk):
         assert abs(lp - exact[path][0]) < 1e-12
     tv = 0.5 * sum(abs(freq.get(path, 0.0) - q) for path, (_, q) in exact.items())
     assert tv < 0.03
+
+
+def ref_enumerate_all(model, n0, length, k_cap):
+    """GrammarModel.enumerate_all as a depth-first search over the pruned
+    tree, one tuple per path, verbatim but for returning (rule indices,
+    log_prob, probability) triples in place of per-path objects."""
+    n0 = np.asarray(n0, dtype=np.float64).reshape(-1)
+    probs_all = model.rule_tables(n0[None]).probs_all
+
+    results = []
+    # DFS over (depth, prefix indices, prefix prob, step distribution),
+    # from the seed row
+    stack = [((), 1.0, probs_all[-1])]
+    while stack:
+        prefix, prob, p = stack.pop()
+        for i in _top_stable(p[None], k_cap)[0]:
+            q = prob * p[i]
+            path = prefix + (int(i),)
+            if len(path) == length:
+                results.append((path, q))
+            else:
+                stack.append((path, q, probs_all[i]))
+    results.sort(key=lambda r: (-r[1], r[0]))
+    return [(path, float(np.log(max(q, 1e-300))), float(q)) for path, q in results]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("R,topk", [(6, None), (6, 2), (6, 1), (11, 4), (256, 4)])
+def test_enumerate_all_equals_depth_first_search(R, topk, seed):
+    # the level-by-level tree gives the search's paths in its order, and its
+    # probabilities and log-probabilities bit for bit; k_cap above the kept
+    # count ranks the dropped rules' zeros, ties to the lower rule
+    d = 64 if R == 256 else 8
+    model = GrammarModel(GrammarConfig(d_nonterminal=d, d_terminal=4, num_rules=R,
+                                       topk_mask=topk), seed=seed)
+    n0 = np.random.default_rng(seed).normal(size=d)
+    for k_cap, length in itertools.product((1, 2, 3, 6), range(1, 5)):
+        paths, probs = model.enumerate_all(n0, length, k_cap)
+        want = ref_enumerate_all(model, n0, length, k_cap)
+        assert paths.shape == (k_cap ** length, length) == (len(want), length)
+        assert paths.tolist() == [list(path) for path, _, _ in want]
+        assert probs.tobytes() == np.array([q for _, _, q in want]).tobytes()
+        assert (np.log(np.maximum(probs, 1e-300)).tobytes()
+                == np.array([lp for _, lp, _ in want]).tobytes())
 
 
 def test_sample_rule_paths_checks_its_sizes():
@@ -1136,9 +1181,10 @@ def test_unroll_batch_log_prob_adds_the_table_law(topk, rows):
 
 def ref_teacher_forced_states(model, batch, n0, rng):
     """adversarial.teacher_forced_states as it weighed all R rules of each
-    row, verbatim but for reading the first three of the rule tables, whose
-    seed rows are step 0's law."""
-    n_all, emit, probs_all = model.rule_tables(np.asarray(n0, dtype=np.float64))[:3]
+    row, verbatim but for reading probs_all from the rule tables, whose seed
+    rows are step 0's law, and W_n and emit from the model."""
+    probs_all = model.rule_tables(np.asarray(n0, dtype=np.float64)).probs_all
+    n_all, emit = model.w_n.value, model.emit
     B, L, _ = batch.shape
     tokens = np.argmax(batch, axis=2)                   # (B, L)
     p = probs_all[len(n_all):]
